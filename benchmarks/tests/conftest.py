@@ -1,0 +1,10 @@
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parents[1]
+ROOT = BENCH_DIR.parent
+
+# the benchmark's modules and the driftbench sources of this checkout
+for path in (BENCH_DIR, ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))

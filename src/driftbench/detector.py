@@ -218,12 +218,14 @@ class KnnEstimator(Estimator):
     """k-nearest-neighbor estimator with LDD or kNN-KL similarity."""
 
     dd_class = "surely"
-    cost_class = "O(k)"
 
     def __init__(self, k: int = 10, statistic: str = "ldd", aggregation: str = "mean"):
         if statistic not in ("ldd", "kl"):
             raise ParameterError(f"unknown knn statistic {statistic!r}")
         self.name = "ldd" if statistic == "ldd" else "knn_kl"
+        # LDD counts the k neighbors of every sample at each split; kNN-KL
+        # pays one O(k|W|^2) sweep per scan, then sums |W| terms per split
+        self.cost_class = "O(k|W|)" if statistic == "ldd" else "O(|W|)"
         self.k = k
         self.statistic = statistic
         self.aggregation = aggregation

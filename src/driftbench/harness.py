@@ -11,6 +11,7 @@ are reproducible and order-independent.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import hashlib
 import json
@@ -33,7 +34,7 @@ from .detector import (
     random_projection_estimator,
     random_tree_estimator,
 )
-from .errors import ParameterError
+from .errors import DriftBenchError, ParameterError
 from .generators import csv_concept_pair, rbf_pair, rhp_pair, sea_pair, stagger_pair, with_noise
 from .moment_tree import MomentTreeConfig, VARIANT_DT, VARIANT_RF
 from .seeding import as_generator, derive_seed
@@ -323,7 +324,7 @@ def run_cell(cfg: ExperimentConfig, dataset_id: str, estimator_id: str) -> CellR
     try:
         records = collect_records(cfg, dataset_id, estimator_id)
         return summarize(records, cfg, dataset_id, estimator_id)
-    except Exception as exc:  # incompatible cells are recorded, not fatal
+    except DriftBenchError as exc:  # incompatible cells are recorded, not fatal
         return CellResult(
             dataset=dataset_id,
             estimator=estimator_id,
@@ -361,18 +362,22 @@ def run_grid(cfg: ExperimentConfig, threads: int = 1, sweep: bool = False, progr
 
     ``threads`` > 1 distributes cells across processes; results are
     identical to a serial run because every repetition derives its own seed.
+    ``progress(dataset, estimator, cell)`` is called once per cell, in task
+    order.
     """
     tasks = [(cfg, d, e, sweep) for d in cfg.datasets for e in cfg.estimators]
     started = time.time()
-    if threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(_cell_task, tasks))
-    else:
-        cells = []
-        for task in tasks:
-            cells.append(_cell_task(task))
+    cells = []
+    with contextlib.ExitStack() as stack:
+        if threads > 1:
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=threads))
+            results = pool.map(_cell_task, tasks)
+        else:
+            results = map(_cell_task, tasks)
+        for task, cell in zip(tasks, results):
+            cells.append(cell)
             if progress:
-                progress(task[1], task[2], cells[-1])
+                progress(task[1], task[2], cell)
     metadata = {
         "config": asdict(cfg),
         "config_hash": cfg.config_hash(),

@@ -1,8 +1,13 @@
 """Neighbor- and kernel-based drift statistics: LDD, kNN-KL and biased MMD.
 
 The neighbor graph and the kernel Gram matrix are built once per window
-(O(n^2)) and reused for every split point; per-split evaluation then only
-touches precomputed structures.
+(O(n^2)) and reused for every split point.  MMD then costs O(1) per split
+from cached block sums.  The kNN statistics sweep all requested splits at
+once: LDD counts before-side neighbors in O(n k) per split, and kNN-KL
+locates every split's k-th same-side and other-side neighbors in one
+O(k n^2) pass over the graph, then costs O(n) per split.  Both sweeps work
+in blocks of a fixed element budget, so their scratch memory beyond the
+per-split rows of kNN-KL terms does not grow with n.
 """
 
 from __future__ import annotations
@@ -16,6 +21,9 @@ from .windows import SplitPoint, Window
 
 DISTANCE_FLOOR = 1e-12
 LDD_CAP = 10.0
+#: Elements in each temporary block of a split sweep; bounds the sweep's
+#: working memory independently of the window size.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def _pairwise_distances(x: np.ndarray) -> np.ndarray:
@@ -61,8 +69,10 @@ def build_neighbor_graph(w: Window, k: int = 10) -> NeighborGraph:
     return NeighborGraph(order, dist, np.asarray(w.t), min(k, n - 1))
 
 
-def _before_mask(times: np.ndarray, t: float) -> np.ndarray:
-    return times <= t
+def _split_ranks(g: NeighborGraph, ts) -> np.ndarray:
+    # times are sorted, so the before side of split t is the first r samples
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    return np.searchsorted(g.times, ts, side="right")
 
 
 def ldd_statistic(g: NeighborGraph, w: Window, t, *, cap: float = LDD_CAP, aggregation: str = "mean") -> float:
@@ -77,23 +87,28 @@ def ldd_statistic(g: NeighborGraph, w: Window, t, *, cap: float = LDD_CAP, aggre
 
 
 def ldd_statistics(g: NeighborGraph, ts, *, cap: float = LDD_CAP, aggregation: str = "mean") -> np.ndarray:
+    """LDD at every split in ``ts``, O(n k) per split, in blocks of splits."""
     if aggregation not in ("mean", "max"):
         raise ParameterError(f"unknown aggregation {aggregation!r}")
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    ranks = _split_ranks(g, ts)
     n = g.n
-    neigh = g.order[:, : g.k]
-    out = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        before = _before_mask(g.times, t)
-        n_before = int(before.sum())
-        n_after = n - n_before
-        if n_before == 0 or n_after == 0:
-            raise InvalidSplitError("split leaves an empty side")
-        k_before = before[neigh].sum(axis=1)
+    if len(ranks) and (ranks.min() == 0 or ranks.max() == n):
+        raise InvalidSplitError("split leaves an empty side")
+    # neighbor j is on the before side of split r exactly when j < r
+    neighbor_columns = np.ascontiguousarray(g.order[:, : g.k].T)
+    out = np.empty(len(ranks))
+    step = max(1, _BLOCK_ELEMENTS // n)
+    for lo in range(0, len(ranks), step):
+        r = ranks[lo : lo + step]
+        k_before = np.zeros((len(r), n), dtype=np.intp)
+        for column in neighbor_columns:
+            k_before += column < r[:, None]
         k_after = g.k - k_before
-        delta = (n_before / n_after) * (k_after / np.maximum(k_before, 1)) - 1.0
+        delta = (r / (n - r))[:, None] * (k_after / np.maximum(k_before, 1)) - 1.0
         degrees = np.minimum(np.abs(delta), cap)
-        out[i] = degrees.mean() if aggregation == "mean" else degrees.max()
+        # one contiguous row per split keeps the reduction order of a 1-D array
+        for i, row in enumerate(degrees, lo):
+            out[i] = row.mean() if aggregation == "mean" else row.max()
     return out
 
 
@@ -108,24 +123,63 @@ def knn_kl(g: NeighborGraph, w: Window, t, *, floor: float = DISTANCE_FLOOR) -> 
     return float(knn_kls(g, w, [_split_time(t)], floor=floor)[0])
 
 
+def _running_kth(q: np.ndarray, k: int, outer: np.ufunc, inner: np.ufunc, empty: int) -> np.ndarray:
+    """k-th smallest (``outer=np.minimum``) or largest (``np.maximum``) entry
+    of every prefix of each row of ``q``; ``empty`` while a prefix is shorter
+    than k.  Monotone along each row."""
+    kth = outer.accumulate(q, axis=1)
+    for _ in range(k - 1):
+        # appending x to a prefix moves its k-th order statistic to
+        # outer(old k-th, inner(x, old (k-1)-th))
+        prev = np.empty_like(kth)
+        prev[:, 0] = empty
+        prev[:, 1:] = kth[:, :-1]
+        kth = outer.accumulate(inner(q, prev), axis=1)
+    return kth
+
+
 def knn_kls(g: NeighborGraph, w: Window, ts, *, floor: float = DISTANCE_FLOOR) -> np.ndarray:
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    """kNN-KL at every split in ``ts`` from one O(k n^2) sweep of the graph.
+
+    A neighbor j is on the before side of a split with before-count r
+    exactly when j < r.  Along a row's distance-sorted neighbor list the
+    running k-th smallest index is non-increasing and the running k-th
+    largest non-decreasing, so the list positions of the k-th same-side
+    (first value < r) and k-th other-side (first value >= r) neighbors of
+    every split come from one batched binary search.
+    """
+    ranks = _split_ranks(g, ts)
+    n, k = g.n, g.k
+    if len(ranks) and (ranks.min() <= k or n - ranks.max() <= k):
+        raise InvalidSplitError(f"both sides must have more than k={k} samples")
+    rows = int(ranks.max()) if len(ranks) else 0
+    width = n - 1
+    log_ratio = np.empty((len(ranks), rows))
+    step = max(1, _BLOCK_ELEMENTS // width)
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        q = g.order[lo:hi]
+        live = ranks > lo
+        r = ranks[live][:, None]
+        # per-row offsets larger than the value range make the flattened
+        # rows one sorted array
+        offsets = np.arange(hi - lo) * (n + 1)
+        falling = offsets[:, None] - _running_kth(q, k, np.minimum, np.maximum, n)
+        rising = offsets[:, None] + _running_kth(q, k, np.maximum, np.minimum, -1)
+        rho_at = np.searchsorted(falling.ravel(), offsets - r, side="right")
+        nu_at = np.searchsorted(rising.ravel(), offsets + r, side="left")
+        # rows on the after side of a split find no position in their own
+        # row; their entries are clipped here and never summed
+        dist = g.dist[lo:hi].ravel()
+        last = dist.size - 1
+        rho = np.maximum(dist[np.minimum(rho_at, last)], floor)
+        nu = np.maximum(dist[np.minimum(nu_at, last)], floor)
+        log_ratio[live, lo:hi] = np.log(nu / rho)
     d = w.dim
-    out = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        before = _before_mask(g.times, t)
-        n_b = int(before.sum())
-        n_a = g.n - n_b
-        if n_b <= g.k or n_a <= g.k:
-            raise InvalidSplitError(f"both sides must have more than k={g.k} samples")
-        rows = np.flatnonzero(before)
-        same = before[g.order[rows]]
-        # position of the k-th same-side / other-side neighbor in the sorted list
-        rho_idx = np.argmax(np.cumsum(same, axis=1) == g.k, axis=1)
-        nu_idx = np.argmax(np.cumsum(~same, axis=1) == g.k, axis=1)
-        rho = np.maximum(g.dist[rows, rho_idx], floor)
-        nu = np.maximum(g.dist[rows, nu_idx], floor)
-        est = (d / n_b) * np.log(nu / rho).sum() + np.log(n_a / (n_b - 1))
+    out = np.empty(len(ranks))
+    for i, n_b in enumerate(ranks.tolist()):
+        n_a = n - n_b
+        est = (d / n_b) * log_ratio[i, :n_b].sum() + np.log(n_a / (n_b - 1))
         out[i] = max(est, 0.0)
     return out
 
@@ -221,3 +275,19 @@ def mmd_biased_reference(x_before: np.ndarray, x_after: np.ndarray, sigma: float
     s_ba = sum(k(x_before[i], x_after[j]) for i in range(nb) for j in range(na))
     mmd2 = s_bb / nb**2 + s_aa / na**2 - 2.0 * s_ba / (nb * na)
     return float(np.sqrt(max(mmd2, 0.0)))
+
+
+def knn_kl_reference(x_before: np.ndarray, x_after: np.ndarray, k: int, *, floor: float = DISTANCE_FLOOR) -> float:
+    """kNN-KL from direct per-side distance matrices (test oracle)."""
+    x_before = np.asarray(x_before, dtype=float)
+    x_after = np.asarray(x_after, dtype=float)
+    nb, na = len(x_before), len(x_after)
+    if nb <= k or na <= k:
+        raise InvalidSplitError(f"both sides must have more than k={k} samples")
+    within = np.sqrt(((x_before[:, None, :] - x_before[None, :, :]) ** 2).sum(axis=2))
+    np.fill_diagonal(within, np.inf)
+    across = np.sqrt(((x_before[:, None, :] - x_after[None, :, :]) ** 2).sum(axis=2))
+    rho = np.maximum(np.partition(within, k - 1, axis=1)[:, k - 1], floor)
+    nu = np.maximum(np.partition(across, k - 1, axis=1)[:, k - 1], floor)
+    est = (x_before.shape[1] / nb) * np.log(nu / rho).sum() + np.log(na / (nb - 1))
+    return float(max(est, 0.0))

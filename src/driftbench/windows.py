@@ -55,6 +55,10 @@ class Window:
             raise ParameterError("x must be a 2-D array of shape (n, d)")
         if t.shape != (x.shape[0],):
             raise ParameterError("t must be 1-D and aligned with x")
+        if not np.isfinite(x).all():
+            raise ParameterError("x must be finite")
+        if not np.isfinite(t).all():
+            raise ParameterError("timestamps must be finite")
         if x.shape[0] > 0:
             if t.min() < -1e-12 or t.max() > 1 + 1e-12:
                 raise ParameterError("timestamps must lie in [0, 1]")
@@ -213,6 +217,14 @@ def make_paired(
     return PairedWindows(drifting, permuted, float(t0))
 
 
+def _reject_non_finite(values: np.ndarray, what: str) -> None:
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        first = tuple(int(i) for i in bad[0])
+        where = f"row {first[0]}" + (f", column {first[1]}" if len(first) > 1 else "") + " (0-based)"
+        raise DataError(f"{len(bad)} non-finite {what}; first {values[first]} at {where}")
+
+
 def ingest_window(x, t=None, *, rescale: bool = True, label_feature_appended: bool = False) -> Window:
     """Build a window from raw arrays, rescaling timestamps onto [0, 1].
 
@@ -225,10 +237,12 @@ def ingest_window(x, t=None, *, rescale: bool = True, label_feature_appended: bo
     n = x.shape[0]
     if n == 0:
         raise DataError("cannot ingest an empty sample")
+    _reject_non_finite(x, "feature values")
     if t is None:
         t = np.zeros(1) if n == 1 else np.arange(n) / (n - 1)
     else:
         t = np.asarray(t, dtype=float)
+        _reject_non_finite(t, "timestamps")
         if rescale:
             lo, hi = t.min(), t.max()
             if hi > lo:

@@ -30,6 +30,19 @@ class TestDetect:
         code = main(["detect", "--csv", "/nonexistent.csv", "--estimator", "marg"])
         assert code == 2
 
+    @pytest.mark.parametrize("estimator", ["knn_kl", "mmd"])
+    def test_nan_feature_is_data_error(self, tmp_path, capsys, estimator):
+        rng = np.random.default_rng(0)
+        rows = ["a,b"] + [f"{u:.4f},{v:.4f}" for u, v in rng.normal(size=(150, 2))]
+        rows[40] = "nan,0.5"
+        path = tmp_path / "null.csv"
+        path.write_text("\n".join(rows) + "\n")
+        code = main(["detect", "--csv", str(path), "--estimator", estimator, "--perms", "19"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "non-finite feature values" in captured.err
+        assert "drift detected" not in captured.out
+
     def test_unknown_estimator_is_usage_error(self, tmp_path):
         path = drift_csv(tmp_path)
         with pytest.raises(SystemExit) as err:
@@ -83,5 +96,5 @@ class TestOracle:
         code = main(["oracle", "--trials", "20", "--seed", "0"])
         out = capsys.readouterr().out
         assert code == 0
-        assert out.count("[PASS]") == 3
+        assert out.count("[PASS]") == 4
         assert "[FAIL]" not in out

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from driftbench.errors import ParameterError
 from driftbench.harness import (
     DRIFT_POSITION,
+    ESTIMATOR_BUILDERS,
     EvalRecords,
     ExperimentConfig,
     collect_records,
@@ -173,6 +175,31 @@ class TestRunGrid:
         failed = table.cell("stagger", "knn_kl")
         assert failed.status == "failed" and failed.error
         assert table.cell("stagger", "marg").status == "ok"
+
+    def test_unexpected_error_propagates(self, monkeypatch):
+        class Broken:
+            name = "broken"
+
+            def fit(self, w, seed=None, drift_time=None):
+                raise TypeError("bug in estimator code")
+
+        monkeypatch.setitem(ESTIMATOR_BUILDERS, "broken", lambda metric="tv", **p: Broken())
+        cfg = dataclasses.replace(SMALL, estimators=("marg", "broken"), repetitions=2)
+        with pytest.raises(TypeError, match="bug in estimator code"):
+            run_grid(cfg)
+
+    def test_parallel_progress_once_per_cell_in_order(self):
+        cfg = ExperimentConfig(
+            datasets=("stagger", "sea"),
+            estimators=("marg", "knn_kl"),
+            repetitions=2,
+            split_positions=(0.50, 0.62),
+            seed=5,
+        )
+        calls = []
+        table = run_grid(cfg, threads=2, progress=lambda d, e, cell: calls.append((d, e, cell)))
+        assert [(d, e) for d, e, _ in calls] == [(d, e) for d in cfg.datasets for e in cfg.estimators]
+        assert tuple(cell for _, _, cell in calls) == table.cells
 
     def test_write_outputs(self, tmp_path):
         table = run_grid(SMALL)

@@ -2,18 +2,24 @@ import numpy as np
 import pytest
 
 from driftbench.errors import InvalidSplitError, ParameterError
+from driftbench import neighbor_kernel
 from driftbench.neighbor_kernel import (
+    DISTANCE_FLOOR,
+    LDD_CAP,
     build_kernel_gram,
     build_neighbor_graph,
     knn_kl,
+    knn_kl_reference,
+    knn_kls,
     ldd_statistic,
+    ldd_statistics,
     median_heuristic,
     mmd_biased,
     mmd_biased_reference,
     mmd_from_gram,
     mmds_from_gram,
 )
-from driftbench.windows import Window, permute_timestamps
+from driftbench.windows import Window, candidate_split_times, permute_timestamps
 
 
 def window(x, t):
@@ -156,6 +162,126 @@ class TestKnnKl:
         g = build_neighbor_graph(w, k=5)
         with pytest.raises(InvalidSplitError):
             knn_kl(g, w, 0.5)
+
+
+def ldd_per_split(g, ts, cap=LDD_CAP, aggregation="mean"):
+    """Reference: one before-side mask and neighbor count per split."""
+    out = np.empty(len(ts))
+    for i, t in enumerate(ts):
+        before = g.times <= t
+        n_before = int(before.sum())
+        n_after = g.n - n_before
+        if n_before == 0 or n_after == 0:
+            raise InvalidSplitError("split leaves an empty side")
+        k_before = before[g.order[:, : g.k]].sum(axis=1)
+        k_after = g.k - k_before
+        delta = (n_before / n_after) * (k_after / np.maximum(k_before, 1)) - 1.0
+        degrees = np.minimum(np.abs(delta), cap)
+        out[i] = degrees.mean() if aggregation == "mean" else degrees.max()
+    return out
+
+
+def knn_kl_per_split(g, w, ts, floor=DISTANCE_FLOOR):
+    """Reference: k-th same-/other-side neighbor from two cumsums per split."""
+    d = w.dim
+    out = np.empty(len(ts))
+    for i, t in enumerate(ts):
+        before = g.times <= t
+        n_b = int(before.sum())
+        n_a = g.n - n_b
+        if n_b <= g.k or n_a <= g.k:
+            raise InvalidSplitError(f"both sides must have more than k={g.k} samples")
+        rows = np.flatnonzero(before)
+        same = before[g.order[rows]]
+        rho_idx = np.argmax(np.cumsum(same, axis=1) == g.k, axis=1)
+        nu_idx = np.argmax(np.cumsum(~same, axis=1) == g.k, axis=1)
+        rho = np.maximum(g.dist[rows, rho_idx], floor)
+        nu = np.maximum(g.dist[rows, nu_idx], floor)
+        est = (d / n_b) * np.log(nu / rho).sum() + np.log(n_a / (n_b - 1))
+        out[i] = max(est, 0.0)
+    return out
+
+
+def sweep_window(rng, n, d=2):
+    """Window with tied timestamps and duplicated feature rows (distance ties)."""
+    x = rng.normal(size=(n, d))
+    x[rng.integers(0, n, n // 4)] = x[rng.integers(0, n, n // 4)]
+    t = np.round(np.sort(rng.uniform(0, 1, n)), 2)
+    return Window(x, t)
+
+
+def sweep_cases(k, n_windows=4):
+    rng = np.random.default_rng(k)
+    for _ in range(n_windows):
+        w = sweep_window(rng, int(rng.integers(3 * k + 8, 120)), int(rng.integers(1, 4)))
+        g = build_neighbor_graph(w, k)
+        margin = g.k + 1
+        ts = candidate_split_times(w, min_side=margin)
+        yield w, g, ts
+        yield w, g, ts[len(ts) // 2 : len(ts) // 2 + 1]
+
+
+class TestSplitSweep:
+    """The sweeps equal the per-split formulas bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 10, 20])
+    @pytest.mark.parametrize("aggregation", ["mean", "max"])
+    def test_ldd_equals_per_split(self, k, aggregation):
+        for w, g, ts in sweep_cases(k):
+            assert np.array_equal(ldd_statistics(g, ts, aggregation=aggregation), ldd_per_split(g, ts, aggregation=aggregation))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 10])
+    def test_knn_kl_equals_per_split(self, k):
+        for w, g, ts in sweep_cases(k):
+            assert np.array_equal(knn_kls(g, w, ts), knn_kl_per_split(g, w, ts))
+
+    @pytest.mark.parametrize("k", [2, 10])
+    def test_windows_wider_than_one_block(self, k):
+        rng = np.random.default_rng(100 + k)
+        w = sweep_window(rng, 300, 3)
+        assert w.dim * len(w) ** 2 > 2 * neighbor_kernel._BLOCK_ELEMENTS
+        g = build_neighbor_graph(w, k)
+        ts = candidate_split_times(w, min_side=k + 1)
+        assert np.array_equal(knn_kls(g, w, ts), knn_kl_per_split(g, w, ts))
+        assert np.array_equal(ldd_statistics(g, ts), ldd_per_split(g, ts))
+
+    def test_splits_in_any_order_and_repeated(self, rng):
+        w = sweep_window(rng, 80)
+        g = build_neighbor_graph(w, 3)
+        ts = rng.permutation(np.repeat(candidate_split_times(w, min_side=4), 2))
+        assert np.array_equal(knn_kls(g, w, ts), knn_kl_per_split(g, w, ts))
+        assert np.array_equal(ldd_statistics(g, ts, aggregation="max"), ldd_per_split(g, ts, aggregation="max"))
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_at_most_k_on_a_side_errors(self, rng, k):
+        w = Window(rng.normal(size=(60, 2)), np.sort(rng.uniform(0, 1, 60)))
+        g = build_neighbor_graph(w, k)
+        # w.t[r - 1] splits after exactly r samples
+        ok = [float(w.t[k]), float(w.t[len(w) - k - 2])]
+        assert np.array_equal(knn_kls(g, w, ok), knn_kl_per_split(g, w, ok))
+        for t in (float(w.t[k - 1]), float(w.t[len(w) - k - 1])):
+            with pytest.raises(InvalidSplitError):
+                knn_kls(g, w, ok + [t])
+            with pytest.raises(InvalidSplitError):
+                knn_kl_per_split(g, w, ok + [t])
+
+    def test_no_splits_gives_empty(self, rng):
+        w = sweep_window(rng, 30)
+        g = build_neighbor_graph(w, 2)
+        assert knn_kls(g, w, []).shape == (0,)
+        assert ldd_statistics(g, []).shape == (0,)
+
+    def test_knn_kl_matches_per_side_distances(self, rng):
+        # continuous data: no distance ties, so the k-th neighbor distance
+        # from direct per-side matrices agrees up to the graph's rounding
+        x = rng.normal(size=(90, 2))
+        x[45:] += 1.0
+        w = Window(x, np.sort(rng.uniform(0, 1, 90)))
+        g = build_neighbor_graph(w, 3)
+        ts = candidate_split_times(w)
+        for t, fast in zip(ts, knn_kls(g, w, ts)):
+            i = w.rank_of(t)
+            assert fast == pytest.approx(knn_kl_reference(w.x[:i], w.x[i:], 3), rel=1e-9, abs=1e-9)
 
 
 class TestMmd:

@@ -31,6 +31,12 @@ class TestWindow:
         with pytest.raises(ParameterError):
             Window(np.zeros((2, 1)), np.array([0.9, 0.1]))
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ParameterError, match="timestamps"):
+            Window(np.zeros((3, 1)), np.array([0.1, np.nan, 0.9]))
+        with pytest.raises(ParameterError, match="x must be finite"):
+            Window(np.array([[0.0], [np.inf]]), np.array([0.1, 0.9]))
+
     def test_immutable_arrays(self):
         w = window_from_times([0.1, 0.2])
         with pytest.raises(ValueError):
@@ -207,6 +213,12 @@ class TestIngestion:
     def test_constant_timestamps_rejected(self):
         with pytest.raises(DataError):
             ingest_window(np.zeros((3, 1)), [5.0, 5.0, 5.0])
+
+    def test_non_finite_values_named(self):
+        with pytest.raises(DataError, match="non-finite timestamps; first nan at row 1"):
+            ingest_window(np.zeros((3, 1)), [5.0, np.nan, 7.0])
+        with pytest.raises(DataError, match="non-finite feature values; first inf at row 2, column 1"):
+            ingest_window(np.array([[0.0, 1.0], [1.0, 2.0], [2.0, np.inf]]))
 
 
 class TestCsv:

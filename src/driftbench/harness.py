@@ -14,6 +14,7 @@ import concurrent.futures
 import contextlib
 import csv
 import hashlib
+import inspect
 import json
 import math
 import time
@@ -95,7 +96,10 @@ def make_estimator(estimator_id: str, metric: str = "tv", params: dict | None = 
         builder = ESTIMATOR_BUILDERS[estimator_id]
     except KeyError:
         raise ParameterError(f"unknown estimator {estimator_id!r}; known: {sorted(ESTIMATOR_BUILDERS)}") from None
-    return builder(metric=metric, **(params or {}))
+    try:
+        return builder(metric=metric, **(params or {}))
+    except TypeError as exc:  # the builders only construct, so this is a bad keyword
+        raise ParameterError(f"bad parameters for estimator {estimator_id!r}: {exc}") from None
 
 
 def _dataset_builders():
@@ -124,7 +128,12 @@ def make_concept_pair(dataset_id: str, rng, params: dict | None = None, noise_di
         builder = DATASET_BUILDERS[dataset_id]
     except KeyError:
         raise ParameterError(f"unknown dataset {dataset_id!r}; known: {sorted(DATASET_BUILDERS)}") from None
-    before, after = builder(rng, **(params or {}))
+    params = params or {}
+    try:
+        inspect.signature(builder).bind(rng, **params)
+    except TypeError as exc:
+        raise ParameterError(f"bad parameters for dataset {dataset_id!r}: {exc}") from None
+    before, after = builder(rng, **params)
     if noise_dims:
         before, after = with_noise(before, noise_dims), with_noise(after, noise_dims)
     return before, after

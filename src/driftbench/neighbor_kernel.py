@@ -6,8 +6,9 @@ from cached block sums.  The kNN statistics sweep all requested splits at
 once: LDD counts before-side neighbors in O(n k) per split, and kNN-KL
 locates every split's k-th same-side and other-side neighbors in one
 O(k n^2) pass over the graph, then costs O(n) per split.  Both sweeps work
-in blocks of a fixed element budget, so their scratch memory beyond the
-per-split rows of kNN-KL terms does not grow with n.
+in blocks sized against a fixed element budget; the only scratch arrays
+that grow with n are LDD's k x n copy of the neighbor columns and kNN-KL's
+per-split terms (splits x before-side rows, under half the graph's size).
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from .windows import SplitPoint, Window
 
 DISTANCE_FLOOR = 1e-12
 LDD_CAP = 10.0
-#: Elements in each temporary block of a split sweep; bounds the sweep's
-#: working memory independently of the window size.
+#: Elements in each temporary block of a split sweep (512 KB of float64).
 _BLOCK_ELEMENTS = 1 << 16
 
 

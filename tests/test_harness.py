@@ -12,6 +12,7 @@ from driftbench.harness import (
     ExperimentConfig,
     collect_records,
     load_config,
+    make_concept_pair,
     make_estimator,
     p_pa,
     p_perm,
@@ -235,6 +236,15 @@ class TestConfigValidation:
     def test_unknown_estimator_rejected_at_runtime(self):
         with pytest.raises(ParameterError):
             make_estimator("nope")
+
+    def test_unknown_parameter_is_parameter_error(self):
+        with pytest.raises(ParameterError, match="estimator 'marg'"):
+            make_estimator("marg", params={"nope": 1})
+        with pytest.raises(ParameterError, match="dataset 'sea'"):
+            make_concept_pair("sea", np.random.default_rng(0), {"nope": 1})
+        cfg = dataclasses.replace(SMALL, repetitions=2, estimator_params={"marg": {"nope": 1}})
+        cell = run_cell(cfg, "stagger", "marg")
+        assert cell.status == "failed" and cell.error.startswith("ParameterError")
 
     def test_offset_run_executes(self):
         cfg = ExperimentConfig(

@@ -14,7 +14,6 @@ import concurrent.futures
 import contextlib
 import csv
 import hashlib
-import inspect
 import json
 import math
 import time
@@ -128,12 +127,10 @@ def make_concept_pair(dataset_id: str, rng, params: dict | None = None, noise_di
         builder = DATASET_BUILDERS[dataset_id]
     except KeyError:
         raise ParameterError(f"unknown dataset {dataset_id!r}; known: {sorted(DATASET_BUILDERS)}") from None
-    params = params or {}
     try:
-        inspect.signature(builder).bind(rng, **params)
-    except TypeError as exc:
+        before, after = builder(rng, **(params or {}))
+    except TypeError as exc:  # the builders only construct concepts, so this is a bad keyword
         raise ParameterError(f"bad parameters for dataset {dataset_id!r}: {exc}") from None
-    before, after = builder(rng, **params)
     if noise_dims:
         before, after = with_noise(before, noise_dims), with_noise(after, noise_dims)
     return before, after

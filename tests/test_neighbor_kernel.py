@@ -9,7 +9,6 @@ from driftbench.neighbor_kernel import (
     build_kernel_gram,
     build_neighbor_graph,
     knn_kl,
-    knn_kl_reference,
     knn_kls,
     ldd_statistic,
     ldd_statistics,
@@ -215,8 +214,7 @@ def sweep_cases(k, n_windows=4):
     for _ in range(n_windows):
         w = sweep_window(rng, int(rng.integers(3 * k + 8, 120)), int(rng.integers(1, 4)))
         g = build_neighbor_graph(w, k)
-        margin = g.k + 1
-        ts = candidate_split_times(w, min_side=margin)
+        ts = candidate_split_times(w, min_side=g.k + 1)
         yield w, g, ts
         yield w, g, ts[len(ts) // 2 : len(ts) // 2 + 1]
 
@@ -239,7 +237,7 @@ class TestSplitSweep:
     def test_windows_wider_than_one_block(self, k):
         rng = np.random.default_rng(100 + k)
         w = sweep_window(rng, 300, 3)
-        assert w.dim * len(w) ** 2 > 2 * neighbor_kernel._BLOCK_ELEMENTS
+        assert len(w) * (len(w) - 1) > neighbor_kernel._BLOCK_ELEMENTS  # several row and split blocks
         g = build_neighbor_graph(w, k)
         ts = candidate_split_times(w, min_side=k + 1)
         assert np.array_equal(knn_kls(g, w, ts), knn_kl_per_split(g, w, ts))
@@ -270,18 +268,6 @@ class TestSplitSweep:
         g = build_neighbor_graph(w, 2)
         assert knn_kls(g, w, []).shape == (0,)
         assert ldd_statistics(g, []).shape == (0,)
-
-    def test_knn_kl_matches_per_side_distances(self, rng):
-        # continuous data: no distance ties, so the k-th neighbor distance
-        # from direct per-side matrices agrees up to the graph's rounding
-        x = rng.normal(size=(90, 2))
-        x[45:] += 1.0
-        w = Window(x, np.sort(rng.uniform(0, 1, 90)))
-        g = build_neighbor_graph(w, 3)
-        ts = candidate_split_times(w)
-        for t, fast in zip(ts, knn_kls(g, w, ts)):
-            i = w.rank_of(t)
-            assert fast == pytest.approx(knn_kl_reference(w.x[:i], w.x[i:], 3), rel=1e-9, abs=1e-9)
 
 
 class TestMmd:

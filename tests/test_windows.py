@@ -32,7 +32,7 @@ class TestWindow:
             Window(np.zeros((2, 1)), np.array([0.9, 0.1]))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ParameterError, match="timestamps"):
+        with pytest.raises(ParameterError, match="timestamps must be finite"):
             Window(np.zeros((3, 1)), np.array([0.1, np.nan, 0.9]))
         with pytest.raises(ParameterError, match="x must be finite"):
             Window(np.array([[0.0], [np.inf]]), np.array([0.1, 0.9]))

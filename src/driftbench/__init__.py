@@ -6,7 +6,6 @@ from .errors import DataError, DriftBenchError, InvalidSplitError, ParameterErro
 from .windows import (
     PairedWindows,
     SplitPoint,
-    TimedSample,
     Window,
     candidate_split_times,
     ingest_window,
@@ -17,11 +16,9 @@ from .windows import (
     window_from_csv,
 )
 from .histograms import (
-    CellHistogram,
     CumulativeHistogram,
     hellinger,
     histogram_metric,
-    histograms_at,
     jensen_shannon,
     kl_divergence,
     to_distribution,
@@ -46,8 +43,6 @@ from .moment_tree import (
     MomentTreeConfig,
     fit_moment_forest,
     fit_moment_tree,
-    forest_descriptor,
-    similarity_at,
     truncate_reference,
 )
 from .neighbor_kernel import (
@@ -55,10 +50,6 @@ from .neighbor_kernel import (
     NeighborGraph,
     build_kernel_gram,
     build_neighbor_graph,
-    knn_kl,
-    ldd_statistic,
-    mmd_biased,
-    mmd_from_gram,
 )
 from .detector import (
     Descriptor,

@@ -1,9 +1,11 @@
 """Estimator composition, split-point search and permutation normalization.
 
 An estimator pairs a descriptor builder (fitted once per window) with a
-similarity that can be evaluated at any split point.  Scanning all
-candidate splits yields a statistic trace, the arg-max split estimate and,
-after permutation normalization, a p-value.
+similarity that can be evaluated at any split point.  ``statistics_at``
+maps split times to ranks (the number of samples at or before the split)
+and rejects an empty side for every descriptor, which works on ranks.
+Scanning all candidate splits yields a statistic trace, the arg-max split
+estimate and, after permutation normalization, a p-value.
 """
 
 from __future__ import annotations
@@ -14,13 +16,7 @@ import numpy as np
 
 from .errors import InvalidSplitError, ParameterError
 from .histograms import CumulativeHistogram, histogram_metric
-from .moment_tree import (
-    MomentTreeConfig,
-    VARIANT_RF,
-    ForestDescriptor,
-    fit_moment_forest,
-    truncate_reference,
-)
+from .moment_tree import MomentTreeConfig, VARIANT_RF, fit_moment_forest, truncate_reference
 from .neighbor_kernel import (
     build_kernel_gram,
     build_neighbor_graph,
@@ -59,16 +55,26 @@ class DriftVerdict:
 
 
 class Descriptor:
-    """Fitted descriptor: evaluates the drift statistic at split times."""
+    """Fitted descriptor: evaluates the drift statistic at split times.
+
+    Subclasses implement ``_statistics`` on before-side counts in [1, n-1].
+    """
 
     window: Window
 
     def statistics_at(self, ts) -> np.ndarray:
-        raise NotImplementedError
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        ranks = np.searchsorted(self.window.t, ts, side="right")
+        if len(ranks) and (ranks.min() <= 0 or ranks.max() >= len(self.window)):
+            raise InvalidSplitError("split leaves an empty side")
+        return self._statistics(ranks)
 
     def statistic_at(self, t) -> float:
         t = t.t if isinstance(t, SplitPoint) else float(t)
         return float(self.statistics_at([t])[0])
+
+    def _statistics(self, ranks: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
 
 class Estimator:
@@ -76,45 +82,54 @@ class Estimator:
 
     Metadata mirrors the estimator taxonomy: ``dd_class`` is 'none',
     'detecting' or 'surely' (how reliably a positive statistic identifies
-    drift), ``arrival_time_respecting`` says whether the fitted descriptor
-    uses within-side time ordering, and ``cost_class`` is the per-split
-    evaluation cost after fitting.
+    drift), and ``arrival_time_respecting`` says whether the fitted
+    descriptor uses within-side time ordering.
     """
 
     name: str = "estimator"
     dd_class: str = "detecting"
     arrival_time_respecting: bool = False
-    cost_class: str = "O(cells)"
 
     def fit(self, w: Window, seed=None, drift_time: float | None = None) -> Descriptor:
         raise NotImplementedError
 
 
 class _PartitionDescriptor(Descriptor):
+    """Cumulative cell histograms of the window, one per partition; several
+    independent binnings act as one descriptor via the max."""
+
+    _combine, _start = np.maximum, -np.inf
+
     def __init__(self, partitions, w: Window, metric):
         self.window = w
         self.metric = metric
         self.partitions = list(partitions)
         self._hists = [CumulativeHistogram.from_window(p, w) for p in self.partitions]
 
-    def statistics_at(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        ranks = np.searchsorted(self.window.t, ts, side="right")
-        if len(ranks) and (ranks.min() <= 0 or ranks.max() >= len(self.window)):
-            raise InvalidSplitError("split leaves an empty side")
-        per_axis = np.empty((len(self._hists), len(ts)))
-        for i, h in enumerate(self._hists):
+    def _statistics(self, ranks):
+        acc = np.full(len(ranks), self._start)
+        # in place and in partition order: the forest's sum stays sequential
+        for h in self._hists:
             before = h.counts_before_ranks(ranks)
-            after = h.totals[:, None] - before
-            per_axis[i] = np.asarray(self.metric(before, after), dtype=float)
-        # several independent binnings act as one descriptor via the max
-        return per_axis.max(axis=0)
+            self._combine(acc, self.metric(before, h.totals[:, None] - before), out=acc)
+        return acc
+
+
+class _ForestDescriptor(_PartitionDescriptor):
+    """Moment-forest leaf histograms, aggregated by the mean over trees."""
+
+    _combine, _start = np.add, 0.0
+
+    def __init__(self, forest, w: Window, metric):
+        super().__init__(forest.trees, w, metric)
+        self.forest = forest
+
+    def _statistics(self, ranks):
+        return super()._statistics(ranks) / len(self._hists)
 
 
 class PartitionEstimator(Estimator):
     """Generic binning/tree estimator: build partitions once, scan cheaply."""
-
-    cost_class = "O(1)"
 
     def __init__(self, name, builder, metric="tv", dd_class="detecting"):
         self.name = name
@@ -176,7 +191,6 @@ class MomentForestEstimator(Estimator):
 
     arrival_time_respecting = True
     dd_class = "surely"
-    cost_class = "O(1)"
 
     def __init__(
         self,
@@ -191,14 +205,14 @@ class MomentForestEstimator(Estimator):
         self.variant = variant
         self.config = config or MomentTreeConfig()
         self.skip_fraction = skip_fraction
-        self.metric = metric
+        self.metric = histogram_metric(metric) if isinstance(metric, str) else metric
 
     def fit(self, w: Window, seed=None, drift_time: float | None = None) -> Descriptor:
         train = w
         if self.skip_fraction > 0.0:
             train = truncate_reference(w, self.skip_fraction, drift_time=drift_time)
         forest = fit_moment_forest(train, self.n_trees, self.config, as_generator(seed), self.variant)
-        return ForestDescriptor(forest, w, self.metric)
+        return _ForestDescriptor(forest, w, self.metric)
 
 
 class _KnnDescriptor(Descriptor):
@@ -208,10 +222,10 @@ class _KnnDescriptor(Descriptor):
         self.statistic = statistic
         self.aggregation = aggregation
 
-    def statistics_at(self, ts) -> np.ndarray:
+    def _statistics(self, ranks):
         if self.statistic == "ldd":
-            return ldd_statistics(self.graph, ts, aggregation=self.aggregation)
-        return knn_kls(self.graph, self.window, ts)
+            return ldd_statistics(self.graph, ranks, aggregation=self.aggregation)
+        return knn_kls(self.graph, ranks)
 
 
 class KnnEstimator(Estimator):
@@ -223,9 +237,6 @@ class KnnEstimator(Estimator):
         if statistic not in ("ldd", "kl"):
             raise ParameterError(f"unknown knn statistic {statistic!r}")
         self.name = "ldd" if statistic == "ldd" else "knn_kl"
-        # LDD counts the k neighbors of every sample at each split; kNN-KL
-        # pays one O(k|W|^2) sweep per scan, then sums |W| terms per split
-        self.cost_class = "O(k|W|)" if statistic == "ldd" else "O(|W|)"
         self.k = k
         self.statistic = statistic
         self.aggregation = aggregation
@@ -239,15 +250,14 @@ class _MmdDescriptor(Descriptor):
         self.window = w
         self.gram = gram
 
-    def statistics_at(self, ts) -> np.ndarray:
-        return mmds_from_gram(self.gram, ts)
+    def _statistics(self, ranks):
+        return mmds_from_gram(self.gram, ranks)
 
 
 class MmdEstimator(Estimator):
     """Biased Gaussian-kernel MMD estimator."""
 
     dd_class = "surely"
-    cost_class = "O(|W|)"
 
     def __init__(self, bandwidth="median"):
         self.name = "mmd"

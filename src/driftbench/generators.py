@@ -214,7 +214,7 @@ def csv_concept_pair(
 
 
 def _mmd_two_sample_p(before, after, rng, max_per_side: int, n_perms: int) -> float:
-    from .neighbor_kernel import build_kernel_gram, mmd_from_gram
+    from .neighbor_kernel import build_kernel_gram, mmds_from_gram
     from .windows import Window, permute_timestamps
 
     nb = min(len(before), max_per_side)
@@ -224,12 +224,12 @@ def _mmd_two_sample_p(before, after, rng, max_per_side: int, n_perms: int) -> fl
     x = np.vstack([xb, xa])
     t = np.concatenate([np.linspace(0.0, 0.5, nb), np.linspace(0.5 + 1e-9, 1.0, na)])
     w = Window(x, t)
-    gram = build_kernel_gram(w)
-    observed = mmd_from_gram(gram, 0.5)
+    observed = mmds_from_gram(build_kernel_gram(w), [nb])[0]
     exceed = 0
     for _ in range(n_perms):
+        # a permutation keeps the timestamps, so the before side stays the first nb
         perm = permute_timestamps(w, rng)
-        if mmd_from_gram(build_kernel_gram(perm), 0.5) >= observed:
+        if mmds_from_gram(build_kernel_gram(perm), [nb])[0] >= observed:
             exceed += 1
     return (1 + exceed) / (n_perms + 1)
 

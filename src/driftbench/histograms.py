@@ -10,7 +10,6 @@ descriptor cheap to scan over all candidate split points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,17 +19,6 @@ from .windows import SplitPoint, Window
 # Above this many prefix entries (cells * (n+1)) the dense matrix is
 # replaced by per-cell sorted arrival ranks; lookups stay equivalent.
 DENSE_PREFIX_LIMIT = 2_000_000
-
-
-@dataclass(frozen=True)
-class CellHistogram:
-    """Per-cell sample counts for one side of a split."""
-
-    counts: np.ndarray
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 class CumulativeHistogram:
@@ -77,9 +65,6 @@ class CumulativeHistogram:
         """Assign ``w``'s samples to ``partition``'s cells and accumulate."""
         return cls(partition.cell_of(w.x), w.t, partition.n_cells)
 
-    def rank_of(self, t: float) -> int:
-        return int(np.searchsorted(self.times, t, side="right"))
-
     def counts_before_ranks(self, ranks) -> np.ndarray:
         """Cell counts among the first ``rank`` arrivals, per queried rank.
 
@@ -95,25 +80,14 @@ class CumulativeHistogram:
             out[c] = np.searchsorted(cell_ranks, ranks, side="left")
         return out
 
-    def counts_at_rank(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
-        """Before/after cell counts when the first ``rank`` samples are 'before'."""
+    def counts_at(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Before/after cell counts of the split at time ``t``."""
+        t = t.t if isinstance(t, SplitPoint) else float(t)
+        rank = int(np.searchsorted(self.times, t, side="right"))
         if rank <= 0 or rank >= self.n:
             raise InvalidSplitError(f"split leaves an empty side (rank={rank}, n={self.n})")
         before = self.counts_before_ranks([rank])[:, 0]
         return before, self.totals - before
-
-    def counts_at(self, t) -> tuple[np.ndarray, np.ndarray]:
-        t = t.t if isinstance(t, SplitPoint) else t
-        return self.counts_at_rank(self.rank_of(float(t)))
-
-
-def histograms_at(ch: CumulativeHistogram, t) -> tuple[CellHistogram, CellHistogram]:
-    """Before/after cell histograms of the split at time ``t``.
-
-    Raises InvalidSplitError when either side would be empty.
-    """
-    before, after = ch.counts_at(t)
-    return CellHistogram(before), CellHistogram(after)
 
 
 def recount_histograms(cells, times, n_cells: int, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +145,8 @@ def hellinger(p, q) -> float | np.ndarray:
 def kl_divergence(p, q, smoothing: float = 0.0) -> float | np.ndarray:
     """Kullback-Leibler divergence sum p log(p/q), natural log.
 
-    With ``smoothing`` > 0 both arguments get a Laplace pseudo-count first.
+    With ``smoothing`` > 0 both arguments are taken as counts: each cell
+    gets a Laplace pseudo-count and each side is normalized.
     Without smoothing, a cell with p > 0 = q yields inf (not an error).
     """
     p, q = _check_pair(p, q)
@@ -207,17 +182,19 @@ def histogram_metric(name: str, *, smoothing: float | None = None, reverse: bool
     """Build a metric on count pairs: (before_counts, after_counts) -> value.
 
     Each side is normalized by its own total.  ``name`` is one of
-    'tv', 'hellinger', 'js', 'kl'.  For 'kl' the default smoothing of 0.5
-    keeps the statistic finite on zero cells; ``reverse`` swaps the
-    direction to after||before.
+    'tv', 'hellinger', 'js', 'kl'.  For 'kl' each cell count gets a
+    pseudo-count (default 0.5) before normalization, which keeps the
+    statistic finite on zero cells; ``reverse`` swaps the direction to
+    after||before.
     """
     name = name.lower()
     if name not in ("tv", "hellinger", "js", "kl"):
         raise ParameterError(f"unknown metric {name!r}")
+    alpha = (KL_SMOOTHING if smoothing is None else smoothing) if name == "kl" else 0.0
 
     def metric(counts_before, counts_after):
-        p = to_distribution(counts_before)
-        q = to_distribution(counts_after)
+        p = to_distribution(counts_before, alpha)
+        q = to_distribution(counts_after, alpha)
         if reverse:
             p, q = q, p
         if name == "tv":
@@ -226,8 +203,7 @@ def histogram_metric(name: str, *, smoothing: float | None = None, reverse: bool
             return hellinger(p, q)
         if name == "js":
             return jensen_shannon(p, q)
-        alpha = KL_SMOOTHING if smoothing is None else smoothing
-        return kl_divergence(p, q, smoothing=alpha)
+        return kl_divergence(p, q)
 
     metric.name = name
     return metric

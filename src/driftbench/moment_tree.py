@@ -4,7 +4,9 @@ Each split maximizes the weighted squared distance between the children's
 time-moment vectors (mean of T, T^2, ..., T^D), so the fitted tree models
 the conditional time distribution and reacts to the temporal ordering
 inside the window, unlike the pure partition builders, which ignore
-timestamps at build time.
+timestamps at build time.  This module only fits trees; the detector
+evaluates a forest like any other set of partitions, with cumulative leaf
+histograms of the evaluation window averaged over trees.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSplitError, ParameterError
-from .histograms import CumulativeHistogram, histogram_metric
+from .errors import ParameterError
 from .partitions import Provenance, TreePartition, _TreeBuilder
 from .seeding import as_generator
-from .windows import SplitPoint, Window
+from .windows import Window
 
 VARIANT_DT = "dt"
 VARIANT_RF = "rf"
@@ -42,10 +43,9 @@ class MomentTreeConfig:
 
 @dataclass(frozen=True)
 class MomentTree:
-    """A fitted tree plus the sorted training timestamps of each leaf."""
+    """A fitted tree: its partition of feature space and its config."""
 
     partition: TreePartition
-    leaf_times: tuple[np.ndarray, ...]
     config: MomentTreeConfig
 
     @property
@@ -58,7 +58,6 @@ class MomentTree:
     def to_dict(self) -> dict:
         doc = self.partition.to_dict()
         doc["kind"] = "moment_tree"
-        doc["leaf_times"] = [lt.tolist() for lt in self.leaf_times]
         return doc
 
 
@@ -67,10 +66,6 @@ class MomentForest:
     trees: tuple[MomentTree, ...]
     variant: str
     config: MomentTreeConfig
-
-    @property
-    def n_trees(self) -> int:
-        return len(self.trees)
 
 
 def _best_split(x, t_pows, idx, features, config):
@@ -107,11 +102,9 @@ def _grow_tree(x, t, config, rng, feature_subsample: bool, provenance: Provenanc
     t_pows = np.column_stack([t**k for k in range(1, config.degree + 1)])
     n_sub = max(1, int(np.ceil(np.sqrt(d)))) if feature_subsample else d
     builder = _TreeBuilder()
-    leaf_members: dict[int, np.ndarray] = {}
 
     def recurse(node: int, idx: np.ndarray, depth: int):
         if depth >= config.max_depth or len(idx) < 2 * config.min_leaf:
-            leaf_members[node] = idx
             return
         if feature_subsample and n_sub < d:
             features = rng.permutation(d)[:n_sub]
@@ -119,7 +112,6 @@ def _grow_tree(x, t, config, rng, feature_subsample: bool, provenance: Provenanc
             features = np.arange(d)
         _, split = _best_split(x, t_pows, idx, features, config)
         if split is None:
-            leaf_members[node] = idx
             return
         f, thr = split
         mask = x[idx, f] <= thr
@@ -129,10 +121,7 @@ def _grow_tree(x, t, config, rng, feature_subsample: bool, provenance: Provenanc
 
     root = builder.add_node()
     recurse(root, np.arange(n), 0)
-    partition = builder.finish(provenance)
-    leaves = np.flatnonzero(partition.feature < 0)
-    leaf_times = tuple(np.sort(t[leaf_members[int(nid)]]) for nid in leaves)
-    return MomentTree(partition, leaf_times, config)
+    return MomentTree(builder.finish(provenance), config)
 
 
 def fit_moment_tree(w: Window, config: MomentTreeConfig | None = None, seed=None) -> MomentTree:
@@ -197,41 +186,3 @@ def truncate_reference(w: Window, skip_fraction: float, *, drift_time: float | N
         raise ParameterError("truncation would drop the whole window")
     return Window(w.x[keep], w.t[keep], w.label_feature_appended)
 
-
-class ForestDescriptor:
-    """Per-tree cumulative leaf histograms of one evaluation window.
-
-    Once built, the drift statistic of any split point costs O(total leaf
-    count), independent of the window length.
-    """
-
-    def __init__(self, forest: MomentForest, w: Window, metric="tv"):
-        self.forest = forest
-        self.window = w
-        self.metric = histogram_metric(metric) if isinstance(metric, str) else metric
-        self._hists = [CumulativeHistogram.from_window(tree, w) for tree in forest.trees]
-
-    def statistics_at(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        ranks = np.searchsorted(self.window.t, ts, side="right")
-        if len(ranks) and (ranks.min() <= 0 or ranks.max() >= len(self.window)):
-            raise InvalidSplitError("split leaves an empty side")
-        acc = np.zeros(len(ts))
-        for h in self._hists:
-            before = h.counts_before_ranks(ranks)
-            after = h.totals[:, None] - before
-            acc += np.asarray(self.metric(before, after), dtype=float)
-        return acc / len(self._hists)
-
-    def statistic_at(self, t) -> float:
-        return float(self.statistics_at([t])[0])
-
-
-def forest_descriptor(forest: MomentForest, w: Window, metric="tv") -> ForestDescriptor:
-    return ForestDescriptor(forest, w, metric)
-
-
-def similarity_at(forest: MomentForest, w: Window, t, metric="tv") -> float:
-    """Forest drift statistic at split ``t``: mean over per-tree histogram metrics."""
-    t = t.t if isinstance(t, SplitPoint) else float(t)
-    return ForestDescriptor(forest, w, metric).statistic_at(t)

@@ -1,10 +1,13 @@
 """Neighbor- and kernel-based drift statistics: LDD, kNN-KL and biased MMD.
 
 The neighbor graph and the kernel Gram matrix are built once per window
-(O(n^2)) and reused for every split point.  MMD then costs O(1) per split
-from cached block sums.  The kNN statistics sweep all requested splits at
-once: LDD counts before-side neighbors in O(n k) per split, and kNN-KL
-locates every split's k-th same-side and other-side neighbors in one
+(O(n^2)) and reused for every split point.  The statistics take splits as
+ranks: a rank r puts the first r samples in arrival order on the before
+side.  The fitted descriptor maps split times to ranks and rejects an empty
+side, so the functions here see ranks in [1, n-1] only.  MMD costs O(1) per
+split from cached block sums.  The kNN statistics sweep all requested
+splits at once: LDD counts before-side neighbors in O(n k) per split, and
+kNN-KL locates every split's k-th same-side and other-side neighbors in one
 O(k n^2) pass over the graph, then costs O(n) per split.  Both sweeps work
 in blocks sized against a fixed element budget; the only scratch arrays
 that grow with n are LDD's k x n copy of the neighbor columns and kNN-KL's
@@ -14,11 +17,12 @@ per-split terms (splits x before-side rows, under half the graph's size).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .errors import InvalidSplitError, ParameterError
-from .windows import SplitPoint, Window
+from .windows import Window
 
 DISTANCE_FLOOR = 1e-12
 LDD_CAP = 10.0
@@ -32,23 +36,19 @@ def _pairwise_distances(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(d2, 0.0))
 
 
-def _split_time(t) -> float:
-    return float(t.t) if isinstance(t, SplitPoint) else float(t)
-
-
 @dataclass(frozen=True)
 class NeighborGraph:
     """Full neighbor ordering of a window under Euclidean distance.
 
     ``order[i]`` lists all other sample indices sorted by distance to i
     (ties broken by lower index); ``dist`` is aligned.  ``k`` is the
-    neighborhood size used by the LDD statistic.
+    neighborhood size of both statistics and ``dim`` the feature dimension.
     """
 
     order: np.ndarray
     dist: np.ndarray
-    times: np.ndarray
     k: int
+    dim: int
 
     @property
     def n(self) -> int:
@@ -66,34 +66,22 @@ def build_neighbor_graph(w: Window, k: int = 10) -> NeighborGraph:
     np.fill_diagonal(d, np.inf)
     order = np.argsort(d, axis=1, kind="stable")[:, : n - 1]
     dist = np.take_along_axis(d, order, axis=1)
-    return NeighborGraph(order, dist, np.asarray(w.t), min(k, n - 1))
+    return NeighborGraph(order, dist, min(k, n - 1), w.dim)
 
 
-def _split_ranks(g: NeighborGraph, ts) -> np.ndarray:
-    # times are sorted, so the before side of split t is the first r samples
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    return np.searchsorted(g.times, ts, side="right")
-
-
-def ldd_statistic(g: NeighborGraph, w: Window, t, *, cap: float = LDD_CAP, aggregation: str = "mean") -> float:
-    """Local drift degree at split ``t``.
+def ldd_statistics(g: NeighborGraph, ranks, *, cap: float = LDD_CAP, aggregation: str = "mean") -> np.ndarray:
+    """Local drift degree at every before-side count in ``ranks`` (1..n-1).
 
     For each sample the ratio of after- to before-side neighbors among its
     k nearest, scaled by the side-size ratio, measures the local imbalance:
     delta = (n_before/n_after) * (k_after / max(k_before, 1)) - 1.  The
     statistic aggregates |delta| over all samples (capped per point).
+    O(n k) per split, in blocks of splits.
     """
-    return float(ldd_statistics(g, [_split_time(t)], cap=cap, aggregation=aggregation)[0])
-
-
-def ldd_statistics(g: NeighborGraph, ts, *, cap: float = LDD_CAP, aggregation: str = "mean") -> np.ndarray:
-    """LDD at every split in ``ts``, O(n k) per split, in blocks of splits."""
     if aggregation not in ("mean", "max"):
         raise ParameterError(f"unknown aggregation {aggregation!r}")
-    ranks = _split_ranks(g, ts)
+    ranks = np.asarray(ranks, dtype=np.intp)
     n = g.n
-    if len(ranks) and (ranks.min() == 0 or ranks.max() == n):
-        raise InvalidSplitError("split leaves an empty side")
     # neighbor j is on the before side of split r exactly when j < r
     neighbor_columns = np.ascontiguousarray(g.order[:, : g.k].T)
     out = np.empty(len(ranks))
@@ -112,17 +100,6 @@ def ldd_statistics(g: NeighborGraph, ts, *, cap: float = LDD_CAP, aggregation: s
     return out
 
 
-def knn_kl(g: NeighborGraph, w: Window, t, *, floor: float = DISTANCE_FLOOR) -> float:
-    """kNN divergence estimate of KL(before || after) at split ``t``.
-
-    Uses k-th neighbor distances within each side: for x in the before
-    side, rho_k = distance to its k-th neighbor among the before side
-    (self excluded) and nu_k = among the after side; the estimate is
-    (d/n_b) * sum log(nu_k/rho_k) + log(n_a/(n_b-1)), clamped below at 0.
-    """
-    return float(knn_kls(g, w, [_split_time(t)], floor=floor)[0])
-
-
 def _running_kth(q: np.ndarray, k: int, outer: np.ufunc, inner: np.ufunc, empty: int) -> np.ndarray:
     """k-th smallest (``outer=np.minimum``) or largest (``np.maximum``) entry
     of every prefix of each row of ``q``; ``empty`` while a prefix is shorter
@@ -138,8 +115,15 @@ def _running_kth(q: np.ndarray, k: int, outer: np.ufunc, inner: np.ufunc, empty:
     return kth
 
 
-def knn_kls(g: NeighborGraph, w: Window, ts, *, floor: float = DISTANCE_FLOOR) -> np.ndarray:
-    """kNN-KL at every split in ``ts`` from one O(k n^2) sweep of the graph.
+def knn_kls(g: NeighborGraph, ranks, *, floor: float = DISTANCE_FLOOR) -> np.ndarray:
+    """kNN estimate of KL(before || after) at every before-side count in
+    ``ranks``, from one O(k n^2) sweep of the graph.
+
+    Uses k-th neighbor distances within each side: for x in the before
+    side, rho_k = distance to its k-th neighbor among the before side
+    (self excluded) and nu_k = among the after side; the estimate is
+    (d/n_b) * sum log(nu_k/rho_k) + log(n_a/(n_b-1)), clamped below at 0.
+    Both sides need more than k samples.
 
     A neighbor j is on the before side of a split with before-count r
     exactly when j < r.  Along a row's distance-sorted neighbor list the
@@ -148,7 +132,7 @@ def knn_kls(g: NeighborGraph, w: Window, ts, *, floor: float = DISTANCE_FLOOR) -
     (first value < r) and k-th other-side (first value >= r) neighbors of
     every split come from one batched binary search.
     """
-    ranks = _split_ranks(g, ts)
+    ranks = np.asarray(ranks, dtype=np.intp)
     n, k = g.n, g.k
     if len(ranks) and (ranks.min() <= k or n - ranks.max() <= k):
         raise InvalidSplitError(f"both sides must have more than k={k} samples")
@@ -175,11 +159,10 @@ def knn_kls(g: NeighborGraph, w: Window, ts, *, floor: float = DISTANCE_FLOOR) -
         rho = np.maximum(dist[np.minimum(rho_at, last)], floor)
         nu = np.maximum(dist[np.minimum(nu_at, last)], floor)
         log_ratio[live, lo:hi] = np.log(nu / rho)
-    d = w.dim
     out = np.empty(len(ranks))
     for i, n_b in enumerate(ranks.tolist()):
         n_a = n - n_b
-        est = (d / n_b) * log_ratio[i, :n_b].sum() + np.log(n_a / (n_b - 1))
+        est = (g.dim / n_b) * log_ratio[i, :n_b].sum() + np.log(n_a / (n_b - 1))
         out[i] = max(est, 0.0)
     return out
 
@@ -195,7 +178,6 @@ class KernelGram:
 
     matrix: np.ndarray
     sigma: float
-    times: np.ndarray
     inner: np.ndarray
     lead: np.ndarray
     total: float
@@ -219,10 +201,10 @@ def build_kernel_gram(w: Window, bandwidth="median") -> KernelGram:
         raise ParameterError("need at least two samples")
     if bandwidth == "median":
         sigma = median_heuristic(w.x)
-    else:
+    elif isinstance(bandwidth, Real) and 0 < bandwidth < np.inf:
         sigma = float(bandwidth)
-        if sigma <= 0:
-            raise ParameterError("bandwidth must be positive")
+    else:
+        raise ParameterError(f"bandwidth must be 'median' or a finite positive number, got {bandwidth!r}")
     d = _pairwise_distances(w.x)
     K = np.exp(-(d**2) / (2.0 * sigma**2))
     n = len(w)
@@ -233,19 +215,13 @@ def build_kernel_gram(w: Window, bandwidth="median") -> KernelGram:
     strict_lower = np.array([K[i, :i].sum() for i in range(n)])
     inner = np.zeros(n + 1)
     inner[1:] = np.cumsum(2.0 * strict_lower + np.diag(K))
-    return KernelGram(K, sigma, np.asarray(w.t), inner, lead, float(K.sum()))
+    return KernelGram(K, sigma, inner, lead, float(K.sum()))
 
 
-def mmd_from_gram(g: KernelGram, t) -> float:
-    """Biased MMD at split ``t`` from the cached block sums."""
-    return float(mmds_from_gram(g, [_split_time(t)])[0])
-
-
-def mmds_from_gram(g: KernelGram, ts) -> np.ndarray:
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    ranks = np.searchsorted(g.times, ts, side="right")
-    if len(ranks) and (ranks.min() <= 0 or ranks.max() >= g.n):
-        raise InvalidSplitError("split leaves an empty side")
+def mmds_from_gram(g: KernelGram, ranks) -> np.ndarray:
+    """Biased MMD at every before-side count in ``ranks`` (1..n-1), O(1)
+    per split from the cached block sums."""
+    ranks = np.asarray(ranks, dtype=np.intp)
     m = ranks.astype(float)
     n = float(g.n)
     bb = g.inner[ranks]
@@ -253,15 +229,6 @@ def mmds_from_gram(g: KernelGram, ts) -> np.ndarray:
     aa = g.total - 2.0 * g.lead[ranks] + bb
     mmd2 = bb / m**2 + aa / (n - m) ** 2 - 2.0 * cross / (m * (n - m))
     return np.sqrt(np.maximum(mmd2, 0.0))
-
-
-def mmd_biased(w: Window, t, bandwidth="median") -> float:
-    """Biased Gaussian-kernel MMD between the two sides of ``t``.
-
-    Convenience wrapper that builds the Gram matrix; reuse
-    ``build_kernel_gram`` + ``mmd_from_gram`` to scan many splits.
-    """
-    return mmd_from_gram(build_kernel_gram(w, bandwidth), t)
 
 
 def mmd_biased_reference(x_before: np.ndarray, x_after: np.ndarray, sigma: float) -> float:

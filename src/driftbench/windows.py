@@ -1,4 +1,4 @@
-"""Timed samples, windows, split points and the drift/permuted window pairing.
+"""Windows, split points and the drift/permuted window pairing.
 
 A window is an ordered batch of (x, t) observations with timestamps in
 [0, 1].  Everything downstream (descriptors, similarities, the evaluation
@@ -11,17 +11,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import DataError, ParameterError
 from .seeding import as_generator
-
-
-class TimedSample(NamedTuple):
-    x: np.ndarray
-    t: float
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -73,10 +67,6 @@ class Window:
     @property
     def dim(self) -> int:
         return self.x.shape[1]
-
-    def samples(self) -> Iterator[TimedSample]:
-        for i in range(len(self)):
-            yield TimedSample(self.x[i], float(self.t[i]))
 
     def rank_of(self, t: float) -> int:
         """Number of samples with timestamp <= t."""

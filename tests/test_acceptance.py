@@ -24,9 +24,9 @@ from driftbench.histograms import CumulativeHistogram, recount_histograms, to_di
 from driftbench.neighbor_kernel import (
     build_kernel_gram,
     build_neighbor_graph,
-    knn_kl,
+    knn_kls,
     mmd_biased_reference,
-    mmd_from_gram,
+    mmds_from_gram,
 )
 from driftbench.partitions import build_random_tree
 from driftbench.seeding import as_generator, derive_seed
@@ -146,7 +146,7 @@ def test_criterion_6_estimator_oracles():
         t = np.concatenate([np.linspace(0, 0.5, nb), np.linspace(0.51, 1, na)])
         w = Window(x, t)
         gram = build_kernel_gram(w)
-        worst_mmd = max(worst_mmd, abs(mmd_from_gram(gram, 0.5) - mmd_biased_reference(x[:nb], x[nb:], gram.sigma)))
+        worst_mmd = max(worst_mmd, abs(mmds_from_gram(gram, [nb])[0] - mmd_biased_reference(x[:nb], x[nb:], gram.sigma)))
     ok_mmd = worst_mmd <= 1e-10
 
     exact = True
@@ -165,7 +165,7 @@ def test_criterion_6_estimator_oracles():
     x = np.vstack([rng.normal(0, 1, (n_side, 1)), rng.normal(3, 1, (n_side, 1))])
     t = np.concatenate([np.linspace(0, 0.5, n_side), np.linspace(0.50001, 1, n_side)])
     w = Window(x, t)
-    est = knn_kl(build_neighbor_graph(w, k=2), w, 0.5)
+    est = knn_kls(build_neighbor_graph(w, k=2), [n_side])[0]
     ok_kl = abs(est - 4.5) <= 0.25 * 4.5
 
     check(

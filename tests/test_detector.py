@@ -13,9 +13,10 @@ from driftbench.detector import (
     scan_splits,
 )
 from driftbench.errors import InvalidSplitError, ParameterError
+from driftbench.harness import ESTIMATOR_BUILDERS, make_estimator
 from driftbench.histograms import histogram_metric
 from driftbench.partitions import build_random_tree
-from driftbench.windows import Window, make_paired, split_window
+from driftbench.windows import Window, candidate_split_times, make_paired, split_window
 
 BLOCK_BEFORE = lambda n, rng: rng.uniform(0, 1, (n, 1))
 BLOCK_AFTER = lambda n, rng: rng.uniform(2, 3, (n, 1))
@@ -125,6 +126,34 @@ class TestFactorization:
                     for p in desc.partitions
                 ]
                 assert value == max(per_part)
+
+
+class TestDescriptorProtocol:
+    """Every estimator's descriptor maps split times to ranks the same way."""
+
+    @pytest.fixture(scope="class")
+    def window(self):
+        rng = np.random.default_rng(7)
+        t = np.round(np.sort(rng.uniform(0, 1, 90)), 2)  # tied timestamps
+        return Window(rng.normal(size=(90, 3)), t)
+
+    @pytest.mark.parametrize("estimator_id", sorted(ESTIMATOR_BUILDERS))
+    def test_statistics_at(self, window, estimator_id):
+        w = window
+        desc = make_estimator(estimator_id).fit(w, seed=3)
+        ts = candidate_split_times(w)
+        batch = desc.statistics_at(ts)
+        assert np.array_equal(batch, [desc.statistic_at(t) for t in ts])
+        assert desc.statistics_at([]).shape == (0,)
+        for t in (float(w.t[-1]), float(w.t[0]) - 0.01):
+            with pytest.raises(InvalidSplitError):
+                desc.statistics_at([t])
+        # a time strictly between two samples splits like the earlier one
+        gaps = np.flatnonzero(np.diff(w.t) > 0)
+        j = int(gaps[len(gaps) // 2])
+        between = 0.5 * (w.t[j] + w.t[j + 1])
+        assert w.t[j] < between < w.t[j + 1]
+        assert desc.statistic_at(between) == desc.statistic_at(w.t[j])
 
 
 class TestPermutationNormalize:

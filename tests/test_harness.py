@@ -177,6 +177,18 @@ class TestRunGrid:
         assert failed.status == "failed" and failed.error
         assert table.cell("stagger", "marg").status == "ok"
 
+    @pytest.mark.parametrize("bandwidth", ["silverman", "nan"])
+    def test_bad_mmd_bandwidth_cell_recorded_as_failed(self, tmp_path, bandwidth):
+        path = tmp_path / "bench.cfg"
+        path.write_text(
+            "datasets = stagger\nestimators = mmd, marg\nrepetitions = 2\n"
+            f"split_positions = 0.5, 0.62\nestimator.mmd.bandwidth = {bandwidth}\n"
+        )
+        table = run_grid(load_config(path))
+        failed = table.cell("stagger", "mmd")
+        assert failed.status == "failed" and "bandwidth" in failed.error
+        assert table.cell("stagger", "marg").status == "ok"
+
     def test_unexpected_error_propagates(self, monkeypatch):
         class Broken:
             name = "broken"

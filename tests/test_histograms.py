@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import driftbench.histograms as hg
 from driftbench.errors import InvalidSplitError, ParameterError
@@ -9,7 +10,6 @@ from driftbench.histograms import (
     CumulativeHistogram,
     hellinger,
     histogram_metric,
-    histograms_at,
     jensen_shannon,
     kl_divergence,
     recount_histograms,
@@ -22,20 +22,20 @@ from driftbench.windows import Window
 class TestCumulativeHistogram:
     def test_two_cell_example(self):
         ch = CumulativeHistogram([0, 1], [0.2, 0.8], 2)
-        before, after = histograms_at(ch, 0.5)
-        assert np.array_equal(before.counts, [1, 0])
-        assert np.array_equal(after.counts, [0, 1])
-        assert before.total == after.total == 1
+        before, after = ch.counts_at(0.5)
+        assert np.array_equal(before, [1, 0])
+        assert np.array_equal(after, [0, 1])
+        assert before.sum() == after.sum() == 1
 
     def test_split_at_last_timestamp_errors(self):
         ch = CumulativeHistogram([0, 1], [0.2, 0.8], 2)
         with pytest.raises(InvalidSplitError):
-            histograms_at(ch, 0.8)
+            ch.counts_at(0.8)
 
     def test_split_before_first_errors(self):
         ch = CumulativeHistogram([0, 1], [0.2, 0.8], 2)
         with pytest.raises(InvalidSplitError):
-            histograms_at(ch, 0.1)
+            ch.counts_at(0.1)
 
     def test_matches_recount_on_all_splits(self, rng):
         # prefix subtraction equals a from-scratch recount, bit-exact
@@ -165,6 +165,15 @@ class TestHistogramMetric:
         metric = histogram_metric("kl")
         assert np.isfinite(metric([5, 0], [0, 5]))
 
+    def test_kl_pseudo_count_goes_on_counts(self):
+        # 0.5 per cell count, then normalize: disjoint sides give
+        # (n/(n+1)) ln(2n+1), which grows with the sample size
+        metric = histogram_metric("kl")
+        assert metric([50, 0], [0, 50]) == pytest.approx(50 / 51 * math.log(101), rel=1e-12)
+        assert metric([5000, 0], [0, 5000]) == pytest.approx(5000 / 5001 * math.log(10001), rel=1e-12)
+        assert metric([50, 0], [0, 50]) == pytest.approx(4.5246, abs=5e-5)
+        assert metric([5000, 0], [0, 5000]) == pytest.approx(9.2086, abs=5e-5)
+
     def test_kl_reverse_direction(self):
         fwd = histogram_metric("kl", smoothing=0.1)
         rev = histogram_metric("kl", smoothing=0.1, reverse=True)
@@ -173,3 +182,51 @@ class TestHistogramMetric:
     def test_unknown_metric(self):
         with pytest.raises(ParameterError):
             histogram_metric("wasserstein")
+
+
+PROPERTY = settings(derandomize=True, max_examples=60, database=None, deadline=None)
+
+
+@st.composite
+def cell_streams(draw):
+    """Cell ids with sorted timestamps on a coarse grid, so ties are common."""
+    n_cells = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 60))
+    cells = draw(st.lists(st.integers(0, n_cells - 1), min_size=n, max_size=n))
+    ticks = sorted(draw(st.lists(st.integers(0, 20), min_size=n, max_size=n)))
+    return np.array(cells), np.array(ticks) / 20.0, n_cells
+
+
+@st.composite
+def count_pairs(draw):
+    n_cells = draw(st.integers(1, 12))
+    side = st.lists(st.integers(0, 1000), min_size=n_cells, max_size=n_cells).filter(any)
+    return np.array(draw(side)), np.array(draw(side))
+
+
+class TestProperties:
+    @pytest.mark.parametrize("dense", [True, False])
+    @PROPERTY
+    @given(stream=cell_streams())
+    def test_prefix_counts_equal_recount_at_every_rank(self, dense, stream):
+        cells, times, n_cells = stream
+        with pytest.MonkeyPatch.context() as mp:
+            if not dense:
+                mp.setattr(hg, "DENSE_PREFIX_LIMIT", 0)
+            ch = CumulativeHistogram(cells, times, n_cells)
+        assert (ch._prefix is not None) == dense
+        # every attainable rank: none before, then each distinct timestamp
+        for t in np.concatenate([[times[0] - 1.0], np.unique(times)]):
+            rank = int(np.searchsorted(times, t, side="right"))
+            before = ch.counts_before_ranks([rank])[:, 0]
+            ref_before, ref_after = recount_histograms(cells, times, n_cells, float(t))
+            assert np.array_equal(before, ref_before)
+            assert np.array_equal(ch.totals - before, ref_after)
+
+    @PROPERTY
+    @given(pair=count_pairs())
+    def test_metric_ranges(self, pair):
+        before, after = pair
+        for name, top in (("tv", 1.0), ("hellinger", 1.0), ("js", hg.JS_MAX)):
+            value = float(histogram_metric(name)(before, after))
+            assert 0.0 <= value <= top + 1e-12, name

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
+from driftbench.detector import MomentForestEstimator
 from driftbench.errors import InvalidSplitError, ParameterError
 from driftbench.histograms import histogram_metric
 from driftbench.moment_tree import (
     MomentTreeConfig,
     VARIANT_DT,
     VARIANT_RF,
-    ForestDescriptor,
     fit_moment_forest,
     fit_moment_tree,
-    similarity_at,
     truncate_reference,
 )
 from driftbench.windows import Window
@@ -41,8 +40,9 @@ class TestFitMomentTree:
         assert 0.0 < tree.partition.threshold[0] < 1.0
         early = int(tree.cell_of(np.array([[0.0]]))[0])
         late = int(tree.cell_of(np.array([[1.0]]))[0])
-        assert np.mean(tree.leaf_times[early]) == pytest.approx(0.25, abs=0.05)
-        assert np.mean(tree.leaf_times[late]) == pytest.approx(0.75, abs=0.05)
+        cells = tree.cell_of(w.x)
+        assert np.mean(w.t[cells == early]) == pytest.approx(0.25, abs=0.05)
+        assert np.mean(w.t[cells == late]) == pytest.approx(0.75, abs=0.05)
 
     def test_identical_timestamps_yield_single_leaf(self, rng):
         w = Window(rng.normal(size=(50, 2)), np.full(50, 0.3))
@@ -66,12 +66,6 @@ class TestFitMomentTree:
         counts = np.bincount(tree.cell_of(w.x), minlength=tree.n_cells)
         assert counts.min() >= 10
 
-    def test_leaf_times_partition_training_times(self, rng):
-        w = Window(rng.normal(size=(70, 2)), np.sort(rng.uniform(0, 1, 70)))
-        tree = fit_moment_tree(w, seed=2)
-        merged = np.sort(np.concatenate(tree.leaf_times))
-        assert np.array_equal(merged, w.t)
-
 
 class TestForest:
     def test_single_dt_tree_equals_plain_fit(self, rng):
@@ -89,7 +83,8 @@ class TestForest:
 
     def test_forest_statistic_is_mean_of_tree_statistics(self):
         w = two_cluster_window(n_per=25, seed=2)
-        forest = fit_moment_forest(w, n_trees=5, seed=1, variant=VARIANT_RF)
+        desc = MomentForestEstimator(n_trees=5, variant=VARIANT_RF).fit(w, seed=1)
+        forest = desc.forest
         metric = histogram_metric("tv")
         t = 0.4
         per_tree = []
@@ -99,12 +94,12 @@ class TestForest:
             before = np.bincount(cells[mask], minlength=tree.n_cells)
             after = np.bincount(cells[~mask], minlength=tree.n_cells)
             per_tree.append(float(metric(before, after)))
-        assert similarity_at(forest, w, t) == pytest.approx(np.mean(per_tree), abs=1e-15)
+        assert desc.statistic_at(t) == pytest.approx(np.mean(per_tree), abs=1e-15)
 
     def test_statistics_match_recount_on_all_splits(self):
         w = two_cluster_window(n_per=20, seed=3)
-        forest = fit_moment_forest(w, n_trees=3, seed=2)
-        descriptor = ForestDescriptor(forest, w)
+        descriptor = MomentForestEstimator(n_trees=3).fit(w, seed=2)
+        forest = descriptor.forest
         metric = histogram_metric("tv")
         for t in np.unique(w.t)[:-1]:
             manual = []
@@ -118,16 +113,15 @@ class TestForest:
 
     def test_single_leaf_tree_statistic_zero_for_every_metric(self, rng):
         w = Window(np.full((50, 1), 1.0), np.sort(rng.uniform(0, 1, 50)))
-        forest = fit_moment_forest(w, n_trees=2, seed=0)
-        assert forest.trees[0].n_cells == 1
         for metric in ("tv", "hellinger", "js", "kl"):
-            desc = ForestDescriptor(forest, w, metric)
+            desc = MomentForestEstimator(n_trees=2, metric=metric).fit(w, seed=0)
+            assert desc.forest.trees[0].n_cells == 1
             for t in (0.2, 0.5, 0.8):
                 assert desc.statistic_at(t) == 0.0
 
     def test_empty_side_errors(self):
         w = two_cluster_window()
-        desc = ForestDescriptor(fit_moment_forest(w, n_trees=1, seed=0), w)
+        desc = MomentForestEstimator(n_trees=1).fit(w, seed=0)
         with pytest.raises(InvalidSplitError):
             desc.statistic_at(float(w.t[-1]))
 
@@ -166,8 +160,8 @@ class TestTruncateReference:
     def test_evaluation_runs_on_untruncated_window(self):
         w = two_cluster_window(n_per=30, seed=4)
         train = truncate_reference(w, 0.1, drift_time=0.5)
-        forest = fit_moment_forest(train, n_trees=2, seed=0)
-        desc = ForestDescriptor(forest, w)
+        assert len(train) < len(w)
+        desc = MomentForestEstimator(n_trees=2, skip_fraction=0.1).fit(w, seed=0, drift_time=0.5)
         assert desc.window is w
         assert desc.statistic_at(0.5) >= 0.0
 

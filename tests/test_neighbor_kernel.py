@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from driftbench.detector import KnnEstimator, MmdEstimator, detect_drift
 from driftbench.errors import InvalidSplitError, ParameterError
 from driftbench import neighbor_kernel
 from driftbench.neighbor_kernel import (
@@ -8,14 +9,10 @@ from driftbench.neighbor_kernel import (
     LDD_CAP,
     build_kernel_gram,
     build_neighbor_graph,
-    knn_kl,
     knn_kls,
-    ldd_statistic,
     ldd_statistics,
     median_heuristic,
-    mmd_biased,
     mmd_biased_reference,
-    mmd_from_gram,
     mmds_from_gram,
 )
 from driftbench.windows import Window, candidate_split_times, permute_timestamps
@@ -34,6 +31,23 @@ def two_sided(x_before, x_after):
     nb, na = len(x_before), len(x_after)
     t = np.concatenate([np.linspace(0, 0.5, nb), np.linspace(0.5 + 1e-9, 1, na)])
     return Window(np.vstack([np.atleast_2d(x_before).reshape(nb, -1), np.atleast_2d(x_after).reshape(na, -1)]), t)
+
+
+def ranks_of(w, ts):
+    """Before-side counts of split times, as the descriptor computes them."""
+    return np.searchsorted(w.t, ts, side="right")
+
+
+def ldd_at(g, w, t, **kw):
+    return float(ldd_statistics(g, [w.rank_of(t)], **kw)[0])
+
+
+def knn_kl_at(g, w, t):
+    return float(knn_kls(g, [w.rank_of(t)])[0])
+
+
+def mmd_at(w, t, bandwidth="median"):
+    return float(mmds_from_gram(build_kernel_gram(w, bandwidth), [w.rank_of(t)])[0])
 
 
 class TestNeighborGraph:
@@ -84,7 +98,7 @@ class TestLdd:
             times += [0.1 + 0.01 * s, 0.2 + 0.01 * s, 0.7 + 0.01 * s, 0.8 + 0.01 * s]
         w = window(np.array(corners), np.array(times))
         g = build_neighbor_graph(w, k=2)
-        assert ldd_statistic(g, w, 0.5) == 0.0
+        assert ldd_at(g, w, 0.5) == 0.0
 
     def test_separated_clusters_hit_cap(self):
         nb = na = 20
@@ -96,7 +110,7 @@ class TestLdd:
         g = build_neighbor_graph(w, k=12)
         # before points: all neighbors on their own side -> |delta| = 1;
         # after points: ratio 12/1 - 1 = 11, capped at 10
-        assert ldd_statistic(g, w, 0.5) == pytest.approx((1.0 + 10.0) / 2.0)
+        assert ldd_at(g, w, 0.5) == pytest.approx((1.0 + 10.0) / 2.0)
 
     def test_no_drift_statistic_sits_inside_permutation_band(self):
         # without drift the observed statistic is exchangeable with its
@@ -109,11 +123,11 @@ class TestLdd:
             w = Window(rng.normal(size=(60, 2)), np.sort(rng.uniform(0, 1, 60)))
             split = float(np.median(w.t)) - 1e-9
             g = build_neighbor_graph(w, k=5)
-            observed = ldd_statistic(g, w, split)
+            observed = ldd_at(g, w, split)
             null = []
             for _ in range(19):
                 perm = permute_timestamps(w, rng)
-                null.append(ldd_statistic(build_neighbor_graph(perm, k=5), perm, split))
+                null.append(ldd_at(build_neighbor_graph(perm, k=5), perm, split))
             greater = int(np.sum(np.asarray(null) >= observed))
             within += 2 <= greater <= 17
         assert within >= 18
@@ -121,15 +135,15 @@ class TestLdd:
     def test_aggregation_modes(self, rng):
         w = Window(rng.normal(size=(30, 2)), np.sort(rng.uniform(0, 1, 30)))
         g = build_neighbor_graph(w, k=3)
-        assert ldd_statistic(g, w, 0.5, aggregation="max") >= ldd_statistic(g, w, 0.5)
+        assert ldd_at(g, w, 0.5, aggregation="max") >= ldd_at(g, w, 0.5)
         with pytest.raises(ParameterError):
-            ldd_statistic(g, w, 0.5, aggregation="median")
+            ldd_at(g, w, 0.5, aggregation="median")
 
     def test_empty_side_errors(self, rng):
         w = Window(rng.normal(size=(20, 1)), np.sort(rng.uniform(0.2, 0.8, 20)))
-        g = build_neighbor_graph(w, k=2)
+        desc = KnnEstimator(k=2).fit(w)
         with pytest.raises(InvalidSplitError):
-            ldd_statistic(g, w, 0.95)
+            desc.statistic_at(0.95)
 
 
 class TestKnnKl:
@@ -137,14 +151,14 @@ class TestKnnKl:
         rng = np.random.default_rng(0)
         w = two_sided(rng.normal(size=(250, 2)), rng.normal(size=(250, 2)))
         g = build_neighbor_graph(w, k=5)
-        assert 0.0 <= knn_kl(g, w, 0.5) < 0.35
+        assert 0.0 <= knn_kl_at(g, w, 0.5) < 0.35
 
     def test_gaussian_closed_form(self):
         # KL(N(0,1) || N(3,1)) = 4.5
         rng = np.random.default_rng(1)
         w = two_sided(rng.normal(0, 1, (1000, 1)), rng.normal(3, 1, (1000, 1)))
         g = build_neighbor_graph(w, k=2)
-        est = knn_kl(g, w, 0.5)
+        est = knn_kl_at(g, w, 0.5)
         assert abs(est - 4.5) <= 0.25 * 4.5
 
     def test_duplicate_points_floored_not_crashing(self):
@@ -152,7 +166,7 @@ class TestKnnKl:
         xa = np.zeros((10, 1))
         w = two_sided(xb, xa)
         g = build_neighbor_graph(w, k=2)
-        val = knn_kl(g, w, 0.5)
+        val = knn_kl_at(g, w, 0.5)
         assert np.isfinite(val) and val >= 0.0
 
     def test_requires_more_than_k_per_side(self):
@@ -160,18 +174,16 @@ class TestKnnKl:
         w = two_sided(rng.normal(size=(4, 1)), rng.normal(size=(30, 1)))
         g = build_neighbor_graph(w, k=5)
         with pytest.raises(InvalidSplitError):
-            knn_kl(g, w, 0.5)
+            knn_kl_at(g, w, 0.5)
 
 
-def ldd_per_split(g, ts, cap=LDD_CAP, aggregation="mean"):
+def ldd_per_split(g, ranks, cap=LDD_CAP, aggregation="mean"):
     """Reference: one before-side mask and neighbor count per split."""
-    out = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        before = g.times <= t
+    out = np.empty(len(ranks))
+    for i, r in enumerate(ranks):
+        before = np.arange(g.n) < r
         n_before = int(before.sum())
         n_after = g.n - n_before
-        if n_before == 0 or n_after == 0:
-            raise InvalidSplitError("split leaves an empty side")
         k_before = before[g.order[:, : g.k]].sum(axis=1)
         k_after = g.k - k_before
         delta = (n_before / n_after) * (k_after / np.maximum(k_before, 1)) - 1.0
@@ -180,12 +192,12 @@ def ldd_per_split(g, ts, cap=LDD_CAP, aggregation="mean"):
     return out
 
 
-def knn_kl_per_split(g, w, ts, floor=DISTANCE_FLOOR):
+def knn_kl_per_split(g, w, ranks, floor=DISTANCE_FLOOR):
     """Reference: k-th same-/other-side neighbor from two cumsums per split."""
     d = w.dim
-    out = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        before = g.times <= t
+    out = np.empty(len(ranks))
+    for i, r in enumerate(ranks):
+        before = np.arange(g.n) < r
         n_b = int(before.sum())
         n_a = g.n - n_b
         if n_b <= g.k or n_a <= g.k:
@@ -214,9 +226,9 @@ def sweep_cases(k, n_windows=4):
     for _ in range(n_windows):
         w = sweep_window(rng, int(rng.integers(3 * k + 8, 120)), int(rng.integers(1, 4)))
         g = build_neighbor_graph(w, k)
-        ts = candidate_split_times(w, min_side=g.k + 1)
-        yield w, g, ts
-        yield w, g, ts[len(ts) // 2 : len(ts) // 2 + 1]
+        ranks = ranks_of(w, candidate_split_times(w, min_side=g.k + 1))
+        yield w, g, ranks
+        yield w, g, ranks[len(ranks) // 2 : len(ranks) // 2 + 1]
 
 
 class TestSplitSweep:
@@ -225,13 +237,13 @@ class TestSplitSweep:
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 10, 20])
     @pytest.mark.parametrize("aggregation", ["mean", "max"])
     def test_ldd_equals_per_split(self, k, aggregation):
-        for w, g, ts in sweep_cases(k):
-            assert np.array_equal(ldd_statistics(g, ts, aggregation=aggregation), ldd_per_split(g, ts, aggregation=aggregation))
+        for w, g, ranks in sweep_cases(k):
+            assert np.array_equal(ldd_statistics(g, ranks, aggregation=aggregation), ldd_per_split(g, ranks, aggregation=aggregation))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 10])
     def test_knn_kl_equals_per_split(self, k):
-        for w, g, ts in sweep_cases(k):
-            assert np.array_equal(knn_kls(g, w, ts), knn_kl_per_split(g, w, ts))
+        for w, g, ranks in sweep_cases(k):
+            assert np.array_equal(knn_kls(g, ranks), knn_kl_per_split(g, w, ranks))
 
     @pytest.mark.parametrize("k", [2, 10])
     def test_windows_wider_than_one_block(self, k):
@@ -239,34 +251,33 @@ class TestSplitSweep:
         w = sweep_window(rng, 300, 3)
         assert len(w) * (len(w) - 1) > neighbor_kernel._BLOCK_ELEMENTS  # several row and split blocks
         g = build_neighbor_graph(w, k)
-        ts = candidate_split_times(w, min_side=k + 1)
-        assert np.array_equal(knn_kls(g, w, ts), knn_kl_per_split(g, w, ts))
-        assert np.array_equal(ldd_statistics(g, ts), ldd_per_split(g, ts))
+        ranks = ranks_of(w, candidate_split_times(w, min_side=k + 1))
+        assert np.array_equal(knn_kls(g, ranks), knn_kl_per_split(g, w, ranks))
+        assert np.array_equal(ldd_statistics(g, ranks), ldd_per_split(g, ranks))
 
     def test_splits_in_any_order_and_repeated(self, rng):
         w = sweep_window(rng, 80)
         g = build_neighbor_graph(w, 3)
-        ts = rng.permutation(np.repeat(candidate_split_times(w, min_side=4), 2))
-        assert np.array_equal(knn_kls(g, w, ts), knn_kl_per_split(g, w, ts))
-        assert np.array_equal(ldd_statistics(g, ts, aggregation="max"), ldd_per_split(g, ts, aggregation="max"))
+        ranks = rng.permutation(np.repeat(ranks_of(w, candidate_split_times(w, min_side=4)), 2))
+        assert np.array_equal(knn_kls(g, ranks), knn_kl_per_split(g, w, ranks))
+        assert np.array_equal(ldd_statistics(g, ranks, aggregation="max"), ldd_per_split(g, ranks, aggregation="max"))
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_at_most_k_on_a_side_errors(self, rng, k):
         w = Window(rng.normal(size=(60, 2)), np.sort(rng.uniform(0, 1, 60)))
         g = build_neighbor_graph(w, k)
-        # w.t[r - 1] splits after exactly r samples
-        ok = [float(w.t[k]), float(w.t[len(w) - k - 2])]
-        assert np.array_equal(knn_kls(g, w, ok), knn_kl_per_split(g, w, ok))
-        for t in (float(w.t[k - 1]), float(w.t[len(w) - k - 1])):
+        ok = [k + 1, len(w) - k - 1]
+        assert np.array_equal(knn_kls(g, ok), knn_kl_per_split(g, w, ok))
+        for r in (k, len(w) - k):
             with pytest.raises(InvalidSplitError):
-                knn_kls(g, w, ok + [t])
+                knn_kls(g, ok + [r])
             with pytest.raises(InvalidSplitError):
-                knn_kl_per_split(g, w, ok + [t])
+                knn_kl_per_split(g, w, ok + [r])
 
     def test_no_splits_gives_empty(self, rng):
         w = sweep_window(rng, 30)
         g = build_neighbor_graph(w, 2)
-        assert knn_kls(g, w, []).shape == (0,)
+        assert knn_kls(g, []).shape == (0,)
         assert ldd_statistics(g, []).shape == (0,)
 
 
@@ -275,7 +286,7 @@ class TestMmd:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(40, 2))
         w = two_sided(x, x.copy())
-        assert mmd_biased(w, 0.5) <= 1e-10
+        assert mmd_at(w, 0.5) <= 1e-10
 
     def test_matches_double_loop_reference(self, rng):
         for _ in range(20):
@@ -284,7 +295,7 @@ class TestMmd:
             d = int(rng.integers(1, 4))
             w = two_sided(rng.normal(size=(nb, d)), rng.normal(1.0, 1.0, (na, d)))
             gram = build_kernel_gram(w)
-            fast = mmd_from_gram(gram, 0.5)
+            fast = mmds_from_gram(gram, [nb])[0]
             slow = mmd_biased_reference(w.x[:nb], w.x[nb:], gram.sigma)
             assert fast == pytest.approx(slow, abs=1e-10)
 
@@ -298,7 +309,7 @@ class TestMmd:
         xb = np.zeros((20, 1))
         xa = np.full((20, 1), 5.0)
         w = two_sided(xb, xa)
-        vals = [mmd_biased(w, 0.5, bandwidth=s) for s in (0.5, 1.0, 2.0, 5.0, 20.0)]
+        vals = [mmd_at(w, 0.5, bandwidth=s) for s in (0.5, 1.0, 2.0, 5.0, 20.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[0] == pytest.approx(np.sqrt(2.0), abs=1e-3)
 
@@ -308,17 +319,23 @@ class TestMmd:
 
     def test_invalid_bandwidth(self, rng):
         w = Window(rng.normal(size=(10, 1)), np.sort(rng.uniform(0, 1, 10)))
-        with pytest.raises(ParameterError):
-            build_kernel_gram(w, bandwidth=0.0)
+        for bad in (0.0, -1.0, float("nan"), float("inf"), "silverman", None):
+            with pytest.raises(ParameterError, match="bandwidth"):
+                build_kernel_gram(w, bandwidth=bad)
+
+    def test_nan_bandwidth_is_rejected_not_detected(self, rng):
+        # a NaN bandwidth used to give max_stat = nan and a p-value of 0.05
+        w = Window(rng.normal(size=(80, 2)), np.sort(rng.uniform(0, 1, 80)))
+        with pytest.raises(ParameterError, match="bandwidth"):
+            detect_drift(MmdEstimator(bandwidth=float("nan")), w, n_perms=19, seed=0)
 
     def test_scan_all_splits_o1_per_split(self, rng):
         # the cached block sums agree with a fresh two-block computation
         w = Window(rng.normal(size=(60, 2)), np.sort(rng.uniform(0, 1, 60)))
         gram = build_kernel_gram(w)
-        ts = np.unique(w.t)[5:-5]
-        fast = mmds_from_gram(gram, ts)
-        for t, f in zip(ts, fast):
-            i = int(np.searchsorted(w.t, t, side="right"))
+        ranks = ranks_of(w, np.unique(w.t)[5:-5])
+        fast = mmds_from_gram(gram, ranks)
+        for i, f in zip(ranks, fast):
             assert f == pytest.approx(mmd_biased_reference(w.x[:i], w.x[i:], gram.sigma), abs=1e-10)
 
     def test_permutation_null_below_drift_on_stagger(self):
@@ -333,11 +350,11 @@ class TestMmd:
         for rep in range(reps):
             rng = np.random.default_rng(rep)
             pw = make_paired(before, after, 150, seed=rng)
-            drift_stat = mmd_from_gram(build_kernel_gram(pw.drifting), 0.5)
+            drift_stat = mmd_at(pw.drifting, 0.5)
             null = []
             for _ in range(9):
                 perm = permute_timestamps(pw.drifting, rng)
-                null.append(mmd_from_gram(build_kernel_gram(perm), 0.5))
+                null.append(mmd_at(perm, 0.5))
             wins += drift_stat > np.median(null)
         assert wins >= 0.95 * reps
 
@@ -356,8 +373,8 @@ class TestSideInvariance:
         t2[~mask] = rng.permutation(t[~mask])
         w2 = window(x, t2)
         g1, g2 = build_neighbor_graph(w, k=4), build_neighbor_graph(w2, k=4)
-        assert ldd_statistic(g1, w, split) == pytest.approx(ldd_statistic(g2, w2, split), abs=1e-12)
-        assert knn_kl(g1, w, split) == pytest.approx(knn_kl(g2, w2, split), abs=1e-12)
-        m1 = mmd_from_gram(build_kernel_gram(w), split)
-        m2 = mmd_from_gram(build_kernel_gram(w2), split)
+        assert ldd_at(g1, w, split) == pytest.approx(ldd_at(g2, w2, split), abs=1e-12)
+        assert knn_kl_at(g1, w, split) == pytest.approx(knn_kl_at(g2, w2, split), abs=1e-12)
+        m1 = mmd_at(w, split)
+        m2 = mmd_at(w2, split)
         assert m1 == pytest.approx(m2, abs=1e-12)

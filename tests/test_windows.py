@@ -42,11 +42,6 @@ class TestWindow:
         with pytest.raises(ValueError):
             w.t[0] = 0.5
 
-    def test_samples_iteration(self):
-        w = window_from_times([0.1, 0.4])
-        samples = list(w.samples())
-        assert samples[0].t == 0.1 and samples[1].x[0] == 1.0
-
 
 class TestSplitWindow:
     def test_sizes_at_half(self):

@@ -31,7 +31,13 @@ from .harness import (
     run_grid,
 )
 from .histograms import CumulativeHistogram, recount_histograms
-from .neighbor_kernel import build_kernel_gram, knn_kl_reference, mmd_biased_reference, mmds_from_gram
+from .neighbor_kernel import (
+    build_kernel_gram,
+    knn_kl_reference,
+    ldd_reference,
+    mmd_biased_reference,
+    mmds_from_gram,
+)
 from .partitions import build_random_tree
 from .seeding import as_generator
 from .windows import Window, window_from_csv
@@ -174,6 +180,19 @@ def cmd_oracle(args) -> int:
     # the graph's Gram-expansion distances lose digits on close pairs,
     # about 3e-9 on 1-D windows of this size
     report("kNN-KL sweep equals per-side distances", worst <= 1e-7, f"max diff / max(1, |ref|) = {worst:.2e}")
+
+    worst = 0.0
+    for _ in range(max(args.trials // 5, 10)):
+        n = int(rng.integers(60, 160))
+        x = rng.normal(size=(n, int(rng.integers(1, 4))))
+        x[n // 2 :] += rng.uniform(0.5, 2.0)
+        w = Window(x, np.sort(rng.uniform(0, 1, n)))
+        k = int(rng.integers(1, 11))
+        verdict = scan_splits(KnnEstimator(k=k), w)
+        for j in rng.choice(len(verdict.split_times), 5):
+            i = w.rank_of(verdict.split_times[j])
+            worst = max(worst, abs(verdict.statistics[j] - ldd_reference(w.x[:i], w.x[i:], k)))
+    report("LDD top-k lists equal direct recount", worst <= 1e-12, f"max |diff| = {worst:.2e}")
 
     exact = True
     for _ in range(max(args.trials // 5, 10)):

@@ -33,7 +33,7 @@ from .partitions import (
     build_random_tree,
 )
 from .seeding import as_generator
-from .windows import SplitPoint, Window, candidate_split_times, permute_timestamps
+from .windows import Window, _split_time, candidate_split_times, permute_timestamps
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,7 @@ class Descriptor:
         return self._statistics(ranks)
 
     def statistic_at(self, t) -> float:
-        t = t.t if isinstance(t, SplitPoint) else float(t)
-        return float(self.statistics_at([t])[0])
+        return float(self.statistics_at([_split_time(t)])[0])
 
     def _statistics(self, ranks: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -242,7 +241,9 @@ class KnnEstimator(Estimator):
         self.aggregation = aggregation
 
     def fit(self, w: Window, seed=None, drift_time: float | None = None) -> Descriptor:
-        return _KnnDescriptor(build_neighbor_graph(w, self.k), w, self.statistic, self.aggregation)
+        # LDD reads each point's k nearest; the kNN-KL sweep reads whole rows
+        width = self.k if self.statistic == "ldd" else None
+        return _KnnDescriptor(build_neighbor_graph(w, self.k, width), w, self.statistic, self.aggregation)
 
 
 class _MmdDescriptor(Descriptor):
@@ -332,7 +333,7 @@ def classifier_tv_oracle(partition, w: Window, t) -> float:
     L = partition.n_cells
     if L > 20:
         raise ParameterError("refusing brute force over more than 2^20 labelings")
-    t = t.t if isinstance(t, SplitPoint) else float(t)
+    t = _split_time(t)
     cells = partition.cell_of(w.x)
     after = w.t > t
     n_after = int(after.sum())

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import InvalidSplitError, ParameterError
-from .windows import SplitPoint, Window
+from .windows import Window, _split_time
 
 # Above this many prefix entries (cells * (n+1)) the dense matrix is
 # replaced by per-cell sorted arrival ranks; lookups stay equivalent.
@@ -75,15 +75,16 @@ class CumulativeHistogram:
             raise ParameterError("rank out of range")
         if self._prefix is not None:
             return self._prefix[:, ranks].astype(np.int64)
-        out = np.empty((self.n_cells, len(ranks)), dtype=np.int64)
+        # column-major like the dense path's gather, so the metrics' sums
+        # over cells run in the same order on both paths
+        out = np.empty((self.n_cells, len(ranks)), dtype=np.int64, order="F")
         for c, cell_ranks in enumerate(self._ranks):
             out[c] = np.searchsorted(cell_ranks, ranks, side="left")
         return out
 
     def counts_at(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Before/after cell counts of the split at time ``t``."""
-        t = t.t if isinstance(t, SplitPoint) else float(t)
-        rank = int(np.searchsorted(self.times, t, side="right"))
+        rank = int(np.searchsorted(self.times, _split_time(t), side="right"))
         if rank <= 0 or rank >= self.n:
             raise InvalidSplitError(f"split leaves an empty side (rank={rank}, n={self.n})")
         before = self.counts_before_ranks([rank])[:, 0]

@@ -1,17 +1,24 @@
 """Neighbor- and kernel-based drift statistics: LDD, kNN-KL and biased MMD.
 
 The neighbor graph and the kernel Gram matrix are built once per window
-(O(n^2)) and reused for every split point.  The statistics take splits as
-ranks: a rank r puts the first r samples in arrival order on the before
-side.  The fitted descriptor maps split times to ranks and rejects an empty
-side, so the functions here see ranks in [1, n-1] only.  MMD costs O(1) per
-split from cached block sums.  The kNN statistics sweep all requested
-splits at once: LDD counts before-side neighbors in O(n k) per split, and
-kNN-KL locates every split's k-th same-side and other-side neighbors in one
-O(k n^2) pass over the graph, then costs O(n) per split.  Both sweeps work
-in blocks sized against a fixed element budget; the only scratch arrays
-that grow with n are LDD's k x n copy of the neighbor columns and kNN-KL's
-per-split terms (splits x before-side rows, under half the graph's size).
+(O(n^2) time) and reused for every split point.  Each fit holds one n x n
+float64 matrix at its peak: the pairwise distances, which the Gram build
+turns into the kernel matrix in place.  LDD keeps only each point's k
+nearest neighbors (n x k lists, selected without a full sort); kNN-KL keeps
+full neighbor lists, since its sweep reads whole rows.  Windows above
+``MAX_PAIRWISE_N`` samples are rejected before anything n x n is allocated.
+
+The statistics take splits as ranks: a rank r puts the first r samples in
+arrival order on the before side.  The fitted descriptor maps split times to
+ranks and rejects an empty side, so the functions here see ranks in [1, n-1]
+only.  MMD costs O(1) per split from cached block sums.  The kNN statistics
+sweep all requested splits at once: LDD counts before-side neighbors in
+O(n k) per split, and kNN-KL locates every split's k-th same-side and
+other-side neighbors in one O(k n^2) pass over the graph, then costs O(n)
+per split.  Both sweeps work in blocks sized against a fixed element budget;
+the only scratch arrays that grow with n are LDD's k x n copy of the
+neighbor columns and kNN-KL's per-split terms (splits x before-side rows,
+under half the graph's size).
 """
 
 from __future__ import annotations
@@ -26,22 +33,47 @@ from .windows import Window
 
 DISTANCE_FLOOR = 1e-12
 LDD_CAP = 10.0
-#: Elements in each temporary block of a split sweep (512 KB of float64).
+#: Elements in each temporary block of a split sweep or row pass (512 KB of float64).
 _BLOCK_ELEMENTS = 1 << 16
+#: Largest window the O(n^2) neighbor and kernel fits accept.  Their n x n
+#: float64 distance matrix takes 8 n^2 bytes (800 MB at this size), and
+#: kNN-KL's full neighbor lists add 16 n^2 more; a larger window raises
+#: ``ParameterError`` instead of meeting the out-of-memory killer.
+MAX_PAIRWISE_N = 10_000
+
+
+def _row_blocks(n: int):
+    step = max(1, _BLOCK_ELEMENTS // n)
+    for lo in range(0, n, step):
+        yield slice(lo, min(lo + step, n))
 
 
 def _pairwise_distances(x: np.ndarray) -> np.ndarray:
+    """Euclidean distances as sqrt(max(|a|^2 + |b|^2 - 2 a.b, 0)), built in
+    one n x n buffer: the subtraction runs in row blocks, the rest in place."""
+    n = len(x)
+    if n > MAX_PAIRWISE_N:
+        raise ParameterError(
+            f"window of {n} samples exceeds MAX_PAIRWISE_N={MAX_PAIRWISE_N} for an O(n^2) neighbor or kernel fit"
+        )
     sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    return np.sqrt(np.maximum(d2, 0.0))
+    # one unblocked matmul: BLAS may round other block shapes differently
+    d = x @ x.T
+    d *= 2.0
+    for rows in _row_blocks(n):
+        block = d[rows]
+        np.subtract(sq[rows, None] + sq[None, :], block, out=block)
+    np.maximum(d, 0.0, out=d)
+    return np.sqrt(d, out=d)
 
 
 @dataclass(frozen=True)
 class NeighborGraph:
-    """Full neighbor ordering of a window under Euclidean distance.
+    """Neighbor lists of a window under Euclidean distance.
 
-    ``order[i]`` lists all other sample indices sorted by distance to i
-    (ties broken by lower index); ``dist`` is aligned.  ``k`` is the
+    ``order[i]`` lists the nearest other sample indices by distance to i,
+    ties broken by lower index; ``dist`` is aligned.  The lists hold all
+    n - 1 neighbors (kNN-KL) or only the k nearest (LDD).  ``k`` is the
     neighborhood size of both statistics and ``dim`` the feature dimension.
     """
 
@@ -55,18 +87,46 @@ class NeighborGraph:
         return self.order.shape[0]
 
 
-def build_neighbor_graph(w: Window, k: int = 10) -> NeighborGraph:
-    """Exact brute-force kNN ordering over the window."""
+def _top_k(block: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k smallest entries of each row, sorted by
+    (value, index): the first k columns of a stable argsort."""
+    kth = np.partition(block, k - 1, axis=1)[:, k - 1 : k]
+    closer = block < kth
+    # fewer than k entries lie strictly closer; the lowest-index ties with
+    # the k-th value fill the rest
+    tied = block == kth
+    missing = k - np.count_nonzero(closer, axis=1)
+    closer |= tied & (np.cumsum(tied, axis=1) <= missing[:, None])
+    chosen = np.nonzero(closer)[1].reshape(len(block), k)
+    by_value = np.argsort(np.take_along_axis(block, chosen, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(chosen, by_value, axis=1)
+
+
+def build_neighbor_graph(w: Window, k: int = 10, width: int | None = None) -> NeighborGraph:
+    """Exact brute-force kNN lists over the window.
+
+    Each row keeps its ``width`` nearest neighbors (at least k; all n - 1
+    when None), exactly as the first columns of a full stable sort.
+    """
     n = len(w)
     if n < 2:
         raise ParameterError("need at least two samples")
     if k < 1:
         raise ParameterError("k must be >= 1")
+    k = min(k, n - 1)
+    width = n - 1 if width is None else min(width, n - 1)
+    if width < k:
+        raise ParameterError(f"neighbor lists of width {width} cannot hold k={k} neighbors")
     d = _pairwise_distances(w.x)
     np.fill_diagonal(d, np.inf)
-    order = np.argsort(d, axis=1, kind="stable")[:, : n - 1]
+    if width == n - 1:
+        order = np.argsort(d, axis=1, kind="stable")[:, :width]
+    else:
+        order = np.empty((n, width), dtype=np.intp)
+        for rows in _row_blocks(n):
+            order[rows] = _top_k(d[rows], width)
     dist = np.take_along_axis(d, order, axis=1)
-    return NeighborGraph(order, dist, min(k, n - 1), w.dim)
+    return NeighborGraph(order, dist, k, w.dim)
 
 
 def ldd_statistics(g: NeighborGraph, ranks, *, cap: float = LDD_CAP, aggregation: str = "mean") -> np.ndarray:
@@ -134,6 +194,8 @@ def knn_kls(g: NeighborGraph, ranks, *, floor: float = DISTANCE_FLOOR) -> np.nda
     """
     ranks = np.asarray(ranks, dtype=np.intp)
     n, k = g.n, g.k
+    if g.order.shape[1] != n - 1:
+        raise ParameterError("kNN-KL needs full neighbor lists (width=None)")
     if len(ranks) and (ranks.min() <= k or n - ranks.max() <= k):
         raise InvalidSplitError(f"both sides must have more than k={k} samples")
     rows = int(ranks.max()) if len(ranks) else 0
@@ -189,24 +251,34 @@ class KernelGram:
 
 def median_heuristic(x: np.ndarray) -> float:
     """Median pairwise distance between distinct points (1.0 fallback)."""
-    d = _pairwise_distances(np.asarray(x, dtype=float))
-    vals = d[np.triu_indices(len(d), k=1)]
-    med = float(np.median(vals)) if len(vals) else 0.0
+    return _median_distance(_pairwise_distances(np.asarray(x, dtype=float)))
+
+
+def _median_distance(d: np.ndarray) -> float:
+    """Median of the strict upper triangle of a distance matrix (1.0 when
+    it is empty or the median is 0)."""
+    n = len(d)
+    if n < 2:
+        return 1.0
+    upper = np.concatenate([d[i, i + 1 :] for i in range(n - 1)])
+    med = float(np.median(upper, overwrite_input=True))
     return med if med > 0 else 1.0
 
 
 def build_kernel_gram(w: Window, bandwidth="median") -> KernelGram:
-    """Gram matrix of exp(-||x-y||^2 / (2 sigma^2)) in arrival order."""
+    """Gram matrix of exp(-||x-y||^2 / (2 sigma^2)) in arrival order, formed
+    in place in the distance matrix that also gives the median bandwidth."""
     if len(w) < 2:
         raise ParameterError("need at least two samples")
-    if bandwidth == "median":
-        sigma = median_heuristic(w.x)
-    elif isinstance(bandwidth, Real) and 0 < bandwidth < np.inf:
-        sigma = float(bandwidth)
-    else:
+    if bandwidth != "median" and not (isinstance(bandwidth, Real) and 0 < bandwidth < np.inf):
         raise ParameterError(f"bandwidth must be 'median' or a finite positive number, got {bandwidth!r}")
-    d = _pairwise_distances(w.x)
-    K = np.exp(-(d**2) / (2.0 * sigma**2))
+    K = _pairwise_distances(w.x)
+    sigma = _median_distance(K) if bandwidth == "median" else float(bandwidth)
+    # the operations of -(d**2) / (2 sigma^2), in that order
+    np.square(K, out=K)
+    np.negative(K, out=K)
+    np.divide(K, 2.0 * sigma**2, out=K)
+    np.exp(K, out=K)
     n = len(w)
     lead = np.zeros(n + 1)
     lead[1:] = np.cumsum(K.sum(axis=1))
@@ -258,3 +330,24 @@ def knn_kl_reference(x_before: np.ndarray, x_after: np.ndarray, k: int, *, floor
     nu = np.maximum(np.partition(across, k - 1, axis=1)[:, k - 1], floor)
     est = (x_before.shape[1] / nb) * np.log(nu / rho).sum() + np.log(na / (nb - 1))
     return float(max(est, 0.0))
+
+
+def ldd_reference(x_before: np.ndarray, x_after: np.ndarray, k: int, *, cap: float = LDD_CAP, aggregation: str = "mean") -> float:
+    """LDD recounted from each point's k nearest under direct per-row
+    distances, sorted by (distance, index) over the concatenated sides
+    (test oracle)."""
+    x = np.concatenate([np.asarray(x_before, dtype=float), np.asarray(x_after, dtype=float)])
+    n, nb = len(x), len(x_before)
+    if nb == 0 or nb == n:
+        raise InvalidSplitError("split leaves an empty side")
+    k = min(k, n - 1)
+    index = np.arange(n)
+    degrees = np.empty(n)
+    for i in range(n):
+        dist = np.sqrt(((x - x[i]) ** 2).sum(axis=1))
+        dist[i] = np.inf
+        nearest = np.lexsort((index, dist))[:k]
+        k_before = int(np.count_nonzero(nearest < nb))
+        delta = (nb / (n - nb)) * ((k - k_before) / max(k_before, 1)) - 1.0
+        degrees[i] = min(abs(delta), cap)
+    return float(degrees.mean() if aggregation == "mean" else degrees.max())

@@ -43,6 +43,20 @@ class TestDetect:
         assert "non-finite feature values" in captured.err
         assert "drift detected" not in captured.out
 
+    @pytest.mark.parametrize("estimator", ["ldd", "knn_kl", "mmd"])
+    def test_window_above_pairwise_cap_is_usage_error(self, tmp_path, capsys, monkeypatch, estimator):
+        from driftbench import neighbor_kernel
+
+        monkeypatch.setattr(neighbor_kernel, "MAX_PAIRWISE_N", 100)
+        path = drift_csv(tmp_path)
+        code = main(["detect", "--csv", str(path), "--estimator", estimator, "--perms", "19"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "MAX_PAIRWISE_N" in captured.err
+        assert "drift detected" not in captured.out
+        # estimators without an n x n structure still run on the window
+        assert main(["detect", "--csv", str(path), "--estimator", "marg", "--perms", "19"]) == 0
+
     def test_unknown_estimator_is_usage_error(self, tmp_path):
         path = drift_csv(tmp_path)
         with pytest.raises(SystemExit) as err:
@@ -96,5 +110,5 @@ class TestOracle:
         code = main(["oracle", "--trials", "20", "--seed", "0"])
         out = capsys.readouterr().out
         assert code == 0
-        assert out.count("[PASS]") == 4
+        assert out.count("[PASS]") == 5
         assert "[FAIL]" not in out

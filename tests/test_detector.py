@@ -155,6 +155,22 @@ class TestDescriptorProtocol:
         assert w.t[j] < between < w.t[j + 1]
         assert desc.statistic_at(between) == desc.statistic_at(w.t[j])
 
+    def test_rank_list_path_gives_dense_bits(self, monkeypatch):
+        # both prefix storage paths hand the metrics column-major counts, so
+        # their sums over 8 or more cells run in the same order
+        from driftbench import histograms
+
+        rng = np.random.default_rng(11)
+        w = Window(rng.normal(size=(300, 3)), np.sort(rng.uniform(0, 1, 300)))
+        ts = candidate_split_times(w)
+        for estimator_id in ("kdq", "rf", "rnd_pj", "rnd_tree"):
+            for metric in ("tv", "hellinger", "js"):
+                with monkeypatch.context() as mp:
+                    dense = make_estimator(estimator_id, metric).fit(w, seed=5).statistics_at(ts)
+                    mp.setattr(histograms, "DENSE_PREFIX_LIMIT", 0)
+                    ranked = make_estimator(estimator_id, metric).fit(w, seed=5).statistics_at(ts)
+                assert np.array_equal(ranked, dense), (estimator_id, metric)
+
 
 class TestPermutationNormalize:
     def test_minimum_p_value_formula(self):

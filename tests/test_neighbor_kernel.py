@@ -86,6 +86,37 @@ class TestNeighborGraph:
         with pytest.raises(ParameterError):
             build_neighbor_graph(window([1.0], [0.5]), k=1)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 10, 20])
+    def test_top_k_lists_equal_full_prefix(self, k):
+        # tie-heavy integer grids (one over several row blocks), an all-zero
+        # window and continuous data
+        rng = np.random.default_rng(200 + k)
+        cases = [
+            Window(rng.integers(0, 3, size=(700, 2)).astype(float), np.sort(rng.uniform(0, 1, 700))),
+            Window(rng.integers(0, 5, size=(90, 1)).astype(float), np.sort(rng.uniform(0, 1, 90))),
+            Window(np.zeros((40, 2)), np.sort(rng.uniform(0, 1, 40))),
+            Window(rng.normal(size=(120, 4)), np.sort(rng.uniform(0, 1, 120))),
+        ]
+        assert len(cases[0]) ** 2 > 4 * neighbor_kernel._BLOCK_ELEMENTS
+        for w in cases:
+            full = build_neighbor_graph(w, k)
+            top = build_neighbor_graph(w, k, width=k)
+            assert top.order.shape == top.dist.shape == (len(w), k)
+            assert np.array_equal(top.order, full.order[:, :k])
+            assert np.array_equal(top.dist, full.dist[:, :k])
+
+    def test_width_must_hold_k(self, rng):
+        w = Window(rng.normal(size=(20, 2)), np.sort(rng.uniform(0, 1, 20)))
+        with pytest.raises(ParameterError, match="width"):
+            build_neighbor_graph(w, k=5, width=3)
+
+    def test_estimator_keeps_k_wide_lists_for_ldd_only(self, rng):
+        w = Window(rng.normal(size=(50, 2)), np.sort(rng.uniform(0, 1, 50)))
+        assert KnnEstimator(k=4).fit(w).graph.order.shape == (50, 4)
+        assert KnnEstimator(k=4, statistic="kl").fit(w).graph.order.shape == (50, 49)
+        with pytest.raises(ParameterError, match="full neighbor lists"):
+            knn_kls(build_neighbor_graph(w, 4, width=4), [25])
+
 
 class TestLdd:
     def test_balanced_neighborhoods_give_zero(self):
@@ -274,6 +305,21 @@ class TestSplitSweep:
             with pytest.raises(InvalidSplitError):
                 knn_kl_per_split(g, w, ok + [r])
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 20])
+    def test_ldd_from_top_k_lists_equals_full_graph(self, k):
+        rng = np.random.default_rng(300 + k)
+        for _ in range(3):
+            n = int(rng.integers(3 * k + 8, 150))
+            x = rng.integers(0, 3, size=(n, int(rng.integers(1, 4)))).astype(float)
+            w = Window(x, np.round(np.sort(rng.uniform(0, 1, n)), 2))
+            ranks = ranks_of(w, candidate_split_times(w, min_side=k + 1))
+            full, top = build_neighbor_graph(w, k), build_neighbor_graph(w, k, width=k)
+            for aggregation in ("mean", "max"):
+                assert np.array_equal(
+                    ldd_statistics(top, ranks, aggregation=aggregation),
+                    ldd_statistics(full, ranks, aggregation=aggregation),
+                )
+
     def test_no_splits_gives_empty(self, rng):
         w = sweep_window(rng, 30)
         g = build_neighbor_graph(w, 2)
@@ -357,6 +403,62 @@ class TestMmd:
                 null.append(mmd_at(perm, 0.5))
             wins += drift_stat > np.median(null)
         assert wins >= 0.95 * reps
+
+
+def unblocked_distances(x):
+    """Reference: the expansion formula in whole-matrix temporaries."""
+    sq = np.sum(x * x, axis=1)
+    return np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0))
+
+
+def buffer_cases():
+    rng = np.random.default_rng(17)
+    for n, d in [(2, 1), (3, 2), (4, 1), (150, 4), (200, 1), (700, 3)]:
+        yield rng.normal(size=(n, d))
+    yield rng.integers(0, 3, size=(301, 2)).astype(float)  # heavy distance ties
+
+
+class TestDistanceBuffer:
+    """The one-buffer distance, median and kernel passes equal the
+    whole-matrix formulas bit for bit."""
+
+    def test_pairwise_distances_equal_unblocked_formula(self):
+        assert 700**2 > 4 * neighbor_kernel._BLOCK_ELEMENTS  # several row blocks
+        for x in buffer_cases():
+            assert np.array_equal(neighbor_kernel._pairwise_distances(x), unblocked_distances(x))
+
+    def test_median_heuristic_equals_triu_median(self):
+        # pair counts of both parities, and ties
+        for x in buffer_cases():
+            d = unblocked_distances(x)
+            expected = float(np.median(d[np.triu_indices(len(x), k=1)]))
+            assert median_heuristic(x) == expected
+            assert build_kernel_gram(Window(x, np.linspace(0, 1, len(x)))).sigma == expected
+
+    def test_kernel_matrix_equals_formula(self):
+        for x in buffer_cases():
+            gram = build_kernel_gram(Window(x, np.linspace(0, 1, len(x))))
+            expected = np.exp(-(unblocked_distances(x) ** 2) / (2.0 * gram.sigma**2))
+            assert np.array_equal(gram.matrix, expected)
+
+
+class TestSizeGuard:
+    def test_quadratic_fits_refuse_windows_above_the_cap(self, rng, monkeypatch):
+        monkeypatch.setattr(neighbor_kernel, "MAX_PAIRWISE_N", 20)
+        small = Window(rng.normal(size=(20, 2)), np.sort(rng.uniform(0, 1, 20)))
+        build_neighbor_graph(small, 3)
+        build_kernel_gram(small)
+        big = Window(rng.normal(size=(21, 2)), np.sort(rng.uniform(0, 1, 21)))
+        fits = [
+            lambda: build_neighbor_graph(big, 3),
+            lambda: build_neighbor_graph(big, 3, width=3),
+            lambda: build_kernel_gram(big),
+            lambda: build_kernel_gram(big, bandwidth=1.0),
+            lambda: median_heuristic(big.x),
+        ]
+        for fit in fits:
+            with pytest.raises(ParameterError, match="MAX_PAIRWISE_N"):
+                fit()
 
 
 class TestSideInvariance:

@@ -5,14 +5,11 @@ __version__ = "0.1.0"
 from .errors import DataError, DriftBenchError, InvalidSplitError, ParameterError
 from .windows import (
     PairedWindows,
-    SplitPoint,
     Window,
     candidate_split_times,
     ingest_window,
     make_paired,
     permute_timestamps,
-    split_point,
-    split_window,
     window_from_csv,
 )
 from .histograms import (
@@ -35,7 +32,6 @@ from .partitions import (
     build_pca_projection,
     build_random_projection,
     build_random_tree,
-    partition_from_dict,
 )
 from .moment_tree import (
     MomentForest,

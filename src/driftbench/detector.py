@@ -33,7 +33,7 @@ from .partitions import (
     build_random_tree,
 )
 from .seeding import as_generator
-from .windows import Window, _split_time, candidate_split_times, permute_timestamps
+from .windows import Window, candidate_split_times, permute_timestamps
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class Descriptor:
         return self._statistics(ranks)
 
     def statistic_at(self, t) -> float:
-        return float(self.statistics_at([_split_time(t)])[0])
+        return float(self.statistics_at([float(t)])[0])
 
     def _statistics(self, ranks: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -283,28 +283,15 @@ def scan_splits(estimator: Estimator, w: Window, seed=None, min_side: int | None
     return DriftVerdict(ts, stats, float(ts[best]), float(stats[best]))
 
 
-def _permutation_pvalue(estimator, w, observed, n_perms, rng, min_side) -> float:
-    if n_perms < 19:
-        raise ParameterError("n_perms must be at least 19")
+def _permutation_pvalue(statistic, w: Window, observed: float, n_perms: int, rng) -> float:
+    """p = (1 + #{replicates >= observed}) / (n_perms + 1), where each
+    replicate is ``statistic`` of ``w`` with its timestamps re-paired at
+    random (Phipson & Smyth 2010: never zero)."""
     exceed = 0
     for _ in range(n_perms):
-        perm = permute_timestamps(w, rng)
-        if scan_splits(estimator, perm, rng, min_side).max_stat >= observed:
+        if statistic(permute_timestamps(w, rng)) >= observed:
             exceed += 1
     return (1 + exceed) / (n_perms + 1)
-
-
-def permutation_normalize(
-    estimator: Estimator, w: Window, n_perms: int = 99, seed=None, min_side: int | None = None
-) -> float:
-    """Permutation p-value of the scan maximum.
-
-    Each replicate re-pairs timestamps at random and refits the descriptor
-    from scratch; p = (1 + #{replicates >= observed}) / (n_perms + 1).
-    """
-    rng = as_generator(seed)
-    observed = scan_splits(estimator, w, rng, min_side).max_stat
-    return _permutation_pvalue(estimator, w, observed, n_perms, rng, min_side)
 
 
 def detect_drift(
@@ -315,11 +302,28 @@ def detect_drift(
     seed=None,
     min_side: int | None = None,
 ) -> DriftVerdict:
-    """Full detection: scan for the best split and permutation-normalize it."""
+    """Full detection: scan for the best split and permutation-normalize it.
+
+    Each replicate refits the descriptor from scratch on the permuted window
+    and takes its scan maximum.
+    """
+    if n_perms < 19:
+        raise ParameterError("n_perms must be at least 19")
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
     rng = as_generator(seed)
     verdict = scan_splits(estimator, w, rng, min_side)
-    p = _permutation_pvalue(estimator, w, verdict.max_stat, n_perms, rng, min_side)
+    p = _permutation_pvalue(
+        lambda v: scan_splits(estimator, v, rng, min_side).max_stat, w, verdict.max_stat, n_perms, rng
+    )
     return replace(verdict, p_value=p, detected=bool(p <= alpha))
+
+
+def permutation_normalize(
+    estimator: Estimator, w: Window, n_perms: int = 99, seed=None, min_side: int | None = None
+) -> float:
+    """Permutation p-value of the scan maximum, as computed by ``detect_drift``."""
+    return detect_drift(estimator, w, n_perms, seed=seed, min_side=min_side).p_value
 
 
 def classifier_tv_oracle(partition, w: Window, t) -> float:
@@ -333,7 +337,7 @@ def classifier_tv_oracle(partition, w: Window, t) -> float:
     L = partition.n_cells
     if L > 20:
         raise ParameterError("refusing brute force over more than 2^20 labelings")
-    t = _split_time(t)
+    t = float(t)
     cells = partition.cell_of(w.x)
     after = w.t > t
     n_after = int(after.sum())

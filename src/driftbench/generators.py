@@ -9,15 +9,20 @@ label drift becomes distributional drift.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .detector import _permutation_pvalue
 from .errors import DataError, ParameterError
+from .neighbor_kernel import build_kernel_gram, mmds_from_gram
 from .seeding import as_generator
 from .windows import Window, window_from_csv
 
 SEA_THRESHOLDS = (8.0, 9.0, 7.0, 9.5)
+#: Rows drawn from each side for the CSV two-sample check, and its permutations.
+CHECK_SAMPLES = 200
+CHECK_PERMUTATIONS = 99
 
 
 @dataclass(frozen=True)
@@ -26,14 +31,12 @@ class SeaConcept:
 
     variant: int
 
-    concept_id: str = field(init=False)
     dim: int = 4
     labeled: bool = True
 
     def __post_init__(self):
         if self.variant not in range(len(SEA_THRESHOLDS)):
             raise ParameterError(f"SEA variant must be one of 0..{len(SEA_THRESHOLDS) - 1}")
-        object.__setattr__(self, "concept_id", f"sea{self.variant}")
 
     def draw(self, n: int, rng) -> np.ndarray:
         rng = as_generator(rng)
@@ -62,14 +65,12 @@ class StaggerConcept:
 
     concept: int
 
-    concept_id: str = field(init=False)
     dim: int = 10
     labeled: bool = True
 
     def __post_init__(self):
         if self.concept not in STAGGER_RULES:
             raise ParameterError("stagger concept must be 1, 2 or 3")
-        object.__setattr__(self, "concept_id", f"stagger{self.concept}")
 
     def draw(self, n: int, rng) -> np.ndarray:
         rng = as_generator(rng)
@@ -94,7 +95,6 @@ class RbfConcept:
     centroids: np.ndarray
     weights: np.ndarray
     scales: np.ndarray
-    concept_id: str = "rbf"
     labeled: bool = False
 
     @property
@@ -118,8 +118,8 @@ def rbf_pair(d: int = 2, n_centroids: int = 5, seed=0) -> tuple[RbfConcept, RbfC
     before = rng.uniform(0.0, 1.0, size=(n_centroids, d))
     after = rng.uniform(0.0, 1.0, size=(n_centroids, d))
     return (
-        RbfConcept(before, weights, scales, "rbf_before"),
-        RbfConcept(after, weights, scales, "rbf_after"),
+        RbfConcept(before, weights, scales),
+        RbfConcept(after, weights, scales),
     )
 
 
@@ -128,7 +128,6 @@ class HyperplaneConcept:
     """Uniform features on [0,1]^d; label = 1 on one side of a hyperplane."""
 
     normal: np.ndarray
-    concept_id: str = "rhp"
     labeled: bool = True
 
     @property
@@ -161,7 +160,7 @@ def rhp_pair(d: int = 2, rotation_angle: float = np.pi / 2, seed=0) -> tuple[Hyp
         norm = np.linalg.norm(u)
     u /= norm
     w_after = np.cos(rotation_angle) * w + np.sin(rotation_angle) * u
-    return HyperplaneConcept(w, "rhp_before"), HyperplaneConcept(w_after, "rhp_after")
+    return HyperplaneConcept(w), HyperplaneConcept(w_after)
 
 
 @dataclass(frozen=True)
@@ -169,7 +168,6 @@ class ResampleConcept:
     """Draws uniformly with replacement from a fixed row pool."""
 
     rows: np.ndarray
-    concept_id: str
     labeled: bool = False
 
     @property
@@ -182,17 +180,13 @@ class ResampleConcept:
 
 
 def csv_concept_pair(
-    path,
-    timestamp_split: float,
-    two_sample_check: bool = False,
-    seed=0,
-    check_samples: int = 200,
-    n_perms: int = 99,
+    path, timestamp_split: float, two_sample_check: bool = False, seed=0
 ) -> tuple[ResampleConcept, ResampleConcept]:
     """Bootstrap samplers from the rows before/after a timestamp split.
 
     With ``two_sample_check`` a permutation MMD test compares the two row
-    pools and warns when they are not significantly different.
+    pools (at most ``CHECK_SAMPLES`` rows each) and warns when they are not
+    significantly different.
     """
     w = window_from_csv(path)
     before = w.x[w.t <= timestamp_split]
@@ -200,11 +194,11 @@ def csv_concept_pair(
     if len(before) == 0 or len(after) == 0:
         raise DataError(f"timestamp split {timestamp_split} leaves an empty side")
     pair = (
-        ResampleConcept(before, f"csv_before@{timestamp_split}", w.label_feature_appended),
-        ResampleConcept(after, f"csv_after@{timestamp_split}", w.label_feature_appended),
+        ResampleConcept(before, w.label_feature_appended),
+        ResampleConcept(after, w.label_feature_appended),
     )
     if two_sample_check:
-        p = _mmd_two_sample_p(before, after, as_generator(seed), check_samples, n_perms)
+        p = _mmd_two_sample_p(before, after, as_generator(seed))
         if p > 0.05:
             warnings.warn(
                 f"two-sample check not significant (p={p:.3f}); the split may carry no drift",
@@ -213,25 +207,20 @@ def csv_concept_pair(
     return pair
 
 
-def _mmd_two_sample_p(before, after, rng, max_per_side: int, n_perms: int) -> float:
-    from .neighbor_kernel import build_kernel_gram, mmds_from_gram
-    from .windows import Window, permute_timestamps
-
-    nb = min(len(before), max_per_side)
-    na = min(len(after), max_per_side)
+def _mmd_two_sample_p(before, after, rng) -> float:
+    nb = min(len(before), CHECK_SAMPLES)
+    na = min(len(after), CHECK_SAMPLES)
     xb = before[rng.choice(len(before), nb, replace=False)]
     xa = after[rng.choice(len(after), na, replace=False)]
     x = np.vstack([xb, xa])
     t = np.concatenate([np.linspace(0.0, 0.5, nb), np.linspace(0.5 + 1e-9, 1.0, na)])
     w = Window(x, t)
-    observed = mmds_from_gram(build_kernel_gram(w), [nb])[0]
-    exceed = 0
-    for _ in range(n_perms):
+
+    def mmd(v: Window) -> float:
         # a permutation keeps the timestamps, so the before side stays the first nb
-        perm = permute_timestamps(w, rng)
-        if mmds_from_gram(build_kernel_gram(perm), [nb])[0] >= observed:
-            exceed += 1
-    return (1 + exceed) / (n_perms + 1)
+        return mmds_from_gram(build_kernel_gram(v), [nb])[0]
+
+    return _permutation_pvalue(mmd, w, mmd(w), CHECK_PERMUTATIONS, rng)
 
 
 @dataclass(frozen=True)
@@ -253,10 +242,6 @@ class NoiseAugmented:
     @property
     def labeled(self) -> bool:
         return bool(getattr(self.base, "labeled", False))
-
-    @property
-    def concept_id(self) -> str:
-        return f"{self.base.concept_id}+noise{self.extra_dims}"
 
     def draw(self, n: int, rng) -> np.ndarray:
         rng = as_generator(rng)

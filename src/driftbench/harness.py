@@ -36,6 +36,7 @@ from .detector import (
 )
 from .errors import DriftBenchError, ParameterError
 from .generators import csv_concept_pair, rbf_pair, rhp_pair, sea_pair, stagger_pair, with_noise
+from .histograms import METRICS
 from .moment_tree import MomentTreeConfig, VARIANT_DT, VARIANT_RF
 from .seeding import as_generator, derive_seed
 from .windows import make_paired
@@ -57,12 +58,12 @@ def _moment_estimator(variant):
 
 
 ESTIMATOR_BUILDERS = {
-    "marg": lambda metric="tv", **p: marginal_estimator(metric=metric, **p),
-    "rnd_pj": lambda metric="tv", **p: random_projection_estimator(metric=metric, **p),
-    "pca": lambda metric="tv", **p: pca_projection_estimator(metric=metric, **p),
-    "grid": lambda metric="tv", **p: grid_estimator(metric=metric, **p),
-    "rnd_tree": lambda metric="tv", **p: random_tree_estimator(metric=metric, **p),
-    "kdq": lambda metric="tv", **p: kdq_tree_estimator(metric=metric, **p),
+    "marg": marginal_estimator,
+    "rnd_pj": random_projection_estimator,
+    "pca": pca_projection_estimator,
+    "grid": grid_estimator,
+    "rnd_tree": random_tree_estimator,
+    "kdq": kdq_tree_estimator,
     "rf": _moment_estimator(VARIANT_RF),
     "dt": _moment_estimator(VARIANT_DT),
     "mmd": lambda metric="tv", **p: MmdEstimator(**p),
@@ -95,22 +96,14 @@ def make_estimator(estimator_id: str, metric: str = "tv", params: dict | None = 
         builder = ESTIMATOR_BUILDERS[estimator_id]
     except KeyError:
         raise ParameterError(f"unknown estimator {estimator_id!r}; known: {sorted(ESTIMATOR_BUILDERS)}") from None
+    # the neighbor and kernel estimators ignore the metric, but a misspelt one
+    # is still an error
+    if metric.lower() not in METRICS:
+        raise ParameterError(f"unknown metric {metric!r}; known: {list(METRICS)}")
     try:
         return builder(metric=metric, **(params or {}))
     except TypeError as exc:  # the builders only construct, so this is a bad keyword
         raise ParameterError(f"bad parameters for estimator {estimator_id!r}: {exc}") from None
-
-
-def _dataset_builders():
-    return {
-        "sea": lambda rng, variant_before=0, variant_after=3: sea_pair(variant_before, variant_after),
-        "stagger": lambda rng, concept_before=1, concept_after=2: stagger_pair(concept_before, concept_after),
-        "rbf": lambda rng, d=2, n_centroids=5: rbf_pair(d, n_centroids, rng),
-        "rhp": lambda rng, d=2, rotation_angle=math.pi / 2: rhp_pair(d, rotation_angle, rng),
-        "csv": lambda rng, path=None, timestamp_split=0.5, two_sample_check=False: _csv_pair(
-            path, timestamp_split, two_sample_check, rng
-        ),
-    }
 
 
 def _csv_pair(path, timestamp_split, two_sample_check, rng):
@@ -119,7 +112,15 @@ def _csv_pair(path, timestamp_split, two_sample_check, rng):
     return csv_concept_pair(path, timestamp_split, two_sample_check, rng)
 
 
-DATASET_BUILDERS = _dataset_builders()
+DATASET_BUILDERS = {
+    "sea": lambda rng, variant_before=0, variant_after=3: sea_pair(variant_before, variant_after),
+    "stagger": lambda rng, concept_before=1, concept_after=2: stagger_pair(concept_before, concept_after),
+    "rbf": lambda rng, d=2, n_centroids=5: rbf_pair(d, n_centroids, rng),
+    "rhp": lambda rng, d=2, rotation_angle=math.pi / 2: rhp_pair(d, rotation_angle, rng),
+    "csv": lambda rng, path=None, timestamp_split=0.5, two_sample_check=False: _csv_pair(
+        path, timestamp_split, two_sample_check, rng
+    ),
+}
 
 
 def make_concept_pair(dataset_id: str, rng, params: dict | None = None, noise_dims: int = 0):
@@ -395,16 +396,36 @@ def run_grid(cfg: ExperimentConfig, threads: int = 1, sweep: bool = False, progr
     return ResultTable(tuple(cells), cfg, metadata)
 
 
+def _parse_list(value: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in value.split(",") if v.strip())
+
+
+#: Plain config keys and the parser of each value.
+_CONFIG_PARSERS = {
+    "datasets": _parse_list,
+    "estimators": _parse_list,
+    "split_positions": lambda value: tuple(float(v) for v in value.split(",")),
+    "n": int,
+    "noise_dims": int,
+    "repetitions": int,
+    "seed": int,
+    "offset": float,
+    "metric": str,
+    "custom": lambda value: _parse_scalar(value) is True,
+}
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse a plain-text ``key = value`` config file.
 
     Lists are comma separated; estimator/dataset parameter overrides use
     dotted keys, e.g. ``estimator.rf.n_trees = 64`` or
-    ``dataset.rhp.rotation_angle = 0.7854``.
+    ``dataset.rhp.rotation_angle = 0.7854``.  A malformed line raises
+    ``ParameterError`` naming ``path:line``.
     """
-    values: dict = {}
-    estimator_params: dict = {}
-    dataset_params: dict = {}
+    kwargs: dict = {}
+    overrides: dict = {"estimator": {}, "dataset": {}}
+    unknown: set = set()
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -415,33 +436,22 @@ def load_config(path) -> ExperimentConfig:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key.startswith("estimator."):
-                _, est, param = key.split(".", 2)
-                estimator_params.setdefault(est, {})[param] = _parse_scalar(value)
-            elif key.startswith("dataset."):
-                _, ds, param = key.split(".", 2)
-                dataset_params.setdefault(ds, {})[param] = _parse_scalar(value)
+            kind, dotted, rest = key.partition(".")
+            if dotted and kind in overrides:
+                target, _, param = rest.partition(".")
+                if not target or not param:
+                    raise ParameterError(f"{path}:{lineno}: expected '{kind}.<id>.<parameter> = value', got {key!r}")
+                overrides[kind].setdefault(target, {})[param] = _parse_scalar(value)
+            elif key in _CONFIG_PARSERS:
+                try:
+                    kwargs[key] = _CONFIG_PARSERS[key](value)
+                except ValueError:
+                    raise ParameterError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
             else:
-                values[key] = value
-    kwargs: dict = {}
-    if "datasets" in values:
-        kwargs["datasets"] = tuple(v.strip() for v in values.pop("datasets").split(",") if v.strip())
-    if "estimators" in values:
-        kwargs["estimators"] = tuple(v.strip() for v in values.pop("estimators").split(",") if v.strip())
-    if "split_positions" in values:
-        kwargs["split_positions"] = tuple(float(v) for v in values.pop("split_positions").split(","))
-    for key in ("n", "noise_dims", "repetitions", "seed"):
-        if key in values:
-            kwargs[key] = int(values.pop(key))
-    if "offset" in values:
-        kwargs["offset"] = float(values.pop("offset"))
-    if "metric" in values:
-        kwargs["metric"] = values.pop("metric")
-    if "custom" in values:
-        kwargs["custom"] = _parse_scalar(values.pop("custom")) is True
-    if values:
-        raise ParameterError(f"{path}: unknown config keys {sorted(values)}")
-    return ExperimentConfig(estimator_params=estimator_params, dataset_params=dataset_params, **kwargs)
+                unknown.add(key)
+    if unknown:
+        raise ParameterError(f"{path}: unknown config keys {sorted(unknown)}")
+    return ExperimentConfig(estimator_params=overrides["estimator"], dataset_params=overrides["dataset"], **kwargs)
 
 
 def _parse_scalar(value: str):

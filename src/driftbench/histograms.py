@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import InvalidSplitError, ParameterError
-from .windows import Window, _split_time
+from .windows import Window
 
 # Above this many prefix entries (cells * (n+1)) the dense matrix is
 # replaced by per-cell sorted arrival ranks; lookups stay equivalent.
@@ -84,7 +84,7 @@ class CumulativeHistogram:
 
     def counts_at(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Before/after cell counts of the split at time ``t``."""
-        rank = int(np.searchsorted(self.times, _split_time(t), side="right"))
+        rank = int(np.searchsorted(self.times, float(t), side="right"))
         if rank <= 0 or rank >= self.n:
             raise InvalidSplitError(f"split leaves an empty side (rank={rank}, n={self.n})")
         before = self.counts_before_ranks([rank])[:, 0]
@@ -143,17 +143,12 @@ def hellinger(p, q) -> float | np.ndarray:
     return np.sqrt(0.5 * ((np.sqrt(p) - np.sqrt(q)) ** 2).sum(axis=0))
 
 
-def kl_divergence(p, q, smoothing: float = 0.0) -> float | np.ndarray:
+def kl_divergence(p, q) -> float | np.ndarray:
     """Kullback-Leibler divergence sum p log(p/q), natural log.
 
-    With ``smoothing`` > 0 both arguments are taken as counts: each cell
-    gets a Laplace pseudo-count and each side is normalized.
-    Without smoothing, a cell with p > 0 = q yields inf (not an error).
+    A cell with p > 0 = q yields inf (not an error).
     """
     p, q = _check_pair(p, q)
-    if smoothing > 0.0:
-        p = to_distribution(p, smoothing)
-        q = to_distribution(q, smoothing)
     active = p > 0
     log_p = np.log(p, where=active, out=np.zeros_like(p))
     log_q = np.log(q, where=q > 0, out=np.full_like(q, -np.inf))
@@ -175,29 +170,29 @@ def jensen_shannon(p, q) -> float | np.ndarray:
 
 JS_MAX = math.sqrt(math.log(2.0))
 
-#: Default Laplace pseudo-count for KL used as a drift statistic.
+#: Laplace pseudo-count per cell count for KL used as a drift statistic.
 KL_SMOOTHING = 0.5
 
+#: Names accepted by ``histogram_metric``.
+METRICS = ("tv", "hellinger", "js", "kl")
 
-def histogram_metric(name: str, *, smoothing: float | None = None, reverse: bool = False):
+
+def histogram_metric(name: str):
     """Build a metric on count pairs: (before_counts, after_counts) -> value.
 
     Each side is normalized by its own total.  ``name`` is one of
-    'tv', 'hellinger', 'js', 'kl'.  For 'kl' each cell count gets a
-    pseudo-count (default 0.5) before normalization, which keeps the
-    statistic finite on zero cells; ``reverse`` swaps the direction to
-    after||before.
+    ``METRICS``.  For 'kl' (before || after) each cell count gets the
+    ``KL_SMOOTHING`` pseudo-count before normalization, which keeps the
+    statistic finite on zero cells.
     """
     name = name.lower()
-    if name not in ("tv", "hellinger", "js", "kl"):
+    if name not in METRICS:
         raise ParameterError(f"unknown metric {name!r}")
-    alpha = (KL_SMOOTHING if smoothing is None else smoothing) if name == "kl" else 0.0
+    alpha = KL_SMOOTHING if name == "kl" else 0.0
 
     def metric(counts_before, counts_after):
         p = to_distribution(counts_before, alpha)
         q = to_distribution(counts_after, alpha)
-        if reverse:
-            p, q = q, p
         if name == "tv":
             return total_variation(p, q)
         if name == "hellinger":

@@ -25,6 +25,10 @@ VARIANT_RF = "rf"
 
 # scores below this are prefix-sum rounding noise, not a real moment contrast
 MIN_SPLIT_SCORE = 1e-24
+# nodes above CANDIDATE_NODE_SIZE samples keep at most MAX_CANDIDATES thresholds
+# per feature, evenly spaced over the distinct cuts
+MAX_CANDIDATES = 64
+CANDIDATE_NODE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -32,9 +36,6 @@ class MomentTreeConfig:
     degree: int = 2
     min_leaf: int = 10
     max_depth: int = 8
-    # nodes above candidate_node_size keep at most max_candidates thresholds
-    max_candidates: int = 64
-    candidate_node_size: int = 256
 
     def __post_init__(self):
         if self.degree < 1 or self.min_leaf < 1 or self.max_depth < 0:
@@ -64,8 +65,6 @@ class MomentTree:
 @dataclass(frozen=True)
 class MomentForest:
     trees: tuple[MomentTree, ...]
-    variant: str
-    config: MomentTreeConfig
 
 
 def _best_split(x, t_pows, idx, features, config):
@@ -83,8 +82,8 @@ def _best_split(x, t_pows, idx, features, config):
         cuts = cuts[vs[cuts - 1] < vs[cuts]]
         if len(cuts) == 0:
             continue
-        if m > config.candidate_node_size and len(cuts) > config.max_candidates:
-            sel = np.unique(np.round(np.linspace(0, len(cuts) - 1, config.max_candidates)).astype(int))
+        if m > CANDIDATE_NODE_SIZE and len(cuts) > MAX_CANDIDATES:
+            sel = np.unique(np.round(np.linspace(0, len(cuts) - 1, MAX_CANDIDATES)).astype(int))
             cuts = cuts[sel]
         mean_l = prefix[cuts - 1] / cuts[:, None]
         mean_r = (total - prefix[cuts - 1]) / (m - cuts)[:, None]
@@ -163,7 +162,7 @@ def fit_moment_forest(
             trees.append(_grow_tree(w.x[idx], w.t[idx], config, rng, feature_subsample=True, provenance=prov))
         else:
             trees.append(_grow_tree(w.x, w.t, config, rng, feature_subsample=False, provenance=prov))
-    return MomentForest(tuple(trees), variant, config)
+    return MomentForest(tuple(trees))
 
 
 def truncate_reference(w: Window, skip_fraction: float, *, drift_time: float | None = None) -> Window:

@@ -6,7 +6,8 @@ float64 matrix at its peak: the pairwise distances, which the Gram build
 turns into the kernel matrix in place.  LDD keeps only each point's k
 nearest neighbors (n x k lists, selected without a full sort); kNN-KL keeps
 full neighbor lists, since its sweep reads whole rows.  Windows above
-``MAX_PAIRWISE_N`` samples are rejected before anything n x n is allocated.
+``MAX_PAIRWISE_N`` samples, or with features too large for the distance
+expansion, are rejected before anything n x n is allocated.
 
 The statistics take splits as ranks: a rank r puts the first r samples in
 arrival order on the before side.  The fitted descriptor maps split times to
@@ -28,7 +29,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import InvalidSplitError, ParameterError
+from .errors import DataError, InvalidSplitError, ParameterError
 from .windows import Window
 
 DISTANCE_FLOOR = 1e-12
@@ -40,6 +41,10 @@ _BLOCK_ELEMENTS = 1 << 16
 #: kNN-KL's full neighbor lists add 16 n^2 more; a larger window raises
 #: ``ParameterError`` instead of meeting the out-of-memory killer.
 MAX_PAIRWISE_N = 10_000
+#: Largest squared norm the distance expansion accepts: below it |a|^2 + |b|^2,
+#: 2 a.b, the squared distances (at most 4x) and 2 sigma^2 (at most 8x) all
+#: stay finite.
+_MAX_SQUARED_NORM = np.finfo(float).max / 8
 
 
 def _row_blocks(n: int):
@@ -56,7 +61,11 @@ def _pairwise_distances(x: np.ndarray) -> np.ndarray:
         raise ParameterError(
             f"window of {n} samples exceeds MAX_PAIRWISE_N={MAX_PAIRWISE_N} for an O(n^2) neighbor or kernel fit"
         )
-    sq = np.sum(x * x, axis=1)
+    with np.errstate(over="ignore"):
+        sq = np.sum(x * x, axis=1)
+    largest = sq.max()
+    if largest > _MAX_SQUARED_NORM:
+        raise DataError(f"features too large for pairwise distances (squared norm {largest:.3g}); rescale them")
     # one unblocked matmul: BLAS may round other block shapes differently
     d = x @ x.T
     d *= 2.0
@@ -129,13 +138,13 @@ def build_neighbor_graph(w: Window, k: int = 10, width: int | None = None) -> Ne
     return NeighborGraph(order, dist, k, w.dim)
 
 
-def ldd_statistics(g: NeighborGraph, ranks, *, cap: float = LDD_CAP, aggregation: str = "mean") -> np.ndarray:
+def ldd_statistics(g: NeighborGraph, ranks, *, aggregation: str = "mean") -> np.ndarray:
     """Local drift degree at every before-side count in ``ranks`` (1..n-1).
 
     For each sample the ratio of after- to before-side neighbors among its
     k nearest, scaled by the side-size ratio, measures the local imbalance:
     delta = (n_before/n_after) * (k_after / max(k_before, 1)) - 1.  The
-    statistic aggregates |delta| over all samples (capped per point).
+    statistic aggregates |delta| over all samples, each capped at ``LDD_CAP``.
     O(n k) per split, in blocks of splits.
     """
     if aggregation not in ("mean", "max"):
@@ -153,7 +162,7 @@ def ldd_statistics(g: NeighborGraph, ranks, *, cap: float = LDD_CAP, aggregation
             k_before += column < r[:, None]
         k_after = g.k - k_before
         delta = (r / (n - r))[:, None] * (k_after / np.maximum(k_before, 1)) - 1.0
-        degrees = np.minimum(np.abs(delta), cap)
+        degrees = np.minimum(np.abs(delta), LDD_CAP)
         # one contiguous row per split keeps the reduction order of a 1-D array
         for i, row in enumerate(degrees, lo):
             out[i] = row.mean() if aggregation == "mean" else row.max()
@@ -175,7 +184,7 @@ def _running_kth(q: np.ndarray, k: int, outer: np.ufunc, inner: np.ufunc, empty:
     return kth
 
 
-def knn_kls(g: NeighborGraph, ranks, *, floor: float = DISTANCE_FLOOR) -> np.ndarray:
+def knn_kls(g: NeighborGraph, ranks) -> np.ndarray:
     """kNN estimate of KL(before || after) at every before-side count in
     ``ranks``, from one O(k n^2) sweep of the graph.
 
@@ -218,8 +227,8 @@ def knn_kls(g: NeighborGraph, ranks, *, floor: float = DISTANCE_FLOOR) -> np.nda
         # row; their entries are clipped here and never summed
         dist = g.dist[lo:hi].ravel()
         last = dist.size - 1
-        rho = np.maximum(dist[np.minimum(rho_at, last)], floor)
-        nu = np.maximum(dist[np.minimum(nu_at, last)], floor)
+        rho = np.maximum(dist[np.minimum(rho_at, last)], DISTANCE_FLOOR)
+        nu = np.maximum(dist[np.minimum(nu_at, last)], DISTANCE_FLOOR)
         log_ratio[live, lo:hi] = np.log(nu / rho)
     out = np.empty(len(ranks))
     for i, n_b in enumerate(ranks.tolist()):
@@ -247,11 +256,6 @@ class KernelGram:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-
-def median_heuristic(x: np.ndarray) -> float:
-    """Median pairwise distance between distinct points (1.0 fallback)."""
-    return _median_distance(_pairwise_distances(np.asarray(x, dtype=float)))
 
 
 def _median_distance(d: np.ndarray) -> float:
@@ -316,7 +320,7 @@ def mmd_biased_reference(x_before: np.ndarray, x_after: np.ndarray, sigma: float
     return float(np.sqrt(max(mmd2, 0.0)))
 
 
-def knn_kl_reference(x_before: np.ndarray, x_after: np.ndarray, k: int, *, floor: float = DISTANCE_FLOOR) -> float:
+def knn_kl_reference(x_before: np.ndarray, x_after: np.ndarray, k: int) -> float:
     """kNN-KL from direct per-side distance matrices (test oracle)."""
     x_before = np.asarray(x_before, dtype=float)
     x_after = np.asarray(x_after, dtype=float)
@@ -326,14 +330,14 @@ def knn_kl_reference(x_before: np.ndarray, x_after: np.ndarray, k: int, *, floor
     within = np.sqrt(((x_before[:, None, :] - x_before[None, :, :]) ** 2).sum(axis=2))
     np.fill_diagonal(within, np.inf)
     across = np.sqrt(((x_before[:, None, :] - x_after[None, :, :]) ** 2).sum(axis=2))
-    rho = np.maximum(np.partition(within, k - 1, axis=1)[:, k - 1], floor)
-    nu = np.maximum(np.partition(across, k - 1, axis=1)[:, k - 1], floor)
+    rho = np.maximum(np.partition(within, k - 1, axis=1)[:, k - 1], DISTANCE_FLOOR)
+    nu = np.maximum(np.partition(across, k - 1, axis=1)[:, k - 1], DISTANCE_FLOOR)
     est = (x_before.shape[1] / nb) * np.log(nu / rho).sum() + np.log(na / (nb - 1))
     return float(max(est, 0.0))
 
 
-def ldd_reference(x_before: np.ndarray, x_after: np.ndarray, k: int, *, cap: float = LDD_CAP, aggregation: str = "mean") -> float:
-    """LDD recounted from each point's k nearest under direct per-row
+def ldd_reference(x_before: np.ndarray, x_after: np.ndarray, k: int) -> float:
+    """Mean LDD recounted from each point's k nearest under direct per-row
     distances, sorted by (distance, index) over the concatenated sides
     (test oracle)."""
     x = np.concatenate([np.asarray(x_before, dtype=float), np.asarray(x_after, dtype=float)])
@@ -349,5 +353,5 @@ def ldd_reference(x_before: np.ndarray, x_after: np.ndarray, k: int, *, cap: flo
         nearest = np.lexsort((index, dist))[:k]
         k_before = int(np.count_nonzero(nearest < nb))
         delta = (nb / (n - nb)) * ((k - k_before) / max(k_before, 1)) - 1.0
-        degrees[i] = min(abs(delta), cap)
-    return float(degrees.mean() if aggregation == "mean" else degrees.max())
+        degrees[i] = min(abs(delta), LDD_CAP)
+    return float(degrees.mean())

@@ -13,9 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DataError, ParameterError
 from .seeding import as_generator
 from .windows import Window
+
+#: Most cells ``build_grid`` creates before refusing the grid.
+MAX_GRID_CELLS = 65536
+#: Deepest level ``build_kdq_tree`` splits.
+KDQ_MAX_DEPTH = 32
 
 
 @dataclass(frozen=True)
@@ -268,8 +273,11 @@ def build_pca_projection(
     _require_window(w)
     if n_axes is None:
         n_axes = w.dim
-    centered = w.x - w.x.mean(axis=0)
-    cov = centered.T @ centered / max(len(w) - 1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = w.x - w.x.mean(axis=0)
+        cov = centered.T @ centered / max(len(w) - 1, 1)
+    if not np.isfinite(cov).all():
+        raise DataError("feature covariance overflows; rescale the features")
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1][:n_axes]
     out = []
@@ -281,7 +289,7 @@ def build_pca_projection(
     return out
 
 
-def build_grid(w: Window, bins_per_dim: int = 4, edge_mode: str = "equidistant", max_cells: int = 65536) -> GridPartition:
+def build_grid(w: Window, bins_per_dim: int = 4, edge_mode: str = "equidistant") -> GridPartition:
     """Full product grid over all features."""
     _require_window(w)
     edges = []
@@ -290,8 +298,8 @@ def build_grid(w: Window, bins_per_dim: int = 4, edge_mode: str = "equidistant",
         e, _ = make_edges(w.x[:, j], bins_per_dim, edge_mode)
         edges.append(e)
         total *= len(e) + 1
-        if total > max_cells:
-            raise ParameterError(f"grid would exceed {max_cells} cells")
+        if total > MAX_GRID_CELLS:
+            raise ParameterError(f"grid would exceed {MAX_GRID_CELLS} cells")
     prov = Provenance("grid", None, {"bins": bins_per_dim, "edge_mode": edge_mode})
     return GridPartition(tuple(edges), prov)
 
@@ -346,7 +354,7 @@ def build_random_tree(w: Window, n_leaves: int = 16, seed=None, min_leaf: int = 
     return builder.finish(prov)
 
 
-def build_kdq_tree(w: Window, min_side: float = 0.05, min_count: int = 10, max_depth: int = 32) -> TreePartition:
+def build_kdq_tree(w: Window, min_side: float = 0.05, min_count: int = 10) -> TreePartition:
     """Cycle through dimensions, splitting each cell at the midpoint of its box.
 
     The bounding box is computed from the window once and frozen.  A cell is
@@ -366,7 +374,7 @@ def build_kdq_tree(w: Window, min_side: float = 0.05, min_count: int = 10, max_d
         nid, idx, lo, hi, depth = stack.pop()
         dim = depth % d
         side = hi[dim] - lo[dim]
-        if len(idx) < min_count or side / 2.0 < min_side or depth >= max_depth:
+        if len(idx) < min_count or side / 2.0 < min_side or depth >= KDQ_MAX_DEPTH:
             continue
         mid = 0.5 * (lo[dim] + hi[dim])
         mask = x[idx, dim] <= mid
@@ -379,23 +387,3 @@ def build_kdq_tree(w: Window, min_side: float = 0.05, min_count: int = 10, max_d
     prov = Provenance("kdq_tree", None, {"min_side": min_side, "min_count": min_count})
     return builder.finish(prov)
 
-
-def partition_from_dict(doc: dict) -> Partition:
-    """Rebuild a partition from its ``to_dict`` document."""
-    prov = Provenance(**doc.get("provenance", {"builder": "unknown"}))
-    kind = doc.get("kind")
-    if kind == "binning1d":
-        return Binning1D(np.array(doc["axis"], dtype=float), np.array(doc["edges"], dtype=float), bool(doc["degenerate"]), prov)
-    if kind == "grid":
-        return GridPartition(tuple(np.array(e, dtype=float) for e in doc["edges_per_dim"]), prov)
-    if kind == "tree":
-        thr = np.array([np.nan if t is None else t for t in doc["threshold"]], dtype=float)
-        return TreePartition(
-            np.array(doc["feature"], dtype=np.int64),
-            thr,
-            np.array(doc["left"], dtype=np.int64),
-            np.array(doc["right"], dtype=np.int64),
-            np.array(doc["cell"], dtype=np.int64),
-            prov,
-        )
-    raise ParameterError(f"unknown partition document kind {kind!r}")

@@ -74,14 +74,6 @@ class Window:
 
 
 @dataclass(frozen=True)
-class SplitPoint:
-    """Candidate split time plus whether both sides meet the margin."""
-
-    t: float
-    margin_ok: bool = True
-
-
-@dataclass(frozen=True)
 class PairedWindows:
     """A drifting window and its timestamp-permuted, drift-free counterpart."""
 
@@ -95,19 +87,6 @@ def default_min_side(n: int) -> int:
     return max(25, math.ceil(0.05 * n))
 
 
-def _split_time(t) -> float:
-    return float(t.t) if isinstance(t, SplitPoint) else float(t)
-
-
-def split_point(w: Window, t: float, min_side: int | None = None) -> SplitPoint:
-    """Build a SplitPoint at time ``t``, checking the per-side margin."""
-    if min_side is None:
-        min_side = default_min_side(len(w))
-    before = w.rank_of(_split_time(t))
-    after = len(w) - before
-    return SplitPoint(_split_time(t), before >= min_side and after >= min_side)
-
-
 def candidate_split_times(w: Window, min_side: int | None = None) -> np.ndarray:
     """Distinct sample timestamps whose splits satisfy the margin constraint."""
     if len(w) == 0:
@@ -118,18 +97,6 @@ def candidate_split_times(w: Window, min_side: int | None = None) -> np.ndarray:
     before = np.searchsorted(w.t, ts, side="right")
     ok = (before >= min_side) & (len(w) - before >= min_side)
     return ts[ok]
-
-
-def split_window(w: Window, t) -> tuple[Window, Window]:
-    """Partition ``w`` into the sub-windows with t' <= t and t' > t."""
-    if len(w) == 0:
-        raise ParameterError("cannot split an empty window")
-    i = w.rank_of(_split_time(t))
-    flag = w.label_feature_appended
-    return (
-        Window(w.x[:i], w.t[:i], flag),
-        Window(w.x[i:], w.t[i:], flag),
-    )
 
 
 def permute_timestamps(w: Window, seed=None) -> Window:
@@ -215,7 +182,7 @@ def _reject_non_finite(values: np.ndarray, what: str) -> None:
         raise DataError(f"{len(bad)} non-finite {what}; first {values[first]} at {where}")
 
 
-def ingest_window(x, t=None, *, rescale: bool = True, label_feature_appended: bool = False) -> Window:
+def ingest_window(x, t=None, *, label_feature_appended: bool = False) -> Window:
     """Build a window from raw arrays, rescaling timestamps onto [0, 1].
 
     Without explicit timestamps the row order is used (t = i / (n-1)).
@@ -233,14 +200,13 @@ def ingest_window(x, t=None, *, rescale: bool = True, label_feature_appended: bo
     else:
         t = np.asarray(t, dtype=float)
         _reject_non_finite(t, "timestamps")
-        if rescale:
-            lo, hi = t.min(), t.max()
-            if hi > lo:
-                t = (t - lo) / (hi - lo)
-            elif n > 1:
-                raise DataError("all timestamps identical; cannot rescale")
-            else:
-                t = np.zeros(1)
+        lo, hi = t.min(), t.max()
+        if hi > lo:
+            t = (t - lo) / (hi - lo)
+        elif n > 1:
+            raise DataError("all timestamps identical; cannot rescale")
+        else:
+            t = np.zeros(1)
     order = np.argsort(t, kind="stable")
     return Window(x[order], t[order], label_feature_appended)
 
@@ -256,7 +222,7 @@ def encode_labels(values: list[str]) -> tuple[np.ndarray, list[str]]:
     return out, classes
 
 
-def window_from_csv(path, *, t_column: str = "t", label_column: str = "label") -> Window:
+def window_from_csv(path) -> Window:
     """Load a window from a headered CSV file.
 
     Columns are features; a ``label`` column (if present) is encoded and
@@ -278,8 +244,8 @@ def window_from_csv(path, *, t_column: str = "t", label_column: str = "label") -
         raise DataError(f"{path}: ragged rows")
 
     columns = {name: [row[j].strip() for row in rows] for j, name in enumerate(header)}
-    t_raw = columns.pop(t_column, None)
-    labels = columns.pop(label_column, None)
+    t_raw = columns.pop("t", None)
+    labels = columns.pop("label", None)
     if not columns and labels is None:
         raise DataError(f"{path}: no feature columns")
 
@@ -295,7 +261,7 @@ def window_from_csv(path, *, t_column: str = "t", label_column: str = "label") -
     if labeled:
         encoded, _ = encode_labels(labels)
         x = np.hstack([x, encoded])
-    t = to_float(t_column, t_raw) if t_raw is not None else None
+    t = to_float("t", t_raw) if t_raw is not None else None
     try:
         return ingest_window(x, t, label_feature_appended=labeled)
     except DataError as exc:

@@ -57,6 +57,37 @@ class TestDetect:
         # estimators without an n x n structure still run on the window
         assert main(["detect", "--csv", str(path), "--estimator", "marg", "--perms", "19"]) == 0
 
+    @pytest.mark.parametrize("estimator", ["ldd", "knn_kl", "mmd", "pca"])
+    def test_features_too_large_are_data_error(self, tmp_path, capsys, estimator):
+        rng = np.random.default_rng(0)
+        rows = ["a,b"] + [f"{u:.17g},{v:.17g}" for u, v in rng.normal(size=(80, 2)) * 1e160]
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join(rows) + "\n")
+        code = main(["detect", "--csv", str(path), "--estimator", estimator, "--perms", "19"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "rescale" in captured.err
+        assert "drift detected" not in captured.out
+
+    @pytest.mark.parametrize(
+        "estimator, option",
+        [
+            ("marg", ["--alpha", "2.0"]),
+            ("marg", ["--alpha", "nan"]),
+            ("marg", ["--alpha", "0"]),
+            ("mmd", ["--metric", "bogus"]),
+            ("ldd", ["--metric", "bogus"]),
+            ("knn_kl", ["--metric", "bogus"]),
+        ],
+    )
+    def test_bad_alpha_or_metric_is_usage_error(self, tmp_path, capsys, estimator, option):
+        path = drift_csv(tmp_path)
+        code = main(["detect", "--csv", str(path), "--estimator", estimator, "--perms", "19", *option])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert ("alpha" if option[0] == "--alpha" else "unknown metric") in captured.err
+        assert "drift detected" not in captured.out
+
     def test_unknown_estimator_is_usage_error(self, tmp_path):
         path = drift_csv(tmp_path)
         with pytest.raises(SystemExit) as err:
@@ -94,6 +125,14 @@ class TestRun:
         cfg = tmp_path / "bench.cfg"
         cfg.write_text("nonsense = 1\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+
+    @pytest.mark.parametrize("line", ["estimator.rf = 3", "n = abc", "split_positions = 0.5, x"])
+    def test_malformed_config_line_is_usage_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"datasets = stagger\n{line}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert f"error: {cfg}:2: " in capsys.readouterr().err
 
 
 class TestTables:

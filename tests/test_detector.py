@@ -12,11 +12,11 @@ from driftbench.detector import (
     random_tree_estimator,
     scan_splits,
 )
-from driftbench.errors import InvalidSplitError, ParameterError
+from driftbench.errors import DataError, InvalidSplitError, ParameterError
 from driftbench.harness import ESTIMATOR_BUILDERS, make_estimator
 from driftbench.histograms import histogram_metric
 from driftbench.partitions import build_random_tree
-from driftbench.windows import Window, candidate_split_times, make_paired, split_window
+from driftbench.windows import Window, candidate_split_times, make_paired
 
 BLOCK_BEFORE = lambda n, rng: rng.uniform(0, 1, (n, 1))
 BLOCK_AFTER = lambda n, rng: rng.uniform(2, 3, (n, 1))
@@ -112,16 +112,14 @@ class TestFactorization:
         metric = histogram_metric("tv")
         for est in (marginal_estimator(), random_tree_estimator(n_trees=2), kdq_tree_estimator()):
             desc = est.fit(w, seed=11)
-            from driftbench.windows import candidate_split_times
-
             ts = candidate_split_times(w)
             fast = desc.statistics_at(ts)
             for t, value in zip(ts, fast):
-                before, after = split_window(w, float(t))
+                before = w.t <= t
                 per_part = [
                     metric(
-                        np.bincount(p.cell_of(before.x), minlength=p.n_cells),
-                        np.bincount(p.cell_of(after.x), minlength=p.n_cells),
+                        np.bincount(p.cell_of(w.x[before]), minlength=p.n_cells),
+                        np.bincount(p.cell_of(w.x[~before]), minlength=p.n_cells),
                     )
                     for p in desc.partitions
                 ]
@@ -184,6 +182,18 @@ class TestPermutationNormalize:
         with pytest.raises(ParameterError):
             permutation_normalize(marginal_estimator(), pw.drifting, n_perms=10)
 
+    def test_bad_arguments_rejected_before_any_fit(self):
+        class Unfittable:
+            name = "unfittable"
+
+            def fit(self, w, seed=None, drift_time=None):
+                raise AssertionError("fitted before the arguments were checked")
+
+        w = make_paired(BLOCK_BEFORE, BLOCK_AFTER, 100, seed=0).drifting
+        for kwargs in ({"n_perms": 18}, {"alpha": 1.0}, {"alpha": float("nan")}):
+            with pytest.raises(ParameterError):
+                detect_drift(Unfittable(), w, **kwargs)
+
     def test_stagger_rf_detects_at_5_percent(self):
         from driftbench.generators import stagger_pair
         from driftbench.harness import make_estimator
@@ -205,6 +215,25 @@ class TestPermutationNormalize:
         assert verdict.detected is True
         assert verdict.p_value == pytest.approx(1 / 20)
         assert abs(verdict.t_hat - 0.5) < 0.1
+
+
+class TestHugeFeatures:
+    """Finite features whose squares overflow: the O(n^2) and PCA fits
+    refuse them instead of scanning NaN or constant statistics."""
+
+    @pytest.fixture(scope="class")
+    def window(self):
+        rng = np.random.default_rng(0)
+        return Window(rng.normal(size=(80, 2)) * 1e160, np.sort(rng.uniform(0, 1, 80)))
+
+    @pytest.mark.parametrize("estimator_id", ["ldd", "knn_kl", "mmd", "pca"])
+    def test_overflowing_fits_raise_data_error(self, window, estimator_id):
+        with pytest.raises(DataError, match="rescale"):
+            scan_splits(make_estimator(estimator_id), window, 0)
+
+    def test_marginal_binning_still_scans(self, window):
+        verdict = scan_splits(make_estimator("marg"), window, 0)
+        assert np.isfinite(verdict.statistics).all() and 0.0 < verdict.max_stat <= 1.0
 
 
 class TestClassifierTvOracle:

@@ -165,7 +165,7 @@ class TestCsvPair:
         rows = ["1,2", "2,1"] * 40
         path = self.write(tmp_path, rows)
         with pytest.warns(UserWarning):
-            csv_concept_pair(path, 0.5, two_sample_check=True, seed=0, n_perms=99)
+            csv_concept_pair(path, 0.5, two_sample_check=True, seed=0)
 
     def test_deterministic_draws(self, tmp_path):
         rng = np.random.default_rng(1)

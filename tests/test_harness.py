@@ -189,6 +189,26 @@ class TestRunGrid:
         assert failed.status == "failed" and "bandwidth" in failed.error
         assert table.cell("stagger", "marg").status == "ok"
 
+    def test_features_too_large_cell_recorded_as_failed(self, tmp_path):
+        rng = np.random.default_rng(0)
+        rows = ["a,b"] + [f"{u:.17g},{v:.17g}" for u, v in rng.normal(size=(80, 2)) * 1e160]
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join(rows) + "\n")
+        cfg = dataclasses.replace(
+            SMALL, datasets=("csv",), estimators=("mmd", "marg"), n=60, repetitions=2,
+            dataset_params={"csv": {"path": str(path)}},
+        )
+        table = run_grid(cfg)
+        failed = table.cell("csv", "mmd")
+        assert failed.status == "failed" and failed.error.startswith("DataError")
+        assert table.cell("csv", "marg").status == "ok"
+
+    def test_metric_name_checked_for_every_estimator(self):
+        cfg = dataclasses.replace(SMALL, estimators=("mmd", "ldd", "marg"), repetitions=2, metric="hellinger")
+        assert [c.status for c in run_grid(cfg).cells] == ["ok"] * 3
+        table = run_grid(dataclasses.replace(cfg, metric="bogus"))
+        assert all(c.status == "failed" and "unknown metric" in c.error for c in table.cells)
+
     def test_unexpected_error_propagates(self, monkeypatch):
         class Broken:
             name = "broken"

@@ -118,7 +118,7 @@ class TestDivergences:
 
     def test_kl_smoothing_monotone_on_disjoint(self):
         alphas = [1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0]
-        vals = [kl_divergence([1.0, 0.0], [0.0, 1.0], smoothing=a) for a in alphas]
+        vals = [kl_divergence(to_distribution([1.0, 0.0], a), to_distribution([0.0, 1.0], a)) for a in alphas]
         assert all(np.isfinite(vals))
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -173,11 +173,6 @@ class TestHistogramMetric:
         assert metric([5000, 0], [0, 5000]) == pytest.approx(5000 / 5001 * math.log(10001), rel=1e-12)
         assert metric([50, 0], [0, 50]) == pytest.approx(4.5246, abs=5e-5)
         assert metric([5000, 0], [0, 5000]) == pytest.approx(9.2086, abs=5e-5)
-
-    def test_kl_reverse_direction(self):
-        fwd = histogram_metric("kl", smoothing=0.1)
-        rev = histogram_metric("kl", smoothing=0.1, reverse=True)
-        assert fwd([8, 2], [2, 8]) == pytest.approx(rev([2, 8], [8, 2]))
 
     def test_unknown_metric(self):
         with pytest.raises(ParameterError):

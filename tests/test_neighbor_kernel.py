@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from driftbench.detector import KnnEstimator, MmdEstimator, detect_drift
-from driftbench.errors import InvalidSplitError, ParameterError
+from driftbench.detector import KnnEstimator, MmdEstimator, detect_drift, scan_splits
+from driftbench.errors import DataError, InvalidSplitError, ParameterError
 from driftbench import neighbor_kernel
 from driftbench.neighbor_kernel import (
     DISTANCE_FLOOR,
@@ -11,7 +11,6 @@ from driftbench.neighbor_kernel import (
     build_neighbor_graph,
     knn_kls,
     ldd_statistics,
-    median_heuristic,
     mmd_biased_reference,
     mmds_from_gram,
 )
@@ -360,8 +359,8 @@ class TestMmd:
         assert vals[0] == pytest.approx(np.sqrt(2.0), abs=1e-3)
 
     def test_median_heuristic_positive(self, rng):
-        assert median_heuristic(rng.normal(size=(20, 2))) > 0
-        assert median_heuristic(np.zeros((5, 2))) == 1.0
+        assert build_kernel_gram(Window(rng.normal(size=(20, 2)), np.linspace(0, 1, 20))).sigma > 0
+        assert build_kernel_gram(Window(np.zeros((5, 2)), np.linspace(0, 1, 5))).sigma == 1.0
 
     def test_invalid_bandwidth(self, rng):
         w = Window(rng.normal(size=(10, 1)), np.sort(rng.uniform(0, 1, 10)))
@@ -432,7 +431,6 @@ class TestDistanceBuffer:
         for x in buffer_cases():
             d = unblocked_distances(x)
             expected = float(np.median(d[np.triu_indices(len(x), k=1)]))
-            assert median_heuristic(x) == expected
             assert build_kernel_gram(Window(x, np.linspace(0, 1, len(x)))).sigma == expected
 
     def test_kernel_matrix_equals_formula(self):
@@ -454,11 +452,24 @@ class TestSizeGuard:
             lambda: build_neighbor_graph(big, 3, width=3),
             lambda: build_kernel_gram(big),
             lambda: build_kernel_gram(big, bandwidth=1.0),
-            lambda: median_heuristic(big.x),
         ]
         for fit in fits:
             with pytest.raises(ParameterError, match="MAX_PAIRWISE_N"):
                 fit()
+
+    def test_squared_norms_up_to_an_eighth_of_the_float_range(self, rng):
+        # below the limit every intermediate of the distance expansion and of
+        # the kernel bandwidth stays finite; above it the fit refuses the window
+        limit = np.sqrt(np.finfo(float).max / 8)
+        x = rng.normal(size=(60, 2))
+        x *= 0.99 * limit / np.linalg.norm(x, axis=1).max()
+        t = np.sort(rng.uniform(0, 1, 60))
+        estimators = (KnnEstimator(k=3), KnnEstimator(k=2, statistic="kl"), MmdEstimator())
+        for est in estimators:
+            assert np.isfinite(scan_splits(est, Window(x, t)).statistics).all(), est.name
+        for est in estimators:
+            with pytest.raises(DataError, match="too large"):
+                est.fit(Window(x * 1.02, t))
 
 
 class TestSideInvariance:

@@ -10,8 +10,6 @@ from driftbench.windows import (
     ingest_window,
     make_paired,
     permute_timestamps,
-    split_point,
-    split_window,
     window_from_csv,
 )
 
@@ -44,45 +42,39 @@ class TestWindow:
 
 
 class TestSplitWindow:
+    """A split at time t puts the first ``rank_of(t)`` samples, those with
+    t' <= t, on the before side."""
+
     def test_sizes_at_half(self):
         w = window_from_times([0.1, 0.4, 0.9])
-        before, after = split_window(w, 0.5)
-        assert (len(before), len(after)) == (2, 1)
+        assert w.rank_of(0.5) == 2
 
     def test_boundary_split_keeps_everything(self):
         w = window_from_times([0.1, 0.4, 0.9])
-        before, after = split_window(w, 1.0)
-        assert len(before) == 3 and len(after) == 0
+        assert w.rank_of(1.0) == 3
 
     def test_median_split_of_150(self, rng):
         t = np.sort(rng.uniform(0, 1, 150))
         w = window_from_times(t)
         split = float(np.quantile(t, 0.5))
-        before, after = split_window(w, split)
         # independent scan oracle
-        assert len(before) == int(np.sum(t <= split)) == 75
-        assert len(after) == 75
+        assert w.rank_of(split) == int(np.sum(t <= split)) == 75
 
     def test_partition_by_threshold(self, rng):
         w = window_from_times(np.sort(rng.uniform(0, 1, 40)))
-        before, after = split_window(w, 0.3)
-        assert np.all(before.t <= 0.3) and np.all(after.t > 0.3)
+        i = w.rank_of(0.3)
+        assert np.all(w.t[:i] <= 0.3) and np.all(w.t[i:] > 0.3)
 
     def test_sides_recombine_exhaustively(self, rng):
         # all n+1 distinct splits of windows up to n=20
         for n in range(1, 21):
             t = np.sort(rng.uniform(0, 1, n))
-            x = rng.normal(size=(n, 2))
-            w = Window(x, t)
+            w = Window(rng.normal(size=(n, 2)), t)
             cuts = np.concatenate([[-0.1], np.unique(t), [1.0]])
             for cut in cuts:
-                before, after = split_window(w, cut)
-                assert np.array_equal(np.vstack([before.x, after.x]), w.x)
-                assert np.array_equal(np.concatenate([before.t, after.t]), w.t)
-
-    def test_empty_window_rejected(self):
-        with pytest.raises(ParameterError):
-            split_window(Window(np.empty((0, 1)), np.empty(0)), 0.5)
+                i = w.rank_of(cut)
+                assert i == int(np.sum(t <= cut))
+                assert np.all(w.t[:i] <= cut) and np.all(w.t[i:] > cut)
 
 
 class TestPermuteTimestamps:
@@ -177,12 +169,6 @@ class TestSplitPoints:
         assert default_min_side(150) == 25
         assert default_min_side(1000) == 50
 
-    def test_margin_flag(self):
-        t = np.linspace(0, 1, 100)
-        w = window_from_times(t)
-        assert split_point(w, 0.5, min_side=10).margin_ok
-        assert not split_point(w, 0.02, min_side=10).margin_ok
-
     def test_candidates_respect_margin(self, rng):
         w = window_from_times(np.sort(rng.uniform(0, 1, 60)))
         ts = candidate_split_times(w, min_side=10)
@@ -201,9 +187,10 @@ class TestIngestion:
         assert np.allclose(w.t, np.arange(5) / 4)
 
     def test_stable_tie_order(self):
-        x = np.array([[1.0], [2.0], [3.0]])
-        w = ingest_window(x, [0.5, 0.5, 0.5], rescale=False)
-        assert np.array_equal(w.x[:, 0], [1.0, 2.0, 3.0])
+        x = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
+        w = ingest_window(x, [0.5, 0.5, 1.0, 0.5, 0.0])
+        assert np.array_equal(w.t, [0.0, 0.5, 0.5, 0.5, 1.0])
+        assert np.array_equal(w.x[:, 0], [5.0, 1.0, 2.0, 4.0, 3.0])
 
     def test_constant_timestamps_rejected(self):
         with pytest.raises(DataError):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidSplitError, ParameterError
 from .histograms import CumulativeHistogram, histogram_metric
-from .moment_tree import MomentTreeConfig, VARIANT_RF, fit_moment_forest, truncate_reference
+from .moment_tree import MomentTreeConfig, VARIANT_RF, fit_moment_forest, fit_moment_forests, truncate_reference
 from .neighbor_kernel import (
     build_kernel_gram,
     build_neighbor_graph,
@@ -46,12 +46,6 @@ class DriftVerdict:
     max_stat: float
     p_value: float | None = None
     detected: bool | None = None
-
-    def precision(self, t0: float, w: Window) -> float:
-        """1 minus the sample mass strictly between t0 and the estimate."""
-        lo, hi = sorted((t0, self.t_hat))
-        between = np.count_nonzero((w.t > lo) & (w.t <= hi)) if hi > lo else 0
-        return 1.0 - between / len(w)
 
 
 class Descriptor:
@@ -206,12 +200,25 @@ class MomentForestEstimator(Estimator):
         self.skip_fraction = skip_fraction
         self.metric = histogram_metric(metric) if isinstance(metric, str) else metric
 
-    def fit(self, w: Window, seed=None, drift_time: float | None = None) -> Descriptor:
-        train = w
+    def _train(self, w: Window, drift_time: float | None) -> Window:
         if self.skip_fraction > 0.0:
-            train = truncate_reference(w, self.skip_fraction, drift_time=drift_time)
-        forest = fit_moment_forest(train, self.n_trees, self.config, as_generator(seed), self.variant)
+            return truncate_reference(w, self.skip_fraction, drift_time=drift_time)
+        return w
+
+    def fit(self, w: Window, seed=None, drift_time: float | None = None) -> Descriptor:
+        forest = fit_moment_forest(self._train(w, drift_time), self.n_trees, self.config, seed, self.variant)
         return _ForestDescriptor(forest, w, self.metric)
+
+    def fit_each(self, windows, seeds, drift_times):
+        """The descriptor of each window, window i fitted from ``seeds[i]``.
+
+        The forests grow in lockstep (``fit_moment_forests``) and equal what
+        ``fit`` gives each window alone; the descriptors, which hold the leaf
+        histograms, are built one at a time as they are asked for.
+        """
+        trains = [self._train(w, t) for w, t in zip(windows, drift_times)]
+        forests = fit_moment_forests(trains, self.n_trees, self.config, seeds, self.variant)
+        return (_ForestDescriptor(forest, w, self.metric) for forest, w in zip(forests, windows))
 
 
 class _KnnDescriptor(Descriptor):

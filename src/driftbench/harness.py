@@ -5,7 +5,8 @@ Each repetition samples a window with one abrupt drift at 50% plus its
 timestamp-permuted counterpart, fits one descriptor per window and
 evaluates the statistic at all configured split positions.  Repetitions
 use seeds derived from (master seed, dataset, estimator, index), so grids
-are reproducible and order-independent.
+are reproducible and order-independent; a cell runs them in blocks, which
+lets the moment forests of a block grow in lockstep.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ GRID_POSITIONS = (0.50, 0.53, 0.56, 0.62, 0.75)
 GRID_OFFSETS = (0.0, 0.125, 0.25)
 DRIFT_POSITION = 0.50
 DESK_REPETITIONS = 200
+#: Repetitions of a cell drawn and fitted together (moment forests grow in
+#: lockstep across a block).
+REPETITION_BLOCK = 16
 
 
 def _moment_estimator(variant):
@@ -160,6 +164,15 @@ class ExperimentConfig:
         object.__setattr__(self, "split_positions", tuple(float(p) for p in self.split_positions))
         if self.repetitions < 1 or self.n < 4:
             raise ParameterError("repetitions and n must be positive (n >= 4)")
+        if self.metric.lower() not in METRICS:
+            raise ParameterError(f"unknown metric {self.metric!r}; known: {list(METRICS)}")
+        for kind, ids, known in (
+            ("estimator", self.estimators, ESTIMATOR_BUILDERS),
+            ("dataset", self.datasets, DATASET_BUILDERS),
+        ):
+            bad = [i for i in ids if i not in known]
+            if bad:
+                raise ParameterError(f"unknown {kind} ids {bad}; known: {sorted(known)}")
         if DRIFT_POSITION not in self.split_positions:
             raise ParameterError(f"split_positions must include the drift position {DRIFT_POSITION}")
         if not self.custom:
@@ -277,13 +290,15 @@ def _fmt(v) -> str:
     return "" if v is None else f"{v:.4f}"
 
 
-def evaluate_pair(estimator: Estimator, pw, positions, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Statistics of the drift window and its permuted twin at all positions."""
-    drift_desc = estimator.fit(pw.drifting, rng, drift_time=pw.t0)
-    drift_stats = drift_desc.statistics_at(positions)
-    perm_desc = estimator.fit(pw.permuted, rng, drift_time=pw.t0)
-    perm_stats = perm_desc.statistics_at(positions)
-    return np.asarray(drift_stats, dtype=float), np.asarray(perm_stats, dtype=float)
+def _descriptors(estimator: Estimator, windows, rngs, drift_times):
+    """Each window's descriptor in turn, window i fitted from ``rngs[i]``.
+
+    Moment forests grow in lockstep over all the windows; any other
+    estimator fits them one by one as they are asked for.
+    """
+    if isinstance(estimator, MomentForestEstimator):
+        return estimator.fit_each(windows, rngs, drift_times)
+    return (estimator.fit(w, rng, drift_time=t) for w, rng, t in zip(windows, rngs, drift_times))
 
 
 def _effective_positions(positions, offset: float) -> np.ndarray:
@@ -295,20 +310,32 @@ def _effective_positions(positions, offset: float) -> np.ndarray:
 
 
 def collect_records(cfg: ExperimentConfig, dataset_id: str, estimator_id: str) -> EvalRecords:
-    """Run all repetitions of one (dataset, estimator) cell."""
+    """Run all repetitions of one (dataset, estimator) cell.
+
+    Repetitions run in blocks of REPETITION_BLOCK.  Each repetition draws its
+    window pair, then its drift window's fit, then its permuted window's fit
+    from its own generator, so blocking changes no draw.  A block draws all
+    its pairs, fits the drift windows, then the permuted windows, and each
+    descriptor is evaluated at every position and dropped before the next.
+    """
     params = cfg.estimator_params.get(estimator_id, {})
     estimator = make_estimator(estimator_id, cfg.metric, params)
-    m = len(cfg.split_positions)
     reps = cfg.repetitions
-    drift = np.empty((reps, m))
-    perm = np.empty((reps, m))
+    drift = np.empty((reps, len(cfg.split_positions)))
+    perm = np.empty_like(drift)
     eff_positions = _effective_positions(cfg.split_positions, cfg.offset)
     ds_params = cfg.dataset_params.get(dataset_id, {})
-    for rep in range(reps):
-        rng = as_generator(derive_seed(cfg.seed, dataset_id, estimator_id, rep))
-        before, after = make_concept_pair(dataset_id, rng, ds_params, cfg.noise_dims)
-        pw = make_paired(before, after, cfg.n, DRIFT_POSITION, cfg.offset, rng)
-        drift[rep], perm[rep] = evaluate_pair(estimator, pw, eff_positions, rng)
+    for start in range(0, reps, REPETITION_BLOCK):
+        block = range(start, min(start + REPETITION_BLOCK, reps))
+        rngs = [as_generator(derive_seed(cfg.seed, dataset_id, estimator_id, rep)) for rep in block]
+        pairs = []
+        for rng in rngs:
+            before, after = make_concept_pair(dataset_id, rng, ds_params, cfg.noise_dims)
+            pairs.append(make_paired(before, after, cfg.n, DRIFT_POSITION, cfg.offset, rng))
+        drift_times = [pw.t0 for pw in pairs]
+        for out, windows in ((drift, [pw.drifting for pw in pairs]), (perm, [pw.permuted for pw in pairs])):
+            for rep, descriptor in zip(block, _descriptors(estimator, windows, rngs, drift_times)):
+                out[rep] = descriptor.statistics_at(eff_positions)
     return EvalRecords(cfg.split_positions, drift, perm)
 
 

@@ -127,6 +127,16 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
 
+    @pytest.mark.parametrize("line", ["metric = bogus", "estimators = marg, nope", "datasets = nope"])
+    def test_unknown_id_is_usage_error_before_any_cell(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"repetitions = 2\n{line}\n")
+        out_dir = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert "unknown" in captured.err and captured.out == ""
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("line", ["estimator.rf = 3", "n = abc", "split_positions = 0.5, x"])
     def test_malformed_config_line_is_usage_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "bench.cfg"

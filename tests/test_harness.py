@@ -206,8 +206,11 @@ class TestRunGrid:
     def test_metric_name_checked_for_every_estimator(self):
         cfg = dataclasses.replace(SMALL, estimators=("mmd", "ldd", "marg"), repetitions=2, metric="hellinger")
         assert [c.status for c in run_grid(cfg).cells] == ["ok"] * 3
-        table = run_grid(dataclasses.replace(cfg, metric="bogus"))
-        assert all(c.status == "failed" and "unknown metric" in c.error for c in table.cells)
+        with pytest.raises(ParameterError, match="unknown metric"):
+            dataclasses.replace(cfg, metric="bogus")
+        for estimator_id in cfg.estimators:
+            with pytest.raises(ParameterError, match="unknown metric"):
+                make_estimator(estimator_id, "bogus")
 
     def test_unexpected_error_propagates(self, monkeypatch):
         class Broken:
@@ -268,6 +271,18 @@ class TestConfigValidation:
     def test_unknown_estimator_rejected_at_runtime(self):
         with pytest.raises(ParameterError):
             make_estimator("nope")
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("metric", "bogus", "unknown metric"),
+            ("estimators", ("marg", "nope"), "unknown estimator ids \\['nope'\\]"),
+            ("datasets", ("sea", "nope"), "unknown dataset ids \\['nope'\\]"),
+        ],
+    )
+    def test_unknown_ids_rejected_before_any_cell(self, field, value, message):
+        with pytest.raises(ParameterError, match=message):
+            dataclasses.replace(SMALL, **{field: value})
 
     def test_unknown_parameter_is_parameter_error(self):
         with pytest.raises(ParameterError, match="estimator 'marg'"):

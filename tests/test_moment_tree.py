@@ -1,17 +1,25 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from driftbench import harness
 from driftbench.detector import MomentForestEstimator
 from driftbench.errors import InvalidSplitError, ParameterError
 from driftbench.histograms import histogram_metric
 from driftbench.moment_tree import (
+    CANDIDATE_NODE_SIZE,
+    MAX_CANDIDATES,
+    MIN_SPLIT_SCORE,
     MomentTreeConfig,
     VARIANT_DT,
     VARIANT_RF,
     fit_moment_forest,
+    fit_moment_forests,
     fit_moment_tree,
     truncate_reference,
 )
+from driftbench.partitions import Provenance, _TreeBuilder
 from driftbench.windows import Window
 
 
@@ -204,3 +212,208 @@ class TestArrivalTimeRespecting:
             lambda w: build_kdq_tree(w, min_side=0.2, min_count=4),
         ):
             assert build(w_orig).to_dict() == build(w_swapped).to_dict()
+
+
+# ---------------------------------------------------------------------------
+# reference: the recursive grower that sorts every feature at every node
+
+
+def _reference_best_split(x, t_pows, idx, features, config):
+    m = len(idx)
+    best_score, best = MIN_SPLIT_SCORE, None
+    for f in features:
+        v = x[idx, f]
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        ts = t_pows[idx[order]]
+        prefix = np.cumsum(ts, axis=0)
+        total = prefix[-1]
+        cuts = np.arange(config.min_leaf, m - config.min_leaf + 1)
+        cuts = cuts[vs[cuts - 1] < vs[cuts]]
+        if len(cuts) == 0:
+            continue
+        if m > CANDIDATE_NODE_SIZE and len(cuts) > MAX_CANDIDATES:
+            sel = np.unique(np.round(np.linspace(0, len(cuts) - 1, MAX_CANDIDATES)).astype(int))
+            cuts = cuts[sel]
+        mean_l = prefix[cuts - 1] / cuts[:, None]
+        mean_r = (total - prefix[cuts - 1]) / (m - cuts)[:, None]
+        weight = cuts * (m - cuts) / m**2
+        scores = weight * ((mean_l - mean_r) ** 2).sum(axis=1)
+        j = int(np.argmax(scores))
+        if scores[j] > best_score:
+            best_score = float(scores[j])
+            best = (int(f), 0.5 * (vs[cuts[j] - 1] + vs[cuts[j]]))
+    return best
+
+
+def _reference_tree(x, t, config, rng, feature_subsample, provenance):
+    n, d = x.shape
+    t_pows = np.column_stack([t**k for k in range(1, config.degree + 1)])
+    n_sub = max(1, int(np.ceil(np.sqrt(d)))) if feature_subsample else d
+    builder = _TreeBuilder()
+
+    def recurse(node, idx, depth):
+        if depth >= config.max_depth or len(idx) < 2 * config.min_leaf:
+            return
+        if feature_subsample and n_sub < d:
+            features = rng.permutation(d)[:n_sub]
+        else:
+            features = np.arange(d)
+        split = _reference_best_split(x, t_pows, idx, features, config)
+        if split is None:
+            return
+        f, thr = split
+        mask = x[idx, f] <= thr
+        lc, rc = builder.set_split(node, f, thr)
+        recurse(lc, idx[mask], depth + 1)
+        recurse(rc, idx[~mask], depth + 1)
+
+    recurse(builder.add_node(), np.arange(n), 0)
+    return builder.finish(provenance)
+
+
+def reference_forest(w, n_trees, config, seed, variant):
+    """to_dict() of every tree the recursive grower fits, in order."""
+    rng = np.random.default_rng(seed)
+    docs = []
+    for i in range(n_trees):
+        prov = Provenance("moment_tree", None, {"tree": i, "variant": variant, "degree": config.degree})
+        x, t = w.x, w.t
+        if variant == VARIANT_RF:
+            idx = rng.integers(0, len(w), size=len(w))
+            x, t = x[idx], t[idx]
+        doc = _reference_tree(x, t, config, rng, variant == VARIANT_RF, prov).to_dict()
+        doc["kind"] = "moment_tree"
+        docs.append(doc)
+    return docs
+
+
+def assert_forest_equals_reference(forest, w, n_trees, config, seed, variant):
+    expected = reference_forest(w, n_trees, config, seed, variant)
+    got = [tree.to_dict() for tree in forest.trees]
+    assert got == expected
+    for tree, doc in zip(forest.trees, expected):
+        leaf = np.array(doc["feature"]) < 0
+        assert np.array_equal(tree.partition.threshold[~leaf], np.array(doc["threshold"], dtype=float)[~leaf])
+
+
+def random_window(seed, n, d, ties=False):
+    rng = np.random.default_rng(seed)
+    if ties:
+        x = rng.integers(0, 4, size=(n, d)).astype(float)
+        t = np.round(rng.uniform(0, 1, n), 1)
+    else:
+        x = rng.normal(size=(n, d)) + np.linspace(0, 1, n)[:, None]
+        t = rng.uniform(0, 1, n)
+    order = np.argsort(t, kind="stable")
+    return Window(x[order], t[order])
+
+
+class TestLockstepGrowerMatchesRecursion:
+    @pytest.mark.parametrize("variant", [VARIANT_RF, VARIANT_DT])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 7, 8, 9])
+    def test_forests_equal_across_degrees(self, variant, degree):
+        config = MomentTreeConfig(degree=degree, min_leaf=3, max_depth=12)
+        for seed, d in ((degree, 2), (10 + degree, 3), (20 + degree, 5)):
+            w = random_window(seed, 120, d)
+            forest = fit_moment_forest(w, 4, config, seed=seed, variant=variant)
+            assert_forest_equals_reference(forest, w, 4, config, seed, variant)
+
+    @pytest.mark.parametrize("variant", [VARIANT_RF, VARIANT_DT])
+    def test_large_nodes_thin_their_candidates_exactly(self, variant):
+        config = MomentTreeConfig(degree=2, min_leaf=1, max_depth=12)
+        w = random_window(7, 300, 3)
+        forest = fit_moment_forest(w, 3, config, seed=7, variant=variant)
+        assert_forest_equals_reference(forest, w, 3, config, 7, variant)
+
+    @pytest.mark.parametrize("variant", [VARIANT_RF, VARIANT_DT])
+    def test_tied_values_and_timestamps(self, variant):
+        for min_leaf in (1, 3, 10):
+            config = MomentTreeConfig(degree=2, min_leaf=min_leaf, max_depth=12)
+            w = random_window(min_leaf, 150, 3, ties=True)
+            forest = fit_moment_forest(w, 5, config, seed=min_leaf, variant=variant)
+            assert_forest_equals_reference(forest, w, 5, config, min_leaf, variant)
+
+    def test_single_tree_equals_recursion(self):
+        config = MomentTreeConfig(degree=3, min_leaf=2, max_depth=12)
+        w = random_window(3, 200, 4)
+        prov = Provenance("moment_tree", None, {"degree": 3, "max_depth": 12, "min_leaf": 2})
+        expected = _reference_tree(w.x, w.t, config, None, False, prov).to_dict()
+        expected["kind"] = "moment_tree"
+        assert fit_moment_tree(w, config, seed=0).to_dict() == expected
+
+    def test_midpoint_rounding_onto_the_upper_value(self):
+        # the midpoint of these adjacent floats rounds up onto b, so the
+        # split sends every b to the left child, as the recursion does
+        a = np.nextafter(1.0, 2.0)
+        b = np.nextafter(a, 2.0)
+        assert 0.5 * (a + b) == b
+        x = np.concatenate([np.full(20, a), np.full(20, b), np.linspace(2.0, 3.0, 20)])
+        t = np.concatenate([np.linspace(0.0, 0.3, 20), np.linspace(0.35, 0.6, 20), np.linspace(0.65, 1.0, 20)])
+        w = window(x, t)
+        config = MomentTreeConfig(degree=1, min_leaf=2, max_depth=6)
+        for variant in (VARIANT_DT, VARIANT_RF):
+            forest = fit_moment_forest(w, 3, config, seed=1, variant=variant)
+            assert all(np.any(tree.partition.threshold == b) for tree in forest.trees)
+            assert_forest_equals_reference(forest, w, 3, config, 1, variant)
+
+    @pytest.mark.parametrize("variant", [VARIANT_RF, VARIANT_DT])
+    def test_batch_equals_one_window_at_a_time(self, variant):
+        config = MomentTreeConfig(degree=2, min_leaf=5, max_depth=8)
+        windows = [random_window(s, 60 + 13 * s, 1 + s % 4, ties=s % 3 == 0) for s in range(9)]
+        batch = fit_moment_forests(windows, 6, config, [np.random.default_rng(s) for s in range(9)], variant)
+        rngs = [np.random.default_rng(s) for s in range(9)]
+        for s, (w, forest) in enumerate(zip(windows, batch)):
+            alone = fit_moment_forest(w, 6, config, seed=rngs[s], variant=variant)
+            assert [t.to_dict() for t in forest.trees] == [t.to_dict() for t in alone.trees]
+            assert_forest_equals_reference(forest, w, 6, config, s, variant)
+        # the batch leaves each generator where a lone fit leaves it
+        after = [np.random.default_rng(s) for s in range(9)]
+        fit_moment_forests(windows, 6, config, after, variant)
+        assert [r.random() for r in after] == [r.random() for r in rngs]
+
+    def test_shared_generator_rejected(self):
+        rng = np.random.default_rng(0)
+        w = random_window(0, 40, 2)
+        with pytest.raises(ParameterError):
+            fit_moment_forests([w, w], 2, None, [rng, rng])
+
+    @pytest.mark.parametrize("estimator_id", ["rf", "dt", "marg"])
+    def test_records_across_blocks_equal_one_repetition_at_a_time(self, monkeypatch, estimator_id):
+        monkeypatch.setattr(harness, "REPETITION_BLOCK", 4)
+        cfg = harness.ExperimentConfig(
+            datasets=("sea",), estimators=(estimator_id,), n=100, repetitions=10, seed=11
+        )
+        records = harness.collect_records(cfg, "sea", estimator_id)
+        estimator = harness.make_estimator(estimator_id)
+        positions = np.asarray(cfg.split_positions)
+        for rep in range(cfg.repetitions):
+            rng = np.random.default_rng(harness.derive_seed(cfg.seed, "sea", estimator_id, rep))
+            before, after = harness.make_concept_pair("sea", rng)
+            pw = harness.make_paired(before, after, cfg.n, harness.DRIFT_POSITION, 0.0, rng)
+            drift = estimator.fit(pw.drifting, rng, drift_time=pw.t0).statistics_at(positions)
+            perm = estimator.fit(pw.permuted, rng, drift_time=pw.t0).statistics_at(positions)
+            assert np.array_equal(records.drift[rep], drift)
+            assert np.array_equal(records.perm[rep], perm)
+
+    def test_forest_statistics_equal_reference_trees(self):
+        from driftbench.detector import _ForestDescriptor
+        from driftbench.partitions import TreePartition
+
+        config = MomentTreeConfig()
+        w = random_window(5, 150, 3)
+        desc = MomentForestEstimator(16, VARIANT_RF, config).fit(w, seed=5)
+        ts = np.unique(w.t)[1:-2]
+        reference_trees = [
+            TreePartition(
+                feature=np.array(doc["feature"]),
+                threshold=np.array([np.nan if v is None else v for v in doc["threshold"]]),
+                left=np.array(doc["left"]),
+                right=np.array(doc["right"]),
+                cell=np.array(doc["cell"]),
+                provenance=None,
+            )
+            for doc in reference_forest(w, 16, config, 5, VARIANT_RF)
+        ]
+        reference = _ForestDescriptor(dataclasses.replace(desc.forest, trees=reference_trees), w, desc.metric)
+        assert np.array_equal(desc.statistics_at(ts), reference.statistics_at(ts))

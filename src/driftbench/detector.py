@@ -4,6 +4,8 @@ An estimator pairs a descriptor builder (fitted once per window) with a
 similarity that can be evaluated at any split point.  ``statistics_at``
 maps split times to ranks (the number of samples at or before the split)
 and rejects an empty side for every descriptor, which works on ranks.
+A binning or tree descriptor holds one stacked cell map of its partitions
+and one cumulative histogram over it, and runs the metric per partition.
 Scanning all candidate splits yields a statistic trace, the arg-max split
 estimate and, after permutation normalization, a p-value.
 """
@@ -25,6 +27,7 @@ from .neighbor_kernel import (
     mmds_from_gram,
 )
 from .partitions import (
+    PartitionStack,
     build_grid,
     build_kdq_tree,
     build_marginal,
@@ -88,7 +91,7 @@ class Estimator:
 
 
 class _PartitionDescriptor(Descriptor):
-    """Cumulative cell histograms of the window, one per partition; several
+    """One cumulative histogram over a stack of partitions; several
     independent binnings act as one descriptor via the max."""
 
     _combine, _start = np.maximum, -np.inf
@@ -97,14 +100,16 @@ class _PartitionDescriptor(Descriptor):
         self.window = w
         self.metric = metric
         self.partitions = list(partitions)
-        self._hists = [CumulativeHistogram.from_window(p, w) for p in self.partitions]
+        stack = PartitionStack(self.partitions)
+        self._hist = CumulativeHistogram.from_window(stack, w)
+        self._slices = [slice(lo, lo + size) for lo, size in zip(stack.offsets, stack.sizes)]
 
     def _statistics(self, ranks):
         acc = np.full(len(ranks), self._start)
         # in place and in partition order: the forest's sum stays sequential
-        for h in self._hists:
-            before = h.counts_before_ranks(ranks)
-            self._combine(acc, self.metric(before, h.totals[:, None] - before), out=acc)
+        for cells in self._slices:
+            before = self._hist.counts_before_ranks(ranks, cells)
+            self._combine(acc, self.metric(before, self._hist.totals[cells, None] - before), out=acc)
         return acc
 
 
@@ -118,7 +123,7 @@ class _ForestDescriptor(_PartitionDescriptor):
         self.forest = forest
 
     def _statistics(self, ranks):
-        return super()._statistics(ranks) / len(self._hists)
+        return super()._statistics(ranks) / len(self._slices)
 
 
 class PartitionEstimator(Estimator):

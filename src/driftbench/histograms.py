@@ -1,22 +1,21 @@
 """Cumulative cell histograms and discrete-distribution divergences.
 
 The cumulative histogram stores, per cell, prefix counts over arrival
-order.  After the one-off build, the before/after histograms of any split
-point come from a prefix subtraction whose cost depends on the number of
+order; a descriptor builds one over the stacked cells of all its
+partitions.  After that one build, the before/after histograms of any
+split come from a prefix subtraction whose cost depends on the number of
 cells, not the window length; that is what makes every binning and tree
 descriptor cheap to scan over all candidate split points.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import InvalidSplitError, ParameterError
 from .windows import Window
 
-# Above this many prefix entries (cells * (n+1)) the dense matrix is
+# Above this many prefix entries (cells * (n+1)) in any row of cells, the dense matrix is
 # replaced by per-cell sorted arrival ranks; lookups stay equivalent.
 DENSE_PREFIX_LIMIT = 2_000_000
 
@@ -26,59 +25,63 @@ class CumulativeHistogram:
 
     Parameters
     ----------
-    cells : int array of shape (n,)
-        Cell index of each sample, aligned with ``times``.
+    cells : int array of shape (n,) or (P, n)
+        Cell index of each sample, aligned with ``times``; each row of a 2-D
+        array adds one count per sample, in ids above the earlier rows'.
     times : float array of shape (n,)
         Sorted, non-decreasing timestamps.
-    n_cells : int
-        Total number of cells (>= cells.max() + 1).
+    n_cells : int, or one int per row of 2-D ``cells``
+        Number of cells (of each row).
     """
 
-    def __init__(self, cells, times, n_cells: int):
+    def __init__(self, cells, times, n_cells):
         cells = np.asarray(cells, dtype=np.int64)
         times = np.asarray(times, dtype=float)
-        if cells.shape != times.shape or cells.ndim != 1:
-            raise ParameterError("cells and times must be aligned 1-D arrays")
+        rows = cells if cells.ndim == 2 else cells[None]
+        sizes = np.reshape(np.asarray(n_cells, dtype=np.int64), -1)
+        if times.ndim != 1 or rows.shape != (len(sizes), len(times)):
+            raise ParameterError("cells and times must be aligned, with one n_cells per row of cells")
         if len(times) and np.any(np.diff(times) < 0):
             raise ParameterError("times must be sorted non-decreasing")
-        if len(cells) and (cells.min() < 0 or cells.max() >= n_cells):
+        lo = (np.cumsum(sizes) - sizes)[:, None]
+        if np.any((rows < lo) | (rows >= lo + sizes[:, None])):
             raise ParameterError("cell index out of range")
-        self.n = len(cells)
-        self.n_cells = int(n_cells)
+        self.n = len(times)
+        self.n_cells = int(sizes.sum())
         self.times = times
-        self.totals = np.bincount(cells, minlength=self.n_cells).astype(np.int64)
-        if self.n_cells * (self.n + 1) <= DENSE_PREFIX_LIMIT:
-            prefix = np.zeros((self.n_cells, self.n + 1), dtype=np.int32)
-            if self.n:
-                np.add.at(prefix, (cells, np.arange(self.n) + 1), 1)
-                np.cumsum(prefix, axis=1, out=prefix)
-            self._prefix = prefix
-            self._ranks = None
+        self.totals = np.bincount(rows.ravel(), minlength=self.n_cells).astype(np.int64)
+        # dense only if each row's own prefix would be, so a stack of
+        # partitions never holds more than their separate prefixes
+        self._prefix = self._ranks = None
+        if sizes.max(initial=0) * (self.n + 1) <= DENSE_PREFIX_LIMIT:
+            self._prefix = np.zeros((self.n_cells, self.n + 1), dtype=np.int32)
+            # rows own disjoint cells, so no (cell, rank) entry is hit twice
+            self._prefix[rows, np.arange(1, self.n + 1)] = 1
+            np.cumsum(self._prefix, axis=1, out=self._prefix)
         else:
-            order = np.argsort(cells, kind="stable")
-            bounds = np.cumsum(self.totals)[:-1]
-            self._ranks = np.split(order.astype(np.int64), bounds)
-            self._prefix = None
+            order = np.argsort(rows.ravel(), kind="stable") % max(self.n, 1)
+            self._ranks = np.split(order, np.cumsum(self.totals)[:-1])
 
     @classmethod
     def from_window(cls, partition, w: Window) -> "CumulativeHistogram":
-        """Assign ``w``'s samples to ``partition``'s cells and accumulate."""
-        return cls(partition.cell_of(w.x), w.t, partition.n_cells)
+        """Assign ``w``'s samples to ``partition``'s cells (one row per partition of a stack) and accumulate."""
+        return cls(partition.cell_of(w.x), w.t, getattr(partition, "sizes", partition.n_cells))
 
-    def counts_before_ranks(self, ranks) -> np.ndarray:
-        """Cell counts among the first ``rank`` arrivals, per queried rank.
+    def counts_before_ranks(self, ranks, cells: slice = slice(None)) -> np.ndarray:
+        """Counts of the cells in ``cells`` among the first ``rank`` arrivals, per queried rank.
 
-        Returns an array of shape (n_cells, len(ranks)).
+        Returns an array of shape (number of cells, len(ranks)).
         """
         ranks = np.atleast_1d(np.asarray(ranks, dtype=np.int64))
         if len(ranks) and (ranks.min() < 0 or ranks.max() > self.n):
             raise ParameterError("rank out of range")
         if self._prefix is not None:
-            return self._prefix[:, ranks].astype(np.int64)
+            return self._prefix[cells, ranks].astype(np.int64)
         # column-major like the dense path's gather, so the metrics' sums
         # over cells run in the same order on both paths
-        out = np.empty((self.n_cells, len(ranks)), dtype=np.int64, order="F")
-        for c, cell_ranks in enumerate(self._ranks):
+        lists = self._ranks[cells]
+        out = np.empty((len(lists), len(ranks)), dtype=np.int64, order="F")
+        for c, cell_ranks in enumerate(lists):
             out[c] = np.searchsorted(cell_ranks, ranks, side="left")
         return out
 
@@ -167,8 +170,6 @@ def jensen_shannon(p, q) -> float | np.ndarray:
     js2 = 0.5 * kl_divergence(p, m) + 0.5 * kl_divergence(q, m)
     return np.sqrt(np.maximum(js2, 0.0))
 
-
-JS_MAX = math.sqrt(math.log(2.0))
 
 #: Laplace pseudo-count per cell count for KL used as a drift statistic.
 KL_SMOOTHING = 0.5

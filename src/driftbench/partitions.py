@@ -4,7 +4,8 @@ Builders: per-feature marginal binning, full grids, random-projection
 binning, random trees and kdq-trees.  Every builder is deterministic given
 (window, config, seed); the resulting partitions are immutable, map any
 point to a cell (out-of-range values land in the nearest boundary cell)
-and serialize to plain dicts.
+and serialize to plain dicts.  ``PartitionStack`` maps points through all
+of a descriptor's partitions at once.
 """
 
 from __future__ import annotations
@@ -153,17 +154,7 @@ class TreePartition(Partition):
         return int(self.cell.max()) + 1
 
     def cell_of(self, X) -> np.ndarray:
-        X = _as_matrix(X)
-        node = np.zeros(len(X), dtype=np.int64)
-        while True:
-            feats = self.feature[node]
-            active = np.flatnonzero(feats >= 0)
-            if len(active) == 0:
-                break
-            cur = node[active]
-            go_left = X[active, self.feature[cur]] <= self.threshold[cur]
-            node[active] = np.where(go_left, self.left[cur], self.right[cur])
-        return self.cell[node]
+        return _walk_trees([self], _as_matrix(X))[0]
 
     def to_dict(self) -> dict:
         return {
@@ -213,6 +204,47 @@ class _TreeBuilder:
             cell=cell,
             provenance=provenance,
         )
+
+
+def _walk_trees(trees, X: np.ndarray) -> np.ndarray:
+    """Leaf cell of every row of ``X`` in each tree, shape (len(trees), n): all
+    trees descend at once over their concatenated nodes, each leaf its own child."""
+    n, d = X.shape
+    starts = np.cumsum([0] + [len(t.feature) for t in trees])
+    fields = ("feature", "threshold", "left", "right", "cell")
+    feature, threshold, left, right, cell = (np.concatenate([getattr(t, f) for t in trees]) for f in fields)
+    inner = feature >= 0
+    shift = np.repeat(starts[:-1], np.diff(starts))
+    # child[2 * node + goes_left]
+    child = np.where(inner, np.stack([right + shift, left + shift]), np.arange(len(inner))).T.ravel()
+    feature = np.where(inner, feature, 0)
+    x = X.ravel()
+    offset = np.tile(np.arange(n) * d, len(trees))
+    node = np.repeat(starts[:-1], n)
+    while inner[node].any():
+        node = child[2 * node + (x[offset + feature[node]] <= threshold[node])]
+    return cell[node].reshape(len(trees), n)
+
+
+class PartitionStack(Partition):
+    """Several partitions as one: ``cell_of`` gives a (P, n) array whose row i
+    is partition i's cells plus ``offsets[i]``, the cell count of the ones
+    before it.  All trees (moment trees through ``.partition``) share one
+    walk; other partitions map points with their own ``cell_of``."""
+
+    def __init__(self, partitions):
+        self.partitions = [getattr(p, "partition", p) for p in partitions]
+        self.sizes = [p.n_cells for p in self.partitions]
+        self.offsets = np.cumsum([0] + self.sizes)[:-1]
+        self.n_cells = int(sum(self.sizes))
+
+    def cell_of(self, X) -> np.ndarray:
+        X = _as_matrix(X)
+        is_tree = [isinstance(p, TreePartition) for p in self.partitions]
+        trees = [p for p, tree in zip(self.partitions, is_tree) if tree]
+        walked = iter(_walk_trees(trees, X) if trees else ())
+        rows = [next(walked) if tree else p.cell_of(X) for p, tree in zip(self.partitions, is_tree)]
+        return np.array(rows, dtype=np.int64).reshape(len(rows), len(X)) + self.offsets[:, None]
 
 
 def _require_window(w: Window):

@@ -238,6 +238,8 @@ def window_from_csv(path) -> Window:
             raise DataError(f"{path}: empty file (header required)") from None
         header = [h.strip() for h in header]
         rows = [row for row in reader if row]
+    if len(set(header)) < len(header):
+        raise DataError(f"{path}: repeated column name(s) {sorted({h for h in header if header.count(h) > 1})}")
     if not rows:
         raise DataError(f"{path}: no data rows")
     if any(len(row) != len(header) for row in rows):

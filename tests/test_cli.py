@@ -30,6 +30,14 @@ class TestDetect:
         code = main(["detect", "--csv", "/nonexistent.csv", "--estimator", "marg"])
         assert code == 2
 
+    def test_repeated_column_name_is_data_error(self, tmp_path, capsys):
+        rows = ["x,x,t"] + [f"{i},{-i},{i}" for i in range(150)]
+        path = tmp_path / "repeated.csv"
+        path.write_text("\n".join(rows) + "\n")
+        code = main(["detect", "--csv", str(path), "--estimator", "marg", "--perms", "19"])
+        assert code == 2
+        assert "repeated column name(s) ['x']" in capsys.readouterr().err
+
     @pytest.mark.parametrize("estimator", ["knn_kl", "mmd"])
     def test_nan_feature_is_data_error(self, tmp_path, capsys, estimator):
         rng = np.random.default_rng(0)

@@ -14,7 +14,7 @@ from driftbench.detector import (
 )
 from driftbench.errors import DataError, InvalidSplitError, ParameterError
 from driftbench.harness import ESTIMATOR_BUILDERS, make_estimator
-from driftbench.histograms import histogram_metric
+from driftbench.histograms import CumulativeHistogram, histogram_metric
 from driftbench.partitions import build_random_tree
 from driftbench.windows import Window, candidate_split_times, make_paired
 
@@ -175,6 +175,48 @@ class TestDescriptorProtocol:
                     mp.setattr(histograms, "DENSE_PREFIX_LIMIT", 0)
                     ranked = make_estimator(estimator_id, metric).fit(w, seed=5).statistics_at(ts)
                 assert np.array_equal(ranked, dense), (estimator_id, metric)
+
+
+def per_partition_statistics(desc, ranks):
+    """A partition descriptor's statistics from one cumulative histogram per
+    partition: max over binnings, sequential sum over trees, then the mean."""
+    forest = hasattr(desc, "forest")
+    parts = desc.forest.trees if forest else desc.partitions
+    acc = np.zeros(len(ranks)) if forest else np.full(len(ranks), -np.inf)
+    for part in parts:
+        h = CumulativeHistogram.from_window(part, desc.window)
+        before = h.counts_before_ranks(ranks)
+        (np.add if forest else np.maximum)(acc, desc.metric(before, h.totals[:, None] - before), out=acc)
+    return acc / len(parts) if forest else acc
+
+
+class TestStackedDescriptor:
+    """One stacked histogram per descriptor gives the bits of one per partition."""
+
+    @pytest.fixture(scope="class")
+    def windows(self):
+        rng = np.random.default_rng(23)
+        tied = np.round(np.sort(rng.uniform(0, 1, 160)), 2)
+        return {
+            "plain": make_paired(BLOCK_BEFORE, BLOCK_AFTER, 150, seed=4).drifting,
+            "3-d tied": Window(rng.normal(size=(160, 3)), tied),
+            "1-d tied": Window(rng.normal(size=(160, 1)), tied),
+        }
+
+    @pytest.mark.parametrize("estimator_id", ["dt", "grid", "kdq", "marg", "pca", "rf", "rnd_pj", "rnd_tree"])
+    def test_equals_per_partition_reference(self, windows, estimator_id, monkeypatch):
+        from driftbench import histograms
+
+        for limit in (histograms.DENSE_PREFIX_LIMIT, 0):
+            monkeypatch.setattr(histograms, "DENSE_PREFIX_LIMIT", limit)
+            for name, w in windows.items():
+                ts = candidate_split_times(w)
+                ranks = np.searchsorted(w.t, ts, side="right")
+                for metric in ("tv", "hellinger", "js", "kl"):
+                    desc = make_estimator(estimator_id, metric).fit(w, seed=9)
+                    assert (desc._hist._prefix is None) == (limit == 0)
+                    got = desc.statistics_at(ts)
+                    assert np.array_equal(got, per_partition_statistics(desc, ranks)), (name, metric, limit)
 
 
 class TestPermutationNormalize:

@@ -18,8 +18,22 @@ from driftbench.histograms import (
 )
 from driftbench.windows import Window
 
+#: Upper bound of the Jensen-Shannon metric with the natural log.
+JS_MAX = math.sqrt(math.log(2.0))
+
 
 class TestCumulativeHistogram:
+    def test_stacked_rows_keep_to_their_ranges(self):
+        times = [0.1, 0.5, 0.9]
+        ch = CumulativeHistogram([[0, 1, 1], [2, 4, 3]], times, [2, 3])
+        assert ch.n_cells == 5
+        assert np.array_equal(ch.totals, [1, 2, 1, 1, 1])
+        assert np.array_equal(ch.counts_before_ranks([0, 2, 3], slice(2, 5)), [[0, 1, 1], [0, 0, 1], [0, 1, 1]])
+        with pytest.raises(ParameterError):  # row 0 reaches into row 1's ids
+            CumulativeHistogram([[0, 2, 1], [2, 4, 3]], times, [2, 3])
+        with pytest.raises(ParameterError):  # one n_cells per row
+            CumulativeHistogram([[0, 1, 1], [2, 4, 3]], times, 5)
+
     def test_two_cell_example(self):
         ch = CumulativeHistogram([0, 1], [0.2, 0.8], 2)
         before, after = ch.counts_at(0.5)
@@ -153,7 +167,7 @@ class TestDivergences:
         q = to_distribution(rng.uniform(0, 1, (8, 200)))
         assert np.all(total_variation(p, q) <= 1.0)
         assert np.all(hellinger(p, q) <= 1.0)
-        assert np.all(jensen_shannon(p, q) <= hg.JS_MAX + 1e-12)
+        assert np.all(jensen_shannon(p, q) <= JS_MAX + 1e-12)
 
 
 class TestHistogramMetric:
@@ -193,6 +207,16 @@ def cell_streams(draw):
 
 
 @st.composite
+def cell_stacks(draw):
+    """Rows of cell ids over one sorted time axis, each in its own id range."""
+    n = draw(st.integers(1, 40))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    rows = [draw(st.lists(st.integers(0, s - 1), min_size=n, max_size=n)) for s in sizes]
+    ticks = sorted(draw(st.lists(st.integers(0, 20), min_size=n, max_size=n)))
+    return np.array(rows), np.array(ticks) / 20.0, sizes
+
+
+@st.composite
 def count_pairs(draw):
     n_cells = draw(st.integers(1, 12))
     side = st.lists(st.integers(0, 1000), min_size=n_cells, max_size=n_cells).filter(any)
@@ -218,10 +242,32 @@ class TestProperties:
             assert np.array_equal(before, ref_before)
             assert np.array_equal(ch.totals - before, ref_after)
 
+    @pytest.mark.parametrize("dense", [True, False])
+    @PROPERTY
+    @given(stack=cell_stacks())
+    def test_stacked_rows_equal_one_histogram_per_row(self, dense, stack):
+        rows, times, sizes = stack
+        offsets = np.cumsum([0] + sizes)[:-1]
+        with pytest.MonkeyPatch.context() as mp:
+            if not dense:
+                mp.setattr(hg, "DENSE_PREFIX_LIMIT", 0)
+            ch = CumulativeHistogram(rows + offsets[:, None], times, sizes)
+            singles = [CumulativeHistogram(row, times, size) for row, size in zip(rows, sizes)]
+        assert (ch._prefix is not None) == dense
+        ranks = np.arange(len(times) + 1)
+        for lo, size, single in zip(offsets, sizes, singles):
+            got = ch.counts_before_ranks(ranks, slice(lo, lo + size))
+            want = single.counts_before_ranks(ranks)
+            assert np.array_equal(got, want)
+            # the metrics sum over cells in memory order, so the layout matters
+            assert got.flags.f_contiguous == want.flags.f_contiguous
+            assert np.array_equal(ch.totals[lo : lo + size], single.totals)
+        assert np.array_equal(ch.counts_before_ranks(ranks), np.vstack([s.counts_before_ranks(ranks) for s in singles]))
+
     @PROPERTY
     @given(pair=count_pairs())
     def test_metric_ranges(self, pair):
         before, after = pair
-        for name, top in (("tv", 1.0), ("hellinger", 1.0), ("js", hg.JS_MAX)):
+        for name, top in (("tv", 1.0), ("hellinger", 1.0), ("js", JS_MAX)):
             value = float(histogram_metric(name)(before, after))
             assert 0.0 <= value <= top + 1e-12, name

@@ -7,7 +7,10 @@ from hypothesis import given, settings, strategies as st
 from driftbench import partitions
 from driftbench.errors import ParameterError
 from driftbench.histograms import CumulativeHistogram, to_distribution, total_variation
+from driftbench.moment_tree import MomentTreeConfig, fit_moment_tree
 from driftbench.partitions import (
+    PartitionStack,
+    TreePartition,
     build_grid,
     build_kdq_tree,
     build_marginal,
@@ -305,3 +308,51 @@ class TestProperties:
     def test_timestamp_permutation_keeps_partition(self, builder, w, perm_seed):
         build = TIME_AGNOSTIC_BUILDERS[builder]
         assert documents(build(w)) == documents(build(permute_timestamps(w, perm_seed)))
+
+
+#: Partitions a descriptor can stack, mixed freely in the property below.
+STACKABLE = {
+    "marginal": build_marginal,
+    "random_projection": lambda w: build_random_projection(w, n_axes=2, seed=3),
+    "grid": lambda w: [build_grid(w, bins_per_dim=3)],
+    "kdq_tree": lambda w: [build_kdq_tree(w, min_count=4)],
+    "random_trees": lambda w: [build_random_tree(w, seed=5, min_leaf=2), build_random_tree(w, seed=6, min_leaf=1)],
+    "moment_tree": lambda w: [fit_moment_tree(w, MomentTreeConfig(min_leaf=2), seed=7)],
+}
+
+
+def descend(tree, x):
+    """Leaf cell of one point, found node by node."""
+    node = 0
+    while tree.feature[node] >= 0:
+        node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+    return tree.cell[node]
+
+
+class TestPartitionStack:
+    @PROPERTY
+    @given(
+        w=windows(),
+        names=st.lists(st.sampled_from(sorted(STACKABLE)), min_size=1, max_size=4),
+        shift=st.floats(-200.0, 200.0),
+    )
+    def test_rows_are_own_cells_plus_offsets(self, w, names, shift):
+        parts = [p for name in names for p in STACKABLE[name](w)]
+        stack = PartitionStack(parts)
+        X = [*w.x, *(w.x + shift)]  # the shifted copy leaves the window's range
+        for part in parts:  # points on a tree's thresholds, which go left
+            tree = getattr(part, "partition", part)
+            for f, threshold in zip(getattr(tree, "feature", ()), getattr(tree, "threshold", ())):
+                if f >= 0:
+                    X.append(np.where(np.arange(w.dim) == f, threshold, w.x[0]))
+        X = np.array(X)
+        cells = stack.cell_of(X)
+        sizes = [p.n_cells for p in parts]
+        assert cells.shape == (len(parts), len(X))
+        assert stack.n_cells == sum(sizes)
+        assert np.array_equal(stack.offsets, np.cumsum([0] + sizes)[:-1])
+        for row, part, offset in zip(cells, parts, stack.offsets):
+            assert np.array_equal(row, part.cell_of(X) + offset)
+            tree = getattr(part, "partition", part)
+            if isinstance(tree, TreePartition):
+                assert np.array_equal(row - offset, [descend(tree, x) for x in X])

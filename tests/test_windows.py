@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -244,3 +246,11 @@ class TestCsv:
             window_from_csv(self.write(tmp_path, "a\nfoo\n"))
         with pytest.raises(DataError):
             window_from_csv(self.write(tmp_path, "a,b\n"))
+
+    @pytest.mark.parametrize(
+        "text, name", [("x,x,t\n1,2,0\n3,4,1\n", "x"), ("a,b,t,t\n1,2,0,5\n3,4,1,6\n", "t")]
+    )
+    def test_repeated_column_names_rejected(self, tmp_path, text, name):
+        # a dict keyed by header name kept only the last of the repeated columns
+        with pytest.raises(DataError, match=re.escape(f"repeated column name(s) [{name!r}]")):
+            window_from_csv(self.write(tmp_path, text))

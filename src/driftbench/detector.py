@@ -4,14 +4,19 @@ An estimator pairs a descriptor builder (fitted once per window) with a
 similarity that can be evaluated at any split point.  ``statistics_at``
 maps split times to ranks (the number of samples at or before the split)
 and rejects an empty side for every descriptor, which works on ranks.
-A binning or tree descriptor holds one stacked cell map of its partitions
-and one cumulative histogram over it, and runs the metric per partition.
+A fitted descriptor is a window plus a function of ranks: the kNN and
+kernel estimators bind their fitted graph or Gram to a ``neighbor_kernel``
+statistic, and a binning or tree descriptor holds one cumulative histogram
+over the stacked cells of its partitions and runs the metric per partition.
+``Estimator.fit_each`` fits a sequence of windows lazily; the moment forest
+overrides it to grow the forests of all windows in lockstep.
 Scanning all candidate splits yields a statistic trace, the arg-max split
 estimate and, after permutation normalization, a p-value.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,13 +32,13 @@ from .neighbor_kernel import (
     mmds_from_gram,
 )
 from .partitions import (
-    PartitionStack,
     build_grid,
     build_kdq_tree,
     build_marginal,
     build_pca_projection,
     build_random_projection,
     build_random_tree,
+    stacked_cells,
 )
 from .seeding import as_generator
 from .windows import Window, candidate_split_times, permute_timestamps
@@ -54,22 +59,27 @@ class DriftVerdict:
 class Descriptor:
     """Fitted descriptor: evaluates the drift statistic at split times.
 
-    Subclasses implement ``_statistics`` on before-side counts in [1, n-1].
+    ``statistics(ranks)`` gives the statistic at before-side counts in
+    [1, n-1]; a subclass that computes it itself overrides the method
+    instead of passing one.
     """
 
-    window: Window
+    def __init__(self, window: Window, statistics=None):
+        self.window = window
+        if statistics is not None:
+            self.statistics = statistics
 
     def statistics_at(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         ranks = np.searchsorted(self.window.t, ts, side="right")
         if len(ranks) and (ranks.min() <= 0 or ranks.max() >= len(self.window)):
             raise InvalidSplitError("split leaves an empty side")
-        return self._statistics(ranks)
+        return self.statistics(ranks)
 
     def statistic_at(self, t) -> float:
         return float(self.statistics_at([float(t)])[0])
 
-    def _statistics(self, ranks: np.ndarray) -> np.ndarray:
+    def statistics(self, ranks: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -89,22 +99,28 @@ class Estimator:
     def fit(self, w: Window, seed=None, drift_time: float | None = None) -> Descriptor:
         raise NotImplementedError
 
+    def fit_each(self, windows, rngs, drift_times):
+        """The descriptor of each window in turn, window i fitted from
+        ``rngs[i]``; lazy, so only the descriptor in use is alive."""
+        return (self.fit(w, rng, drift_time=t) for w, rng, t in zip(windows, rngs, drift_times))
+
 
 class _PartitionDescriptor(Descriptor):
-    """One cumulative histogram over a stack of partitions; several
-    independent binnings act as one descriptor via the max."""
+    """One cumulative histogram over the stacked cells of all partitions;
+    several independent binnings act as one descriptor via the max."""
 
     _combine, _start = np.maximum, -np.inf
 
     def __init__(self, partitions, w: Window, metric):
-        self.window = w
+        super().__init__(w)
         self.metric = metric
         self.partitions = list(partitions)
-        stack = PartitionStack(self.partitions)
-        self._hist = CumulativeHistogram.from_window(stack, w)
-        self._slices = [slice(lo, lo + size) for lo, size in zip(stack.offsets, stack.sizes)]
+        sizes = [p.n_cells for p in self.partitions]
+        self._hist = CumulativeHistogram(stacked_cells(self.partitions, w.x), w.t, sizes)
+        ends = np.cumsum(sizes)
+        self._slices = [slice(end - size, end) for end, size in zip(ends, sizes)]
 
-    def _statistics(self, ranks):
+    def statistics(self, ranks):
         acc = np.full(len(ranks), self._start)
         # in place and in partition order: the forest's sum stays sequential
         for cells in self._slices:
@@ -122,8 +138,8 @@ class _ForestDescriptor(_PartitionDescriptor):
         super().__init__(forest.trees, w, metric)
         self.forest = forest
 
-    def _statistics(self, ranks):
-        return super()._statistics(ranks) / len(self._slices)
+    def statistics(self, ranks):
+        return super().statistics(ranks) / len(self._slices)
 
 
 class PartitionEstimator(Estimator):
@@ -214,29 +230,13 @@ class MomentForestEstimator(Estimator):
         forest = fit_moment_forest(self._train(w, drift_time), self.n_trees, self.config, seed, self.variant)
         return _ForestDescriptor(forest, w, self.metric)
 
-    def fit_each(self, windows, seeds, drift_times):
-        """The descriptor of each window, window i fitted from ``seeds[i]``.
-
-        The forests grow in lockstep (``fit_moment_forests``) and equal what
-        ``fit`` gives each window alone; the descriptors, which hold the leaf
-        histograms, are built one at a time as they are asked for.
-        """
+    def fit_each(self, windows, rngs, drift_times):
+        """As ``Estimator.fit_each``, but the forests grow in lockstep
+        (``fit_moment_forests``) and equal what ``fit`` gives each window alone; the descriptors, which hold the leaf
+        histograms, are built one at a time as they are asked for."""
         trains = [self._train(w, t) for w, t in zip(windows, drift_times)]
-        forests = fit_moment_forests(trains, self.n_trees, self.config, seeds, self.variant)
+        forests = fit_moment_forests(trains, self.n_trees, self.config, rngs, self.variant)
         return (_ForestDescriptor(forest, w, self.metric) for forest, w in zip(forests, windows))
-
-
-class _KnnDescriptor(Descriptor):
-    def __init__(self, graph, w, statistic, aggregation):
-        self.window = w
-        self.graph = graph
-        self.statistic = statistic
-        self.aggregation = aggregation
-
-    def _statistics(self, ranks):
-        if self.statistic == "ldd":
-            return ldd_statistics(self.graph, ranks, aggregation=self.aggregation)
-        return knn_kls(self.graph, ranks)
 
 
 class KnnEstimator(Estimator):
@@ -244,9 +244,15 @@ class KnnEstimator(Estimator):
 
     dd_class = "surely"
 
-    def __init__(self, k: int = 10, statistic: str = "ldd", aggregation: str = "mean"):
+    def __init__(self, k: int = 10, statistic: str = "ldd", aggregation: str | None = None):
+        """``aggregation`` of the per-point LDD values is 'mean' (default) or
+        'max'; the kNN-KL statistic takes none."""
         if statistic not in ("ldd", "kl"):
             raise ParameterError(f"unknown knn statistic {statistic!r}")
+        if statistic == "kl" and aggregation is not None:
+            raise ParameterError("the knn_kl statistic takes no aggregation")
+        if aggregation not in (None, "mean", "max"):
+            raise ParameterError(f"unknown aggregation {aggregation!r}; known: ['mean', 'max']")
         self.name = "ldd" if statistic == "ldd" else "knn_kl"
         self.k = k
         self.statistic = statistic
@@ -254,17 +260,10 @@ class KnnEstimator(Estimator):
 
     def fit(self, w: Window, seed=None, drift_time: float | None = None) -> Descriptor:
         # LDD reads each point's k nearest; the kNN-KL sweep reads whole rows
-        width = self.k if self.statistic == "ldd" else None
-        return _KnnDescriptor(build_neighbor_graph(w, self.k, width), w, self.statistic, self.aggregation)
-
-
-class _MmdDescriptor(Descriptor):
-    def __init__(self, gram, w):
-        self.window = w
-        self.gram = gram
-
-    def _statistics(self, ranks):
-        return mmds_from_gram(self.gram, ranks)
+        if self.statistic == "ldd":
+            graph = build_neighbor_graph(w, self.k, self.k)
+            return Descriptor(w, functools.partial(ldd_statistics, graph, aggregation=self.aggregation or "mean"))
+        return Descriptor(w, functools.partial(knn_kls, build_neighbor_graph(w, self.k)))
 
 
 class MmdEstimator(Estimator):
@@ -277,7 +276,7 @@ class MmdEstimator(Estimator):
         self.bandwidth = bandwidth
 
     def fit(self, w: Window, seed=None, drift_time: float | None = None) -> Descriptor:
-        return _MmdDescriptor(build_kernel_gram(w, self.bandwidth), w)
+        return Descriptor(w, functools.partial(mmds_from_gram, build_kernel_gram(w, self.bandwidth)))
 
 
 def scan_splits(estimator: Estimator, w: Window, seed=None, min_side: int | None = None) -> DriftVerdict:

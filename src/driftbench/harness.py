@@ -290,17 +290,6 @@ def _fmt(v) -> str:
     return "" if v is None else f"{v:.4f}"
 
 
-def _descriptors(estimator: Estimator, windows, rngs, drift_times):
-    """Each window's descriptor in turn, window i fitted from ``rngs[i]``.
-
-    Moment forests grow in lockstep over all the windows; any other
-    estimator fits them one by one as they are asked for.
-    """
-    if isinstance(estimator, MomentForestEstimator):
-        return estimator.fit_each(windows, rngs, drift_times)
-    return (estimator.fit(w, rng, drift_time=t) for w, rng, t in zip(windows, rngs, drift_times))
-
-
 def _effective_positions(positions, offset: float) -> np.ndarray:
     # positions are quoted on the no-offset scale; map them through the same
     # renormalization the offset removal applies to time
@@ -334,7 +323,7 @@ def collect_records(cfg: ExperimentConfig, dataset_id: str, estimator_id: str) -
             pairs.append(make_paired(before, after, cfg.n, DRIFT_POSITION, cfg.offset, rng))
         drift_times = [pw.t0 for pw in pairs]
         for out, windows in ((drift, [pw.drifting for pw in pairs]), (perm, [pw.permuted for pw in pairs])):
-            for rep, descriptor in zip(block, _descriptors(estimator, windows, rngs, drift_times)):
+            for rep, descriptor in zip(block, estimator.fit_each(windows, rngs, drift_times)):
                 out[rep] = descriptor.statistics_at(eff_positions)
     return EvalRecords(cfg.split_positions, drift, perm)
 
@@ -427,6 +416,13 @@ def _parse_list(value: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in value.split(",") if v.strip())
 
 
+def _parse_bool(value: str) -> bool:
+    parsed = _parse_scalar(value)
+    if not isinstance(parsed, bool):
+        raise ValueError(value)
+    return parsed
+
+
 #: Plain config keys and the parser of each value.
 _CONFIG_PARSERS = {
     "datasets": _parse_list,
@@ -438,7 +434,7 @@ _CONFIG_PARSERS = {
     "seed": int,
     "offset": float,
     "metric": str,
-    "custom": lambda value: _parse_scalar(value) is True,
+    "custom": _parse_bool,
 }
 
 
@@ -453,29 +449,33 @@ def load_config(path) -> ExperimentConfig:
     kwargs: dict = {}
     overrides: dict = {"estimator": {}, "dataset": {}}
     unknown: set = set()
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            kind, dotted, rest = key.partition(".")
-            if dotted and kind in overrides:
-                target, _, param = rest.partition(".")
-                if not target or not param:
-                    raise ParameterError(f"{path}:{lineno}: expected '{kind}.<id>.<parameter> = value', got {key!r}")
-                overrides[kind].setdefault(target, {})[param] = _parse_scalar(value)
-            elif key in _CONFIG_PARSERS:
-                try:
-                    kwargs[key] = _CONFIG_PARSERS[key](value)
-                except ValueError:
-                    raise ParameterError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
-            else:
-                unknown.add(key)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not UTF-8 text: {exc}") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        kind, dotted, rest = key.partition(".")
+        if dotted and kind in overrides:
+            target, _, param = rest.partition(".")
+            if not target or not param:
+                raise ParameterError(f"{path}:{lineno}: expected '{kind}.<id>.<parameter> = value', got {key!r}")
+            overrides[kind].setdefault(target, {})[param] = _parse_scalar(value)
+        elif key in _CONFIG_PARSERS:
+            try:
+                kwargs[key] = _CONFIG_PARSERS[key](value)
+            except ValueError:
+                raise ParameterError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
+        else:
+            unknown.add(key)
     if unknown:
         raise ParameterError(f"{path}: unknown config keys {sorted(unknown)}")
     return ExperimentConfig(estimator_params=overrides["estimator"], dataset_params=overrides["dataset"], **kwargs)

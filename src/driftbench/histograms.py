@@ -2,10 +2,11 @@
 
 The cumulative histogram stores, per cell, prefix counts over arrival
 order; a descriptor builds one over the stacked cells of all its
-partitions.  After that one build, the before/after histograms of any
-split come from a prefix subtraction whose cost depends on the number of
-cells, not the window length; that is what makes every binning and tree
-descriptor cheap to scan over all candidate split points.
+partitions (``partitions.stacked_cells``, one row per partition).  After
+that one build, the before/after histograms of any split come from a
+prefix subtraction whose cost depends on the number of cells, not the
+window length; that is what makes every binning and tree descriptor cheap
+to scan over all candidate split points.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidSplitError, ParameterError
-from .windows import Window
 
 # Above this many prefix entries (cells * (n+1)) in any row of cells, the dense matrix is
 # replaced by per-cell sorted arrival ranks; lookups stay equivalent.
@@ -61,11 +61,6 @@ class CumulativeHistogram:
         else:
             order = np.argsort(rows.ravel(), kind="stable") % max(self.n, 1)
             self._ranks = np.split(order, np.cumsum(self.totals)[:-1])
-
-    @classmethod
-    def from_window(cls, partition, w: Window) -> "CumulativeHistogram":
-        """Assign ``w``'s samples to ``partition``'s cells (one row per partition of a stack) and accumulate."""
-        return cls(partition.cell_of(w.x), w.t, getattr(partition, "sizes", partition.n_cells))
 
     def counts_before_ranks(self, ranks, cells: slice = slice(None)) -> np.ndarray:
         """Counts of the cells in ``cells`` among the first ``rank`` arrivals, per queried rank.

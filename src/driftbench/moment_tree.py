@@ -16,7 +16,9 @@ padded ``_best_splits`` pass, so the forests of a batch of windows
 generator exactly what it draws alone (``fit_moment_forest`` is the batch of
 one).  Each tree argsorts its features once; a node's rows stay in every
 feature's sorted order as the tree splits them (presorted attribute lists,
-as in SLIQ: Mehta, Agrawal & Rissanen 1996), so no node sorts.
+as in SLIQ: Mehta, Agrawal & Rissanen 1996), so no node sorts.  A tree is
+recorded as its list of splits, in growth order, and laid out by
+``partitions.tree_from_splits``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .partitions import Provenance, TreePartition, _TreeBuilder
+from .partitions import Provenance, TreePartition, tree_from_splits
 from .seeding import as_generator
 from .windows import Window
 
@@ -165,13 +167,12 @@ def _grow_forest(w: Window, n_trees: int, config: MomentTreeConfig, rng, variant
             xt, t = xt[:, boot], t[boot]
         xt = np.ascontiguousarray(xt)
         t_pows = np.stack([t**k for k in range(1, config.degree + 1)])
-        builder = _TreeBuilder()
-        root = builder.add_node()
+        splits = []
         # only nodes that pass the depth and size test go on the stack; the
         # others stay leaves and draw nothing
         stack = []
         if config.max_depth > 0 and n >= splittable:
-            stack.append((root, np.argsort(xt, axis=1, kind="stable"), 0))
+            stack.append((0, np.argsort(xt, axis=1, kind="stable"), 0))
         while stack:
             node, rows, depth = stack.pop()
             features = rng.permutation(d)[:n_sub] if n_sub < d else every_feature
@@ -181,15 +182,16 @@ def _grow_forest(w: Window, n_trees: int, config: MomentTreeConfig, rng, variant
                 continue
             j, threshold = split
             f = int(features[j])
-            lc, rc = builder.set_split(node, f, threshold)
+            lc = 2 * len(splits) + 1
+            splits.append((node, f, threshold))
             if depth + 1 < config.max_depth:
                 left = (xt[f] <= threshold)[rows]
                 n_left = int(np.count_nonzero(left[0]))
                 if rows.shape[1] - n_left >= splittable:
-                    stack.append((rc, rows[~left].reshape(d, -1), depth + 1))
+                    stack.append((lc + 1, rows[~left].reshape(d, -1), depth + 1))
                 if n_left >= splittable:
                     stack.append((lc, rows[left].reshape(d, -1), depth + 1))
-        trees.append(MomentTree(builder.finish(provenance(i)), config))
+        trees.append(MomentTree(tree_from_splits(splits, provenance(i)), config))
     return MomentForest(tuple(trees))
 
 

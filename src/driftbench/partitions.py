@@ -4,8 +4,10 @@ Builders: per-feature marginal binning, full grids, random-projection
 binning, random trees and kdq-trees.  Every builder is deterministic given
 (window, config, seed); the resulting partitions are immutable, map any
 point to a cell (out-of-range values land in the nearest boundary cell)
-and serialize to plain dicts.  ``PartitionStack`` maps points through all
-of a descriptor's partitions at once.
+and serialize to plain dicts.  Tree builders record their splits in a list
+and ``tree_from_splits`` lays the list out as a ``TreePartition``;
+``stacked_cells`` maps points through all of a descriptor's partitions at
+once.
 """
 
 from __future__ import annotations
@@ -168,42 +170,21 @@ class TreePartition(Partition):
         }
 
 
-class _TreeBuilder:
-    """Accumulates nodes; children are attached to preallocated slots."""
-
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-
-    def add_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(np.nan)
-        self.left.append(-1)
-        self.right.append(-1)
-        return len(self.feature) - 1
-
-    def set_split(self, node: int, feature: int, threshold: float) -> tuple[int, int]:
-        lc, rc = self.add_node(), self.add_node()
-        self.feature[node] = int(feature)
-        self.threshold[node] = float(threshold)
-        self.left[node], self.right[node] = lc, rc
-        return lc, rc
-
-    def finish(self, provenance: Provenance) -> TreePartition:
-        feature = np.array(self.feature, dtype=np.int64)
-        cell = np.full(len(feature), -1, dtype=np.int64)
-        leaves = np.flatnonzero(feature < 0)
-        cell[leaves] = np.arange(len(leaves))
-        return TreePartition(
-            feature=feature,
-            threshold=np.array(self.threshold, dtype=float),
-            left=np.array(self.left, dtype=np.int64),
-            right=np.array(self.right, dtype=np.int64),
-            cell=cell,
-            provenance=provenance,
-        )
+def tree_from_splits(splits, provenance: Provenance) -> TreePartition:
+    """The tree grown from a root leaf (node 0) by ``splits``, a list of
+    (node, feature, threshold): split k turns leaf ``node`` into an inner node
+    whose children are nodes 2k+1 (left) and 2k+2 (right)."""
+    size = 2 * len(splits) + 1
+    feature, left, right, cell = (np.full(size, -1, dtype=np.int64) for _ in range(4))
+    threshold = np.full(size, np.nan)
+    if splits:
+        node, feature_of, threshold_of = (np.array(column) for column in zip(*splits))
+        feature[node], threshold[node] = feature_of, threshold_of
+        left[node] = np.arange(1, size, 2)
+        right[node] = left[node] + 1
+    leaves = np.flatnonzero(feature < 0)
+    cell[leaves] = np.arange(len(leaves))
+    return TreePartition(feature, threshold, left, right, cell, provenance)
 
 
 def _walk_trees(trees, X: np.ndarray) -> np.ndarray:
@@ -226,25 +207,18 @@ def _walk_trees(trees, X: np.ndarray) -> np.ndarray:
     return cell[node].reshape(len(trees), n)
 
 
-class PartitionStack(Partition):
-    """Several partitions as one: ``cell_of`` gives a (P, n) array whose row i
-    is partition i's cells plus ``offsets[i]``, the cell count of the ones
-    before it.  All trees (moment trees through ``.partition``) share one
-    walk; other partitions map points with their own ``cell_of``."""
-
-    def __init__(self, partitions):
-        self.partitions = [getattr(p, "partition", p) for p in partitions]
-        self.sizes = [p.n_cells for p in self.partitions]
-        self.offsets = np.cumsum([0] + self.sizes)[:-1]
-        self.n_cells = int(sum(self.sizes))
-
-    def cell_of(self, X) -> np.ndarray:
-        X = _as_matrix(X)
-        is_tree = [isinstance(p, TreePartition) for p in self.partitions]
-        trees = [p for p, tree in zip(self.partitions, is_tree) if tree]
-        walked = iter(_walk_trees(trees, X) if trees else ())
-        rows = [next(walked) if tree else p.cell_of(X) for p, tree in zip(self.partitions, is_tree)]
-        return np.array(rows, dtype=np.int64).reshape(len(rows), len(X)) + self.offsets[:, None]
+def stacked_cells(partitions, X) -> np.ndarray:
+    """Cells of ``X`` in every partition, shape (P, n): row i is partition i's
+    cells plus the cell count of the partitions before it, so the partitions
+    own disjoint cell ids.  All trees (moment trees through ``.partition``)
+    share one walk; other partitions map points with their own ``cell_of``."""
+    X = _as_matrix(X)
+    partitions = [getattr(p, "partition", p) for p in partitions]
+    is_tree = [isinstance(p, TreePartition) for p in partitions]
+    walked = iter(_walk_trees([p for p, tree in zip(partitions, is_tree) if tree], X) if any(is_tree) else ())
+    rows = [next(walked) if tree else p.cell_of(X) for p, tree in zip(partitions, is_tree)]
+    offsets = np.cumsum([0] + [p.n_cells for p in partitions])[:-1]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(X)) + offsets[:, None]
 
 
 def _require_window(w: Window):
@@ -349,19 +323,11 @@ def build_random_tree(w: Window, n_leaves: int = 16, seed=None, min_leaf: int = 
         raise ParameterError("n_leaves must be >= 2")
     rng = as_generator(seed)
     x = w.x
-    builder = _TreeBuilder()
-    root = builder.add_node()
-    leaf_samples: dict[int, np.ndarray] = {root: np.arange(len(w))}
-    open_leaves = [root]
-    dead: set[int] = set()
-
-    while len(leaf_samples) < n_leaves:
-        candidates = [nid for nid in open_leaves if nid not in dead and len(leaf_samples[nid]) >= 2 * min_leaf]
-        if not candidates:
-            break
-        nid = candidates[rng.integers(len(candidates))]
-        idx = leaf_samples[nid]
-        split = None
+    splits = []
+    # (node, build samples) of each leaf that may still split, in growth order
+    open_leaves = [(0, np.arange(len(w)))] if len(w) >= 2 * min_leaf else []
+    while open_leaves and len(splits) + 1 < n_leaves:
+        nid, idx = open_leaves.pop(rng.integers(len(open_leaves)))
         for f in rng.permutation(x.shape[1]):
             v = np.sort(x[idx, f])
             lo, hi = v[min_leaf - 1], v[len(v) - min_leaf]
@@ -369,21 +335,16 @@ def build_random_tree(w: Window, n_leaves: int = 16, seed=None, min_leaf: int = 
                 thr = float(rng.uniform(lo, hi))
                 if thr >= hi:
                     thr = 0.5 * (lo + hi)
-                split = (int(f), thr)
                 break
-        if split is None:
-            dead.add(nid)
+        else:  # no feature separates the leaf: it stays a leaf for good
             continue
-        f, thr = split
         mask = x[idx, f] <= thr
-        lc, rc = builder.set_split(nid, f, thr)
-        leaf_samples[lc], leaf_samples[rc] = idx[mask], idx[~mask]
-        del leaf_samples[nid]
-        open_leaves.remove(nid)
-        open_leaves.extend([lc, rc])
+        lc = 2 * len(splits) + 1
+        splits.append((nid, int(f), thr))
+        open_leaves += [(c, part) for c, part in ((lc, idx[mask]), (lc + 1, idx[~mask])) if len(part) >= 2 * min_leaf]
 
     prov = Provenance("random_tree", None, {"n_leaves": n_leaves, "min_leaf": min_leaf})
-    return builder.finish(prov)
+    return tree_from_splits(splits, prov)
 
 
 def build_kdq_tree(w: Window, min_side: float = 0.05, min_count: int = 10) -> TreePartition:
@@ -399,9 +360,8 @@ def build_kdq_tree(w: Window, min_side: float = 0.05, min_count: int = 10) -> Tr
     x = w.x
     d = w.dim
     box_lo, box_hi = x.min(axis=0), x.max(axis=0)
-    builder = _TreeBuilder()
-    root = builder.add_node()
-    stack = [(root, np.arange(len(w)), box_lo.copy(), box_hi.copy(), 0)]
+    splits = []
+    stack = [(0, np.arange(len(w)), box_lo.copy(), box_hi.copy(), 0)]
     while stack:
         nid, idx, lo, hi, depth = stack.pop()
         dim = depth % d
@@ -410,12 +370,12 @@ def build_kdq_tree(w: Window, min_side: float = 0.05, min_count: int = 10) -> Tr
             continue
         mid = 0.5 * (lo[dim] + hi[dim])
         mask = x[idx, dim] <= mid
-        lc, rc = builder.set_split(nid, dim, mid)
+        lc = 2 * len(splits) + 1
+        splits.append((nid, dim, mid))
         l_hi, r_lo = hi.copy(), lo.copy()
         l_hi[dim] = mid
         r_lo[dim] = mid
-        stack.append((rc, idx[~mask], r_lo, hi.copy(), depth + 1))
+        stack.append((lc + 1, idx[~mask], r_lo, hi.copy(), depth + 1))
         stack.append((lc, idx[mask], lo.copy(), l_hi, depth + 1))
     prov = Provenance("kdq_tree", None, {"min_side": min_side, "min_count": min_count})
-    return builder.finish(prov)
-
+    return tree_from_splits(splits, prov)

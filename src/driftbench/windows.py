@@ -230,14 +230,16 @@ def window_from_csv(path) -> Window:
     supplies timestamps, otherwise the row index does.  Timestamps are
     rescaled to [0, 1].
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file (header required)") from None
-        header = [h.strip() for h in header]
-        rows = [row for row in reader if row]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = [row for row in reader if row]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    if header is None:
+        raise DataError(f"{path}: empty file (header required)")
+    header = [h.strip() for h in header]
     if len(set(header)) < len(header):
         raise DataError(f"{path}: repeated column name(s) {sorted({h for h in header if header.count(h) > 1})}")
     if not rows:

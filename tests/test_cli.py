@@ -30,6 +30,12 @@ class TestDetect:
         code = main(["detect", "--csv", "/nonexistent.csv", "--estimator", "marg"])
         assert code == 2
 
+    def test_non_utf8_file_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"a,b\n" + b"1,\xff\n" * 60)
+        assert main(["detect", "--csv", str(path), "--estimator", "marg", "--perms", "19"]) == 2
+        assert f"data error: {path}: not UTF-8 text" in capsys.readouterr().err
+
     def test_repeated_column_name_is_data_error(self, tmp_path, capsys):
         rows = ["x,x,t"] + [f"{i},{-i},{i}" for i in range(150)]
         path = tmp_path / "repeated.csv"
@@ -144,6 +150,12 @@ class TestRun:
         captured = capsys.readouterr()
         assert "unknown" in captured.err and captured.out == ""
         assert not out_dir.exists()
+
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_bytes(b"datasets = stagger\n# caf\xe9\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert f"error: {cfg}: not UTF-8 text" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["estimator.rf = 3", "n = abc", "split_positions = 0.5, x"])
     def test_malformed_config_line_is_usage_error(self, tmp_path, capsys, line):

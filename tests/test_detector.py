@@ -184,7 +184,7 @@ def per_partition_statistics(desc, ranks):
     parts = desc.forest.trees if forest else desc.partitions
     acc = np.zeros(len(ranks)) if forest else np.full(len(ranks), -np.inf)
     for part in parts:
-        h = CumulativeHistogram.from_window(part, desc.window)
+        h = CumulativeHistogram(part.cell_of(desc.window.x), desc.window.t, part.n_cells)
         before = h.counts_before_ranks(ranks)
         (np.add if forest else np.maximum)(acc, desc.metric(before, h.totals[:, None] - before), out=acc)
     return acc / len(parts) if forest else acc

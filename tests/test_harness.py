@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
+from driftbench.detector import Estimator
 from driftbench.errors import ParameterError
 from driftbench.harness import (
     DRIFT_POSITION,
@@ -21,6 +23,7 @@ from driftbench.harness import (
     run_cell_sweep,
     run_grid,
 )
+from driftbench.windows import make_paired
 
 
 def records(drift, perm, positions=(0.50, 0.53, 0.62)):
@@ -213,7 +216,7 @@ class TestRunGrid:
                 make_estimator(estimator_id, "bogus")
 
     def test_unexpected_error_propagates(self, monkeypatch):
-        class Broken:
+        class Broken(Estimator):
             name = "broken"
 
             def fit(self, w, seed=None, drift_time=None):
@@ -293,6 +296,19 @@ class TestConfigValidation:
         cell = run_cell(cfg, "stagger", "marg")
         assert cell.status == "failed" and cell.error.startswith("ParameterError")
 
+    def test_knn_aggregation_checked_at_construction(self):
+        # ldd aggregates per-point values by mean or max; knn_kl has nothing to aggregate
+        w = make_paired(*make_concept_pair("sea", np.random.default_rng(1)), 150, seed=1).drifting
+        stats = {a: make_estimator("ldd", params={"aggregation": a}).fit(w).statistics_at([0.5]) for a in ("mean", "max")}
+        assert np.array_equal(stats["mean"], make_estimator("ldd").fit(w).statistics_at([0.5]))
+        assert stats["max"] > stats["mean"]
+        for aggregation in ("median", "MEAN", 1):
+            with pytest.raises(ParameterError, match="unknown aggregation"):
+                make_estimator("ldd", params={"aggregation": aggregation})
+        for aggregation in ("mean", "max", "median"):
+            with pytest.raises(ParameterError, match="knn_kl statistic takes no aggregation"):
+                make_estimator("knn_kl", params={"aggregation": aggregation})
+
     def test_offset_run_executes(self):
         cfg = ExperimentConfig(
             datasets=("stagger",),
@@ -362,4 +378,23 @@ dataset.sea.variant_after = 2
         path = tmp_path / "bad.cfg"
         path.write_text("datasets stagger\n")
         with pytest.raises(ParameterError):
+            load_config(path)
+
+    def test_non_utf8_bytes_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"datasets = stagger\nmetric = \xff\n")
+        with pytest.raises(ParameterError, match=f"{re.escape(str(path))}: not UTF-8 text"):
+            load_config(path)
+
+    @pytest.mark.parametrize("value, expected", [("true", True), ("Yes", True), ("on", True), ("false", False), ("off", False)])
+    def test_custom_takes_the_booleans_of_override_values(self, tmp_path, value, expected):
+        path = tmp_path / "bench.cfg"
+        path.write_text(f"custom = {value}\n")
+        assert load_config(path).custom is expected
+
+    @pytest.mark.parametrize("value", ["1", "0", "maybe", ""])
+    def test_custom_rejects_a_non_boolean(self, tmp_path, value):
+        path = tmp_path / "bench.cfg"
+        path.write_text(f"offset = 0.4\ncustom = {value}\n")
+        with pytest.raises(ParameterError, match=re.escape(f"{path}:2: bad value for 'custom'")):
             load_config(path)

@@ -77,12 +77,12 @@ class TestCumulativeHistogram:
         ranks = np.arange(1, n)
         assert np.array_equal(dense.counts_before_ranks(ranks), sparse.counts_before_ranks(ranks))
 
-    def test_from_window_uses_partition_cells(self, rng):
+    def test_counts_a_partitions_cells(self, rng):
         from driftbench.partitions import build_marginal
 
         w = Window(rng.normal(size=(50, 1)), np.sort(rng.uniform(0, 1, 50)))
         part = build_marginal(w, bins_per_dim=4)[0]
-        ch = CumulativeHistogram.from_window(part, w)
+        ch = CumulativeHistogram(part.cell_of(w.x), w.t, part.n_cells)
         assert ch.totals.sum() == 50
 
     def test_rejects_unsorted_times(self):

@@ -19,7 +19,7 @@ from driftbench.moment_tree import (
     fit_moment_tree,
     truncate_reference,
 )
-from driftbench.partitions import Provenance, _TreeBuilder
+from driftbench.partitions import Provenance, tree_from_splits
 from driftbench.windows import Window
 
 
@@ -250,7 +250,7 @@ def _reference_tree(x, t, config, rng, feature_subsample, provenance):
     n, d = x.shape
     t_pows = np.column_stack([t**k for k in range(1, config.degree + 1)])
     n_sub = max(1, int(np.ceil(np.sqrt(d)))) if feature_subsample else d
-    builder = _TreeBuilder()
+    splits = []
 
     def recurse(node, idx, depth):
         if depth >= config.max_depth or len(idx) < 2 * config.min_leaf:
@@ -264,12 +264,13 @@ def _reference_tree(x, t, config, rng, feature_subsample, provenance):
             return
         f, thr = split
         mask = x[idx, f] <= thr
-        lc, rc = builder.set_split(node, f, thr)
+        lc = 2 * len(splits) + 1
+        splits.append((node, f, thr))
         recurse(lc, idx[mask], depth + 1)
-        recurse(rc, idx[~mask], depth + 1)
+        recurse(lc + 1, idx[~mask], depth + 1)
 
-    recurse(builder.add_node(), np.arange(n), 0)
-    return builder.finish(provenance)
+    recurse(0, np.arange(n), 0)
+    return tree_from_splits(splits, provenance)
 
 
 def reference_forest(w, n_trees, config, seed, variant):

@@ -111,8 +111,9 @@ class TestNeighborGraph:
 
     def test_estimator_keeps_k_wide_lists_for_ldd_only(self, rng):
         w = Window(rng.normal(size=(50, 2)), np.sort(rng.uniform(0, 1, 50)))
-        assert KnnEstimator(k=4).fit(w).graph.order.shape == (50, 4)
-        assert KnnEstimator(k=4, statistic="kl").fit(w).graph.order.shape == (50, 49)
+        # a kNN descriptor's statistics are bound to its fitted graph
+        assert KnnEstimator(k=4).fit(w).statistics.args[0].order.shape == (50, 4)
+        assert KnnEstimator(k=4, statistic="kl").fit(w).statistics.args[0].order.shape == (50, 49)
         with pytest.raises(ParameterError, match="full neighbor lists"):
             knn_kls(build_neighbor_graph(w, 4, width=4), [25])
 

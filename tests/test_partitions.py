@@ -9,7 +9,6 @@ from driftbench.errors import ParameterError
 from driftbench.histograms import CumulativeHistogram, to_distribution, total_variation
 from driftbench.moment_tree import MomentTreeConfig, fit_moment_tree
 from driftbench.partitions import (
-    PartitionStack,
     TreePartition,
     build_grid,
     build_kdq_tree,
@@ -18,6 +17,8 @@ from driftbench.partitions import (
     build_random_projection,
     build_random_tree,
     make_edges,
+    stacked_cells,
+    tree_from_splits,
 )
 from driftbench.windows import Window, permute_timestamps
 
@@ -120,7 +121,7 @@ class TestRandomProjection:
         axis = np.array([1.0, 1.0]) / np.sqrt(2)
         edges, _ = make_edges(w.x @ axis, 8, "equilikely")
         part = Binning1D(axis, edges, False, Provenance("fixed_diagonal"))
-        ch = CumulativeHistogram.from_window(part, w)
+        ch = CumulativeHistogram(part.cell_of(w.x), w.t, part.n_cells)
         before, after = ch.counts_at(0.5)
         tv = total_variation(to_distribution(before), to_distribution(after))
         assert tv > 0.2
@@ -255,6 +256,16 @@ GOLDEN_TREE = json.loads(
     '"seed": null, "params": {"n_leaves": 4, "min_leaf": 3}}}'
 )
 
+# three chosen leaves cannot split (every feature tied within its inner
+# samples), and growth stops at 6 of 12 leaves
+GOLDEN_STALLED_TREE = json.loads(
+    '{"kind": "tree", "feature": [0, 0, -1, 1, 1, -1, 0, -1, -1, -1, -1], "threshold": '
+    '[2.851391088977806, 0.28831922543926747, null, 0.5495936876730595, 0.6236629040209709, null, '
+    '1.8277025938204416, null, null, null, null], "left": [1, 3, -1, 9, 5, -1, 7, -1, -1, -1, -1], '
+    '"right": [2, 4, -1, 10, 6, -1, 8, -1, -1, -1, -1], "cell": [-1, -1, 0, -1, -1, 1, -1, 2, 3, 4, 5], '
+    '"provenance": {"builder": "random_tree", "seed": null, "params": {"n_leaves": 12, "min_leaf": 2}}}'
+)
+
 
 class TestSerialization:
     def test_golden_tree_document(self):
@@ -262,6 +273,33 @@ class TestSerialization:
         w = Window(np.round(rng.uniform(0, 1, (30, 2)), 6), np.sort(rng.uniform(0, 1, 30)))
         tree = build_random_tree(w, n_leaves=4, seed=4, min_leaf=3)
         assert tree.to_dict() == GOLDEN_TREE
+
+    def test_golden_tree_with_unsplittable_leaves(self):
+        x = np.array([
+            [0, 0, 3, 1, 0, 1, 4, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 1, 0, 2],
+            [0, 1, 0, 1, 1, 1, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1, 2, 1, 1, 2],
+        ], dtype=float).T
+        tree = build_random_tree(Window(x, np.linspace(0, 1, len(x))), n_leaves=12, seed=1, min_leaf=2)
+        assert tree.to_dict() == GOLDEN_STALLED_TREE
+
+
+class TestTreeFromSplits:
+    def test_no_splits_is_one_leaf(self):
+        tree = tree_from_splits([], partitions.Provenance("empty"))
+        assert tree.n_cells == 1
+        assert tree.to_dict()["feature"] == [-1] and tree.to_dict()["cell"] == [0]
+        assert np.array_equal(tree.cell_of(np.zeros((3, 2))), [0, 0, 0])
+
+    def test_split_k_makes_nodes_2k_plus_1_and_2k_plus_2(self):
+        tree = tree_from_splits([(0, 1, 0.5), (2, 0, -1.0), (3, 0, -3.0)], partitions.Provenance("three"))
+        doc = tree.to_dict()
+        assert doc["feature"] == [1, -1, 0, 0, -1, -1, -1]
+        assert doc["threshold"] == [0.5, None, -1.0, -3.0, None, None, None]
+        assert doc["left"] == [1, -1, 3, 5, -1, -1, -1]
+        assert doc["right"] == [2, -1, 4, 6, -1, -1, -1]
+        assert doc["cell"] == [-1, 0, -1, -1, 1, 2, 3]
+        points = np.array([[0.0, 0.4], [0.0, 0.6], [-4.0, 0.6], [-2.0, 0.6]])
+        assert np.array_equal(tree.cell_of(points), [0, 1, 2, 3])
 
 
 PROPERTY = settings(derandomize=True, max_examples=60, database=None, deadline=None)
@@ -329,7 +367,7 @@ def descend(tree, x):
     return tree.cell[node]
 
 
-class TestPartitionStack:
+class TestStackedCells:
     @PROPERTY
     @given(
         w=windows(),
@@ -338,7 +376,6 @@ class TestPartitionStack:
     )
     def test_rows_are_own_cells_plus_offsets(self, w, names, shift):
         parts = [p for name in names for p in STACKABLE[name](w)]
-        stack = PartitionStack(parts)
         X = [*w.x, *(w.x + shift)]  # the shifted copy leaves the window's range
         for part in parts:  # points on a tree's thresholds, which go left
             tree = getattr(part, "partition", part)
@@ -346,12 +383,10 @@ class TestPartitionStack:
                 if f >= 0:
                     X.append(np.where(np.arange(w.dim) == f, threshold, w.x[0]))
         X = np.array(X)
-        cells = stack.cell_of(X)
-        sizes = [p.n_cells for p in parts]
+        cells = stacked_cells(parts, X)
+        offsets = np.cumsum([0] + [p.n_cells for p in parts])[:-1]
         assert cells.shape == (len(parts), len(X))
-        assert stack.n_cells == sum(sizes)
-        assert np.array_equal(stack.offsets, np.cumsum([0] + sizes)[:-1])
-        for row, part, offset in zip(cells, parts, stack.offsets):
+        for row, part, offset in zip(cells, parts, offsets):
             assert np.array_equal(row, part.cell_of(X) + offset)
             tree = getattr(part, "partition", part)
             if isinstance(tree, TreePartition):

@@ -254,3 +254,10 @@ class TestCsv:
         # a dict keyed by header name kept only the last of the repeated columns
         with pytest.raises(DataError, match=re.escape(f"repeated column name(s) [{name!r}]")):
             window_from_csv(self.write(tmp_path, text))
+
+    @pytest.mark.parametrize("data", [b"a,b\n1,\xff\n3,4\n", b"\xff\xfea,b\n1,2\n"])
+    def test_non_utf8_bytes_are_a_data_error_naming_the_file(self, tmp_path, data):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=re.escape(f"{path}: not UTF-8 text")):
+            window_from_csv(path)

@@ -386,8 +386,8 @@ dataset.sea.variant_after = 2
         with pytest.raises(ParameterError, match=f"{re.escape(str(path))}: not UTF-8 text"):
             load_config(path)
 
-    @pytest.mark.parametrize("value, expected", [("true", True), ("Yes", True), ("on", True), ("false", False), ("off", False)])
-    def test_custom_takes_the_booleans_of_override_values(self, tmp_path, value, expected):
+    @pytest.mark.parametrize("value, expected", [("true", True), ("Yes", True), ("on", True), ("false", False), ("no", False)])
+    def test_custom_takes_a_boolean(self, tmp_path, value, expected):
         path = tmp_path / "bench.cfg"
         path.write_text(f"custom = {value}\n")
         assert load_config(path).custom is expected

@@ -84,17 +84,11 @@ class Descriptor:
 
 
 class Estimator:
-    """Descriptor builder + similarity pair.
-
-    Metadata mirrors the estimator taxonomy: ``dd_class`` is 'none',
-    'detecting' or 'surely' (how reliably a positive statistic identifies
-    drift), and ``arrival_time_respecting`` says whether the fitted
-    descriptor uses within-side time ordering.
+    """Descriptor builder + similarity pair: ``fit`` returns a ``Descriptor``
+    holding only what its statistic reads, and ``name`` is the estimator id.
     """
 
     name: str = "estimator"
-    dd_class: str = "detecting"
-    arrival_time_respecting: bool = False
 
     def fit(self, w: Window, seed=None, drift_time: float | None = None) -> Descriptor:
         raise NotImplementedError
@@ -145,11 +139,10 @@ class _ForestDescriptor(_PartitionDescriptor):
 class PartitionEstimator(Estimator):
     """Generic binning/tree estimator: build partitions once, scan cheaply."""
 
-    def __init__(self, name, builder, metric="tv", dd_class="detecting"):
+    def __init__(self, name, builder, metric="tv"):
         self.name = name
         self._builder = builder
-        self.metric = histogram_metric(metric) if isinstance(metric, str) else metric
-        self.dd_class = dd_class
+        self.metric = histogram_metric(metric)
 
     def fit(self, w: Window, seed=None, drift_time: float | None = None) -> Descriptor:
         parts = self._builder(w, as_generator(seed))
@@ -159,9 +152,7 @@ class PartitionEstimator(Estimator):
 
 
 def marginal_estimator(bins: int = 4, edge_mode: str = "equidistant", metric: str = "tv") -> PartitionEstimator:
-    return PartitionEstimator(
-        "marg", lambda w, rng: build_marginal(w, bins, edge_mode), metric, dd_class="none"
-    )
+    return PartitionEstimator("marg", lambda w, rng: build_marginal(w, bins, edge_mode), metric)
 
 
 def random_projection_estimator(
@@ -173,9 +164,7 @@ def random_projection_estimator(
 
 
 def pca_projection_estimator(n_axes: int | None = None, bins: int = 8, edge_mode: str = "equilikely", metric: str = "tv") -> PartitionEstimator:
-    return PartitionEstimator(
-        "pca", lambda w, rng: build_pca_projection(w, n_axes, bins, edge_mode), metric, dd_class="none"
-    )
+    return PartitionEstimator("pca", lambda w, rng: build_pca_projection(w, n_axes, bins, edge_mode), metric)
 
 
 def grid_estimator(bins: int = 4, edge_mode: str = "equidistant", metric: str = "tv") -> PartitionEstimator:
@@ -190,21 +179,15 @@ def random_tree_estimator(
         "rnd_tree",
         lambda w, rng: [build_random_tree(w, n_leaves, rng, min_leaf) for _ in range(n_trees)],
         metric,
-        dd_class="surely",
     )
 
 
 def kdq_tree_estimator(min_side: float = 0.05, min_count: int = 10, metric: str = "tv") -> PartitionEstimator:
-    return PartitionEstimator(
-        "kdq", lambda w, rng: build_kdq_tree(w, min_side, min_count), metric, dd_class="surely"
-    )
+    return PartitionEstimator("kdq", lambda w, rng: build_kdq_tree(w, min_side, min_count), metric)
 
 
 class MomentForestEstimator(Estimator):
     """Moment-tree ensemble estimator (time-aware descriptor)."""
-
-    arrival_time_respecting = True
-    dd_class = "surely"
 
     def __init__(
         self,
@@ -219,7 +202,7 @@ class MomentForestEstimator(Estimator):
         self.variant = variant
         self.config = config or MomentTreeConfig()
         self.skip_fraction = skip_fraction
-        self.metric = histogram_metric(metric) if isinstance(metric, str) else metric
+        self.metric = histogram_metric(metric)
 
     def _train(self, w: Window, drift_time: float | None) -> Window:
         if self.skip_fraction > 0.0:
@@ -241,8 +224,6 @@ class MomentForestEstimator(Estimator):
 
 class KnnEstimator(Estimator):
     """k-nearest-neighbor estimator with LDD or kNN-KL similarity."""
-
-    dd_class = "surely"
 
     def __init__(self, k: int = 10, statistic: str = "ldd", aggregation: str | None = None):
         """``aggregation`` of the per-point LDD values is 'mean' (default) or
@@ -268,8 +249,6 @@ class KnnEstimator(Estimator):
 
 class MmdEstimator(Estimator):
     """Biased Gaussian-kernel MMD estimator."""
-
-    dd_class = "surely"
 
     def __init__(self, bandwidth="median"):
         self.name = "mmd"

@@ -30,9 +30,7 @@ class SeaConcept:
     """Three uniform features on [0, 10]; label = 1 when f1 + f2 <= threshold."""
 
     variant: int
-
-    dim: int = 4
-    labeled: bool = True
+    labeled = True
 
     def __post_init__(self):
         if self.variant not in range(len(SEA_THRESHOLDS)):
@@ -64,9 +62,7 @@ class StaggerConcept:
     """Three uniform categorical attributes, one-hot, plus a rule label."""
 
     concept: int
-
-    dim: int = 10
-    labeled: bool = True
+    labeled = True
 
     def __post_init__(self):
         if self.concept not in STAGGER_RULES:
@@ -95,16 +91,12 @@ class RbfConcept:
     centroids: np.ndarray
     weights: np.ndarray
     scales: np.ndarray
-    labeled: bool = False
-
-    @property
-    def dim(self) -> int:
-        return self.centroids.shape[1]
+    labeled = False
 
     def draw(self, n: int, rng) -> np.ndarray:
         rng = as_generator(rng)
         comp = rng.choice(len(self.weights), size=n, p=self.weights)
-        return self.centroids[comp] + self.scales[comp, None] * rng.standard_normal((n, self.dim))
+        return self.centroids[comp] + self.scales[comp, None] * rng.standard_normal((n, self.centroids.shape[1]))
 
 
 def rbf_pair(d: int = 2, n_centroids: int = 5, seed=0) -> tuple[RbfConcept, RbfConcept]:
@@ -128,11 +120,7 @@ class HyperplaneConcept:
     """Uniform features on [0,1]^d; label = 1 on one side of a hyperplane."""
 
     normal: np.ndarray
-    labeled: bool = True
-
-    @property
-    def dim(self) -> int:
-        return len(self.normal) + 1
+    labeled = True
 
     def draw(self, n: int, rng) -> np.ndarray:
         rng = as_generator(rng)
@@ -169,10 +157,6 @@ class ResampleConcept:
 
     rows: np.ndarray
     labeled: bool = False
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
 
     def draw(self, n: int, rng) -> np.ndarray:
         rng = as_generator(rng)
@@ -227,17 +211,12 @@ def _mmd_two_sample_p(before, after, rng) -> float:
 class NoiseAugmented:
     """Wraps a sampler, appending independent N(0,1) noise coordinates.
 
-    Noise columns go between the concept's features and any label columns,
-    so an appended label stays last.
+    Noise columns go before a labeled concept's label column, so the label
+    stays last.
     """
 
     base: object
     extra_dims: int
-    label_dims: int = 0
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim + self.extra_dims
 
     @property
     def labeled(self) -> bool:
@@ -247,7 +226,7 @@ class NoiseAugmented:
         rng = as_generator(rng)
         out = self.base.draw(n, rng)
         noise = rng.standard_normal((n, self.extra_dims))
-        cut = out.shape[1] - self.label_dims
+        cut = out.shape[1] - int(self.labeled)
         return np.hstack([out[:, :cut], noise, out[:, cut:]])
 
 
@@ -257,5 +236,4 @@ def with_noise(sampler, extra_dims: int) -> object:
         raise ParameterError("extra_dims must be >= 0")
     if extra_dims == 0:
         return sampler
-    label_dims = 1 if getattr(sampler, "labeled", False) else 0
-    return NoiseAugmented(sampler, extra_dims, label_dims)
+    return NoiseAugmented(sampler, extra_dims)

@@ -181,6 +181,14 @@ class ExperimentConfig:
             bad = [p for p in self.split_positions if p not in GRID_POSITIONS]
             if bad:
                 raise ParameterError(f"split positions {bad} outside the grid {GRID_POSITIONS}; set custom=true to override")
+        # make_paired drops at most the time before the drift; every split must
+        # stay strictly inside the window left after the drop
+        if not 0.0 <= self.offset < DRIFT_POSITION:
+            raise ParameterError(f"offset {self.offset} outside [0, {DRIFT_POSITION})")
+        mapped = _effective_positions(self.split_positions, self.offset)
+        bad = [p for p, q in zip(self.split_positions, mapped) if not 0.0 < q < 1.0]
+        if bad:
+            raise ParameterError(f"split positions {bad} fall outside (0, 1) once the offset {self.offset} is removed")
 
     def config_hash(self) -> str:
         doc = json.dumps(asdict(self), sort_keys=True, default=str)
@@ -246,7 +254,6 @@ class CellResult:
     p_thre: float | None
     p_pa: dict
     repetitions: int
-    config_hash: str
     status: str = "ok"
     error: str | None = None
     params: dict = field(default_factory=dict)
@@ -337,7 +344,6 @@ def summarize(records: EvalRecords, cfg: ExperimentConfig, dataset_id: str, esti
         p_thre=p_thre(records),
         p_pa={d: p_pa(records, d) for d in deltas},
         repetitions=cfg.repetitions,
-        config_hash=cfg.config_hash(),
         params=dict(cfg.estimator_params.get(estimator_id, {})),
         **extra,
     )
@@ -355,9 +361,9 @@ def run_cell(cfg: ExperimentConfig, dataset_id: str, estimator_id: str) -> CellR
             p_thre=None,
             p_pa={},
             repetitions=cfg.repetitions,
-            config_hash=cfg.config_hash(),
             status="failed",
             error=f"{type(exc).__name__}: {exc}",
+            params=dict(cfg.estimator_params.get(estimator_id, {})),
         )
 
 
@@ -408,6 +414,11 @@ def run_grid(cfg: ExperimentConfig, threads: int = 1, sweep: bool = False, progr
         "elapsed_seconds": round(time.time() - started, 3),
         "sweep": sweep,
         "drift_position": DRIFT_POSITION,
+        # the estimator parameters each cell ran with (a sweep picks them per cell)
+        "cells": {
+            f"{c.dataset}/{c.estimator}": {"params": c.params, "selected_from_sweep": c.selected_from_sweep}
+            for c in cells
+        },
     }
     return ResultTable(tuple(cells), cfg, metadata)
 

@@ -14,11 +14,12 @@ depth-first as a generator that yields each node's split request, and
 padded ``_best_splits`` pass, so the forests of a batch of windows
 (``fit_moment_forests``) grow together while each draws from its own
 generator exactly what it draws alone (``fit_moment_forest`` is the batch of
-one).  Each tree argsorts its features once; a node's rows stay in every
-feature's sorted order as the tree splits them (presorted attribute lists,
-as in SLIQ: Mehta, Agrawal & Rissanen 1996), so no node sorts.  A tree is
+one, and ``fit_moment_tree`` its one-tree 'dt' forest).  Each tree argsorts
+its features once; a node's rows stay in every feature's sorted order as the
+tree splits them (presorted attribute lists, as in SLIQ: Mehta, Agrawal &
+Rissanen 1996), so no node sorts.  A tree is
 recorded as its list of splits, in growth order, and laid out by
-``partitions.tree_from_splits``.
+``partitions.tree_from_splits``; a fitted tree keeps only that partition.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .partitions import Provenance, TreePartition, tree_from_splits
+from .partitions import TreePartition, tree_from_splits
 from .seeding import as_generator
 from .windows import Window
 
@@ -56,10 +57,9 @@ class MomentTreeConfig:
 
 @dataclass(frozen=True)
 class MomentTree:
-    """A fitted tree: its partition of feature space and its config."""
+    """A fitted tree: its partition of feature space, all that evaluation reads."""
 
     partition: TreePartition
-    config: MomentTreeConfig
 
     @property
     def n_cells(self) -> int:
@@ -143,7 +143,7 @@ def _best_splits(requests, min_leaf: int) -> list:
     return answers
 
 
-def _grow_forest(w: Window, n_trees: int, config: MomentTreeConfig, rng, variant: str, provenance):
+def _grow_forest(w: Window, n_trees: int, config: MomentTreeConfig, rng, variant: str):
     """Grow one window's forest; a generator that yields each node's split
     request to ``_best_splits`` and receives its answer, and returns the
     MomentForest.
@@ -153,14 +153,13 @@ def _grow_forest(w: Window, n_trees: int, config: MomentTreeConfig, rng, variant
     size test, ``rng.permutation(d)[:n_sub]``; 'dt' draws nothing.  A node
     holds the (d, m) matrix of its rows, row f in feature f's stable sort
     order; its children filter that matrix by ``x[:, f] <= threshold``.
-    ``provenance(i)`` labels tree i.
     """
     n, d = w.x.shape
     n_sub = max(1, int(np.ceil(np.sqrt(d)))) if variant == VARIANT_RF else d
     every_feature = np.arange(d)
     splittable = 2 * config.min_leaf
     trees = []
-    for i in range(n_trees):
+    for _ in range(n_trees):
         xt, t = w.x.T, w.t
         if variant == VARIANT_RF:
             boot = rng.integers(0, n, size=n)
@@ -191,7 +190,7 @@ def _grow_forest(w: Window, n_trees: int, config: MomentTreeConfig, rng, variant
                     stack.append((lc + 1, rows[~left].reshape(d, -1), depth + 1))
                 if n_left >= splittable:
                     stack.append((lc, rows[left].reshape(d, -1), depth + 1))
-        trees.append(MomentTree(tree_from_splits(splits, provenance(i)), config))
+        trees.append(MomentTree(tree_from_splits(splits)))
     return MomentForest(tuple(trees))
 
 
@@ -219,12 +218,7 @@ def _grow_in_lockstep(growers, min_leaf: int) -> list[MomentForest]:
 
 def fit_moment_tree(w: Window, config: MomentTreeConfig | None = None, seed=None) -> MomentTree:
     """Fit a single moment tree on the full window (no sub-sampling)."""
-    if len(w) == 0:
-        raise ParameterError("cannot fit on an empty window")
-    config = config or MomentTreeConfig()
-    prov = Provenance("moment_tree", None, {"degree": config.degree, "max_depth": config.max_depth, "min_leaf": config.min_leaf})
-    grower = _grow_forest(w, 1, config, as_generator(seed), VARIANT_DT, lambda i: prov)
-    return _grow_in_lockstep([grower], config.min_leaf)[0].trees[0]
+    return fit_moment_forest(w, 1, config, seed, VARIANT_DT).trees[0]
 
 
 def fit_moment_forests(
@@ -247,11 +241,7 @@ def fit_moment_forests(
     if len(rngs) != len(windows) or len({id(r) for r in rngs}) != len(rngs):
         raise ParameterError("each window needs a generator of its own")
     config = config or MomentTreeConfig()
-
-    def provenance(i):
-        return Provenance("moment_tree", None, {"tree": i, "variant": variant, "degree": config.degree})
-
-    growers = [_grow_forest(w, n_trees, config, rng, variant, provenance) for w, rng in zip(windows, rngs)]
+    growers = [_grow_forest(w, n_trees, config, rng, variant) for w, rng in zip(windows, rngs)]
     return _grow_in_lockstep(growers, config.min_leaf)
 
 

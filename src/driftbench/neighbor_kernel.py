@@ -1,13 +1,14 @@
 """Neighbor- and kernel-based drift statistics: LDD, kNN-KL and biased MMD.
 
-The neighbor graph and the kernel Gram matrix are built once per window
-(O(n^2) time) and reused for every split point.  Each fit holds one n x n
-float64 matrix at its peak: the pairwise distances, which the Gram build
-turns into the kernel matrix in place.  LDD keeps only each point's k
-nearest neighbors (n x k lists, selected without a full sort); kNN-KL keeps
-full neighbor lists, since its sweep reads whole rows.  Windows above
-``MAX_PAIRWISE_N`` samples, or with features too large for the distance
-expansion, are rejected before anything n x n is allocated.
+The neighbor graph and the kernel Gram are built once per window (O(n^2)
+time) and reused for every split point.  Each fit holds one n x n float64
+matrix at its peak: the pairwise distances, which the Gram build turns into
+the kernel matrix in place and reduces to O(n) block sums, all that MMD
+reads.  LDD keeps only each point's k nearest neighbors (n x k lists,
+selected without a full sort); kNN-KL keeps full neighbor lists, since its
+sweep reads whole rows.  Windows above ``MAX_PAIRWISE_N`` samples, or with
+features too large for the distance expansion, are rejected before anything
+n x n is allocated.
 
 The statistics take splits as ranks: a rank r puts the first r samples in
 arrival order on the before side.  The fitted descriptor maps split times to
@@ -240,22 +241,19 @@ def knn_kls(g: NeighborGraph, ranks) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelGram:
-    """Gaussian kernel matrix plus cumulative block sums over arrival order.
+    """Cumulative block sums of a Gaussian kernel matrix K over arrival order.
 
-    ``inner[i]`` is the sum of K over the leading i x i block and
-    ``lead[i]`` the sum of the leading i rows; together they give every
-    before/before, after/after and cross block sum in O(1) per split.
+    ``inner[i]`` is the sum of K over the leading i x i block, ``lead[i]``
+    the sum of the leading i rows and ``total`` the sum of K; together they
+    give every before/before, after/after and cross block sum in O(1) per
+    split.  The n x n matrix itself is dropped once they are formed, so a
+    fitted Gram holds O(n) floats; ``sigma`` is the bandwidth used.
     """
 
-    matrix: np.ndarray
     sigma: float
     inner: np.ndarray
     lead: np.ndarray
     total: float
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _median_distance(d: np.ndarray) -> float:
@@ -270,8 +268,9 @@ def _median_distance(d: np.ndarray) -> float:
 
 
 def build_kernel_gram(w: Window, bandwidth="median") -> KernelGram:
-    """Gram matrix of exp(-||x-y||^2 / (2 sigma^2)) in arrival order, formed
-    in place in the distance matrix that also gives the median bandwidth."""
+    """Block sums of the Gram matrix of exp(-||x-y||^2 / (2 sigma^2)) in
+    arrival order, formed in place in the distance matrix that also gives
+    the median bandwidth."""
     if len(w) < 2:
         raise ParameterError("need at least two samples")
     if bandwidth != "median" and not (isinstance(bandwidth, Real) and 0 < bandwidth < np.inf):
@@ -291,7 +290,7 @@ def build_kernel_gram(w: Window, bandwidth="median") -> KernelGram:
     strict_lower = np.array([K[i, :i].sum() for i in range(n)])
     inner = np.zeros(n + 1)
     inner[1:] = np.cumsum(2.0 * strict_lower + np.diag(K))
-    return KernelGram(K, sigma, inner, lead, float(K.sum()))
+    return KernelGram(sigma, inner, lead, float(K.sum()))
 
 
 def mmds_from_gram(g: KernelGram, ranks) -> np.ndarray:
@@ -299,7 +298,7 @@ def mmds_from_gram(g: KernelGram, ranks) -> np.ndarray:
     per split from the cached block sums."""
     ranks = np.asarray(ranks, dtype=np.intp)
     m = ranks.astype(float)
-    n = float(g.n)
+    n = float(len(g.lead) - 1)
     bb = g.inner[ranks]
     cross = g.lead[ranks] - bb
     aa = g.total - 2.0 * g.lead[ranks] + bb

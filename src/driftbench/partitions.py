@@ -4,15 +4,17 @@ Builders: per-feature marginal binning, full grids, random-projection
 binning, random trees and kdq-trees.  Every builder is deterministic given
 (window, config, seed); the resulting partitions are immutable, map any
 point to a cell (out-of-range values land in the nearest boundary cell)
-and serialize to plain dicts.  Tree builders record their splits in a list
-and ``tree_from_splits`` lays the list out as a ``TreePartition``;
-``stacked_cells`` maps points through all of a descriptor's partitions at
-once.
+and serialize to plain dicts.  A partition holds only what ``cell_of``
+reads: an axis and its edges, the edges of each feature, or the tree
+arrays; the builder's arguments are not kept.  Tree builders record their
+splits in a list and ``tree_from_splits`` lays the list out as a
+``TreePartition``; ``stacked_cells`` maps points through all of a
+descriptor's partitions at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,21 +28,11 @@ MAX_GRID_CELLS = 65536
 KDQ_MAX_DEPTH = 32
 
 
-@dataclass(frozen=True)
-class Provenance:
-    builder: str
-    seed: int | None = None
-    params: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"builder": self.builder, "seed": self.seed, "params": dict(self.params)}
-
-
 class Partition:
-    """A total map from feature space onto cells {0, ..., n_cells-1}."""
+    """A total map from feature space onto cells {0, ..., n_cells-1}; it
+    holds only the state ``cell_of`` reads."""
 
     n_cells: int
-    provenance: Provenance
 
     def cell_of(self, X) -> np.ndarray:
         raise NotImplementedError
@@ -54,19 +46,19 @@ def _as_matrix(X) -> np.ndarray:
     return X[None, :] if X.ndim == 1 else X
 
 
-def make_edges(values: np.ndarray, bins: int, edge_mode: str) -> tuple[np.ndarray, bool]:
-    """Interior bin edges over observed values; flags degenerate collapses.
+def make_edges(values: np.ndarray, bins: int, edge_mode: str) -> np.ndarray:
+    """Interior bin edges over observed values.
 
     'equidistant' spaces edges evenly over the observed range, 'equilikely'
     places them at empirical quantiles.  Duplicate edges are collapsed, so a
-    constant feature yields a single bin with the degenerate flag set.
+    constant feature yields no edge: a single bin.
     """
     if bins < 2:
         raise ParameterError("bins must be >= 2")
     values = np.asarray(values, dtype=float)
     lo, hi = float(values.min()), float(values.max())
     if hi <= lo:
-        return np.empty(0), True
+        return np.empty(0)
     if edge_mode == "equidistant":
         edges = np.linspace(lo, hi, bins + 1)[1:-1]
     elif edge_mode == "equilikely":
@@ -75,17 +67,16 @@ def make_edges(values: np.ndarray, bins: int, edge_mode: str) -> tuple[np.ndarra
         raise ParameterError(f"unknown edge_mode {edge_mode!r}")
     edges = np.unique(edges)
     edges = edges[(edges > lo) & (edges <= hi)]
-    return edges, len(edges) < bins - 1
+    return edges
 
 
 @dataclass(frozen=True)
 class Binning1D(Partition):
-    """Cells of a 1-D binning along a projection axis."""
+    """Cells of a 1-D binning along a projection axis: no edges (a
+    constant projection) is a single cell."""
 
     axis: np.ndarray
     edges: np.ndarray
-    degenerate: bool
-    provenance: Provenance
 
     @property
     def n_cells(self) -> int:
@@ -102,8 +93,6 @@ class Binning1D(Partition):
             "kind": "binning1d",
             "axis": self.axis.tolist(),
             "edges": self.edges.tolist(),
-            "degenerate": self.degenerate,
-            "provenance": self.provenance.to_dict(),
         }
 
 
@@ -112,7 +101,6 @@ class GridPartition(Partition):
     """Product grid over all features; cell = multi-index over per-dim bins."""
 
     edges_per_dim: tuple[np.ndarray, ...]
-    provenance: Provenance
 
     @property
     def n_cells(self) -> int:
@@ -132,7 +120,6 @@ class GridPartition(Partition):
         return {
             "kind": "grid",
             "edges_per_dim": [e.tolist() for e in self.edges_per_dim],
-            "provenance": self.provenance.to_dict(),
         }
 
 
@@ -149,7 +136,6 @@ class TreePartition(Partition):
     left: np.ndarray
     right: np.ndarray
     cell: np.ndarray
-    provenance: Provenance
 
     @property
     def n_cells(self) -> int:
@@ -166,11 +152,10 @@ class TreePartition(Partition):
             "left": self.left.tolist(),
             "right": self.right.tolist(),
             "cell": self.cell.tolist(),
-            "provenance": self.provenance.to_dict(),
         }
 
 
-def tree_from_splits(splits, provenance: Provenance) -> TreePartition:
+def tree_from_splits(splits) -> TreePartition:
     """The tree grown from a root leaf (node 0) by ``splits``, a list of
     (node, feature, threshold): split k turns leaf ``node`` into an inner node
     whose children are nodes 2k+1 (left) and 2k+2 (right)."""
@@ -184,7 +169,7 @@ def tree_from_splits(splits, provenance: Provenance) -> TreePartition:
         right[node] = left[node] + 1
     leaves = np.flatnonzero(feature < 0)
     cell[leaves] = np.arange(len(leaves))
-    return TreePartition(feature, threshold, left, right, cell, provenance)
+    return TreePartition(feature, threshold, left, right, cell)
 
 
 def _walk_trees(trees, X: np.ndarray) -> np.ndarray:
@@ -231,11 +216,9 @@ def build_marginal(w: Window, bins_per_dim: int = 8, edge_mode: str = "equilikel
     _require_window(w)
     out = []
     for j in range(w.dim):
-        edges, degenerate = make_edges(w.x[:, j], bins_per_dim, edge_mode)
         axis = np.zeros(w.dim)
         axis[j] = 1.0
-        prov = Provenance("marginal", None, {"feature": j, "bins": bins_per_dim, "edge_mode": edge_mode})
-        out.append(Binning1D(axis, edges, degenerate, prov))
+        out.append(Binning1D(axis, make_edges(w.x[:, j], bins_per_dim, edge_mode)))
     return out
 
 
@@ -254,16 +237,14 @@ def build_random_projection(
         raise ParameterError("n_axes must be >= 1")
     rng = as_generator(seed)
     out = []
-    for i in range(n_axes):
+    for _ in range(n_axes):
         axis = rng.standard_normal(w.dim)
         norm = np.linalg.norm(axis)
         if norm == 0.0:
             axis[0] = 1.0
             norm = 1.0
         axis = axis / norm
-        edges, degenerate = make_edges(w.x @ axis, bins_per_axis, edge_mode)
-        prov = Provenance("random_projection", None, {"axis_index": i, "bins": bins_per_axis, "edge_mode": edge_mode})
-        out.append(Binning1D(axis, edges, degenerate, prov))
+        out.append(Binning1D(axis, make_edges(w.x @ axis, bins_per_axis, edge_mode)))
     return out
 
 
@@ -287,11 +268,9 @@ def build_pca_projection(
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1][:n_axes]
     out = []
-    for rank, j in enumerate(order):
+    for j in order:
         axis = eigvecs[:, j]
-        edges, degenerate = make_edges(w.x @ axis, bins_per_axis, edge_mode)
-        prov = Provenance("pca_projection", None, {"component": rank, "bins": bins_per_axis, "edge_mode": edge_mode})
-        out.append(Binning1D(axis, edges, degenerate, prov))
+        out.append(Binning1D(axis, make_edges(w.x @ axis, bins_per_axis, edge_mode)))
     return out
 
 
@@ -301,13 +280,12 @@ def build_grid(w: Window, bins_per_dim: int = 4, edge_mode: str = "equidistant")
     edges = []
     total = 1
     for j in range(w.dim):
-        e, _ = make_edges(w.x[:, j], bins_per_dim, edge_mode)
+        e = make_edges(w.x[:, j], bins_per_dim, edge_mode)
         edges.append(e)
         total *= len(e) + 1
         if total > MAX_GRID_CELLS:
             raise ParameterError(f"grid would exceed {MAX_GRID_CELLS} cells")
-    prov = Provenance("grid", None, {"bins": bins_per_dim, "edge_mode": edge_mode})
-    return GridPartition(tuple(edges), prov)
+    return GridPartition(tuple(edges))
 
 
 def build_random_tree(w: Window, n_leaves: int = 16, seed=None, min_leaf: int = 5) -> TreePartition:
@@ -342,9 +320,7 @@ def build_random_tree(w: Window, n_leaves: int = 16, seed=None, min_leaf: int = 
         lc = 2 * len(splits) + 1
         splits.append((nid, int(f), thr))
         open_leaves += [(c, part) for c, part in ((lc, idx[mask]), (lc + 1, idx[~mask])) if len(part) >= 2 * min_leaf]
-
-    prov = Provenance("random_tree", None, {"n_leaves": n_leaves, "min_leaf": min_leaf})
-    return tree_from_splits(splits, prov)
+    return tree_from_splits(splits)
 
 
 def build_kdq_tree(w: Window, min_side: float = 0.05, min_count: int = 10) -> TreePartition:
@@ -377,5 +353,4 @@ def build_kdq_tree(w: Window, min_side: float = 0.05, min_count: int = 10) -> Tr
         r_lo[dim] = mid
         stack.append((lc + 1, idx[~mask], r_lo, hi.copy(), depth + 1))
         stack.append((lc, idx[mask], lo.copy(), l_hi, depth + 1))
-    prov = Provenance("kdq_tree", None, {"min_side": min_side, "min_count": min_count})
-    return tree_from_splits(splits, prov)
+    return tree_from_splits(splits)

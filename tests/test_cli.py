@@ -151,6 +151,16 @@ class TestRun:
         assert "unknown" in captured.err and captured.out == ""
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("lines", ["offset = 0.5", "split_positions = 0.5, 1.5", "offset = 0.25\nsplit_positions = 0.2, 0.5"])
+    def test_custom_offset_or_position_outside_the_window_is_usage_error(self, tmp_path, capsys, lines):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"datasets = stagger\nestimators = marg\nrepetitions = 2\ncustom = true\n{lines}\n")
+        out_dir = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "outside" in captured.err and captured.out == ""
+        assert not out_dir.exists()
+
     def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"
         cfg.write_bytes(b"datasets = stagger\n# caf\xe9\n")

@@ -332,20 +332,3 @@ class TestClassifierTvOracle:
         tree = build_random_tree(w, n_leaves=2, seed=0, min_leaf=5)
         with pytest.raises(InvalidSplitError):
             classifier_tv_oracle(tree, w, 1.0)
-
-
-class TestEstimatorMetadata:
-    def test_arrival_time_flags(self):
-        from driftbench.harness import make_estimator
-
-        assert make_estimator("rf").arrival_time_respecting
-        assert make_estimator("dt").arrival_time_respecting
-        for eid in ("marg", "rnd_pj", "rnd_tree", "kdq", "mmd", "ldd"):
-            assert not make_estimator(eid).arrival_time_respecting
-
-    def test_dd_classes(self):
-        from driftbench.harness import make_estimator
-
-        assert make_estimator("marg").dd_class == "none"
-        assert make_estimator("rnd_tree").dd_class == "surely"
-        assert make_estimator("kdq").dd_class == "surely"

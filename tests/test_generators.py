@@ -47,6 +47,13 @@ class TestSea:
     def test_all_thresholds_defined(self):
         assert len(SEA_THRESHOLDS) == 4
 
+    def test_dimension_is_not_a_constructor_argument(self):
+        # the draw fixes the dimension (three features and the label)
+        before, _ = sea_pair(0, 1)
+        with pytest.raises(TypeError):
+            type(before)(0, dim=7)
+        assert before.labeled and before.draw(5, np.random.default_rng(0)).shape == (5, 4)
+
 
 class TestStagger:
     def enumerate_rate(self, concept):
@@ -190,8 +197,8 @@ class TestNoise:
     def test_appends_gaussian_dims_before_label(self):
         before, _ = sea_pair(0, 1)
         noisy = with_noise(before, 3)
-        assert noisy.dim == 7
         draws = noisy.draw(5000, np.random.default_rng(0))
+        assert draws.shape == (5000, 7)
         # label stays last; noise occupies the inserted columns
         assert set(np.unique(draws[:, 6])) <= {0.0, 1.0}
         assert abs(draws[:, 3:6].mean()) < 0.05

@@ -10,6 +10,8 @@ from driftbench.errors import ParameterError
 from driftbench.harness import (
     DRIFT_POSITION,
     ESTIMATOR_BUILDERS,
+    GRID_POSITIONS,
+    SWEEP_GRIDS,
     EvalRecords,
     ExperimentConfig,
     collect_records,
@@ -249,6 +251,7 @@ class TestRunGrid:
         meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
         assert meta["config_hash"] == SMALL.config_hash()
         assert meta["config"]["repetitions"] == 8
+        assert meta["cells"] == {"stagger/marg": {"params": {}, "selected_from_sweep": False}}
 
     def test_sweep_flags_result(self):
         import dataclasses
@@ -257,6 +260,18 @@ class TestRunGrid:
         cell = run_cell_sweep(cfg, "stagger", "marg")
         assert cell.selected_from_sweep
         assert cell.status == "ok"
+
+    def test_sweep_records_the_chosen_params_in_metadata(self, tmp_path):
+        cfg = dataclasses.replace(SMALL, estimators=("marg", "rnd_pj"), repetitions=3)
+        table = run_grid(cfg, sweep=True)
+        table.write(tmp_path)
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert sorted(meta["cells"]) == ["stagger/marg", "stagger/rnd_pj"]
+        for estimator in cfg.estimators:
+            entry = meta["cells"][f"stagger/{estimator}"]
+            assert entry["selected_from_sweep"] is True
+            assert entry["params"] in SWEEP_GRIDS[estimator]
+            assert entry["params"] == table.cell("stagger", estimator).params
 
 
 class TestConfigValidation:
@@ -270,6 +285,20 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             ExperimentConfig(split_positions=(0.50, 0.77))
         assert ExperimentConfig(offset=0.4, custom=True).offset == 0.4
+
+    @pytest.mark.parametrize(
+        "offset, positions, message",
+        [
+            (0.5, GRID_POSITIONS, "offset 0.5 outside"),
+            (-0.1, GRID_POSITIONS, "offset -0.1 outside"),
+            (0.0, (0.5, 1.5), re.escape("split positions [1.5]")),
+            (0.25, (0.2, 0.25, 0.5), re.escape("split positions [0.2, 0.25]")),
+        ],
+    )
+    def test_custom_offset_and_positions_stay_inside_the_window(self, offset, positions, message):
+        with pytest.raises(ParameterError, match=message):
+            ExperimentConfig(offset=offset, split_positions=positions, custom=True)
+        assert ExperimentConfig(offset=0.25, split_positions=(0.3, 0.5), custom=True).offset == 0.25
 
     def test_unknown_estimator_rejected_at_runtime(self):
         with pytest.raises(ParameterError):

@@ -19,7 +19,7 @@ from driftbench.moment_tree import (
     fit_moment_tree,
     truncate_reference,
 )
-from driftbench.partitions import Provenance, tree_from_splits
+from driftbench.partitions import tree_from_splits
 from driftbench.windows import Window
 
 
@@ -246,7 +246,7 @@ def _reference_best_split(x, t_pows, idx, features, config):
     return best
 
 
-def _reference_tree(x, t, config, rng, feature_subsample, provenance):
+def _reference_tree(x, t, config, rng, feature_subsample):
     n, d = x.shape
     t_pows = np.column_stack([t**k for k in range(1, config.degree + 1)])
     n_sub = max(1, int(np.ceil(np.sqrt(d)))) if feature_subsample else d
@@ -270,20 +270,19 @@ def _reference_tree(x, t, config, rng, feature_subsample, provenance):
         recurse(lc + 1, idx[~mask], depth + 1)
 
     recurse(0, np.arange(n), 0)
-    return tree_from_splits(splits, provenance)
+    return tree_from_splits(splits)
 
 
 def reference_forest(w, n_trees, config, seed, variant):
     """to_dict() of every tree the recursive grower fits, in order."""
     rng = np.random.default_rng(seed)
     docs = []
-    for i in range(n_trees):
-        prov = Provenance("moment_tree", None, {"tree": i, "variant": variant, "degree": config.degree})
+    for _ in range(n_trees):
         x, t = w.x, w.t
         if variant == VARIANT_RF:
             idx = rng.integers(0, len(w), size=len(w))
             x, t = x[idx], t[idx]
-        doc = _reference_tree(x, t, config, rng, variant == VARIANT_RF, prov).to_dict()
+        doc = _reference_tree(x, t, config, rng, variant == VARIANT_RF).to_dict()
         doc["kind"] = "moment_tree"
         docs.append(doc)
     return docs
@@ -338,8 +337,7 @@ class TestLockstepGrowerMatchesRecursion:
     def test_single_tree_equals_recursion(self):
         config = MomentTreeConfig(degree=3, min_leaf=2, max_depth=12)
         w = random_window(3, 200, 4)
-        prov = Provenance("moment_tree", None, {"degree": 3, "max_depth": 12, "min_leaf": 2})
-        expected = _reference_tree(w.x, w.t, config, None, False, prov).to_dict()
+        expected = _reference_tree(w.x, w.t, config, None, False).to_dict()
         expected["kind"] = "moment_tree"
         assert fit_moment_tree(w, config, seed=0).to_dict() == expected
 
@@ -412,7 +410,6 @@ class TestLockstepGrowerMatchesRecursion:
                 left=np.array(doc["left"]),
                 right=np.array(doc["right"]),
                 cell=np.array(doc["cell"]),
-                provenance=None,
             )
             for doc in reference_forest(w, 16, config, 5, VARIANT_RF)
         ]

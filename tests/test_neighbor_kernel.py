@@ -345,11 +345,13 @@ class TestMmd:
             slow = mmd_biased_reference(w.x[:nb], w.x[nb:], gram.sigma)
             assert fast == pytest.approx(slow, abs=1e-10)
 
-    def test_gram_diagonal_and_symmetry(self, rng):
-        w = Window(rng.normal(size=(30, 2)), np.sort(rng.uniform(0, 1, 30)))
-        gram = build_kernel_gram(w)
-        assert np.allclose(np.diag(gram.matrix), 1.0)
-        assert np.max(np.abs(gram.matrix - gram.matrix.T)) < 1e-12
+    def test_descriptor_holds_no_n_by_n_array(self, rng):
+        n = 120
+        w = Window(rng.normal(size=(n, 2)), np.sort(rng.uniform(0, 1, n)))
+        desc = MmdEstimator().fit(w)
+        gram = desc.statistics.args[0]
+        held = [v for v in (*vars(desc).values(), *vars(gram).values()) if isinstance(v, np.ndarray)]
+        assert held and max(a.size for a in held) <= n + 1
 
     def test_monotone_decreasing_in_bandwidth_on_separated_clusters(self):
         xb = np.zeros((20, 1))
@@ -435,10 +437,16 @@ class TestDistanceBuffer:
             assert build_kernel_gram(Window(x, np.linspace(0, 1, len(x)))).sigma == expected
 
     def test_kernel_matrix_equals_formula(self):
+        # the block sums reduce the formula's matrix, bit for bit
         for x in buffer_cases():
             gram = build_kernel_gram(Window(x, np.linspace(0, 1, len(x))))
-            expected = np.exp(-(unblocked_distances(x) ** 2) / (2.0 * gram.sigma**2))
-            assert np.array_equal(gram.matrix, expected)
+            K = np.exp(-(unblocked_distances(x) ** 2) / (2.0 * gram.sigma**2))
+            assert np.allclose(np.diag(K), 1.0)
+            assert np.max(np.abs(K - K.T)) < 1e-12
+            strict_lower = np.array([K[i, :i].sum() for i in range(len(x))])
+            assert np.array_equal(gram.inner, np.concatenate([[0.0], np.cumsum(2.0 * strict_lower + np.diag(K))]))
+            assert np.array_equal(gram.lead, np.concatenate([[0.0], np.cumsum(K.sum(axis=1))]))
+            assert gram.total == float(K.sum())
 
 
 class TestSizeGuard:

@@ -43,7 +43,7 @@ class TestMarginal:
         w = Window(rng.normal(size=(50, 3)), np.sort(rng.uniform(0, 1, 50)))
         parts = build_marginal(w)
         assert len(parts) == 3
-        assert [p.provenance.params["feature"] for p in parts] == [0, 1, 2]
+        assert np.array_equal([p.axis for p in parts], np.eye(3))
 
     def test_equilikely_balances_counts(self, rng):
         w = window_of(rng.uniform(0, 1, 100))
@@ -55,7 +55,6 @@ class TestMarginal:
         w = window_of(np.full(20, 3.3))
         part = build_marginal(w, bins_per_dim=4, edge_mode="equilikely")[0]
         assert part.n_cells == 1
-        assert part.degenerate
 
     def test_out_of_range_maps_to_boundary_cells(self, rng):
         w = window_of(rng.uniform(0, 1, 50))
@@ -75,7 +74,7 @@ class TestEdges:
 
     def test_edges_strictly_increasing(self, rng):
         values = np.round(rng.uniform(0, 1, 200), 2)
-        edges, _ = make_edges(values, 16, "equilikely")
+        edges = make_edges(values, 16, "equilikely")
         assert np.all(np.diff(edges) > 0)
 
 
@@ -116,11 +115,10 @@ class TestRandomProjection:
         x = np.vstack([xb, xa])
         t = np.concatenate([np.linspace(0, 0.5, n // 2), np.linspace(0.51, 1, n // 2)])
         w = Window(x, t)
-        from driftbench.partitions import Binning1D, Provenance
+        from driftbench.partitions import Binning1D
 
         axis = np.array([1.0, 1.0]) / np.sqrt(2)
-        edges, _ = make_edges(w.x @ axis, 8, "equilikely")
-        part = Binning1D(axis, edges, False, Provenance("fixed_diagonal"))
+        part = Binning1D(axis, make_edges(w.x @ axis, 8, "equilikely"))
         ch = CumulativeHistogram(part.cell_of(w.x), w.t, part.n_cells)
         before, after = ch.counts_at(0.5)
         tv = total_variation(to_distribution(before), to_distribution(after))
@@ -252,8 +250,7 @@ GOLDEN_TREE = json.loads(
     '{"kind": "tree", "feature": [1, -1, 0, -1, 0, -1, -1], "threshold": '
     '[0.5123917975994242, null, 0.3367217644884629, null, 0.5812353725392208, null, null], '
     '"left": [1, -1, 3, -1, 5, -1, -1], "right": [2, -1, 4, -1, 6, -1, -1], '
-    '"cell": [-1, 0, -1, 1, -1, 2, 3], "provenance": {"builder": "random_tree", '
-    '"seed": null, "params": {"n_leaves": 4, "min_leaf": 3}}}'
+    '"cell": [-1, 0, -1, 1, -1, 2, 3]}'
 )
 
 # three chosen leaves cannot split (every feature tied within its inner
@@ -262,8 +259,7 @@ GOLDEN_STALLED_TREE = json.loads(
     '{"kind": "tree", "feature": [0, 0, -1, 1, 1, -1, 0, -1, -1, -1, -1], "threshold": '
     '[2.851391088977806, 0.28831922543926747, null, 0.5495936876730595, 0.6236629040209709, null, '
     '1.8277025938204416, null, null, null, null], "left": [1, 3, -1, 9, 5, -1, 7, -1, -1, -1, -1], '
-    '"right": [2, 4, -1, 10, 6, -1, 8, -1, -1, -1, -1], "cell": [-1, -1, 0, -1, -1, 1, -1, 2, 3, 4, 5], '
-    '"provenance": {"builder": "random_tree", "seed": null, "params": {"n_leaves": 12, "min_leaf": 2}}}'
+    '"right": [2, 4, -1, 10, 6, -1, 8, -1, -1, -1, -1], "cell": [-1, -1, 0, -1, -1, 1, -1, 2, 3, 4, 5]}'
 )
 
 
@@ -285,13 +281,13 @@ class TestSerialization:
 
 class TestTreeFromSplits:
     def test_no_splits_is_one_leaf(self):
-        tree = tree_from_splits([], partitions.Provenance("empty"))
+        tree = tree_from_splits([])
         assert tree.n_cells == 1
         assert tree.to_dict()["feature"] == [-1] and tree.to_dict()["cell"] == [0]
         assert np.array_equal(tree.cell_of(np.zeros((3, 2))), [0, 0, 0])
 
     def test_split_k_makes_nodes_2k_plus_1_and_2k_plus_2(self):
-        tree = tree_from_splits([(0, 1, 0.5), (2, 0, -1.0), (3, 0, -3.0)], partitions.Provenance("three"))
+        tree = tree_from_splits([(0, 1, 0.5), (2, 0, -1.0), (3, 0, -3.0)])
         doc = tree.to_dict()
         assert doc["feature"] == [1, -1, 0, 0, -1, -1, -1]
         assert doc["threshold"] == [0.5, None, -1.0, -3.0, None, None, None]

@@ -345,6 +345,22 @@ class TestMmd:
             slow = mmd_biased_reference(w.x[:nb], w.x[nb:], gram.sigma)
             assert fast == pytest.approx(slow, abs=1e-10)
 
+    def test_gram_diagonal_and_symmetry(self, rng):
+        n = 30
+        x = rng.normal(size=(n, 2))
+        t = np.sort(rng.uniform(0, 1, n))
+        gram = build_kernel_gram(Window(x, t))
+        # inner[1] is K[0, 0]; rolling the window brings each K[i, i] there
+        diag = [build_kernel_gram(Window(np.roll(x, -i, axis=0), t)).inner[1] for i in range(n)]
+        assert np.allclose(diag, 1.0)
+        # the before/after block of one order is the after/before block of the reversed order
+        rev = build_kernel_gram(Window(x[::-1].copy(), t))
+        m = np.arange(1, n)
+        before_after = gram.lead[m] - gram.inner[m]
+        after_before = rev.lead[n - m] - rev.inner[n - m]
+        assert np.max(np.abs(before_after - after_before)) < 1e-12
+        assert gram.total == pytest.approx(rev.total, abs=1e-12)
+
     def test_descriptor_holds_no_n_by_n_array(self, rng):
         n = 120
         w = Window(rng.normal(size=(n, 2)), np.sort(rng.uniform(0, 1, n)))

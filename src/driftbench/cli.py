@@ -23,8 +23,6 @@ from .detector import KnnEstimator, classifier_tv_oracle, detect_drift, scan_spl
 from .harness import (
     DESK_REPETITIONS,
     ESTIMATOR_BUILDERS,
-    TABLE_DATASETS,
-    TABLE_ESTIMATORS,
     ExperimentConfig,
     load_config,
     make_estimator,
@@ -115,12 +113,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    cfg = ExperimentConfig(
-        datasets=TABLE_DATASETS,
-        estimators=TABLE_ESTIMATORS,
-        repetitions=args.reps,
-        seed=args.seed,
-    )
+    cfg = ExperimentConfig(repetitions=args.reps, seed=args.seed)
     table = run_grid(cfg, threads=args.threads, progress=_print_cell)
     table.write(args.out)
     print(f"wrote {args.out}/results.csv and metadata.json")

@@ -76,9 +76,6 @@ class Descriptor:
             raise InvalidSplitError("split leaves an empty side")
         return self.statistics(ranks)
 
-    def statistic_at(self, t) -> float:
-        return float(self.statistics_at([float(t)])[0])
-
     def statistics(self, ranks: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 

@@ -7,6 +7,9 @@ evaluates the statistic at all configured split positions.  Repetitions
 use seeds derived from (master seed, dataset, estimator, index), so grids
 are reproducible and order-independent; a cell runs them in blocks, which
 lets the moment forests of a block grow in lockstep.
+
+``run_cell`` builds every cell's ``CellResult``, ok or failed, swept or
+not, and ``run_grid`` maps it over the grid.
 """
 
 from __future__ import annotations
@@ -14,11 +17,11 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import csv
+import functools
 import hashlib
 import json
-import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -110,20 +113,12 @@ def make_estimator(estimator_id: str, metric: str = "tv", params: dict | None = 
         raise ParameterError(f"bad parameters for estimator {estimator_id!r}: {exc}") from None
 
 
-def _csv_pair(path, timestamp_split, two_sample_check, rng):
-    if path is None:
-        raise ParameterError("csv dataset needs a 'path' parameter")
-    return csv_concept_pair(path, timestamp_split, two_sample_check, rng)
-
-
 DATASET_BUILDERS = {
-    "sea": lambda rng, variant_before=0, variant_after=3: sea_pair(variant_before, variant_after),
-    "stagger": lambda rng, concept_before=1, concept_after=2: stagger_pair(concept_before, concept_after),
-    "rbf": lambda rng, d=2, n_centroids=5: rbf_pair(d, n_centroids, rng),
-    "rhp": lambda rng, d=2, rotation_angle=math.pi / 2: rhp_pair(d, rotation_angle, rng),
-    "csv": lambda rng, path=None, timestamp_split=0.5, two_sample_check=False: _csv_pair(
-        path, timestamp_split, two_sample_check, rng
-    ),
+    "sea": lambda rng, **p: sea_pair(**p),
+    "stagger": lambda rng, **p: stagger_pair(**p),
+    "rbf": lambda rng, **p: rbf_pair(**p, seed=rng),
+    "rhp": lambda rng, **p: rhp_pair(**p, seed=rng),
+    "csv": lambda rng, **p: csv_concept_pair(**p, seed=rng),
 }
 
 
@@ -164,6 +159,8 @@ class ExperimentConfig:
         object.__setattr__(self, "split_positions", tuple(float(p) for p in self.split_positions))
         if self.repetitions < 1 or self.n < 4:
             raise ParameterError("repetitions and n must be positive (n >= 4)")
+        if self.noise_dims < 0:
+            raise ParameterError(f"noise_dims must be >= 0, got {self.noise_dims}")
         if self.metric.lower() not in METRICS:
             raise ParameterError(f"unknown metric {self.metric!r}; known: {list(METRICS)}")
         for kind, ids, known in (
@@ -173,6 +170,9 @@ class ExperimentConfig:
             bad = [i for i in ids if i not in known]
             if bad:
                 raise ParameterError(f"unknown {kind} ids {bad}; known: {sorted(known)}")
+        # a misspelt parameter fails here, before any cell; construction fits nothing
+        for estimator_id in self.estimators:
+            make_estimator(estimator_id, self.metric, self.estimator_params.get(estimator_id))
         if DRIFT_POSITION not in self.split_positions:
             raise ParameterError(f"split_positions must include the drift position {DRIFT_POSITION}")
         if not self.custom:
@@ -300,13 +300,12 @@ def _fmt(v) -> str:
 def _effective_positions(positions, offset: float) -> np.ndarray:
     # positions are quoted on the no-offset scale; map them through the same
     # renormalization the offset removal applies to time
-    if offset == 0.0:
-        return np.asarray(positions, dtype=float)
     return (np.asarray(positions, dtype=float) - offset) / (1.0 - offset)
 
 
-def collect_records(cfg: ExperimentConfig, dataset_id: str, estimator_id: str) -> EvalRecords:
-    """Run all repetitions of one (dataset, estimator) cell.
+def collect_records(cfg: ExperimentConfig, dataset_id: str, estimator_id: str, params: dict | None = None) -> EvalRecords:
+    """Run all repetitions of one (dataset, estimator) cell with estimator
+    ``params`` (default: the configured ones).
 
     Repetitions run in blocks of REPETITION_BLOCK.  Each repetition draws its
     window pair, then its drift window's fit, then its permuted window's fit
@@ -314,7 +313,8 @@ def collect_records(cfg: ExperimentConfig, dataset_id: str, estimator_id: str) -
     its pairs, fits the drift windows, then the permuted windows, and each
     descriptor is evaluated at every position and dropped before the next.
     """
-    params = cfg.estimator_params.get(estimator_id, {})
+    if params is None:
+        params = cfg.estimator_params.get(estimator_id)
     estimator = make_estimator(estimator_id, cfg.metric, params)
     reps = cfg.repetitions
     drift = np.empty((reps, len(cfg.split_positions)))
@@ -335,55 +335,28 @@ def collect_records(cfg: ExperimentConfig, dataset_id: str, estimator_id: str) -
     return EvalRecords(cfg.split_positions, drift, perm)
 
 
-def summarize(records: EvalRecords, cfg: ExperimentConfig, dataset_id: str, estimator_id: str, **extra) -> CellResult:
+def run_cell(cfg: ExperimentConfig, dataset_id: str, estimator_id: str, sweep: bool = False) -> CellResult:
+    """Run one (dataset, estimator) cell, or with ``sweep`` each of its
+    ``SWEEP_GRIDS`` sets merged over the configured parameters; an
+    incompatible cell is recorded as failed, not raised."""
+    configured = cfg.estimator_params.get(estimator_id, {})
+    sets = [{**configured, **p} for p in SWEEP_GRIDS.get(estimator_id, [{}])] if sweep else [dict(configured)]
     deltas = sorted({round(p - DRIFT_POSITION, 9) for p in cfg.split_positions if p > DRIFT_POSITION})
-    return CellResult(
-        dataset=dataset_id,
-        estimator=estimator_id,
-        p_perm=p_perm(records),
-        p_thre=p_thre(records),
-        p_pa={d: p_pa(records, d) for d in deltas},
-        repetitions=cfg.repetitions,
-        params=dict(cfg.estimator_params.get(estimator_id, {})),
-        **extra,
-    )
-
-
-def run_cell(cfg: ExperimentConfig, dataset_id: str, estimator_id: str) -> CellResult:
-    try:
-        records = collect_records(cfg, dataset_id, estimator_id)
-        return summarize(records, cfg, dataset_id, estimator_id)
-    except DriftBenchError as exc:  # incompatible cells are recorded, not fatal
-        return CellResult(
-            dataset=dataset_id,
-            estimator=estimator_id,
-            p_perm=None,
-            p_thre=None,
-            p_pa={},
-            repetitions=cfg.repetitions,
-            status="failed",
-            error=f"{type(exc).__name__}: {exc}",
-            params=dict(cfg.estimator_params.get(estimator_id, {})),
-        )
-
-
-def run_cell_sweep(cfg: ExperimentConfig, dataset_id: str, estimator_id: str) -> CellResult:
-    """Try the coarse parameter grid and keep the cell with the best p_thre."""
-    best = None
-    for params in SWEEP_GRIDS.get(estimator_id, [{}]):
-        merged = dict(cfg.estimator_params.get(estimator_id, {}))
-        merged.update(params)
-        sub = replace(cfg, estimator_params={**cfg.estimator_params, estimator_id: merged})
-        result = run_cell(sub, dataset_id, estimator_id)
-        if result.status == "ok" and (best is None or result.p_thre > best.p_thre):
-            best = replace(result, selected_from_sweep=True)
-    return best if best is not None else run_cell(cfg, dataset_id, estimator_id)
-
-
-def _cell_task(args):
-    cfg, dataset_id, estimator_id, sweep = args
-    runner = run_cell_sweep if sweep else run_cell
-    return runner(cfg, dataset_id, estimator_id)
+    cells = []
+    for params in sets:
+        try:
+            records = collect_records(cfg, dataset_id, estimator_id, params)
+            cells.append(CellResult(
+                dataset_id, estimator_id, p_perm(records), p_thre(records), {d: p_pa(records, d) for d in deltas},
+                cfg.repetitions, params=params, selected_from_sweep=sweep,
+            ))
+        except DriftBenchError as exc:  # incompatible cells are recorded, not fatal
+            cells.append(CellResult(
+                dataset_id, estimator_id, None, None, {}, cfg.repetitions,
+                status="failed", error=f"{type(exc).__name__}: {exc}", params=params,
+            ))
+    # the first set with the highest p_thre; when every set fails, the first set's failure
+    return max((c for c in cells if c.status == "ok"), key=lambda c: c.p_thre, default=cells[0])
 
 
 def run_grid(cfg: ExperimentConfig, threads: int = 1, sweep: bool = False, progress=None) -> ResultTable:
@@ -394,19 +367,21 @@ def run_grid(cfg: ExperimentConfig, threads: int = 1, sweep: bool = False, progr
     ``progress(dataset, estimator, cell)`` is called once per cell, in task
     order.
     """
-    tasks = [(cfg, d, e, sweep) for d in cfg.datasets for e in cfg.estimators]
+    datasets = [d for d in cfg.datasets for _ in cfg.estimators]
+    estimators = [e for _ in cfg.datasets for e in cfg.estimators]
+    run = functools.partial(run_cell, cfg, sweep=sweep)
     started = time.time()
     cells = []
     with contextlib.ExitStack() as stack:
         if threads > 1:
             pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=threads))
-            results = pool.map(_cell_task, tasks)
+            results = pool.map(run, datasets, estimators)
         else:
-            results = map(_cell_task, tasks)
-        for task, cell in zip(tasks, results):
+            results = map(run, datasets, estimators)
+        for cell in results:
             cells.append(cell)
             if progress:
-                progress(task[1], task[2], cell)
+                progress(cell.dataset, cell.estimator, cell)
     metadata = {
         "config": asdict(cfg),
         "config_hash": cfg.config_hash(),

@@ -6,12 +6,17 @@ import zlib
 
 import numpy as np
 
+from .errors import ParameterError
+
 
 def as_generator(seed) -> np.random.Generator:
     """Coerce ``seed`` (None, int, SeedSequence or Generator) to a Generator."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:  # e.g. a negative integer
+        raise ParameterError(f"bad seed {seed!r}: {exc}") from None
 
 
 def derive_seed(master_seed: int, *parts) -> np.random.SeedSequence:

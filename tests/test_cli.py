@@ -102,6 +102,12 @@ class TestDetect:
         assert ("alpha" if option[0] == "--alpha" else "unknown metric") in captured.err
         assert "drift detected" not in captured.out
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        path = drift_csv(tmp_path)
+        assert main(["detect", "--csv", str(path), "--estimator", "marg", "--perms", "19", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bad seed -1") and "drift detected" not in captured.out
+
     def test_unknown_estimator_is_usage_error(self, tmp_path):
         path = drift_csv(tmp_path)
         with pytest.raises(SystemExit) as err:
@@ -161,6 +167,16 @@ class TestRun:
         assert captured.err.startswith("error: ") and "outside" in captured.err and captured.out == ""
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("line, message", [("noise_dims = -1", "noise_dims"), ("estimator.rf.n_tres = 3", "n_tres")])
+    def test_bad_noise_dims_or_estimator_parameter_is_usage_error_before_any_cell(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"datasets = stagger\nestimators = marg, rf\nrepetitions = 2\n{line}\n")
+        out_dir = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err and captured.out == ""
+        assert not out_dir.exists()
+
     def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"
         cfg.write_bytes(b"datasets = stagger\n# caf\xe9\n")
@@ -191,3 +207,8 @@ class TestOracle:
         assert code == 0
         assert out.count("[PASS]") == 5
         assert "[FAIL]" not in out
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert main(["oracle", "--trials", "20", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bad seed -1") and captured.out == ""

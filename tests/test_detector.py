@@ -148,7 +148,7 @@ class TestDescriptorProtocol:
         desc = make_estimator(estimator_id).fit(w, seed=3)
         ts = candidate_split_times(w)
         batch = desc.statistics_at(ts)
-        assert np.array_equal(batch, [desc.statistic_at(t) for t in ts])
+        assert np.array_equal(batch, [desc.statistics_at([t])[0] for t in ts])
         assert desc.statistics_at([]).shape == (0,)
         for t in (float(w.t[-1]), float(w.t[0]) - 0.01):
             with pytest.raises(InvalidSplitError):
@@ -158,7 +158,7 @@ class TestDescriptorProtocol:
         j = int(gaps[len(gaps) // 2])
         between = 0.5 * (w.t[j] + w.t[j + 1])
         assert w.t[j] < between < w.t[j + 1]
-        assert desc.statistic_at(between) == desc.statistic_at(w.t[j])
+        assert desc.statistics_at([between])[0] == desc.statistics_at([w.t[j]])[0]
 
     def test_rank_list_path_gives_dense_bits(self, monkeypatch):
         # both prefix storage paths hand the metrics column-major counts, so

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from driftbench import harness
 from driftbench.detector import Estimator
 from driftbench.errors import ParameterError
 from driftbench.harness import (
@@ -22,7 +23,6 @@ from driftbench.harness import (
     p_perm,
     p_thre,
     run_cell,
-    run_cell_sweep,
     run_grid,
 )
 from driftbench.windows import make_paired
@@ -105,8 +105,8 @@ class TestPValues:
             from driftbench.windows import make_paired
 
             pw = make_paired(before, after, 150, seed=rng)
-            drift.append(est.fit(pw.drifting, rng).statistic_at(0.5))
-            perm.append(est.fit(pw.permuted, rng).statistic_at(0.5))
+            drift.append(est.fit(pw.drifting, rng).statistics_at([0.5])[0])
+            perm.append(est.fit(pw.permuted, rng).statistics_at([0.5])[0])
         rec = records(np.array(drift), np.array(perm), positions=(0.50,))
         assert p_thre(rec) >= 0.97
 
@@ -254,12 +254,26 @@ class TestRunGrid:
         assert meta["cells"] == {"stagger/marg": {"params": {}, "selected_from_sweep": False}}
 
     def test_sweep_flags_result(self):
-        import dataclasses
-
         cfg = dataclasses.replace(SMALL, repetitions=3)
-        cell = run_cell_sweep(cfg, "stagger", "marg")
+        cell = run_cell(cfg, "stagger", "marg", sweep=True)
         assert cell.selected_from_sweep
         assert cell.status == "ok"
+
+    def test_sweep_with_every_set_failing_runs_each_set_once(self, monkeypatch):
+        # both grid sets exceed MAX_GRID_CELLS on 12 features
+        calls = []
+
+        def counting(cfg, dataset_id, estimator_id, params=None):
+            calls.append(params)
+            return collect_records(cfg, dataset_id, estimator_id, params)
+
+        monkeypatch.setattr(harness, "collect_records", counting)
+        cfg = dataclasses.replace(SMALL, datasets=("rbf",), estimators=("grid",), repetitions=2, dataset_params={"rbf": {"d": 12}})
+        cell = run_cell(cfg, "rbf", "grid", sweep=True)
+        assert calls == SWEEP_GRIDS["grid"]
+        assert cell.status == "failed" and cell.error.startswith("ParameterError: grid would exceed")
+        assert cell.params == SWEEP_GRIDS["grid"][0]
+        assert not cell.selected_from_sweep
 
     def test_sweep_records_the_chosen_params_in_metadata(self, tmp_path):
         cfg = dataclasses.replace(SMALL, estimators=("marg", "rnd_pj"), repetitions=3)
@@ -321,9 +335,20 @@ class TestConfigValidation:
             make_estimator("marg", params={"nope": 1})
         with pytest.raises(ParameterError, match="dataset 'sea'"):
             make_concept_pair("sea", np.random.default_rng(0), {"nope": 1})
-        cfg = dataclasses.replace(SMALL, repetitions=2, estimator_params={"marg": {"nope": 1}})
-        cell = run_cell(cfg, "stagger", "marg")
-        assert cell.status == "failed" and cell.error.startswith("ParameterError")
+        with pytest.raises(ParameterError, match="estimator 'marg'"):
+            dataclasses.replace(SMALL, repetitions=2, estimator_params={"marg": {"nope": 1}})
+
+    def test_misspelt_estimator_parameter_rejected_before_any_cell(self):
+        with pytest.raises(ParameterError, match="bad parameters for estimator 'rf'.*'n_tres'"):
+            dataclasses.replace(SMALL, estimators=("marg", "rf"), estimator_params={"rf": {"n_tres": 3}})
+
+    def test_negative_noise_dims_rejected(self):
+        with pytest.raises(ParameterError, match="noise_dims must be >= 0"):
+            dataclasses.replace(SMALL, noise_dims=-1)
+
+    def test_csv_dataset_without_path_is_parameter_error(self):
+        with pytest.raises(ParameterError, match="dataset 'csv'.*'path'"):
+            make_concept_pair("csv", np.random.default_rng(0), {"timestamp_split": 0.5})
 
     def test_knn_aggregation_checked_at_construction(self):
         # ldd aggregates per-point values by mean or max; knn_kl has nothing to aggregate

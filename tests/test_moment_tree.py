@@ -102,7 +102,7 @@ class TestForest:
             before = np.bincount(cells[mask], minlength=tree.n_cells)
             after = np.bincount(cells[~mask], minlength=tree.n_cells)
             per_tree.append(float(metric(before, after)))
-        assert desc.statistic_at(t) == pytest.approx(np.mean(per_tree), abs=1e-15)
+        assert desc.statistics_at([t])[0] == pytest.approx(np.mean(per_tree), abs=1e-15)
 
     def test_statistics_match_recount_on_all_splits(self):
         w = two_cluster_window(n_per=20, seed=3)
@@ -117,7 +117,7 @@ class TestForest:
                 before = np.bincount(cells[mask], minlength=tree.n_cells)
                 after = np.bincount(cells[~mask], minlength=tree.n_cells)
                 manual.append(float(metric(before, after)))
-            assert descriptor.statistic_at(float(t)) == np.mean(manual)
+            assert descriptor.statistics_at([float(t)])[0] == np.mean(manual)
 
     def test_single_leaf_tree_statistic_zero_for_every_metric(self, rng):
         w = Window(np.full((50, 1), 1.0), np.sort(rng.uniform(0, 1, 50)))
@@ -125,13 +125,13 @@ class TestForest:
             desc = MomentForestEstimator(n_trees=2, metric=metric).fit(w, seed=0)
             assert desc.forest.trees[0].n_cells == 1
             for t in (0.2, 0.5, 0.8):
-                assert desc.statistic_at(t) == 0.0
+                assert desc.statistics_at([t])[0] == 0.0
 
     def test_empty_side_errors(self):
         w = two_cluster_window()
         desc = MomentForestEstimator(n_trees=1).fit(w, seed=0)
         with pytest.raises(InvalidSplitError):
-            desc.statistic_at(float(w.t[-1]))
+            desc.statistics_at([float(w.t[-1])])[0]
 
     def test_invalid_params(self):
         w = two_cluster_window()
@@ -171,7 +171,7 @@ class TestTruncateReference:
         assert len(train) < len(w)
         desc = MomentForestEstimator(n_trees=2, skip_fraction=0.1).fit(w, seed=0, drift_time=0.5)
         assert desc.window is w
-        assert desc.statistic_at(0.5) >= 0.0
+        assert desc.statistics_at([0.5])[0] >= 0.0
 
 
 def arrival_time_witness_windows():

@@ -174,7 +174,7 @@ class TestLdd:
         w = Window(rng.normal(size=(20, 1)), np.sort(rng.uniform(0.2, 0.8, 20)))
         desc = KnnEstimator(k=2).fit(w)
         with pytest.raises(InvalidSplitError):
-            desc.statistic_at(0.95)
+            desc.statistics_at([0.95])[0]
 
 
 class TestKnnKl:

@@ -140,8 +140,8 @@ class TestMarginalBlindness:
         for rep in range(reps):
             rng = np.random.default_rng(rep)
             pw = make_paired(pos, neg, 500, seed=rng)
-            wins_marg += marg.fit(pw.drifting, rng).statistic_at(0.5) > marg.fit(pw.permuted, rng).statistic_at(0.5)
-            wins_proj += proj.fit(pw.drifting, rng).statistic_at(0.5) > proj.fit(pw.permuted, rng).statistic_at(0.5)
+            wins_marg += marg.fit(pw.drifting, rng).statistics_at([0.5])[0] > marg.fit(pw.permuted, rng).statistics_at([0.5])[0]
+            wins_proj += proj.fit(pw.drifting, rng).statistics_at([0.5])[0] > proj.fit(pw.permuted, rng).statistics_at([0.5])[0]
         assert 0.4 <= wins_marg / reps <= 0.6
         assert wins_proj / reps >= 0.9
 

@@ -160,8 +160,8 @@ class TestMakePaired:
         for rep in range(reps):
             rng = np.random.default_rng(1000 + rep)
             pw = make_paired(uniform_sampler(0, 1), uniform_sampler(0, 1), 100, seed=rng)
-            d = est.fit(pw.drifting, rng).statistic_at(0.5)
-            p = est.fit(pw.permuted, rng).statistic_at(0.5)
+            d = est.fit(pw.drifting, rng).statistics_at([0.5])[0]
+            p = est.fit(pw.permuted, rng).statistics_at([0.5])[0]
             wins += d > p
         assert abs(wins / reps - 0.5) < 0.06
 

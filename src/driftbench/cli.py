@@ -50,6 +50,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+def _count(text: str) -> int:
+    """A count of worker processes or trials: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bench", description="Drift detection estimator benchmark")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -58,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="key = value config file")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--reps", type=int, default=None, help="override repetition count")
-    run.add_argument("--threads", type=int, default=1, help="parallel worker processes")
+    run.add_argument("--threads", type=_count, default=1, help="parallel worker processes")
     run.add_argument("--sweep", action="store_true", help="coarse hyperparameter sweep, keep best p_thre")
 
     detect = sub.add_parser("detect", help="one-shot drift detection on a CSV stream")
@@ -72,11 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
     tables = sub.add_parser("tables", help="regenerate benchmark tables on the synthetic datasets")
     tables.add_argument("--out", required=True, help="output directory")
     tables.add_argument("--reps", type=int, default=DESK_REPETITIONS)
-    tables.add_argument("--threads", type=int, default=1)
+    tables.add_argument("--threads", type=_count, default=1)
     tables.add_argument("--seed", type=int, default=0)
 
     oracle = sub.add_parser("oracle", help="run the brute-force verification suites")
-    oracle.add_argument("--trials", type=int, default=100)
+    oracle.add_argument("--trials", type=_count, default=100)
     oracle.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -217,10 +224,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

@@ -247,7 +247,7 @@ class KnnEstimator(Estimator):
 class MmdEstimator(Estimator):
     """Biased Gaussian-kernel MMD estimator."""
 
-    def __init__(self, bandwidth="median"):
+    def __init__(self, bandwidth: float | str = "median"):
         self.name = "mmd"
         self.bandwidth = bandwidth
 

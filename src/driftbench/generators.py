@@ -164,7 +164,7 @@ class ResampleConcept:
 
 
 def csv_concept_pair(
-    path, timestamp_split: float = 0.5, two_sample_check: bool = False, seed=0
+    path: str, timestamp_split: float = 0.5, two_sample_check: bool = False, seed=0
 ) -> tuple[ResampleConcept, ResampleConcept]:
     """Bootstrap samplers from the rows before/after a timestamp split.
 

@@ -10,6 +10,9 @@ lets the moment forests of a block grow in lockstep.
 
 ``run_cell`` builds every cell's ``CellResult``, ok or failed, swept or
 not, and ``run_grid`` maps it over the grid.
+
+Config names and value types are checked from the builders' signatures
+before any cell runs; a value that needs data or a fit fails its cells.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import contextlib
 import csv
 import functools
 import hashlib
+import inspect
 import json
 import time
 from dataclasses import asdict, dataclass, field
@@ -55,11 +59,18 @@ REPETITION_BLOCK = 16
 
 
 def _moment_estimator(variant):
-    def build(metric="tv", n_trees=None, degree=2, min_leaf=10, max_depth=8, skip_fraction=0.0):
+    def build(metric="tv", n_trees: int | None = None, degree=2, min_leaf=10, max_depth=8, skip_fraction=0.0):
         if n_trees is None:
             n_trees = 16 if variant == VARIANT_RF else 1
         cfg = MomentTreeConfig(degree=degree, min_leaf=min_leaf, max_depth=max_depth)
         return MomentForestEstimator(n_trees, variant, cfg, skip_fraction, metric)
+
+    return build
+
+
+def _knn_estimator(statistic, default_k):
+    def build(k=default_k, aggregation: str | None = None):
+        return KnnEstimator(k, statistic, aggregation)
 
     return build
 
@@ -73,9 +84,9 @@ ESTIMATOR_BUILDERS = {
     "kdq": kdq_tree_estimator,
     "rf": _moment_estimator(VARIANT_RF),
     "dt": _moment_estimator(VARIANT_DT),
-    "mmd": lambda metric="tv", **p: MmdEstimator(**p),
-    "ldd": lambda metric="tv", **p: KnnEstimator(statistic="ldd", **p),
-    "knn_kl": lambda metric="tv", k=2, **p: KnnEstimator(k=k, statistic="kl", **p),
+    "mmd": MmdEstimator,
+    "ldd": _knn_estimator("ldd", 10),
+    "knn_kl": _knn_estimator("kl", 2),
 }
 
 #: Estimators shown in the benchmark tables.
@@ -98,39 +109,46 @@ SWEEP_GRIDS = {
 }
 
 
-def make_estimator(estimator_id: str, metric: str = "tv", params: dict | None = None) -> Estimator:
+DATASET_BUILDERS = {"sea": sea_pair, "stagger": stagger_pair, "rbf": rbf_pair, "rhp": rhp_pair, "csv": csv_concept_pair}
+
+#: Each builder table, and the parameter the harness passes a builder that takes it.
+_BUILDERS = {"estimator": (ESTIMATOR_BUILDERS, "metric"), "dataset": (DATASET_BUILDERS, "seed")}
+
+
+@functools.cache
+def _settable(builder, *supplied) -> tuple[inspect.Signature, bool]:
+    """``builder``'s signature less ``supplied``, annotations evaluated, and
+    whether it takes any of ``supplied``; resolved once per builder."""
+    sig = inspect.signature(builder, eval_str=True)
+    rest = [p for p in sig.parameters.values() if p.name not in supplied]
+    return sig.replace(parameters=rest), len(rest) < len(sig.parameters)
+
+
+def _check(kind: str, builder_id: str, params: dict, partial: bool = False):
+    """Builder ``builder_id``'s settable signature and a call of it with ``params``
+    and the harness's value, once ``params`` bind to it (in part, with ``partial``)."""
+    builders, supplied = _BUILDERS[kind]
+    if builder_id not in builders:
+        raise ParameterError(f"unknown {kind} {builder_id!r}; known: {sorted(builders)}")
+    sig, takes_supplied = _settable(builders[builder_id], supplied)
     try:
-        builder = ESTIMATOR_BUILDERS[estimator_id]
-    except KeyError:
-        raise ParameterError(f"unknown estimator {estimator_id!r}; known: {sorted(ESTIMATOR_BUILDERS)}") from None
-    # the neighbor and kernel estimators ignore the metric, but a misspelt one
-    # is still an error
+        (sig.bind_partial if partial else sig.bind)(**params)
+    except TypeError as exc:
+        raise ParameterError(f"bad parameters for {kind} {builder_id!r}: {exc}") from None
+    return sig, lambda value: builders[builder_id](**params, **({supplied: value} if takes_supplied else {}))
+
+
+def make_estimator(estimator_id: str, metric: str = "tv", params: dict | None = None) -> Estimator:
+    _, build = _check("estimator", estimator_id, params or {})
+    # the neighbor and kernel estimators ignore the metric; a misspelt one is still an error
     if metric.lower() not in METRICS:
         raise ParameterError(f"unknown metric {metric!r}; known: {list(METRICS)}")
-    try:
-        return builder(metric=metric, **(params or {}))
-    except TypeError as exc:  # the builders only construct, so this is a bad keyword
-        raise ParameterError(f"bad parameters for estimator {estimator_id!r}: {exc}") from None
-
-
-DATASET_BUILDERS = {
-    "sea": lambda rng, **p: sea_pair(**p),
-    "stagger": lambda rng, **p: stagger_pair(**p),
-    "rbf": lambda rng, **p: rbf_pair(**p, seed=rng),
-    "rhp": lambda rng, **p: rhp_pair(**p, seed=rng),
-    "csv": lambda rng, **p: csv_concept_pair(**p, seed=rng),
-}
+    return build(metric)
 
 
 def make_concept_pair(dataset_id: str, rng, params: dict | None = None, noise_dims: int = 0):
-    try:
-        builder = DATASET_BUILDERS[dataset_id]
-    except KeyError:
-        raise ParameterError(f"unknown dataset {dataset_id!r}; known: {sorted(DATASET_BUILDERS)}") from None
-    try:
-        before, after = builder(rng, **(params or {}))
-    except TypeError as exc:  # the builders only construct concepts, so this is a bad keyword
-        raise ParameterError(f"bad parameters for dataset {dataset_id!r}: {exc}") from None
+    _, build = _check("dataset", dataset_id, params or {})
+    before, after = build(rng)
     if noise_dims:
         before, after = with_noise(before, noise_dims), with_noise(after, noise_dims)
     return before, after
@@ -161,17 +179,16 @@ class ExperimentConfig:
             raise ParameterError("repetitions and n must be positive (n >= 4)")
         if self.noise_dims < 0:
             raise ParameterError(f"noise_dims must be >= 0, got {self.noise_dims}")
+        # derive_seed keeps 32 bits, so any other seed would alias one of these
+        if not 0 <= self.seed < 2**32:
+            raise ParameterError(f"bad seed {self.seed!r}: must lie in [0, 2**32)")
         if self.metric.lower() not in METRICS:
             raise ParameterError(f"unknown metric {self.metric!r}; known: {list(METRICS)}")
-        for kind, ids, known in (
-            ("estimator", self.estimators, ESTIMATOR_BUILDERS),
-            ("dataset", self.datasets, DATASET_BUILDERS),
-        ):
-            bad = [i for i in ids if i not in known]
-            if bad:
-                raise ParameterError(f"unknown {kind} ids {bad}; known: {sorted(known)}")
-        # a misspelt parameter fails here, before any cell; construction fits nothing
-        for estimator_id in self.estimators:
+        # a bad id or parameter fails here, before any cell: a dataset by its
+        # signature (building it may read a file), an estimator by construction
+        for dataset_id in dict.fromkeys([*self.datasets, *self.dataset_params]):
+            _check("dataset", dataset_id, self.dataset_params.get(dataset_id, {}))
+        for estimator_id in dict.fromkeys([*self.estimators, *self.estimator_params]):
             make_estimator(estimator_id, self.metric, self.estimator_params.get(estimator_id))
         if DRIFT_POSITION not in self.split_positions:
             raise ParameterError(f"split_positions must include the drift position {DRIFT_POSITION}")
@@ -398,30 +415,21 @@ def run_grid(cfg: ExperimentConfig, threads: int = 1, sweep: bool = False, progr
     return ResultTable(tuple(cells), cfg, metadata)
 
 
-def _parse_list(value: str) -> tuple[str, ...]:
-    return tuple(v.strip() for v in value.split(",") if v.strip())
+_BOOLS = {"true": True, "yes": True, "on": True, "false": False, "no": False, "off": False}
 
 
-def _parse_bool(value: str) -> bool:
-    parsed = _parse_scalar(value)
-    if not isinstance(parsed, bool):
-        raise ValueError(value)
-    return parsed
-
-
-#: Plain config keys and the parser of each value.
-_CONFIG_PARSERS = {
-    "datasets": _parse_list,
-    "estimators": _parse_list,
-    "split_positions": lambda value: tuple(float(v) for v in value.split(",")),
-    "n": int,
-    "noise_dims": int,
-    "repetitions": int,
-    "seed": int,
-    "offset": float,
-    "metric": str,
-    "custom": _parse_bool,
-}
+def _parse(text: str, param: inspect.Parameter):
+    """Config text as ``param``'s type: its annotation, else its default's.
+    A tuple is a comma list of its element type; a union takes the first
+    member the text parses as."""
+    kind = param.annotation if param.annotation is not param.empty else type(param.default)
+    if getattr(kind, "__origin__", None) is tuple:
+        return tuple(_parse(v.strip(), param.replace(annotation=kind.__args__[0])) for v in text.split(",") if v.strip())
+    for member in getattr(kind, "__args__", (kind,)):
+        if member is not type(None):
+            with contextlib.suppress(KeyError, ValueError):
+                return _BOOLS[text.lower()] if member is bool else member(text)
+    raise ValueError(f"{text!r} is not {getattr(kind, '__name__', kind)}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -429,12 +437,13 @@ def load_config(path) -> ExperimentConfig:
 
     Lists are comma separated; estimator/dataset parameter overrides use
     dotted keys, e.g. ``estimator.rf.n_trees = 64`` or
-    ``dataset.rhp.rotation_angle = 0.7854``.  A malformed line raises
-    ``ParameterError`` naming ``path:line``.
+    ``dataset.rhp.rotation_angle = 0.7854``; a value takes its field's or
+    parameter's type.  A bad line, name or type raises ``ParameterError``
+    naming ``path:line``.
     """
     kwargs: dict = {}
     overrides: dict = {"estimator": {}, "dataset": {}}
-    unknown: set = set()
+    fields = _settable(ExperimentConfig, "estimator_params", "dataset_params")[0].parameters
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -450,34 +459,19 @@ def load_config(path) -> ExperimentConfig:
         key = key.strip()
         value = value.strip()
         kind, dotted, rest = key.partition(".")
-        if dotted and kind in overrides:
-            target, _, param = rest.partition(".")
-            if not target or not param:
-                raise ParameterError(f"{path}:{lineno}: expected '{kind}.<id>.<parameter> = value', got {key!r}")
-            overrides[kind].setdefault(target, {})[param] = _parse_scalar(value)
-        elif key in _CONFIG_PARSERS:
-            try:
-                kwargs[key] = _CONFIG_PARSERS[key](value)
-            except ValueError:
-                raise ParameterError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
-        else:
-            unknown.add(key)
-    if unknown:
-        raise ParameterError(f"{path}: unknown config keys {sorted(unknown)}")
+        try:
+            if dotted and kind in overrides:
+                target, _, name = rest.partition(".")
+                if not target or not name:
+                    raise ParameterError(f"expected '{kind}.<id>.<parameter> = value', got {key!r}")
+                sig, _ = _check(kind, target, {name: value}, partial=True)
+                overrides[kind].setdefault(target, {})[name] = _parse(value, sig.parameters[name])
+            elif key in fields:
+                kwargs[key] = _parse(value, fields[key])
+            else:
+                raise ParameterError(f"unknown config key {key!r}; known: {sorted(fields)}")
+        except ParameterError as exc:
+            raise ParameterError(f"{path}:{lineno}: {exc}") from None
+        except ValueError as exc:
+            raise ParameterError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return ExperimentConfig(estimator_params=overrides["estimator"], dataset_params=overrides["dataset"], **kwargs)
-
-
-def _parse_scalar(value: str):
-    lowered = value.lower()
-    if lowered in ("true", "yes", "on"):
-        return True
-    if lowered in ("false", "no", "off"):
-        return False
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        return value

@@ -1,7 +1,13 @@
+import contextlib
+import io
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driftbench.cli import main
+from driftbench.harness import ESTIMATOR_BUILDERS, SWEEP_GRIDS, TABLE_DATASETS
 
 
 def drift_csv(tmp_path, n=150):
@@ -190,6 +196,42 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert f"error: {cfg}:2: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("estimator.marg.bins = 8.5", "bad value for 'estimator.marg.bins'"),
+            ("dataset.sea.variant_after = 2.0", "bad value for 'dataset.sea.variant_after'"),
+            ("estimator.rff.n_trees = 4", "unknown estimator 'rff'"),
+            ("dataset.sea.variant_aftr = 2", "'variant_aftr'"),
+            ("dataset.rbf.seed = 3", "'seed'"),
+        ],
+    )
+    def test_bad_parameter_name_or_type_is_usage_error_before_any_cell(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"datasets = sea, rbf\nestimators = marg\nn = 60\nrepetitions = 2\n{line}\n")
+        out_dir = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {cfg}:5: ") and message in captured.err and captured.out == ""
+        assert not out_dir.exists()
+
+    def test_csv_path_is_text(self, tmp_path, capsys, monkeypatch):
+        # read as the integer 1, the path opened this process's stdout
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bench.cfg").write_text("datasets = csv\nestimators = marg\nn = 60\nrepetitions = 2\ndataset.csv.path = 1\n")
+        assert main(["run", "--config", "bench.cfg", "--out", "o"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("data error: ") and "'1'" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("threads", ["0", "-2", "two"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, capsys, threads):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("datasets = stagger\nestimators = marg\nrepetitions = 2\n")
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", threads])
+        assert err.value.code == 1
+        assert "--threads: expected an integer >= 1" in capsys.readouterr().err
+
 
 class TestTables:
     def test_tiny_tables_run(self, tmp_path, capsys):
@@ -198,6 +240,19 @@ class TestTables:
         assert code == 0
         rows = (out_dir / "results.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 4 * 6  # header + datasets x estimators
+
+
+    def test_seed_outside_32_bits_is_usage_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "tables"
+        assert main(["tables", "--out", str(out_dir), "--reps", "2", "--seed", "-4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bad seed -4") and captured.out == ""
+        assert not out_dir.exists()
+
+    def test_threads_below_one_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["tables", "--out", str(tmp_path / "tables"), "--reps", "2", "--threads", "0"])
+        assert err.value.code == 1
 
 
 class TestOracle:
@@ -212,3 +267,88 @@ class TestOracle:
         assert main(["oracle", "--trials", "20", "--seed", "-1"]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: bad seed -1") and captured.out == ""
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_is_usage_error(self, capsys, trials):
+        with pytest.raises(SystemExit) as err:
+            main(["oracle", "--trials", trials])
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert "--trials: expected an integer >= 1" in captured.err and "[PASS]" not in captured.out
+
+
+PROPERTY = settings(derandomize=True, max_examples=100, database=None, deadline=None)
+
+#: Config lines a one-cell grid accepts (the sweep sets, less rf's 64-tree
+#: forests, which are slow), and lines wrong by name, type or form, each of
+#: which ``bench run`` must reject before any cell runs.
+GOOD_LINES = [
+    "seed = 7", "metric = hellinger", "offset = 0.125", "noise_dims = 1", "split_positions = 0.5, 0.62",
+    "custom = off", "dataset.sea.variant_after = 2", "dataset.stagger.concept_after = 3", "dataset.rbf.d = 3",
+    "dataset.rhp.rotation_angle = 1", "estimator.mmd.bandwidth = 0.5",
+    *(f"estimator.{e}.{k} = {v}" for e, sets in SWEEP_GRIDS.items() for p in sets for k, v in p.items() if e != "rf"),
+]
+BAD_LINES = [
+    "reps = 2", "datset = sea", "estimator.rff.n_trees = 4", "dataset.se.variant_after = 2", "estimator.marg.nope = 1",
+    "dataset.sea.variant_aftr = 2", "dataset.rbf.seed = 3", "estimator.ldd.metric = tv", "estimator.rf = 3",
+    "n = 8.5", "repetitions = two", "custom = 1", "seed = -1", "estimator.marg.bins = 8.5",
+    "dataset.sea.variant_after = 2.0", "estimator.rf.n_trees = many", "split_positions = 0.5, x", "datasets sea",
+]
+#: Other invocations, with the exit code each must give; ``{dir}`` is a fresh directory.
+OTHER_INVOCATIONS = [
+    (["tables", "--out", "{dir}/t", "--seed", "-4"], 1),
+    (["tables", "--out", "{dir}/t", "--threads", "0"], 1),
+    (["oracle", "--trials", "0"], 1),
+    (["detect", "--csv", "{dir}/absent.csv", "--estimator", "marg"], 2),
+    (["detect", "--csv", "{dir}/absent.csv", "--estimator", "psychic"], 1),
+    (["run", "--config", "{dir}/absent.cfg", "--out", "{dir}/o"], 2),
+    ([], 1),
+]
+
+
+@st.composite
+def runs(draw):
+    """``bench run`` of a one-cell grid: arguments, config bytes and the exit
+    code the contract gives them (1 when any line or argument is bad)."""
+    lines = [
+        f"datasets = {draw(st.sampled_from(TABLE_DATASETS))}",
+        f"estimators = {draw(st.sampled_from(sorted(ESTIMATOR_BUILDERS)))}",
+        f"n = {draw(st.integers(20, 60))}",
+        f"repetitions = {draw(st.integers(1, 2))}",
+    ]
+    lines += draw(st.lists(st.sampled_from(GOOD_LINES + BAD_LINES), max_size=3))
+    text = "\n".join(draw(st.permutations(lines))).encode() + b"\n"
+    bad = any(line in BAD_LINES for line in lines)
+    if draw(st.booleans()) and draw(st.booleans()):
+        text, bad = text + b"# caf\xe9\n", True
+    args = ["run", "--config", "{dir}/bench.cfg", "--out", "{dir}/o"]
+    for flag, values in (("--reps", ["1", "2", "0", "x"]), ("--threads", ["1", "0", "-2"])):
+        value = draw(st.none() | st.sampled_from(values))
+        if value is not None:
+            args += [flag, value]
+            bad = bad or value not in ("1", "2")
+    if draw(st.booleans()) and draw(st.booleans()):
+        args.append("--sweep")
+    return args, text, 1 if bad else 0
+
+
+class TestExitCodeContract:
+    @PROPERTY
+    @given(invocation=runs() | st.sampled_from(OTHER_INVOCATIONS).map(lambda pair: (pair[0], None, pair[1])))
+    def test_exit_code_is_documented_and_usage_errors_run_no_cell(self, invocation):
+        args, config, expected = invocation
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            if config is not None:
+                with open(f"{tmp}/bench.cfg", "wb") as fh:
+                    fh.write(config)
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = main([a.format(dir=tmp) for a in args])
+                except SystemExit as exc:  # argparse rejects the arguments
+                    assert exc.code == 1
+                    code = 1
+        assert code in (0, 1, 2)
+        assert code == expected, stderr.getvalue()
+        if code:
+            assert stdout.getvalue() == ""

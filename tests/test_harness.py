@@ -322,8 +322,8 @@ class TestConfigValidation:
         "field, value, message",
         [
             ("metric", "bogus", "unknown metric"),
-            ("estimators", ("marg", "nope"), "unknown estimator ids \\['nope'\\]"),
-            ("datasets", ("sea", "nope"), "unknown dataset ids \\['nope'\\]"),
+            ("estimators", ("marg", "nope"), "unknown estimator 'nope'"),
+            ("datasets", ("sea", "nope"), "unknown dataset 'nope'"),
         ],
     )
     def test_unknown_ids_rejected_before_any_cell(self, field, value, message):
@@ -341,6 +341,47 @@ class TestConfigValidation:
     def test_misspelt_estimator_parameter_rejected_before_any_cell(self):
         with pytest.raises(ParameterError, match="bad parameters for estimator 'rf'.*'n_tres'"):
             dataclasses.replace(SMALL, estimators=("marg", "rf"), estimator_params={"rf": {"n_tres": 3}})
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"sea": {"variant_aftr": 2}}, "dataset 'sea'.*'variant_aftr'"),
+            ({"rbf": {"seed": 3}}, "dataset 'rbf'.*'seed'"),  # the harness passes each repetition's seed
+            ({"rhp": {"d": 3}, "se": {"variant_after": 2}}, "unknown dataset 'se'"),
+        ],
+    )
+    def test_dataset_parameters_checked_before_any_cell(self, params, message):
+        with pytest.raises(ParameterError, match=message):
+            dataclasses.replace(SMALL, dataset_params=params)
+
+    def test_listed_csv_dataset_needs_a_path_but_is_not_read(self, tmp_path):
+        with pytest.raises(ParameterError, match="dataset 'csv'.*'path'"):
+            dataclasses.replace(SMALL, datasets=("csv",))
+        cfg = dataclasses.replace(SMALL, datasets=("csv",), dataset_params={"csv": {"path": str(tmp_path / "absent.csv")}})
+        assert cfg.datasets == ("csv",)
+
+    def test_estimator_parameters_of_an_unlisted_id_checked(self):
+        with pytest.raises(ParameterError, match="unknown estimator 'rff'"):
+            dataclasses.replace(SMALL, estimator_params={"rff": {"n_trees": 4}})
+        with pytest.raises(ParameterError, match="estimator 'rf'.*'n_tres'"):
+            dataclasses.replace(SMALL, estimator_params={"rf": {"n_tres": 4}})
+        with pytest.raises(ParameterError, match="estimator 'marg'.*'metric'"):
+            make_estimator("marg", params={"metric": "js"})
+
+    def test_type_error_inside_a_builder_propagates(self, monkeypatch):
+        def broken(bins=4, metric="tv"):
+            raise TypeError("bug in builder code")
+
+        monkeypatch.setitem(ESTIMATOR_BUILDERS, "marg", broken)
+        with pytest.raises(TypeError, match="bug in builder code"):
+            make_estimator("marg", params={"bins": 8})
+
+    @pytest.mark.parametrize("seed", [-5, 2**32, 2**32 + 7])
+    def test_seed_outside_32_bits_rejected(self, seed):
+        # derive_seed keeps 32 bits: 2**32 would run the grid of seed 0
+        with pytest.raises(ParameterError, match=f"bad seed {seed}"):
+            dataclasses.replace(SMALL, seed=seed)
+        assert dataclasses.replace(SMALL, seed=2**32 - 1).seed == 2**32 - 1
 
     def test_negative_noise_dims_rejected(self):
         with pytest.raises(ParameterError, match="noise_dims must be >= 0"):
@@ -421,6 +462,43 @@ dataset.sea.variant_after = 2
         assert cfg.offset == 0.125
         assert cfg.estimator_params == {"rf": {"n_trees": 4}, "marg": {"bins": 8}}
         assert cfg.dataset_params == {"sea": {"variant_after": 2}}
+
+    def test_values_take_their_parameters_types(self, tmp_path):
+        path = tmp_path / "bench.cfg"
+        path.write_text(
+            "split_positions = 0.5, 0.75\noffset = 0\ncustom = yes\n"
+            "estimator.rf.n_trees = 4\nestimator.kdq.min_side = 1\nestimator.mmd.bandwidth = 2\n"
+            "estimator.ldd.aggregation = max\ndataset.rhp.rotation_angle = 1\n"
+            "dataset.csv.path = 1\ndataset.csv.two_sample_check = on\n"
+        )
+        cfg = load_config(path)
+        assert cfg.split_positions == (0.5, 0.75) and type(cfg.offset) is float and cfg.custom is True
+        assert cfg.estimator_params == {
+            "rf": {"n_trees": 4}, "kdq": {"min_side": 1.0}, "mmd": {"bandwidth": 2.0}, "ldd": {"aggregation": "max"},
+        }
+        assert cfg.dataset_params == {"rhp": {"rotation_angle": 1.0}, "csv": {"path": "1", "two_sample_check": True}}
+        types = [type(v) for p in (*cfg.estimator_params.values(), *cfg.dataset_params.values()) for v in p.values()]
+        assert types == [int, float, float, str, float, str, bool]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("estimator.marg.bins = 8.5", "bad value for 'estimator.marg.bins': '8.5' is not int"),
+            ("dataset.sea.variant_after = 2.0", "bad value for 'dataset.sea.variant_after': '2.0' is not int"),
+            ("estimator.rf.n_trees = none", "bad value for 'estimator.rf.n_trees': 'none' is not int | None"),
+            ("dataset.csv.two_sample_check = 1", "bad value for 'dataset.csv.two_sample_check': '1' is not bool"),
+            ("estimator.rff.n_trees = 4", "unknown estimator 'rff'"),
+            ("dataset.sea.variant_aftr = 2", "bad parameters for dataset 'sea': .*'variant_aftr'"),
+            ("dataset.rbf.seed = 3", "bad parameters for dataset 'rbf': .*'seed'"),
+            ("estimator.marg.metric = js", "bad parameters for estimator 'marg': .*'metric'"),
+            ("seed = 1.5", "bad value for 'seed': '1.5' is not int"),
+        ],
+    )
+    def test_bad_name_or_type_names_the_line(self, tmp_path, line, message):
+        path = tmp_path / "bench.cfg"
+        path.write_text(f"datasets = sea\n{line}\n")
+        with pytest.raises(ParameterError, match=re.escape(f"{path}:2: ") + message):
+            load_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -7,7 +7,10 @@ and rejects an empty side for every descriptor, which works on ranks.
 A fitted descriptor is a window plus a function of ranks: the kNN and
 kernel estimators bind their fitted graph or Gram to a ``neighbor_kernel``
 statistic, and a binning or tree descriptor holds one cumulative histogram
-over the stacked cells of its partitions and runs the metric per partition.
+over the stacked cells of its partitions.  Its scan takes the ranks in
+blocks; per block it gathers the counts of all cells once, makes one metric
+pass that gives a row per partition, and folds the rows in partition order
+(max over binnings, sum then mean over trees).
 ``Estimator.fit_each`` fits a sequence of windows lazily; the moment forest
 overrides it to grow the forests of all windows in lockstep.
 Scanning all candidate splits yields a statistic trace, the arg-max split
@@ -21,6 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import neighbor_kernel
 from .errors import InvalidSplitError, ParameterError
 from .histograms import CumulativeHistogram, histogram_metric
 from .moment_tree import MomentTreeConfig, VARIANT_RF, fit_moment_forest, fit_moment_forests, truncate_reference
@@ -97,8 +101,9 @@ class Estimator:
 
 
 class _PartitionDescriptor(Descriptor):
-    """One cumulative histogram over the stacked cells of all partitions;
-    several independent binnings act as one descriptor via the max."""
+    """One cumulative histogram over the stacked cells of all partitions,
+    scored in one metric pass per block of ranks; several independent
+    binnings act as one descriptor via the max."""
 
     _combine, _start = np.maximum, -np.inf
 
@@ -106,18 +111,22 @@ class _PartitionDescriptor(Descriptor):
         super().__init__(w)
         self.metric = metric
         self.partitions = list(partitions)
-        sizes = [p.n_cells for p in self.partitions]
-        self._hist = CumulativeHistogram(stacked_cells(self.partitions, w.x), w.t, sizes)
-        ends = np.cumsum(sizes)
-        self._slices = [slice(end - size, end) for end, size in zip(ends, sizes)]
+        self._sizes = np.array([p.n_cells for p in self.partitions], dtype=np.int64)
+        self._hist = CumulativeHistogram(stacked_cells(self.partitions, w.x), w.t, self._sizes)
 
     def statistics(self, ranks):
-        acc = np.full(len(ranks), self._start)
-        # in place and in partition order: the forest's sum stays sequential
-        for cells in self._slices:
-            before = self._hist.counts_before_ranks(ranks, cells)
-            self._combine(acc, self.metric(before, self._hist.totals[cells, None] - before), out=acc)
-        return acc
+        out = np.empty(len(ranks))
+        # blocks of ranks keep the metric's largest temporary, the counts of
+        # both sides as one (cells x 2 ranks) block, within the sweep budget
+        step = max(1, neighbor_kernel._BLOCK_ELEMENTS // (2 * self._hist.n_cells))
+        for lo in range(0, len(ranks), step):
+            before = self._hist.counts_before_ranks(ranks[lo : lo + step])
+            rows = self.metric(before, self._hist.totals[:, None] - before, self._sizes)
+            # a sequential fold from _start in partition order, so the forest's
+            # sum adds its trees one at a time, as a loop would
+            rows[0] = self._combine(self._start, rows[0])
+            out[lo : lo + step] = self._combine.accumulate(rows, axis=0)[-1]
+        return out
 
 
 class _ForestDescriptor(_PartitionDescriptor):
@@ -130,7 +139,7 @@ class _ForestDescriptor(_PartitionDescriptor):
         self.forest = forest
 
     def statistics(self, ranks):
-        return super().statistics(ranks) / len(self._slices)
+        return super().statistics(ranks) / len(self.partitions)
 
 
 class PartitionEstimator(Estimator):

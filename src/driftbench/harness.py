@@ -175,6 +175,8 @@ class ExperimentConfig:
         object.__setattr__(self, "datasets", tuple(self.datasets))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "split_positions", tuple(float(p) for p in self.split_positions))
+        if not self.datasets or not self.estimators:
+            raise ParameterError("datasets and estimators must each list at least one id")
         if self.repetitions < 1 or self.n < 4:
             raise ParameterError("repetitions and n must be positive (n >= 4)")
         if self.noise_dims < 0:
@@ -438,10 +440,11 @@ def load_config(path) -> ExperimentConfig:
     Lists are comma separated; estimator/dataset parameter overrides use
     dotted keys, e.g. ``estimator.rf.n_trees = 64`` or
     ``dataset.rhp.rotation_angle = 0.7854``; a value takes its field's or
-    parameter's type.  A bad line, name or type raises ``ParameterError``
-    naming ``path:line``.
+    parameter's type.  A bad line, name or type, an empty list, or a key set
+    a second time raises ``ParameterError`` naming ``path:line``.
     """
     kwargs: dict = {}
+    seen: dict = {}
     overrides: dict = {"estimator": {}, "dataset": {}}
     fields = _settable(ExperimentConfig, "estimator_params", "dataset_params")[0].parameters
     try:
@@ -460,6 +463,9 @@ def load_config(path) -> ExperimentConfig:
         value = value.strip()
         kind, dotted, rest = key.partition(".")
         try:
+            if key in seen:
+                raise ParameterError(f"{key!r} is already set on line {seen[key]}")
+            seen[key] = lineno
             if dotted and kind in overrides:
                 target, _, name = rest.partition(".")
                 if not target or not name:
@@ -468,6 +474,8 @@ def load_config(path) -> ExperimentConfig:
                 overrides[kind].setdefault(target, {})[name] = _parse(value, sig.parameters[name])
             elif key in fields:
                 kwargs[key] = _parse(value, fields[key])
+                if kwargs[key] == ():
+                    raise ParameterError(f"empty list for {key!r}")
             else:
                 raise ParameterError(f"unknown config key {key!r}; known: {sorted(fields)}")
         except ParameterError as exc:

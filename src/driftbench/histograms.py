@@ -7,9 +7,19 @@ that one build, the before/after histograms of any split come from a
 prefix subtraction whose cost depends on the number of cells, not the
 window length; that is what makes every binning and tree descriptor cheap
 to scan over all candidate split points.
+
+A metric from ``histogram_metric`` scores the whole stack at once: given
+the (cells x splits) counts of both sides and the cells per partition, it
+normalizes each side of each partition by its own exact integer total and
+returns one row per partition.  Every step is elementwise except the sum
+over a partition's cells, which runs on that partition's contiguous run of
+each column of a column-major block, so each value has the bits a
+partition scored alone would have.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -54,29 +64,30 @@ class CumulativeHistogram:
         # partitions never holds more than their separate prefixes
         self._prefix = self._ranks = None
         if sizes.max(initial=0) * (self.n + 1) <= DENSE_PREFIX_LIMIT:
-            self._prefix = np.zeros((self.n_cells, self.n + 1), dtype=np.int32)
-            # rows own disjoint cells, so no (cell, rank) entry is hit twice
-            self._prefix[rows, np.arange(1, self.n + 1)] = 1
-            np.cumsum(self._prefix, axis=1, out=self._prefix)
+            # rank-major, so the counts of all cells at one rank are one
+            # contiguous row: a scan gathers whole rows
+            self._prefix = np.zeros((self.n + 1, self.n_cells), dtype=np.int32)
+            # rows own disjoint cells, so no (rank, cell) entry is hit twice
+            self._prefix[np.arange(1, self.n + 1), rows] = 1
+            np.cumsum(self._prefix, axis=0, out=self._prefix)
         else:
             order = np.argsort(rows.ravel(), kind="stable") % max(self.n, 1)
             self._ranks = np.split(order, np.cumsum(self.totals)[:-1])
 
-    def counts_before_ranks(self, ranks, cells: slice = slice(None)) -> np.ndarray:
-        """Counts of the cells in ``cells`` among the first ``rank`` arrivals, per queried rank.
+    def counts_before_ranks(self, ranks) -> np.ndarray:
+        """Counts of every cell among the first ``rank`` arrivals, per queried rank.
 
-        Returns an array of shape (number of cells, len(ranks)).
+        Returns a column-major array of shape (n_cells, len(ranks)), so each
+        partition's cells are a contiguous run of every column.
         """
         ranks = np.atleast_1d(np.asarray(ranks, dtype=np.int64))
         if len(ranks) and (ranks.min() < 0 or ranks.max() > self.n):
             raise ParameterError("rank out of range")
         if self._prefix is not None:
-            return self._prefix[cells, ranks].astype(np.int64)
-        # column-major like the dense path's gather, so the metrics' sums
-        # over cells run in the same order on both paths
-        lists = self._ranks[cells]
-        out = np.empty((len(lists), len(ranks)), dtype=np.int64, order="F")
-        for c, cell_ranks in enumerate(lists):
+            return self._prefix[ranks].T.astype(np.int64)
+        # column-major like the dense path's gather
+        out = np.empty((self.n_cells, len(ranks)), dtype=np.int64, order="F")
+        for c, cell_ranks in enumerate(self._ranks):
             out[c] = np.searchsorted(cell_ranks, ranks, side="left")
         return out
 
@@ -106,39 +117,113 @@ def recount_histograms(cells, times, n_cells: int, t: float) -> tuple[np.ndarray
 # Discrete distributions and divergences
 
 
+def _runs(sizes, cells: int) -> np.ndarray:
+    """``sizes``, the lengths of runs of consecutive cells, as an int array
+    checked to cover ``cells`` cells; None is one run of all of them."""
+    sizes = np.asarray((cells,) if sizes is None else sizes, dtype=np.int64)
+    if sizes.sum() != cells:
+        raise ParameterError(f"run sizes {sizes.tolist()} do not cover {cells} cells")
+    if not len(sizes) or sizes.min() < 1:
+        raise ParameterError("cannot normalize an empty histogram")
+    return sizes
+
+
+def _run_sums(terms: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """Column sums of each run of consecutive cells of a 2-D block, one row per run.
+
+    Each run is summed on its own, as one partition's histogram would be:
+    numpy sums a contiguous column pairwise, so the bits of a run's sum
+    depend on where the run starts and ends, and a column-major block keeps
+    every run of a column contiguous.  Consecutive runs of one length are
+    summed in one call, as the middle axis of a (runs, length, columns) view.
+    """
+    out = np.empty((len(runs), terms.shape[1]))
+    lo = row = 0
+    for size, group in itertools.groupby(runs.tolist()):
+        k = len(list(group))
+        np.add.reduce(terms[lo : lo + k * size].reshape(k, size, -1), 1, None, out[row : row + k])
+        lo, row = lo + k * size, row + k
+    return out
+
+
+def _normalize(block: np.ndarray, smoothing: float, runs: np.ndarray) -> np.ndarray:
+    """Normalize a float block of counts in place: each cell plus
+    ``smoothing``, over its run's total.  A run's total of integer counts is
+    an exact integer sum whatever the order."""
+    if block.size and block.min() < 0:
+        raise ParameterError("negative counts")
+    # transposed, so the run axis is last to broadcast and to repeat over
+    totals = np.add.reduceat(block, np.cumsum(runs) - runs, axis=0).T + smoothing * runs
+    if (totals <= 0).any():
+        raise ParameterError("cannot normalize an empty histogram")
+    block += smoothing
+    block /= np.repeat(totals, runs, axis=-1).T
+    return block
+
+
 def to_distribution(counts, smoothing: float = 0.0) -> np.ndarray:
     """Normalize counts (or any non-negative weights) into probabilities.
 
     ``smoothing`` is a per-cell Laplace pseudo-count added before
     normalization.  Works column-wise on (n_cells, m) inputs.
     """
-    counts = np.asarray(counts, dtype=float)
-    if np.any(counts < 0):
-        raise ParameterError("negative counts")
-    total = counts.sum(axis=0) + smoothing * counts.shape[0]
-    if np.any(total <= 0):
-        raise ParameterError("cannot normalize an empty histogram")
-    return (counts + smoothing) / total
+    counts = np.array(counts, dtype=float)
+    return _normalize(counts, smoothing, _runs(None, len(counts)))
 
 
-def _check_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+def _tv_rows(p, q, runs):
+    diff = p - q
+    return 0.5 * _run_sums(np.abs(diff, out=diff), runs)
+
+
+def _hellinger_rows(p, q, runs):
+    return np.sqrt(0.5 * _run_sums((np.sqrt(p) - np.sqrt(q)) ** 2, runs))
+
+
+def _kl_rows(p, q, runs):
+    active = p > 0
+    log_p = np.log(p, where=active, out=np.zeros_like(p))
+    log_q = np.log(q, where=q > 0, out=np.full_like(q, -np.inf))
+    with np.errstate(invalid="ignore"):
+        return _run_sums(np.where(active, p * (log_p - log_q), 0.0), runs)
+
+
+def _js_rows(p, q, runs):
+    m = 0.5 * (p + q)
+    return np.sqrt(np.maximum(0.5 * _kl_rows(p, m, runs) + 0.5 * _kl_rows(q, m, runs), 0.0))
+
+
+def _divergence(rows, p, q, sizes=None, smoothing=None):
+    """``rows`` of the pair (or of its counts, normalized with ``smoothing``),
+    one per run of ``sizes``, each shaped as a column of the input; without
+    ``sizes``, the one run's row.
+
+    Both sides go into one column-major float (cells, 2m) block, so they are
+    normalized together and each run of a column stays contiguous.
+    """
+    p = np.asarray(p)
+    q = np.asarray(q)
     if p.shape != q.shape:
         raise ParameterError(f"mismatched cell sets: {p.shape} vs {q.shape}")
-    return p, q
+    m = p[:1].size
+    pq = np.empty((len(p), 2 * m), order="F")
+    pq[:, :m] = p.reshape(len(p), m)
+    pq[:, m:] = q.reshape(len(q), m)
+    runs = _runs(sizes, len(pq))
+    if smoothing is not None:
+        _normalize(pq, smoothing, runs)
+    out = rows(pq[:, :m], pq[:, m:], runs).reshape(runs.shape + p.shape[1:])
+    return out if sizes is not None else out[0]
 
 
 def total_variation(p, q) -> float | np.ndarray:
     """Total variation distance, 0.5 * sum |p - q|, in [0, 1]."""
-    p, q = _check_pair(p, q)
-    return 0.5 * np.abs(p - q).sum(axis=0)
+    return _divergence(_tv_rows, p, q)
 
 
 def hellinger(p, q) -> float | np.ndarray:
     """Hellinger distance sqrt(0.5 * sum (sqrt p - sqrt q)^2), in [0, 1]."""
-    p, q = _check_pair(p, q)
-    return np.sqrt(0.5 * ((np.sqrt(p) - np.sqrt(q)) ** 2).sum(axis=0))
+    return _divergence(_hellinger_rows, p, q)
 
 
 def kl_divergence(p, q) -> float | np.ndarray:
@@ -146,13 +231,7 @@ def kl_divergence(p, q) -> float | np.ndarray:
 
     A cell with p > 0 = q yields inf (not an error).
     """
-    p, q = _check_pair(p, q)
-    active = p > 0
-    log_p = np.log(p, where=active, out=np.zeros_like(p))
-    log_q = np.log(q, where=q > 0, out=np.full_like(q, -np.inf))
-    with np.errstate(invalid="ignore"):
-        terms = np.where(active, p * (log_p - log_q), 0.0)
-    return terms.sum(axis=0)
+    return _divergence(_kl_rows, p, q)
 
 
 def jensen_shannon(p, q) -> float | np.ndarray:
@@ -160,10 +239,7 @@ def jensen_shannon(p, q) -> float | np.ndarray:
 
     Bounded by sqrt(log 2) for the natural log.
     """
-    p, q = _check_pair(p, q)
-    m = 0.5 * (p + q)
-    js2 = 0.5 * kl_divergence(p, m) + 0.5 * kl_divergence(q, m)
-    return np.sqrt(np.maximum(js2, 0.0))
+    return _divergence(_js_rows, p, q)
 
 
 #: Laplace pseudo-count per cell count for KL used as a drift statistic.
@@ -174,28 +250,25 @@ METRICS = ("tv", "hellinger", "js", "kl")
 
 
 def histogram_metric(name: str):
-    """Build a metric on count pairs: (before_counts, after_counts) -> value.
+    """Build a metric on count pairs: (before_counts, after_counts, sizes) -> values.
 
-    Each side is normalized by its own total.  ``name`` is one of
-    ``METRICS``.  For 'kl' (before || after) each cell count gets the
-    ``KL_SMOOTHING`` pseudo-count before normalization, which keeps the
-    statistic finite on zero cells.
+    The counts are (cells,) or stacked (cells, m) arrays, one column per
+    split; ``sizes`` splits the cells into partitions of consecutive cells,
+    and the metric gives one row per partition, or the one partition's row
+    when ``sizes`` is omitted.  Each side of each partition is normalized by
+    its own total.  ``name`` is one of ``METRICS``.  For 'kl' (before ||
+    after) each cell count gets the ``KL_SMOOTHING`` pseudo-count before
+    normalization, which keeps the statistic finite on zero cells.
     """
     name = name.lower()
     if name not in METRICS:
         raise ParameterError(f"unknown metric {name!r}")
     alpha = KL_SMOOTHING if name == "kl" else 0.0
+    rows = {"tv": _tv_rows, "hellinger": _hellinger_rows, "js": _js_rows, "kl": _kl_rows}[name]
 
-    def metric(counts_before, counts_after):
-        p = to_distribution(counts_before, alpha)
-        q = to_distribution(counts_after, alpha)
-        if name == "tv":
-            return total_variation(p, q)
-        if name == "hellinger":
-            return hellinger(p, q)
-        if name == "js":
-            return jensen_shannon(p, q)
-        return kl_divergence(p, q)
+    def metric(counts_before, counts_after, sizes=None):
+        # both sides normalized in one pass, as the halves of one block
+        return _divergence(rows, counts_before, counts_after, sizes, smoothing=alpha)
 
     metric.name = name
     return metric

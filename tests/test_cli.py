@@ -163,6 +163,24 @@ class TestRun:
         assert "unknown" in captured.err and captured.out == ""
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("datasets =\nestimators = marg", "bench.cfg:3: empty list for 'datasets'"),
+            ("datasets = stagger\nestimators =", "bench.cfg:4: empty list for 'estimators'"),
+            ("estimators = marg\nestimators = ldd", "bench.cfg:4: 'estimators' is already set on line 3"),
+            ("estimator.marg.bins = 8\nestimator.marg.bins = 4", "bench.cfg:4: 'estimator.marg.bins' is already set on line 3"),
+        ],
+    )
+    def test_empty_list_or_repeated_key_is_usage_error_before_any_cell(self, tmp_path, capsys, lines, message):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"repetitions = 2\nseed = 1\n{lines}\n")
+        out_dir = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("lines", ["offset = 0.5", "split_positions = 0.5, 1.5", "offset = 0.25\nsplit_positions = 0.2, 0.5"])
     def test_custom_offset_or_position_outside_the_window_is_usage_error(self, tmp_path, capsys, lines):
         cfg = tmp_path / "bench.cfg"
@@ -293,6 +311,7 @@ BAD_LINES = [
     "dataset.sea.variant_aftr = 2", "dataset.rbf.seed = 3", "estimator.ldd.metric = tv", "estimator.rf = 3",
     "n = 8.5", "repetitions = two", "custom = 1", "seed = -1", "estimator.marg.bins = 8.5",
     "dataset.sea.variant_after = 2.0", "estimator.rf.n_trees = many", "split_positions = 0.5, x", "datasets sea",
+    "datasets =", "estimators = ,",
 ]
 #: Other invocations, with the exit code each must give; ``{dir}`` is a fresh directory.
 OTHER_INVOCATIONS = [
@@ -318,7 +337,8 @@ def runs(draw):
     ]
     lines += draw(st.lists(st.sampled_from(GOOD_LINES + BAD_LINES), max_size=3))
     text = "\n".join(draw(st.permutations(lines))).encode() + b"\n"
-    bad = any(line in BAD_LINES for line in lines)
+    keys = [line.partition("=")[0].strip() for line in lines if "=" in line]
+    bad = any(line in BAD_LINES for line in lines) or len(set(keys)) < len(keys)  # a key set twice
     if draw(st.booleans()) and draw(st.booleans()):
         text, bad = text + b"# caf\xe9\n", True
     args = ["run", "--config", "{dir}/bench.cfg", "--out", "{dir}/o"]

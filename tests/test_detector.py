@@ -14,7 +14,7 @@ from driftbench.detector import (
 )
 from driftbench.errors import DataError, InvalidSplitError, ParameterError
 from driftbench.harness import ESTIMATOR_BUILDERS, make_estimator
-from driftbench.histograms import CumulativeHistogram, histogram_metric
+from driftbench.histograms import METRICS, CumulativeHistogram, histogram_metric
 from driftbench.partitions import build_random_tree
 from driftbench.windows import Window, candidate_split_times, make_paired
 
@@ -190,6 +190,9 @@ def per_partition_statistics(desc, ranks):
     return acc / len(parts) if forest else acc
 
 
+PARTITION_ESTIMATORS = ["dt", "grid", "kdq", "marg", "pca", "rf", "rnd_pj", "rnd_tree"]
+
+
 class TestStackedDescriptor:
     """One stacked histogram per descriptor gives the bits of one per partition."""
 
@@ -203,7 +206,7 @@ class TestStackedDescriptor:
             "1-d tied": Window(rng.normal(size=(160, 1)), tied),
         }
 
-    @pytest.mark.parametrize("estimator_id", ["dt", "grid", "kdq", "marg", "pca", "rf", "rnd_pj", "rnd_tree"])
+    @pytest.mark.parametrize("estimator_id", PARTITION_ESTIMATORS)
     def test_equals_per_partition_reference(self, windows, estimator_id, monkeypatch):
         from driftbench import histograms
 
@@ -217,6 +220,38 @@ class TestStackedDescriptor:
                     assert (desc._hist._prefix is None) == (limit == 0)
                     got = desc.statistics_at(ts)
                     assert np.array_equal(got, per_partition_statistics(desc, ranks)), (name, metric, limit)
+
+    @pytest.mark.parametrize("estimator_id", PARTITION_ESTIMATORS)
+    def test_rank_blocks_give_the_one_block_bits(self, windows, estimator_id, monkeypatch):
+        # a scan cut into blocks of 1 rank, and of 7 with a shorter last one,
+        # gives the bits of the same scan in one block, on both prefix paths
+        from driftbench import histograms, neighbor_kernel
+
+        w = windows["3-d tied"]
+        ts = candidate_split_times(w)
+        ranks = np.searchsorted(w.t, ts, side="right")
+        assert len(ts) % 7
+        for limit in (histograms.DENSE_PREFIX_LIMIT, 0):
+            monkeypatch.setattr(histograms, "DENSE_PREFIX_LIMIT", limit)
+            for metric in METRICS:
+                desc = make_estimator(estimator_id, metric).fit(w, seed=9)
+                cells = desc._hist.n_cells
+                # a block's largest temporary is both sides of its splits
+                assert 2 * cells * len(ts) <= neighbor_kernel._BLOCK_ELEMENTS  # one block
+                whole = desc.statistics_at(ts)
+                assert np.array_equal(whole, per_partition_statistics(desc, ranks)), (metric, limit)
+                for step in (1, 7):
+                    with monkeypatch.context() as mp:
+                        mp.setattr(neighbor_kernel, "_BLOCK_ELEMENTS", 2 * cells * step)
+                        assert np.array_equal(desc.statistics_at(ts), whole), (metric, limit, step)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("estimator_id", PARTITION_ESTIMATORS)
+    def test_rank_by_rank_equals_batch(self, windows, estimator_id, metric):
+        w = windows["3-d tied"]
+        desc = make_estimator(estimator_id, metric).fit(w, seed=3)
+        ts = candidate_split_times(w)
+        assert np.array_equal(desc.statistics_at(ts), [desc.statistics_at([t])[0] for t in ts])
 
 
 class TestPermutationNormalize:

@@ -500,6 +500,35 @@ dataset.sea.variant_after = 2
         with pytest.raises(ParameterError, match=re.escape(f"{path}:2: ") + message):
             load_config(path)
 
+    @pytest.mark.parametrize("line", ["datasets =", "estimators = ,", "split_positions = "])
+    def test_empty_list_names_the_line(self, tmp_path, line):
+        path = tmp_path / "bench.cfg"
+        path.write_text(f"repetitions = 2\n{line}\n")
+        key = line.partition("=")[0].strip()
+        with pytest.raises(ParameterError, match=re.escape(f"{path}:2: empty list for {key!r}")):
+            load_config(path)
+
+    @pytest.mark.parametrize("field", ["datasets", "estimators"])
+    def test_empty_id_list_rejected(self, field):
+        with pytest.raises(ParameterError, match="at least one id"):
+            ExperimentConfig(**{field: ()})
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("estimators = marg", "estimators = ldd"),
+            ("estimators = marg", "estimators ="),
+            ("estimator.marg.bins = 4", "estimator.marg.bins = 8"),
+            ("dataset.sea.variant_after = 2", "dataset.sea.variant_after = 3"),
+        ],
+    )
+    def test_repeated_key_names_both_lines(self, tmp_path, first, second):
+        path = tmp_path / "bench.cfg"
+        path.write_text(f"{first}\nrepetitions = 2\n{second}\n")
+        key = first.partition("=")[0].strip()
+        with pytest.raises(ParameterError, match=re.escape(f"{path}:3: {key!r} is already set on line 1")):
+            load_config(path)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("reps = 10\n")

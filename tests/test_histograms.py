@@ -28,7 +28,7 @@ class TestCumulativeHistogram:
         ch = CumulativeHistogram([[0, 1, 1], [2, 4, 3]], times, [2, 3])
         assert ch.n_cells == 5
         assert np.array_equal(ch.totals, [1, 2, 1, 1, 1])
-        assert np.array_equal(ch.counts_before_ranks([0, 2, 3], slice(2, 5)), [[0, 1, 1], [0, 0, 1], [0, 1, 1]])
+        assert np.array_equal(ch.counts_before_ranks([0, 2, 3])[2:], [[0, 1, 1], [0, 0, 1], [0, 1, 1]])
         with pytest.raises(ParameterError):  # row 0 reaches into row 1's ids
             CumulativeHistogram([[0, 2, 1], [2, 4, 3]], times, [2, 3])
         with pytest.raises(ParameterError):  # one n_cells per row
@@ -170,6 +170,30 @@ class TestDivergences:
         assert np.all(jensen_shannon(p, q) <= JS_MAX + 1e-12)
 
 
+def reference_metric(name, before, after):
+    """One partition's metric in plain numpy: each column normalized by its
+    sum, then summed over cells, on column-major (cells, m) float blocks as
+    the partition's own gather would give them."""
+    alpha = hg.KL_SMOOTHING if name == "kl" else 0.0
+    p, q = (
+        (np.asfortranarray(c, dtype=float) + alpha) / (np.asfortranarray(c, dtype=float).sum(axis=0) + alpha * len(c))
+        for c in (before, after)
+    )
+
+    def kl(p, q):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(p > 0, p * (np.log(np.where(p > 0, p, 1.0)) - np.log(q)), 0.0).sum(axis=0)
+
+    if name == "tv":
+        return 0.5 * np.abs(p - q).sum(axis=0)
+    if name == "hellinger":
+        return np.sqrt(0.5 * ((np.sqrt(p) - np.sqrt(q)) ** 2).sum(axis=0))
+    if name == "kl":
+        return kl(p, q)
+    m = 0.5 * (p + q)
+    return np.sqrt(np.maximum(0.5 * kl(p, m) + 0.5 * kl(q, m), 0.0))
+
+
 class TestHistogramMetric:
     def test_each_side_normalized_separately(self):
         metric = histogram_metric("tv")
@@ -191,6 +215,35 @@ class TestHistogramMetric:
     def test_unknown_metric(self):
         with pytest.raises(ParameterError):
             histogram_metric("wasserstein")
+
+    @pytest.mark.parametrize("name", hg.METRICS)
+    def test_stacked_rows_are_each_partitions_bits(self, name, rng):
+        # partitions of 1 to 300 cells (pairwise sums start at 8 cells and
+        # split past 128), with empty cells, one column per split
+        metric = histogram_metric(name)
+        for _ in range(20):
+            sizes = rng.integers(1, 300, rng.integers(1, 6))
+            before = np.asfortranarray(rng.integers(0, 4, (sizes.sum(), 5)) * rng.integers(0, 2, (sizes.sum(), 5)))
+            before[np.cumsum(sizes) - 1] += 1  # no empty side
+            after = before[::-1].copy(order="F")
+            rows = metric(before, after, sizes)
+            assert rows.shape == (len(sizes), 5)
+            for row, lo, size in zip(rows, np.cumsum(sizes) - sizes, sizes):
+                part = slice(lo, lo + size)
+                assert row.tobytes() == reference_metric(name, before[part], after[part]).tobytes()
+                assert row.tobytes() == np.array([metric(before[part, j], after[part, j]) for j in range(5)]).tobytes()
+
+    def test_stacked_checks_every_partition(self):
+        metric = histogram_metric("tv")
+        before = np.array([[1, 2], [0, 1], [3, 0]])
+        assert metric(before, before, [1, 2]).shape == (2, 2)
+        with pytest.raises(ParameterError, match="empty"):  # partition 1 is empty before split 1
+            metric(before, before, [2, 1])
+        with pytest.raises(ParameterError, match="negative"):
+            metric(before, -before, [1, 2])
+        for sizes in ([1, 1], [3, 1], [0, 3], []):
+            with pytest.raises(ParameterError):
+                metric(before, before, sizes)
 
 
 PROPERTY = settings(derandomize=True, max_examples=60, database=None, deadline=None)
@@ -255,14 +308,15 @@ class TestProperties:
             singles = [CumulativeHistogram(row, times, size) for row, size in zip(rows, sizes)]
         assert (ch._prefix is not None) == dense
         ranks = np.arange(len(times) + 1)
+        stacked = ch.counts_before_ranks(ranks)
+        # the metrics sum each row's run of cells in memory order, so the
+        # runs of every column must be contiguous, as in a row's own histogram
+        assert stacked.flags.f_contiguous
         for lo, size, single in zip(offsets, sizes, singles):
-            got = ch.counts_before_ranks(ranks, slice(lo, lo + size))
             want = single.counts_before_ranks(ranks)
-            assert np.array_equal(got, want)
-            # the metrics sum over cells in memory order, so the layout matters
-            assert got.flags.f_contiguous == want.flags.f_contiguous
+            assert want.flags.f_contiguous
+            assert np.array_equal(stacked[lo : lo + size], want)
             assert np.array_equal(ch.totals[lo : lo + size], single.totals)
-        assert np.array_equal(ch.counts_before_ranks(ranks), np.vstack([s.counts_before_ranks(ranks) for s in singles]))
 
     @PROPERTY
     @given(pair=count_pairs())

@@ -111,6 +111,8 @@ class _PartitionDescriptor(Descriptor):
         super().__init__(w)
         self.metric = metric
         self.partitions = list(partitions)
+        if not self.partitions:
+            raise ParameterError("a partition descriptor needs at least one partition")
         self._sizes = np.array([p.n_cells for p in self.partitions], dtype=np.int64)
         self._hist = CumulativeHistogram(stacked_cells(self.partitions, w.x), w.t, self._sizes)
 
@@ -157,23 +159,43 @@ class PartitionEstimator(Estimator):
         return _PartitionDescriptor(parts, w, self.metric)
 
 
+def _at_least(low, **values) -> None:
+    """Reject a parameter below ``low`` when the estimator is built: the
+    check needs no data, so it fails before any window is drawn."""
+    for name, value in values.items():
+        if not value >= low:
+            raise ParameterError(f"{name} must be >= {low}, got {value!r}")
+
+
+def _check_binning(bins: int, edge_mode: str, n_axes: int | None = None) -> None:
+    _at_least(2, bins=bins)
+    if n_axes is not None:
+        _at_least(1, n_axes=n_axes)
+    if edge_mode not in ("equidistant", "equilikely"):
+        raise ParameterError(f"unknown edge_mode {edge_mode!r}; known: ['equidistant', 'equilikely']")
+
+
 def marginal_estimator(bins: int = 4, edge_mode: str = "equidistant", metric: str = "tv") -> PartitionEstimator:
+    _check_binning(bins, edge_mode)
     return PartitionEstimator("marg", lambda w, rng: build_marginal(w, bins, edge_mode), metric)
 
 
 def random_projection_estimator(
     n_axes: int | None = None, bins: int = 8, edge_mode: str = "equilikely", metric: str = "tv"
 ) -> PartitionEstimator:
+    _check_binning(bins, edge_mode, n_axes)
     return PartitionEstimator(
         "rnd_pj", lambda w, rng: build_random_projection(w, n_axes, bins, edge_mode, rng), metric
     )
 
 
 def pca_projection_estimator(n_axes: int | None = None, bins: int = 8, edge_mode: str = "equilikely", metric: str = "tv") -> PartitionEstimator:
+    _check_binning(bins, edge_mode, n_axes)
     return PartitionEstimator("pca", lambda w, rng: build_pca_projection(w, n_axes, bins, edge_mode), metric)
 
 
 def grid_estimator(bins: int = 4, edge_mode: str = "equidistant", metric: str = "tv") -> PartitionEstimator:
+    _check_binning(bins, edge_mode)
     return PartitionEstimator("grid", lambda w, rng: build_grid(w, bins, edge_mode), metric)
 
 
@@ -181,6 +203,8 @@ def random_tree_estimator(
     n_leaves: int = 16, min_leaf: int = 5, n_trees: int = 8, metric: str = "tv"
 ) -> PartitionEstimator:
     """Ensemble of independently grown random trees, aggregated by max."""
+    _at_least(2, n_leaves=n_leaves)
+    _at_least(1, min_leaf=min_leaf, n_trees=n_trees)
     return PartitionEstimator(
         "rnd_tree",
         lambda w, rng: [build_random_tree(w, n_leaves, rng, min_leaf) for _ in range(n_trees)],
@@ -189,6 +213,8 @@ def random_tree_estimator(
 
 
 def kdq_tree_estimator(min_side: float = 0.05, min_count: int = 10, metric: str = "tv") -> PartitionEstimator:
+    if not min_side > 0:
+        raise ParameterError(f"min_side must be positive, got {min_side!r}")
     return PartitionEstimator("kdq", lambda w, rng: build_kdq_tree(w, min_side, min_count), metric)
 
 
@@ -203,6 +229,9 @@ class MomentForestEstimator(Estimator):
         skip_fraction: float = 0.0,
         metric: str = "tv",
     ):
+        _at_least(1, n_trees=n_trees)
+        if not 0.0 <= skip_fraction < 0.5:
+            raise ParameterError(f"skip_fraction must lie in [0, 0.5), got {skip_fraction!r}")
         self.name = "rf" if variant == VARIANT_RF else "dt"
         self.n_trees = n_trees
         self.variant = variant
@@ -240,13 +269,15 @@ class KnnEstimator(Estimator):
             raise ParameterError("the knn_kl statistic takes no aggregation")
         if aggregation not in (None, "mean", "max"):
             raise ParameterError(f"unknown aggregation {aggregation!r}; known: ['mean', 'max']")
+        _at_least(1, k=k)
         self.name = "ldd" if statistic == "ldd" else "knn_kl"
         self.k = k
         self.statistic = statistic
         self.aggregation = aggregation
 
     def fit(self, w: Window, seed=None, drift_time: float | None = None) -> Descriptor:
-        # LDD reads each point's k nearest; the kNN-KL sweep reads whole rows
+        # LDD reads each point's k nearest; the kNN-KL sweep reads the
+        # distance rows in sample order
         if self.statistic == "ldd":
             graph = build_neighbor_graph(w, self.k, self.k)
             return Descriptor(w, functools.partial(ldd_statistics, graph, aggregation=self.aggregation or "mean"))
@@ -257,6 +288,7 @@ class MmdEstimator(Estimator):
     """Biased Gaussian-kernel MMD estimator."""
 
     def __init__(self, bandwidth: float | str = "median"):
+        neighbor_kernel._check_bandwidth(bandwidth)
         self.name = "mmd"
         self.bandwidth = bandwidth
 

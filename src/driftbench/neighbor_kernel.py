@@ -5,22 +5,22 @@ time) and reused for every split point.  Each fit holds one n x n float64
 matrix at its peak: the pairwise distances, which the Gram build turns into
 the kernel matrix in place and reduces to O(n) block sums, all that MMD
 reads.  LDD keeps only each point's k nearest neighbors (n x k lists,
-selected without a full sort); kNN-KL keeps full neighbor lists, since its
-sweep reads whole rows.  Windows above ``MAX_PAIRWISE_N`` samples, or with
-features too large for the distance expansion, are rejected before anything
-n x n is allocated.
+selected without a full sort); kNN-KL keeps the distance matrix itself, in
+sample order, and sorts nothing.  Windows above ``MAX_PAIRWISE_N`` samples,
+or with features too large for the distance expansion, are rejected before
+anything n x n is allocated.
 
 The statistics take splits as ranks: a rank r puts the first r samples in
 arrival order on the before side.  The fitted descriptor maps split times to
 ranks and rejects an empty side, so the functions here see ranks in [1, n-1]
 only.  MMD costs O(1) per split from cached block sums.  The kNN statistics
-sweep all requested splits at once: LDD counts before-side neighbors in
-O(n k) per split, and kNN-KL locates every split's k-th same-side and
-other-side neighbors in one O(k n^2) pass over the graph, then costs O(n)
-per split.  Both sweeps work in blocks sized against a fixed element budget;
-the only scratch arrays that grow with n are LDD's k x n copy of the
-neighbor columns and kNN-KL's per-split terms (splits x before-side rows,
-under half the graph's size).
+sweep all requested splits at once: LDD counts each neighbor pair once per
+block of sorted splits, O(n k) per block plus O(n) per split, and kNN-KL
+reads every split's k-th same-side and other-side distance off running k-th
+minima of the distance rows in one O(k n^2) pass, then costs O(n) per split.
+Both sweeps work in blocks sized against a fixed element budget; the only
+scratch arrays that grow with n are LDD's n k neighbor pairs and kNN-KL's
+per-split terms (splits x before-side rows, under half the matrix's size).
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ LDD_CAP = 10.0
 #: Elements in each temporary block of a split sweep or row pass (512 KB of float64).
 _BLOCK_ELEMENTS = 1 << 16
 #: Largest window the O(n^2) neighbor and kernel fits accept.  Their n x n
-#: float64 distance matrix takes 8 n^2 bytes (800 MB at this size), and
-#: kNN-KL's full neighbor lists add 16 n^2 more; a larger window raises
-#: ``ParameterError`` instead of meeting the out-of-memory killer.
+#: float64 distance matrix takes 8 n^2 bytes (800 MB at this size), the most
+#: any of them holds; a larger window raises ``ParameterError`` instead of
+#: meeting the out-of-memory killer.
 MAX_PAIRWISE_N = 10_000
 #: Largest squared norm the distance expansion accepts: below it |a|^2 + |b|^2,
 #: 2 a.b, the squared distances (at most 4x) and 2 sigma^2 (at most 8x) all
@@ -79,64 +79,64 @@ def _pairwise_distances(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NeighborGraph:
-    """Neighbor lists of a window under Euclidean distance.
+    """Neighbors of a window under Euclidean distance.
 
-    ``order[i]`` lists the nearest other sample indices by distance to i,
-    ties broken by lower index; ``dist`` is aligned.  The lists hold all
-    n - 1 neighbors (kNN-KL) or only the k nearest (LDD).  ``k`` is the
-    neighborhood size of both statistics and ``dim`` the feature dimension.
+    Built with a ``width`` (LDD), ``order[i]`` lists the ``width`` nearest
+    other sample indices to i by distance, ties broken by lower index, and
+    ``dist`` is aligned.  Built without one (kNN-KL), ``order`` is None and
+    ``dist`` is the n x n distance matrix in sample order, +inf on the
+    diagonal.  ``k`` is the neighborhood size of both statistics and ``dim``
+    the feature dimension.
     """
 
-    order: np.ndarray
+    order: np.ndarray | None
     dist: np.ndarray
     k: int
     dim: int
 
     @property
     def n(self) -> int:
-        return self.order.shape[0]
+        return self.dist.shape[0]
 
 
-def _top_k(block: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of the k smallest entries of each row, sorted by
-    (value, index): the first k columns of a stable argsort."""
-    kth = np.partition(block, k - 1, axis=1)[:, k - 1 : k]
-    closer = block < kth
-    # fewer than k entries lie strictly closer; the lowest-index ties with
-    # the k-th value fill the rest
-    tied = block == kth
-    missing = k - np.count_nonzero(closer, axis=1)
-    closer |= tied & (np.cumsum(tied, axis=1) <= missing[:, None])
-    chosen = np.nonzero(closer)[1].reshape(len(block), k)
-    by_value = np.argsort(np.take_along_axis(block, chosen, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(chosen, by_value, axis=1)
+def _top_k(d: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k smallest entries of each row of ``d``, sorted
+    by (value, index): the first k columns of a stable argsort.  Row blocks
+    keep the temporaries within the sweep budget."""
+    out = np.empty((len(d), k), dtype=np.intp)
+    for rows in _row_blocks(len(d)):
+        block = d[rows]
+        kth = np.partition(block, k - 1, axis=1)[:, k - 1 : k]
+        closer = block < kth
+        # fewer than k entries lie strictly closer; the lowest-index ties
+        # with the k-th value fill the rest
+        tied = block == kth
+        missing = k - np.count_nonzero(closer, axis=1)
+        closer |= tied & (np.cumsum(tied, axis=1) <= missing[:, None])
+        chosen = np.nonzero(closer)[1].reshape(len(block), k)
+        by_value = np.argsort(np.take_along_axis(block, chosen, axis=1), axis=1, kind="stable")
+        out[rows] = np.take_along_axis(chosen, by_value, axis=1)
+    return out
 
 
 def build_neighbor_graph(w: Window, k: int = 10, width: int | None = None) -> NeighborGraph:
-    """Exact brute-force kNN lists over the window.
-
-    Each row keeps its ``width`` nearest neighbors (at least k; all n - 1
-    when None), exactly as the first columns of a full stable sort.
-    """
+    """Exact brute-force neighbors of the window: each row's ``width``
+    nearest (at least k), exactly as the first columns of a full stable
+    sort, or with no width the distance rows themselves."""
     n = len(w)
     if n < 2:
         raise ParameterError("need at least two samples")
     if k < 1:
         raise ParameterError("k must be >= 1")
     k = min(k, n - 1)
-    width = n - 1 if width is None else min(width, n - 1)
-    if width < k:
+    if width is not None and min(width, n - 1) < k:
         raise ParameterError(f"neighbor lists of width {width} cannot hold k={k} neighbors")
     d = _pairwise_distances(w.x)
     np.fill_diagonal(d, np.inf)
-    if width == n - 1:
-        order = np.argsort(d, axis=1, kind="stable")[:, :width]
-    else:
-        order = np.empty((n, width), dtype=np.intp)
-        for rows in _row_blocks(n):
-            order[rows] = _top_k(d[rows], width)
-    dist = np.take_along_axis(d, order, axis=1)
-    return NeighborGraph(order, dist, k, w.dim)
+    if width is None:
+        return NeighborGraph(None, d, k, w.dim)
+    order = _top_k(d, min(width, n - 1))
+    return NeighborGraph(order, np.take_along_axis(d, order, axis=1), k, w.dim)
 
 
 def ldd_statistics(g: NeighborGraph, ranks, *, aggregation: str = "mean") -> np.ndarray:
@@ -146,48 +146,52 @@ def ldd_statistics(g: NeighborGraph, ranks, *, aggregation: str = "mean") -> np.
     k nearest, scaled by the side-size ratio, measures the local imbalance:
     delta = (n_before/n_after) * (k_after / max(k_before, 1)) - 1.  The
     statistic aggregates |delta| over all samples, each capped at ``LDD_CAP``.
-    O(n k) per split, in blocks of splits.
+    O(n k) per block of splits plus O(n) per split.
     """
     if aggregation not in ("mean", "max"):
         raise ParameterError(f"unknown aggregation {aggregation!r}")
     ranks = np.asarray(ranks, dtype=np.intp)
-    n = g.n
-    # neighbor j is on the before side of split r exactly when j < r
-    neighbor_columns = np.ascontiguousarray(g.order[:, : g.k].T)
+    n, k = g.n, g.k
+    nearest = _top_k(g.dist, k) if g.order is None else g.order[:, :k]
+    neighbors, rows, c = nearest.ravel(), np.repeat(np.arange(n), k), np.arange(k + 1)
+    reduce = np.mean if aggregation == "mean" else np.max
     out = np.empty(len(ranks))
     step = max(1, _BLOCK_ELEMENTS // n)
     for lo in range(0, len(ranks), step):
-        r = ranks[lo : lo + step]
-        k_before = np.zeros((len(r), n), dtype=np.intp)
-        for column in neighbor_columns:
-            k_before += column < r[:, None]
-        k_after = g.k - k_before
-        delta = (r / (n - r))[:, None] * (k_after / np.maximum(k_before, 1)) - 1.0
-        degrees = np.minimum(np.abs(delta), LDD_CAP)
-        # one contiguous row per split keeps the reduction order of a 1-D array
-        for i, row in enumerate(degrees, lo):
-            out[i] = row.mean() if aggregation == "mean" else row.max()
+        by_rank = np.argsort(ranks[lo : lo + step], kind="stable")
+        r = ranks[lo : lo + step][by_rank]
+        # neighbor j is on the before side of split r exactly when j < r, so
+        # a (row, neighbor j) pair counts from the first sorted rank above j on
+        first = np.searchsorted(r, np.arange(n), side="right")[neighbors]
+        events = np.bincount(first * n + rows, minlength=(len(r) + 1) * n)[: len(r) * n].reshape(len(r), n)
+        # k_before takes the values 0..k only: the capped degree of each count
+        # per split, by the operations of the delta formula in the same order
+        table = np.minimum(np.abs((r / (n - r))[:, None] * ((k - c) / np.maximum(c, 1)) - 1.0), LDD_CAP)
+        # offsetting split s by s (k + 1) makes the running count k_before
+        # an index into the flattened table
+        events[1:] += k + 1
+        degrees = table.ravel()[np.cumsum(events, axis=0)]
+        # a contiguous row per split: the reduction order of a 1-D array
+        out[lo + by_rank] = reduce(degrees, axis=1)
     return out
 
 
-def _running_kth(q: np.ndarray, k: int, outer: np.ufunc, inner: np.ufunc, empty: int) -> np.ndarray:
-    """k-th smallest (``outer=np.minimum``) or largest (``np.maximum``) entry
-    of every prefix of each row of ``q``; ``empty`` while a prefix is shorter
-    than k.  Monotone along each row."""
-    kth = outer.accumulate(q, axis=1)
+def _running_kth(q: np.ndarray, k: int) -> np.ndarray:
+    """k-th smallest entry of every prefix of each row of ``q``; +inf while
+    a prefix is shorter than k."""
+    kth = np.minimum.accumulate(q, axis=1)
     for _ in range(k - 1):
-        # appending x to a prefix moves its k-th order statistic to
-        # outer(old k-th, inner(x, old (k-1)-th))
-        prev = np.empty_like(kth)
-        prev[:, 0] = empty
-        prev[:, 1:] = kth[:, :-1]
-        kth = outer.accumulate(inner(q, prev), axis=1)
+        # appending x to a prefix moves its k-th smallest to
+        # min(old k-th, max(x, old (k-1)-th))
+        kth[:, 1:] = np.maximum(q[:, 1:], kth[:, :-1])
+        kth[:, 0] = np.inf
+        np.minimum.accumulate(kth, axis=1, out=kth)
     return kth
 
 
 def knn_kls(g: NeighborGraph, ranks) -> np.ndarray:
     """kNN estimate of KL(before || after) at every before-side count in
-    ``ranks``, from one O(k n^2) sweep of the graph.
+    ``ranks``, from one O(k n^2) sweep of the distance rows.
 
     Uses k-th neighbor distances within each side: for x in the before
     side, rho_k = distance to its k-th neighbor among the before side
@@ -195,42 +199,30 @@ def knn_kls(g: NeighborGraph, ranks) -> np.ndarray:
     (d/n_b) * sum log(nu_k/rho_k) + log(n_a/(n_b-1)), clamped below at 0.
     Both sides need more than k samples.
 
-    A neighbor j is on the before side of a split with before-count r
-    exactly when j < r.  Along a row's distance-sorted neighbor list the
-    running k-th smallest index is non-increasing and the running k-th
-    largest non-decreasing, so the list positions of the k-th same-side
-    (first value < r) and k-th other-side (first value >= r) neighbors of
-    every split come from one batched binary search.
+    The before side of a split with before-count r is the first r samples,
+    so in a distance row in sample order (self at +inf) rho_k is the k-th
+    smallest of the first r entries and nu_k the k-th smallest of the rest:
+    the running k-th minimum of the row taken from the left, read at column
+    r - 1, and taken from the right, read at column r.  A k-th smallest
+    value does not depend on how ties are ordered.
     """
     ranks = np.asarray(ranks, dtype=np.intp)
     n, k = g.n, g.k
-    if g.order.shape[1] != n - 1:
-        raise ParameterError("kNN-KL needs full neighbor lists (width=None)")
+    if g.order is not None:
+        raise ParameterError("kNN-KL needs the distance rows of a graph built without a width")
     if len(ranks) and (ranks.min() <= k or n - ranks.max() <= k):
         raise InvalidSplitError(f"both sides must have more than k={k} samples")
     rows = int(ranks.max()) if len(ranks) else 0
-    width = n - 1
     log_ratio = np.empty((len(ranks), rows))
-    step = max(1, _BLOCK_ELEMENTS // width)
+    step = max(1, _BLOCK_ELEMENTS // n)
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
-        q = g.order[lo:hi]
         live = ranks > lo
-        r = ranks[live][:, None]
-        # per-row offsets larger than the value range make the flattened
-        # rows one sorted array
-        offsets = np.arange(hi - lo) * (n + 1)
-        falling = offsets[:, None] - _running_kth(q, k, np.minimum, np.maximum, n)
-        rising = offsets[:, None] + _running_kth(q, k, np.maximum, np.minimum, -1)
-        rho_at = np.searchsorted(falling.ravel(), offsets - r, side="right")
-        nu_at = np.searchsorted(rising.ravel(), offsets + r, side="left")
-        # rows on the after side of a split find no position in their own
-        # row; their entries are clipped here and never summed
-        dist = g.dist[lo:hi].ravel()
-        last = dist.size - 1
-        rho = np.maximum(dist[np.minimum(rho_at, last)], DISTANCE_FLOOR)
-        nu = np.maximum(dist[np.minimum(nu_at, last)], DISTANCE_FLOOR)
-        log_ratio[live, lo:hi] = np.log(nu / rho)
+        r = ranks[live]
+        # rows on the after side of a split get finite terms that are never summed
+        rho = np.maximum(_running_kth(g.dist[lo:hi], k)[:, r - 1], DISTANCE_FLOOR)
+        nu = np.maximum(_running_kth(g.dist[lo:hi, ::-1], k)[:, n - 1 - r], DISTANCE_FLOOR)
+        log_ratio[live, lo:hi] = np.log(nu / rho).T
     out = np.empty(len(ranks))
     for i, n_b in enumerate(ranks.tolist()):
         n_a = n - n_b
@@ -267,14 +259,18 @@ def _median_distance(d: np.ndarray) -> float:
     return med if med > 0 else 1.0
 
 
+def _check_bandwidth(bandwidth) -> None:
+    if bandwidth != "median" and not (isinstance(bandwidth, Real) and 0 < bandwidth < np.inf):
+        raise ParameterError(f"bandwidth must be 'median' or a finite positive number, got {bandwidth!r}")
+
+
 def build_kernel_gram(w: Window, bandwidth="median") -> KernelGram:
     """Block sums of the Gram matrix of exp(-||x-y||^2 / (2 sigma^2)) in
     arrival order, formed in place in the distance matrix that also gives
     the median bandwidth."""
     if len(w) < 2:
         raise ParameterError("need at least two samples")
-    if bandwidth != "median" and not (isinstance(bandwidth, Real) and 0 < bandwidth < np.inf):
-        raise ParameterError(f"bandwidth must be 'median' or a finite positive number, got {bandwidth!r}")
+    _check_bandwidth(bandwidth)
     K = _pairwise_distances(w.x)
     sigma = _median_distance(K) if bandwidth == "median" else float(bandwidth)
     # the operations of -(d**2) / (2 sigma^2), in that order

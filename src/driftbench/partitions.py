@@ -260,6 +260,8 @@ def build_pca_projection(
     _require_window(w)
     if n_axes is None:
         n_axes = w.dim
+    if n_axes < 1:
+        raise ParameterError("n_axes must be >= 1")
     with np.errstate(over="ignore", invalid="ignore"):
         centered = w.x - w.x.mean(axis=0)
         cov = centered.T @ centered / max(len(w) - 1, 1)
@@ -297,8 +299,8 @@ def build_random_tree(w: Window, n_leaves: int = 16, seed=None, min_leaf: int = 
     when no leaf can be split.
     """
     _require_window(w)
-    if n_leaves < 2:
-        raise ParameterError("n_leaves must be >= 2")
+    if n_leaves < 2 or min_leaf < 1:
+        raise ParameterError("n_leaves must be >= 2 and min_leaf >= 1")
     rng = as_generator(seed)
     x = w.x
     splits = []

@@ -126,6 +126,15 @@ class TestDetect:
         assert err.value.code == 1
 
 
+#: Estimator values that are wrong whatever the data.
+VALUES_THAT_NEED_NO_DATA = [
+    "estimator.rnd_tree.n_trees = 0", "estimator.ldd.k = 0", "estimator.knn_kl.k = -3", "estimator.mmd.bandwidth = -1.0",
+    "estimator.marg.bins = 0", "estimator.rnd_pj.bins = 0", "estimator.rnd_tree.n_leaves = 0", "estimator.rf.n_trees = 0",
+    "estimator.pca.n_axes = 0", "estimator.rnd_tree.min_leaf = 0", "estimator.grid.edge_mode = even",
+    "estimator.kdq.min_side = 0.0", "estimator.dt.skip_fraction = 0.5",
+]
+
+
 class TestRun:
     def test_run_from_config(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"
@@ -200,6 +209,18 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err and captured.out == ""
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("line", VALUES_THAT_NEED_NO_DATA)
+    def test_bad_estimator_value_is_usage_error_before_any_cell(self, tmp_path, capsys, line):
+        # each used to fail every cell and exit 0, or to crash the run
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"datasets = sea\nestimators = marg\nn = 60\nrepetitions = 1\n{line}\n")
+        out_dir = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        name, _, value = line.partition(".")[2].partition(".")[2].partition(" = ")
+        assert captured.err.startswith("error: ") and name in captured.err and value in captured.err
+        assert captured.out == "" and not out_dir.exists()
 
     def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"
@@ -311,7 +332,7 @@ BAD_LINES = [
     "dataset.sea.variant_aftr = 2", "dataset.rbf.seed = 3", "estimator.ldd.metric = tv", "estimator.rf = 3",
     "n = 8.5", "repetitions = two", "custom = 1", "seed = -1", "estimator.marg.bins = 8.5",
     "dataset.sea.variant_after = 2.0", "estimator.rf.n_trees = many", "split_positions = 0.5, x", "datasets sea",
-    "datasets =", "estimators = ,",
+    "datasets =", "estimators = ,", *VALUES_THAT_NEED_NO_DATA,
 ]
 #: Other invocations, with the exit code each must give; ``{dir}`` is a fresh directory.
 OTHER_INVOCATIONS = [

@@ -3,6 +3,7 @@ import pytest
 
 from driftbench.detector import (
     DriftVerdict,
+    PartitionEstimator,
     classifier_tv_oracle,
     detect_drift,
     kdq_tree_estimator,
@@ -141,6 +142,10 @@ class TestDescriptorProtocol:
         rng = np.random.default_rng(7)
         t = np.round(np.sort(rng.uniform(0, 1, 90)), 2)  # tied timestamps
         return Window(rng.normal(size=(90, 3)), t)
+
+    def test_partition_estimator_with_no_partitions_is_rejected(self, window):
+        with pytest.raises(ParameterError, match="at least one partition"):
+            PartitionEstimator("none", lambda w, rng: []).fit(window)
 
     @pytest.mark.parametrize("estimator_id", sorted(ESTIMATOR_BUILDERS))
     def test_statistics_at(self, window, estimator_id):

@@ -182,17 +182,16 @@ class TestRunGrid:
         assert failed.status == "failed" and failed.error
         assert table.cell("stagger", "marg").status == "ok"
 
-    @pytest.mark.parametrize("bandwidth", ["silverman", "nan"])
-    def test_bad_mmd_bandwidth_cell_recorded_as_failed(self, tmp_path, bandwidth):
+    @pytest.mark.parametrize("bandwidth", ["silverman", "nan", "-1.0"])
+    def test_bad_mmd_bandwidth_is_usage_error_before_any_cell(self, tmp_path, bandwidth):
+        # a bandwidth is checked when the estimator is built: it needs no data
         path = tmp_path / "bench.cfg"
         path.write_text(
             "datasets = stagger\nestimators = mmd, marg\nrepetitions = 2\n"
             f"split_positions = 0.5, 0.62\nestimator.mmd.bandwidth = {bandwidth}\n"
         )
-        table = run_grid(load_config(path))
-        failed = table.cell("stagger", "mmd")
-        assert failed.status == "failed" and "bandwidth" in failed.error
-        assert table.cell("stagger", "marg").status == "ok"
+        with pytest.raises(ParameterError, match="bandwidth"):
+            load_config(path)
 
     def test_features_too_large_cell_recorded_as_failed(self, tmp_path):
         rng = np.random.default_rng(0)

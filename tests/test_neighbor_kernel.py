@@ -52,7 +52,7 @@ def mmd_at(w, t, bandwidth="median"):
 class TestNeighborGraph:
     def test_collinear_middle_point(self):
         w = window([0.0, 1.0, 3.0], [0.1, 0.5, 0.9])
-        g = build_neighbor_graph(w, k=1)
+        g = build_neighbor_graph(w, k=1, width=1)
         middle = int(np.flatnonzero(w.x[:, 0] == 1.0)[0])
         nearest = g.order[middle, 0]
         assert w.x[nearest, 0] == 0.0
@@ -60,23 +60,31 @@ class TestNeighborGraph:
     def test_matches_independent_scan(self, rng):
         # double-check the brute force against an independently coded scan
         w = Window(rng.normal(size=(40, 3)), np.sort(rng.uniform(0, 1, 40)))
-        g = build_neighbor_graph(w, k=5)
+        for width in (5, 39):
+            g = build_neighbor_graph(w, k=5, width=width)
+            for i in range(len(w)):
+                pairs = sorted(
+                    ((float(np.linalg.norm(w.x[i] - w.x[j])), j) for j in range(len(w)) if j != i),
+                )[:width]
+                assert [j for _, j in pairs] == list(g.order[i])
+                assert np.allclose([d for d, _ in pairs], g.dist[i])
+        # without a width the graph keeps the distances in sample order
+        full = build_neighbor_graph(w, k=5)
+        assert full.order is None
         for i in range(len(w)):
-            pairs = sorted(
-                ((float(np.linalg.norm(w.x[i] - w.x[j])), j) for j in range(len(w)) if j != i),
-            )
-            assert [j for _, j in pairs] == list(g.order[i])
-            assert np.allclose([d for d, _ in pairs], g.dist[i])
+            expected = [float(np.linalg.norm(w.x[i] - w.x[j])) if j != i else np.inf for j in range(len(w))]
+            assert np.allclose(full.dist[i], expected)
 
     def test_k_capped_at_n_minus_one(self, rng):
         w = Window(rng.normal(size=(5, 2)), np.sort(rng.uniform(0, 1, 5)))
-        g = build_neighbor_graph(w, k=50)
+        assert build_neighbor_graph(w, k=50).k == 4
+        g = build_neighbor_graph(w, k=50, width=50)
         assert g.k == 4
         assert g.order.shape == (5, 4)
 
     def test_distance_ties_broken_by_lower_index(self):
         w = window([0.0, 1.0, -1.0], [0.1, 0.5, 0.9])
-        g = build_neighbor_graph(w, k=2)
+        g = build_neighbor_graph(w, k=2, width=2)
         origin = int(np.flatnonzero(w.x[:, 0] == 0.0)[0])
         others = [int(np.flatnonzero(w.x[:, 0] == v)[0]) for v in (1.0, -1.0)]
         assert list(g.order[origin]) == sorted(others)
@@ -98,11 +106,12 @@ class TestNeighborGraph:
         ]
         assert len(cases[0]) ** 2 > 4 * neighbor_kernel._BLOCK_ELEMENTS
         for w in cases:
-            full = build_neighbor_graph(w, k)
+            d = build_neighbor_graph(w, k).dist
+            order = np.argsort(d, axis=1, kind="stable")[:, :k]
             top = build_neighbor_graph(w, k, width=k)
             assert top.order.shape == top.dist.shape == (len(w), k)
-            assert np.array_equal(top.order, full.order[:, :k])
-            assert np.array_equal(top.dist, full.dist[:, :k])
+            assert np.array_equal(top.order, order)
+            assert np.array_equal(top.dist, np.take_along_axis(d, order, axis=1))
 
     def test_width_must_hold_k(self, rng):
         w = Window(rng.normal(size=(20, 2)), np.sort(rng.uniform(0, 1, 20)))
@@ -111,10 +120,17 @@ class TestNeighborGraph:
 
     def test_estimator_keeps_k_wide_lists_for_ldd_only(self, rng):
         w = Window(rng.normal(size=(50, 2)), np.sort(rng.uniform(0, 1, 50)))
+
+        def held(g):
+            return [v for v in vars(g).values() if isinstance(v, np.ndarray)]
+
         # a kNN descriptor's statistics are bound to its fitted graph
-        assert KnnEstimator(k=4).fit(w).statistics.args[0].order.shape == (50, 4)
-        assert KnnEstimator(k=4, statistic="kl").fit(w).statistics.args[0].order.shape == (50, 49)
-        with pytest.raises(ParameterError, match="full neighbor lists"):
+        ldd = KnnEstimator(k=4).fit(w).statistics.args[0]
+        assert [(a.shape, a.dtype.kind) for a in held(ldd)] == [((50, 4), "i"), ((50, 4), "f")]
+        # kNN-KL holds the one distance matrix and no n x n integer array
+        kl = KnnEstimator(k=4, statistic="kl").fit(w).statistics.args[0]
+        assert [(a.shape, a.dtype) for a in held(kl)] == [((50, 50), np.float64)]
+        with pytest.raises(ParameterError, match="without a width"):
             knn_kls(build_neighbor_graph(w, 4, width=4), [25])
 
 
@@ -224,21 +240,17 @@ def ldd_per_split(g, ranks, cap=LDD_CAP, aggregation="mean"):
 
 
 def knn_kl_per_split(g, w, ranks, floor=DISTANCE_FLOOR):
-    """Reference: k-th same-/other-side neighbor from two cumsums per split."""
+    """Reference: k-th same-/other-side distance by ``np.partition`` of each
+    before-side row's two column ranges, per split."""
     d = w.dim
     out = np.empty(len(ranks))
     for i, r in enumerate(ranks):
-        before = np.arange(g.n) < r
-        n_b = int(before.sum())
-        n_a = g.n - n_b
+        n_b, n_a = r, g.n - r
         if n_b <= g.k or n_a <= g.k:
             raise InvalidSplitError(f"both sides must have more than k={g.k} samples")
-        rows = np.flatnonzero(before)
-        same = before[g.order[rows]]
-        rho_idx = np.argmax(np.cumsum(same, axis=1) == g.k, axis=1)
-        nu_idx = np.argmax(np.cumsum(~same, axis=1) == g.k, axis=1)
-        rho = np.maximum(g.dist[rows, rho_idx], floor)
-        nu = np.maximum(g.dist[rows, nu_idx], floor)
+        same = np.delete(g.dist[:r, :r], np.arange(r) * (r + 1)).reshape(r, r - 1)  # self dropped
+        rho = np.maximum(np.partition(same, g.k - 1, axis=1)[:, g.k - 1], floor)
+        nu = np.maximum(np.partition(g.dist[:r, r:], g.k - 1, axis=1)[:, g.k - 1], floor)
         est = (d / n_b) * np.log(nu / rho).sum() + np.log(n_a / (n_b - 1))
         out[i] = max(est, 0.0)
     return out
@@ -252,11 +264,11 @@ def sweep_window(rng, n, d=2):
     return Window(x, t)
 
 
-def sweep_cases(k, n_windows=4):
+def sweep_cases(k, n_windows=4, width=None):
     rng = np.random.default_rng(k)
     for _ in range(n_windows):
         w = sweep_window(rng, int(rng.integers(3 * k + 8, 120)), int(rng.integers(1, 4)))
-        g = build_neighbor_graph(w, k)
+        g = build_neighbor_graph(w, k, width)
         ranks = ranks_of(w, candidate_split_times(w, min_side=g.k + 1))
         yield w, g, ranks
         yield w, g, ranks[len(ranks) // 2 : len(ranks) // 2 + 1]
@@ -268,7 +280,7 @@ class TestSplitSweep:
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 10, 20])
     @pytest.mark.parametrize("aggregation", ["mean", "max"])
     def test_ldd_equals_per_split(self, k, aggregation):
-        for w, g, ranks in sweep_cases(k):
+        for w, g, ranks in sweep_cases(k, width=k):
             assert np.array_equal(ldd_statistics(g, ranks, aggregation=aggregation), ldd_per_split(g, ranks, aggregation=aggregation))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 10])
@@ -281,17 +293,18 @@ class TestSplitSweep:
         rng = np.random.default_rng(100 + k)
         w = sweep_window(rng, 300, 3)
         assert len(w) * (len(w) - 1) > neighbor_kernel._BLOCK_ELEMENTS  # several row and split blocks
-        g = build_neighbor_graph(w, k)
+        g, lists = build_neighbor_graph(w, k), build_neighbor_graph(w, k, width=k)
         ranks = ranks_of(w, candidate_split_times(w, min_side=k + 1))
         assert np.array_equal(knn_kls(g, ranks), knn_kl_per_split(g, w, ranks))
-        assert np.array_equal(ldd_statistics(g, ranks), ldd_per_split(g, ranks))
+        assert np.array_equal(ldd_statistics(lists, ranks), ldd_per_split(lists, ranks))
 
     def test_splits_in_any_order_and_repeated(self, rng):
         w = sweep_window(rng, 80)
-        g = build_neighbor_graph(w, 3)
+        g, lists = build_neighbor_graph(w, 3), build_neighbor_graph(w, 3, width=3)
         ranks = rng.permutation(np.repeat(ranks_of(w, candidate_split_times(w, min_side=4)), 2))
         assert np.array_equal(knn_kls(g, ranks), knn_kl_per_split(g, w, ranks))
-        assert np.array_equal(ldd_statistics(g, ranks, aggregation="max"), ldd_per_split(g, ranks, aggregation="max"))
+        for aggregation in ("mean", "max"):
+            assert np.array_equal(ldd_statistics(lists, ranks, aggregation=aggregation), ldd_per_split(lists, ranks, aggregation=aggregation))
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_at_most_k_on_a_side_errors(self, rng, k):

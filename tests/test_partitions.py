@@ -153,6 +153,12 @@ class TestRandomTree:
         assert tree.n_cells == 2
         assert int((tree.feature >= 0).sum()) == 1
 
+    def test_min_leaf_below_one_is_rejected(self, rng):
+        # min_leaf = 0 used to index one past the end of a leaf's values
+        w = Window(rng.normal(size=(40, 2)), np.sort(rng.uniform(0, 1, 40)))
+        with pytest.raises(ParameterError, match="min_leaf"):
+            build_random_tree(w, n_leaves=4, seed=1, min_leaf=0)
+
     def test_min_leaf_invariant(self, rng):
         w = Window(rng.normal(size=(100, 3)), np.sort(rng.uniform(0, 1, 100)))
         tree = build_random_tree(w, n_leaves=16, seed=2, min_leaf=5)
@@ -228,6 +234,12 @@ class TestKdqTree:
 
 
 class TestGridAndPca:
+    def test_pca_needs_an_axis(self, rng):
+        # no axis used to give no partitions, and a division by zero in the scan
+        w = Window(rng.normal(size=(30, 2)), np.sort(rng.uniform(0, 1, 30)))
+        with pytest.raises(ParameterError, match="n_axes"):
+            build_pca_projection(w, n_axes=0)
+
     def test_grid_cell_count(self, rng):
         w = Window(rng.uniform(0, 1, (100, 2)), np.sort(rng.uniform(0, 1, 100)))
         grid = build_grid(w, bins_per_dim=3)

@@ -31,6 +31,7 @@ from .moment_tree import MomentTreeConfig, VARIANT_RF, fit_moment_forest, fit_mo
 from .neighbor_kernel import (
     build_kernel_gram,
     build_neighbor_graph,
+    build_neighbor_lists,
     knn_kls,
     ldd_statistics,
     mmds_from_gram,
@@ -120,14 +121,13 @@ class _PartitionDescriptor(Descriptor):
         out = np.empty(len(ranks))
         # blocks of ranks keep the metric's largest temporary, the counts of
         # both sides as one (cells x 2 ranks) block, within the sweep budget
-        step = max(1, neighbor_kernel._BLOCK_ELEMENTS // (2 * self._hist.n_cells))
-        for lo in range(0, len(ranks), step):
-            before = self._hist.counts_before_ranks(ranks[lo : lo + step])
+        for block in neighbor_kernel._row_blocks(len(ranks), 2 * self._hist.n_cells):
+            before = self._hist.counts_before_ranks(ranks[block])
             rows = self.metric(before, self._hist.totals[:, None] - before, self._sizes)
             # a sequential fold from _start in partition order, so the forest's
             # sum adds its trees one at a time, as a loop would
             rows[0] = self._combine(self._start, rows[0])
-            out[lo : lo + step] = self._combine.accumulate(rows, axis=0)[-1]
+            out[block] = self._combine.accumulate(rows, axis=0)[-1]
         return out
 
 
@@ -258,7 +258,9 @@ class MomentForestEstimator(Estimator):
 
 
 class KnnEstimator(Estimator):
-    """k-nearest-neighbor estimator with LDD or kNN-KL similarity."""
+    """k-nearest-neighbor estimator with LDD or kNN-KL similarity.  An LDD
+    fit keeps each sample's k nearest as an (n, k) index set (no distances,
+    no sort); a kNN-KL fit keeps the ``NeighborGraph`` of distance rows."""
 
     def __init__(self, k: int = 10, statistic: str = "ldd", aggregation: str | None = None):
         """``aggregation`` of the per-point LDD values is 'mean' (default) or
@@ -276,11 +278,9 @@ class KnnEstimator(Estimator):
         self.aggregation = aggregation
 
     def fit(self, w: Window, seed=None, drift_time: float | None = None) -> Descriptor:
-        # LDD reads each point's k nearest; the kNN-KL sweep reads the
-        # distance rows in sample order
         if self.statistic == "ldd":
-            graph = build_neighbor_graph(w, self.k, self.k)
-            return Descriptor(w, functools.partial(ldd_statistics, graph, aggregation=self.aggregation or "mean"))
+            lists = build_neighbor_lists(w, self.k)
+            return Descriptor(w, functools.partial(ldd_statistics, lists, aggregation=self.aggregation or "mean"))
         return Descriptor(w, functools.partial(knn_kls, build_neighbor_graph(w, self.k)))
 
 

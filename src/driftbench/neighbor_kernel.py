@@ -1,26 +1,27 @@
 """Neighbor- and kernel-based drift statistics: LDD, kNN-KL and biased MMD.
 
-The neighbor graph and the kernel Gram are built once per window (O(n^2)
-time) and reused for every split point.  Each fit holds one n x n float64
-matrix at its peak: the pairwise distances, which the Gram build turns into
-the kernel matrix in place and reduces to O(n) block sums, all that MMD
-reads.  LDD keeps only each point's k nearest neighbors (n x k lists,
-selected without a full sort); kNN-KL keeps the distance matrix itself, in
-sample order, and sorts nothing.  Windows above ``MAX_PAIRWISE_N`` samples,
-or with features too large for the distance expansion, are rejected before
-anything n x n is allocated.
+Each fit builds the window's pairwise distances once (O(n^2) time), its one
+n x n float64 matrix at its peak, and keeps only what its statistic reads
+at every split point.  LDD keeps each point's k nearest neighbors as an
+n x k index set, picked with no sort and kept with no distances.  kNN-KL
+keeps the distance matrix itself, in sample order, as the one
+``NeighborGraph``, and sorts nothing.  MMD turns the distances into the
+kernel matrix in place and keeps O(n) block sums.  Windows above
+``MAX_PAIRWISE_N`` samples, or with features too large for the distance
+expansion, are rejected before anything n x n is allocated.
 
 The statistics take splits as ranks: a rank r puts the first r samples in
-arrival order on the before side.  The fitted descriptor maps split times to
-ranks and rejects an empty side, so the functions here see ranks in [1, n-1]
-only.  MMD costs O(1) per split from cached block sums.  The kNN statistics
-sweep all requested splits at once: LDD counts each neighbor pair once per
-block of sorted splits, O(n k) per block plus O(n) per split, and kNN-KL
-reads every split's k-th same-side and other-side distance off running k-th
-minima of the distance rows in one O(k n^2) pass, then costs O(n) per split.
-Both sweeps work in blocks sized against a fixed element budget; the only
-scratch arrays that grow with n are LDD's n k neighbor pairs and kNN-KL's
-per-split terms (splits x before-side rows, under half the matrix's size).
+arrival order on the before side.  Each statistic rejects a rank outside
+[1, n-1] (kNN-KL one that leaves k or fewer samples on a side) with
+``InvalidSplitError``.  MMD costs O(1) per split from cached block sums.
+The kNN statistics sweep all requested splits at once: LDD counts each
+neighbor pair once per block of sorted splits, O(n k) per block plus O(n)
+per split, and kNN-KL reads every split's k-th same-side and other-side
+distance off running k-th minima of the distance rows in one O(k n^2) pass,
+then costs O(n) per split.  Every sweep and row pass works in blocks that
+``_row_blocks`` sizes against one fixed element budget; the only scratch
+arrays that grow with n are LDD's n k neighbor pairs and kNN-KL's per-split
+terms (splits x before-side rows, under half the matrix's size).
 """
 
 from __future__ import annotations
@@ -48,10 +49,21 @@ MAX_PAIRWISE_N = 10_000
 _MAX_SQUARED_NORM = np.finfo(float).max / 8
 
 
-def _row_blocks(n: int):
-    step = max(1, _BLOCK_ELEMENTS // n)
-    for lo in range(0, n, step):
-        yield slice(lo, min(lo + step, n))
+def _row_blocks(n_rows: int, width: int):
+    """Slices of ``range(n_rows)`` in steps of as many rows of ``width``
+    elements as fit the block budget (at least one)."""
+    step = max(1, _BLOCK_ELEMENTS // width)
+    for lo in range(0, n_rows, step):
+        yield slice(lo, min(lo + step, n_rows))
+
+
+def _checked_ranks(ranks, n: int, fewest: int = 1) -> np.ndarray:
+    """``ranks`` as an index array, once every split leaves at least
+    ``fewest`` of the n samples on each side."""
+    ranks = np.asarray(ranks, dtype=np.intp)
+    if len(ranks) and (ranks.min() < fewest or n - ranks.max() < fewest):
+        raise InvalidSplitError(f"each side of a split needs at least {fewest} of the {n} samples")
+    return ranks
 
 
 def _pairwise_distances(x: np.ndarray) -> np.ndarray:
@@ -70,7 +82,7 @@ def _pairwise_distances(x: np.ndarray) -> np.ndarray:
     # one unblocked matmul: BLAS may round other block shapes differently
     d = x @ x.T
     d *= 2.0
-    for rows in _row_blocks(n):
+    for rows in _row_blocks(n, n):
         block = d[rows]
         np.subtract(sq[rows, None] + sq[None, :], block, out=block)
     np.maximum(d, 0.0, out=d)
@@ -79,17 +91,12 @@ def _pairwise_distances(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NeighborGraph:
-    """Neighbors of a window under Euclidean distance.
-
-    Built with a ``width`` (LDD), ``order[i]`` lists the ``width`` nearest
-    other sample indices to i by distance, ties broken by lower index, and
-    ``dist`` is aligned.  Built without one (kNN-KL), ``order`` is None and
+    """The kNN-KL neighbor graph of a window under Euclidean distance:
     ``dist`` is the n x n distance matrix in sample order, +inf on the
-    diagonal.  ``k`` is the neighborhood size of both statistics and ``dim``
-    the feature dimension.
+    diagonal, ``k`` the neighborhood size and ``dim`` the feature dimension.
+    LDD keeps no graph, only ``build_neighbor_lists``' index sets.
     """
 
-    order: np.ndarray | None
     dist: np.ndarray
     k: int
     dim: int
@@ -99,12 +106,32 @@ class NeighborGraph:
         return self.dist.shape[0]
 
 
-def _top_k(d: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of the k smallest entries of each row of ``d``, sorted
-    by (value, index): the first k columns of a stable argsort.  Row blocks
-    keep the temporaries within the sweep budget."""
+def _distance_rows(w: Window, k: int) -> tuple[np.ndarray, int]:
+    """The window's distance matrix, +inf on the diagonal, and k capped at n - 1."""
+    n = len(w)
+    if n < 2:
+        raise ParameterError("need at least two samples")
+    if k < 1:
+        raise ParameterError("k must be >= 1")
+    d = _pairwise_distances(w.x)
+    np.fill_diagonal(d, np.inf)
+    return d, min(k, n - 1)
+
+
+def build_neighbor_graph(w: Window, k: int = 10) -> NeighborGraph:
+    """Exact brute-force kNN-KL graph of the window: its distance rows."""
+    return NeighborGraph(*_distance_rows(w, k), w.dim)
+
+
+def build_neighbor_lists(w: Window, k: int = 10) -> np.ndarray:
+    """Each sample's k nearest others (k capped at n - 1) as a row of an
+    (n, k) index array: a set in ascending index order, not sorted by
+    distance, with distance ties going to the lower index.  As a set, a row
+    is the first k columns of a stable argsort of the distance row.  Row
+    blocks keep the temporaries within the sweep budget."""
+    d, k = _distance_rows(w, k)
     out = np.empty((len(d), k), dtype=np.intp)
-    for rows in _row_blocks(len(d)):
+    for rows in _row_blocks(len(d), len(d)):
         block = d[rows]
         kth = np.partition(block, k - 1, axis=1)[:, k - 1 : k]
         closer = block < kth
@@ -113,34 +140,13 @@ def _top_k(d: np.ndarray, k: int) -> np.ndarray:
         tied = block == kth
         missing = k - np.count_nonzero(closer, axis=1)
         closer |= tied & (np.cumsum(tied, axis=1) <= missing[:, None])
-        chosen = np.nonzero(closer)[1].reshape(len(block), k)
-        by_value = np.argsort(np.take_along_axis(block, chosen, axis=1), axis=1, kind="stable")
-        out[rows] = np.take_along_axis(chosen, by_value, axis=1)
+        out[rows] = np.nonzero(closer)[1].reshape(len(block), k)
     return out
 
 
-def build_neighbor_graph(w: Window, k: int = 10, width: int | None = None) -> NeighborGraph:
-    """Exact brute-force neighbors of the window: each row's ``width``
-    nearest (at least k), exactly as the first columns of a full stable
-    sort, or with no width the distance rows themselves."""
-    n = len(w)
-    if n < 2:
-        raise ParameterError("need at least two samples")
-    if k < 1:
-        raise ParameterError("k must be >= 1")
-    k = min(k, n - 1)
-    if width is not None and min(width, n - 1) < k:
-        raise ParameterError(f"neighbor lists of width {width} cannot hold k={k} neighbors")
-    d = _pairwise_distances(w.x)
-    np.fill_diagonal(d, np.inf)
-    if width is None:
-        return NeighborGraph(None, d, k, w.dim)
-    order = _top_k(d, min(width, n - 1))
-    return NeighborGraph(order, np.take_along_axis(d, order, axis=1), k, w.dim)
-
-
-def ldd_statistics(g: NeighborGraph, ranks, *, aggregation: str = "mean") -> np.ndarray:
-    """Local drift degree at every before-side count in ``ranks`` (1..n-1).
+def ldd_statistics(lists: np.ndarray, ranks, *, aggregation: str = "mean") -> np.ndarray:
+    """Local drift degree at every before-side count in ``ranks`` (1..n-1),
+    from the (n, k) neighbor sets of ``build_neighbor_lists``.
 
     For each sample the ratio of after- to before-side neighbors among its
     k nearest, scaled by the side-size ratio, measures the local imbalance:
@@ -150,16 +156,14 @@ def ldd_statistics(g: NeighborGraph, ranks, *, aggregation: str = "mean") -> np.
     """
     if aggregation not in ("mean", "max"):
         raise ParameterError(f"unknown aggregation {aggregation!r}")
-    ranks = np.asarray(ranks, dtype=np.intp)
-    n, k = g.n, g.k
-    nearest = _top_k(g.dist, k) if g.order is None else g.order[:, :k]
-    neighbors, rows, c = nearest.ravel(), np.repeat(np.arange(n), k), np.arange(k + 1)
+    n, k = lists.shape
+    ranks = _checked_ranks(ranks, n)
+    neighbors, rows, c = lists.ravel(), np.repeat(np.arange(n), k), np.arange(k + 1)
     reduce = np.mean if aggregation == "mean" else np.max
     out = np.empty(len(ranks))
-    step = max(1, _BLOCK_ELEMENTS // n)
-    for lo in range(0, len(ranks), step):
-        by_rank = np.argsort(ranks[lo : lo + step], kind="stable")
-        r = ranks[lo : lo + step][by_rank]
+    for block in _row_blocks(len(ranks), n):
+        by_rank = np.argsort(ranks[block], kind="stable")
+        r = ranks[block][by_rank]
         # neighbor j is on the before side of split r exactly when j < r, so
         # a (row, neighbor j) pair counts from the first sorted rank above j on
         first = np.searchsorted(r, np.arange(n), side="right")[neighbors]
@@ -172,7 +176,7 @@ def ldd_statistics(g: NeighborGraph, ranks, *, aggregation: str = "mean") -> np.
         events[1:] += k + 1
         degrees = table.ravel()[np.cumsum(events, axis=0)]
         # a contiguous row per split: the reduction order of a 1-D array
-        out[lo + by_rank] = reduce(degrees, axis=1)
+        out[block][by_rank] = reduce(degrees, axis=1)
     return out
 
 
@@ -206,23 +210,17 @@ def knn_kls(g: NeighborGraph, ranks) -> np.ndarray:
     r - 1, and taken from the right, read at column r.  A k-th smallest
     value does not depend on how ties are ordered.
     """
-    ranks = np.asarray(ranks, dtype=np.intp)
     n, k = g.n, g.k
-    if g.order is not None:
-        raise ParameterError("kNN-KL needs the distance rows of a graph built without a width")
-    if len(ranks) and (ranks.min() <= k or n - ranks.max() <= k):
-        raise InvalidSplitError(f"both sides must have more than k={k} samples")
+    ranks = _checked_ranks(ranks, n, k + 1)
     rows = int(ranks.max()) if len(ranks) else 0
     log_ratio = np.empty((len(ranks), rows))
-    step = max(1, _BLOCK_ELEMENTS // n)
-    for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
-        live = ranks > lo
+    for block in _row_blocks(rows, n):
+        live = ranks > block.start
         r = ranks[live]
         # rows on the after side of a split get finite terms that are never summed
-        rho = np.maximum(_running_kth(g.dist[lo:hi], k)[:, r - 1], DISTANCE_FLOOR)
-        nu = np.maximum(_running_kth(g.dist[lo:hi, ::-1], k)[:, n - 1 - r], DISTANCE_FLOOR)
-        log_ratio[live, lo:hi] = np.log(nu / rho).T
+        rho = np.maximum(_running_kth(g.dist[block], k)[:, r - 1], DISTANCE_FLOOR)
+        nu = np.maximum(_running_kth(g.dist[block, ::-1], k)[:, n - 1 - r], DISTANCE_FLOOR)
+        log_ratio[live, block] = np.log(nu / rho).T
     out = np.empty(len(ranks))
     for i, n_b in enumerate(ranks.tolist()):
         n_a = n - n_b
@@ -292,7 +290,7 @@ def build_kernel_gram(w: Window, bandwidth="median") -> KernelGram:
 def mmds_from_gram(g: KernelGram, ranks) -> np.ndarray:
     """Biased MMD at every before-side count in ``ranks`` (1..n-1), O(1)
     per split from the cached block sums."""
-    ranks = np.asarray(ranks, dtype=np.intp)
+    ranks = _checked_ranks(ranks, len(g.lead) - 1)
     m = ranks.astype(float)
     n = float(len(g.lead) - 1)
     bb = g.inner[ranks]

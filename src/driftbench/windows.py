@@ -89,6 +89,8 @@ def default_min_side(n: int) -> int:
 
 def candidate_split_times(w: Window, min_side: int | None = None) -> np.ndarray:
     """Distinct sample timestamps whose splits satisfy the margin constraint."""
+    if min_side is not None and not min_side >= 1:
+        raise ParameterError(f"min_side must be >= 1, got {min_side!r}")
     if len(w) == 0:
         return np.empty(0)
     if min_side is None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from driftbench.detector import KnnEstimator, detect_drift
 from driftbench.generators import rbf_pair, sea_pair, stagger_pair
-from driftbench.neighbor_kernel import build_neighbor_graph, knn_kls, ldd_statistics
+from driftbench.neighbor_kernel import build_neighbor_graph, build_neighbor_lists, knn_kls, ldd_statistics
 from driftbench.windows import Window, candidate_split_times, make_paired
 
 PATH = Path(__file__).with_name("neighbor.json")
@@ -63,9 +63,9 @@ def digests() -> dict[str, str]:
             # both sides need more than k samples
             out[f"{name}/knn_kl/k{k}"] = _digest(knn_kls(build_neighbor_graph(w, k), _ranks(w, k + 1)))
         for k in LDD_KS:
-            graph = build_neighbor_graph(w, k, width=k)
+            lists = build_neighbor_lists(w, k)
             for aggregation in ("mean", "max"):
-                stats = ldd_statistics(graph, _ranks(w, 1), aggregation=aggregation)
+                stats = ldd_statistics(lists, _ranks(w, 1), aggregation=aggregation)
                 out[f"{name}/ldd_{aggregation}/k{k}"] = _digest(stats)
     return out
 

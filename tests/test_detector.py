@@ -60,6 +60,23 @@ class TestScanSplits:
         with pytest.raises(ParameterError):
             scan_splits(marginal_estimator(), w, min_side=9)
 
+    @pytest.mark.parametrize("min_side", [0, -3, 0.5, float("nan")])
+    def test_margin_below_one_is_rejected_before_any_fit(self, rng, min_side):
+        # min_side = 0 proposed the split after the last sample and failed
+        # only in the fit's statistics, with InvalidSplitError
+        w = Window(rng.normal(size=(20, 1)), np.sort(rng.uniform(0, 1, 20)))
+        fits = []
+        est = marginal_estimator()
+        est.fit = lambda *args, **kwargs: fits.append(args)
+        with pytest.raises(ParameterError, match="min_side"):
+            scan_splits(est, w, min_side=min_side)
+        with pytest.raises(ParameterError, match="min_side"):
+            detect_drift(est, w, n_perms=19, seed=0, min_side=min_side)
+        with pytest.raises(ParameterError, match="min_side"):
+            candidate_split_times(w, min_side)
+        assert fits == []
+        assert len(candidate_split_times(w, 1)) == len(np.unique(w.t)) - 1
+
     def test_trace_is_complete_and_argmax_consistent(self, rng):
         pw = make_paired(BLOCK_BEFORE, BLOCK_AFTER, 150, seed=0)
         verdict = scan_splits(random_tree_estimator(), pw.drifting, seed=1)

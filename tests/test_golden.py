@@ -1,6 +1,7 @@
-"""The kNN statistics, p-values and generator states still equal the digests
-recorded in ``tests/golden/neighbor.json`` (rewritten by
-``tests/golden/neighbor.py``)."""
+"""The statistics, p-values and generator states still equal the digests
+recorded in ``tests/golden/*.json``, each rewritten by the script of the
+same name: ``neighbor.py`` for the kNN statistics, ``estimators.py`` for the
+scans of the binning, tree and kernel estimators."""
 
 import importlib.util
 import json
@@ -8,23 +9,40 @@ from pathlib import Path
 
 import numpy as np
 
-_SCRIPT = Path(__file__).parent / "golden" / "neighbor.py"
-_spec = importlib.util.spec_from_file_location("golden_neighbor", _SCRIPT)
-golden = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(golden)
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"golden_{name}", Path(__file__).parent / "golden" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+golden = _load("neighbor")
+golden_estimators = _load("estimators")
+
+
+def _recorded(module) -> dict:
+    recorded = json.loads(module.PATH.read_text())
+    # Generator streams and BLAS rounding may change between numpy versions
+    assert recorded["numpy"] == np.__version__, (
+        f"{module.PATH.name} was written with numpy {recorded['numpy']}, this is numpy {np.__version__}; "
+        "run the tests with the recorded version"
+    )
+    return recorded
+
+
+def _differ(computed: dict, recorded: dict) -> list[str]:
+    assert computed.keys() == recorded.keys()
+    return [name for name, value in computed.items() if value != recorded[name]]
 
 
 def test_neighbor_statistics_equal_the_golden_digests():
-    recorded = json.loads(golden.PATH.read_text())
-    # Generator streams and BLAS rounding may change between numpy versions
-    assert recorded["numpy"] == np.__version__, (
-        f"{golden.PATH.name} was written with numpy {recorded['numpy']}, this is numpy {np.__version__}; "
-        "run the tests with the recorded version"
-    )
-    digests = golden.digests()
-    assert digests.keys() == recorded["digests"].keys()
-    differ = [name for name, value in digests.items() if value != recorded["digests"][name]]
-    detections = golden.detections()
-    assert detections.keys() == recorded["detections"].keys()
-    differ += [name for name, value in detections.items() if value != recorded["detections"][name]]
+    recorded = _recorded(golden)
+    differ = _differ(golden.digests(), recorded["digests"]) + _differ(golden.detections(), recorded["detections"])
+    assert not differ, f"{len(differ)} golden entries differ: {differ}"
+
+
+def test_estimator_scans_equal_the_golden_digests():
+    recorded = _recorded(golden_estimators)
+    differ = _differ(golden_estimators.scans(), recorded["scans"])
     assert not differ, f"{len(differ)} golden entries differ: {differ}"

@@ -9,6 +9,7 @@ from driftbench.neighbor_kernel import (
     LDD_CAP,
     build_kernel_gram,
     build_neighbor_graph,
+    build_neighbor_lists,
     knn_kls,
     ldd_statistics,
     mmd_biased_reference,
@@ -52,25 +53,23 @@ def mmd_at(w, t, bandwidth="median"):
 class TestNeighborGraph:
     def test_collinear_middle_point(self):
         w = window([0.0, 1.0, 3.0], [0.1, 0.5, 0.9])
-        g = build_neighbor_graph(w, k=1, width=1)
+        lists = build_neighbor_lists(w, k=1)
         middle = int(np.flatnonzero(w.x[:, 0] == 1.0)[0])
-        nearest = g.order[middle, 0]
+        nearest = lists[middle, 0]
         assert w.x[nearest, 0] == 0.0
 
     def test_matches_independent_scan(self, rng):
         # double-check the brute force against an independently coded scan
         w = Window(rng.normal(size=(40, 3)), np.sort(rng.uniform(0, 1, 40)))
-        for width in (5, 39):
-            g = build_neighbor_graph(w, k=5, width=width)
+        for k in (5, 39):
+            lists = build_neighbor_lists(w, k)
             for i in range(len(w)):
                 pairs = sorted(
                     ((float(np.linalg.norm(w.x[i] - w.x[j])), j) for j in range(len(w)) if j != i),
-                )[:width]
-                assert [j for _, j in pairs] == list(g.order[i])
-                assert np.allclose([d for d, _ in pairs], g.dist[i])
-        # without a width the graph keeps the distances in sample order
+                )[:k]
+                assert sorted(j for _, j in pairs) == list(lists[i])
+        # the kNN-KL graph keeps the distances in sample order
         full = build_neighbor_graph(w, k=5)
-        assert full.order is None
         for i in range(len(w)):
             expected = [float(np.linalg.norm(w.x[i] - w.x[j])) if j != i else np.inf for j in range(len(w))]
             assert np.allclose(full.dist[i], expected)
@@ -78,20 +77,21 @@ class TestNeighborGraph:
     def test_k_capped_at_n_minus_one(self, rng):
         w = Window(rng.normal(size=(5, 2)), np.sort(rng.uniform(0, 1, 5)))
         assert build_neighbor_graph(w, k=50).k == 4
-        g = build_neighbor_graph(w, k=50, width=50)
-        assert g.k == 4
-        assert g.order.shape == (5, 4)
+        assert build_neighbor_lists(w, k=50).shape == (5, 4)
 
     def test_distance_ties_broken_by_lower_index(self):
-        w = window([0.0, 1.0, -1.0], [0.1, 0.5, 0.9])
-        g = build_neighbor_graph(w, k=2, width=2)
-        origin = int(np.flatnonzero(w.x[:, 0] == 0.0)[0])
-        others = [int(np.flatnonzero(w.x[:, 0] == v)[0]) for v in (1.0, -1.0)]
-        assert list(g.order[origin]) == sorted(others)
+        # two neighbors tie at distance 1 from the origin; k = 1 keeps the lower index
+        for t in ([0.1, 0.5, 0.9], [0.1, 0.9, 0.5]):
+            w = window([0.0, 1.0, -1.0], t)
+            origin = int(np.flatnonzero(w.x[:, 0] == 0.0)[0])
+            others = [int(np.flatnonzero(w.x[:, 0] == v)[0]) for v in (1.0, -1.0)]
+            assert list(build_neighbor_lists(w, k=1)[origin]) == [min(others)]
+            assert list(build_neighbor_lists(w, k=2)[origin]) == sorted(others)
 
     def test_needs_two_samples(self):
-        with pytest.raises(ParameterError):
-            build_neighbor_graph(window([1.0], [0.5]), k=1)
+        for build in (build_neighbor_graph, build_neighbor_lists):
+            with pytest.raises(ParameterError):
+                build(window([1.0], [0.5]), k=1)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 10, 20])
     def test_top_k_lists_equal_full_prefix(self, k):
@@ -106,17 +106,11 @@ class TestNeighborGraph:
         ]
         assert len(cases[0]) ** 2 > 4 * neighbor_kernel._BLOCK_ELEMENTS
         for w in cases:
-            d = build_neighbor_graph(w, k).dist
-            order = np.argsort(d, axis=1, kind="stable")[:, :k]
-            top = build_neighbor_graph(w, k, width=k)
-            assert top.order.shape == top.dist.shape == (len(w), k)
-            assert np.array_equal(top.order, order)
-            assert np.array_equal(top.dist, np.take_along_axis(d, order, axis=1))
-
-    def test_width_must_hold_k(self, rng):
-        w = Window(rng.normal(size=(20, 2)), np.sort(rng.uniform(0, 1, 20)))
-        with pytest.raises(ParameterError, match="width"):
-            build_neighbor_graph(w, k=5, width=3)
+            order = np.argsort(build_neighbor_graph(w, k).dist, axis=1, kind="stable")[:, :k]
+            lists = build_neighbor_lists(w, k)
+            assert lists.shape == (len(w), k) and lists.dtype == np.intp
+            # the same set per row, kept in ascending index order
+            assert np.array_equal(lists, np.sort(order, axis=1))
 
     def test_estimator_keeps_k_wide_lists_for_ldd_only(self, rng):
         w = Window(rng.normal(size=(50, 2)), np.sort(rng.uniform(0, 1, 50)))
@@ -124,14 +118,14 @@ class TestNeighborGraph:
         def held(g):
             return [v for v in vars(g).values() if isinstance(v, np.ndarray)]
 
-        # a kNN descriptor's statistics are bound to its fitted graph
-        ldd = KnnEstimator(k=4).fit(w).statistics.args[0]
-        assert [(a.shape, a.dtype.kind) for a in held(ldd)] == [((50, 4), "i"), ((50, 4), "f")]
+        # a kNN descriptor's statistics are bound to its fitted neighbors:
+        # for LDD one (n, k) integer array and no float array
+        ldd = KnnEstimator(k=4).fit(w).statistics
+        assert [(a.shape, a.dtype.kind) for a in ldd.args] == [((50, 4), "i")]
+        assert not [v for v in ldd.keywords.values() if isinstance(v, np.ndarray)]
         # kNN-KL holds the one distance matrix and no n x n integer array
         kl = KnnEstimator(k=4, statistic="kl").fit(w).statistics.args[0]
         assert [(a.shape, a.dtype) for a in held(kl)] == [((50, 50), np.float64)]
-        with pytest.raises(ParameterError, match="without a width"):
-            knn_kls(build_neighbor_graph(w, 4, width=4), [25])
 
 
 class TestLdd:
@@ -144,8 +138,7 @@ class TestLdd:
             sides += [0, 0, 1, 1]
             times += [0.1 + 0.01 * s, 0.2 + 0.01 * s, 0.7 + 0.01 * s, 0.8 + 0.01 * s]
         w = window(np.array(corners), np.array(times))
-        g = build_neighbor_graph(w, k=2)
-        assert ldd_at(g, w, 0.5) == 0.0
+        assert ldd_at(build_neighbor_lists(w, k=2), w, 0.5) == 0.0
 
     def test_separated_clusters_hit_cap(self):
         nb = na = 20
@@ -154,7 +147,7 @@ class TestLdd:
         xb += np.linspace(0, 0.1, nb)[:, None]
         xa += np.linspace(0, 0.1, na)[:, None]
         w = two_sided(xb, xa)
-        g = build_neighbor_graph(w, k=12)
+        g = build_neighbor_lists(w, k=12)
         # before points: all neighbors on their own side -> |delta| = 1;
         # after points: ratio 12/1 - 1 = 11, capped at 10
         assert ldd_at(g, w, 0.5) == pytest.approx((1.0 + 10.0) / 2.0)
@@ -169,19 +162,18 @@ class TestLdd:
             rng = np.random.default_rng(rep)
             w = Window(rng.normal(size=(60, 2)), np.sort(rng.uniform(0, 1, 60)))
             split = float(np.median(w.t)) - 1e-9
-            g = build_neighbor_graph(w, k=5)
-            observed = ldd_at(g, w, split)
+            observed = ldd_at(build_neighbor_lists(w, k=5), w, split)
             null = []
             for _ in range(19):
                 perm = permute_timestamps(w, rng)
-                null.append(ldd_at(build_neighbor_graph(perm, k=5), perm, split))
+                null.append(ldd_at(build_neighbor_lists(perm, k=5), perm, split))
             greater = int(np.sum(np.asarray(null) >= observed))
             within += 2 <= greater <= 17
         assert within >= 18
 
     def test_aggregation_modes(self, rng):
         w = Window(rng.normal(size=(30, 2)), np.sort(rng.uniform(0, 1, 30)))
-        g = build_neighbor_graph(w, k=3)
+        g = build_neighbor_lists(w, k=3)
         assert ldd_at(g, w, 0.5, aggregation="max") >= ldd_at(g, w, 0.5)
         with pytest.raises(ParameterError):
             ldd_at(g, w, 0.5, aggregation="median")
@@ -191,6 +183,15 @@ class TestLdd:
         desc = KnnEstimator(k=2).fit(w)
         with pytest.raises(InvalidSplitError):
             desc.statistics_at([0.95])[0]
+
+    def test_rank_outside_one_to_n_minus_one_errors(self, rng):
+        # these ranks gave 1.0, a finite degree and nan instead of an error
+        w = Window(rng.normal(size=(30, 2)), np.sort(rng.uniform(0, 1, 30)))
+        lists = build_neighbor_lists(w, k=5)
+        assert np.isfinite(ldd_statistics(lists, [1, 29])).all()
+        for bad in (0, -1, 30):
+            with pytest.raises(InvalidSplitError):
+                ldd_statistics(lists, [15, bad])
 
 
 class TestKnnKl:
@@ -224,15 +225,16 @@ class TestKnnKl:
             knn_kl_at(g, w, 0.5)
 
 
-def ldd_per_split(g, ranks, cap=LDD_CAP, aggregation="mean"):
+def ldd_per_split(lists, ranks, cap=LDD_CAP, aggregation="mean"):
     """Reference: one before-side mask and neighbor count per split."""
+    n, k = lists.shape
     out = np.empty(len(ranks))
     for i, r in enumerate(ranks):
-        before = np.arange(g.n) < r
+        before = np.arange(n) < r
         n_before = int(before.sum())
-        n_after = g.n - n_before
-        k_before = before[g.order[:, : g.k]].sum(axis=1)
-        k_after = g.k - k_before
+        n_after = n - n_before
+        k_before = before[lists].sum(axis=1)
+        k_after = k - k_before
         delta = (n_before / n_after) * (k_after / np.maximum(k_before, 1)) - 1.0
         degrees = np.minimum(np.abs(delta), cap)
         out[i] = degrees.mean() if aggregation == "mean" else degrees.max()
@@ -264,12 +266,13 @@ def sweep_window(rng, n, d=2):
     return Window(x, t)
 
 
-def sweep_cases(k, n_windows=4, width=None):
+def sweep_cases(k, build, n_windows=4):
+    """Windows, each fitted by ``build`` with k, and their candidate ranks."""
     rng = np.random.default_rng(k)
     for _ in range(n_windows):
         w = sweep_window(rng, int(rng.integers(3 * k + 8, 120)), int(rng.integers(1, 4)))
-        g = build_neighbor_graph(w, k, width)
-        ranks = ranks_of(w, candidate_split_times(w, min_side=g.k + 1))
+        g = build(w, k)
+        ranks = ranks_of(w, candidate_split_times(w, min_side=k + 1))
         yield w, g, ranks
         yield w, g, ranks[len(ranks) // 2 : len(ranks) // 2 + 1]
 
@@ -280,12 +283,12 @@ class TestSplitSweep:
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 10, 20])
     @pytest.mark.parametrize("aggregation", ["mean", "max"])
     def test_ldd_equals_per_split(self, k, aggregation):
-        for w, g, ranks in sweep_cases(k, width=k):
+        for w, g, ranks in sweep_cases(k, build_neighbor_lists):
             assert np.array_equal(ldd_statistics(g, ranks, aggregation=aggregation), ldd_per_split(g, ranks, aggregation=aggregation))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 10])
     def test_knn_kl_equals_per_split(self, k):
-        for w, g, ranks in sweep_cases(k):
+        for w, g, ranks in sweep_cases(k, build_neighbor_graph):
             assert np.array_equal(knn_kls(g, ranks), knn_kl_per_split(g, w, ranks))
 
     @pytest.mark.parametrize("k", [2, 10])
@@ -293,14 +296,14 @@ class TestSplitSweep:
         rng = np.random.default_rng(100 + k)
         w = sweep_window(rng, 300, 3)
         assert len(w) * (len(w) - 1) > neighbor_kernel._BLOCK_ELEMENTS  # several row and split blocks
-        g, lists = build_neighbor_graph(w, k), build_neighbor_graph(w, k, width=k)
+        g, lists = build_neighbor_graph(w, k), build_neighbor_lists(w, k)
         ranks = ranks_of(w, candidate_split_times(w, min_side=k + 1))
         assert np.array_equal(knn_kls(g, ranks), knn_kl_per_split(g, w, ranks))
         assert np.array_equal(ldd_statistics(lists, ranks), ldd_per_split(lists, ranks))
 
     def test_splits_in_any_order_and_repeated(self, rng):
         w = sweep_window(rng, 80)
-        g, lists = build_neighbor_graph(w, 3), build_neighbor_graph(w, 3, width=3)
+        g, lists = build_neighbor_graph(w, 3), build_neighbor_lists(w, 3)
         ranks = rng.permutation(np.repeat(ranks_of(w, candidate_split_times(w, min_side=4)), 2))
         assert np.array_equal(knn_kls(g, ranks), knn_kl_per_split(g, w, ranks))
         for aggregation in ("mean", "max"):
@@ -320,13 +323,15 @@ class TestSplitSweep:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 20])
     def test_ldd_from_top_k_lists_equals_full_graph(self, k):
+        # the sort-free sets give the statistic of a full stable sort's prefix
         rng = np.random.default_rng(300 + k)
         for _ in range(3):
             n = int(rng.integers(3 * k + 8, 150))
             x = rng.integers(0, 3, size=(n, int(rng.integers(1, 4)))).astype(float)
             w = Window(x, np.round(np.sort(rng.uniform(0, 1, n)), 2))
             ranks = ranks_of(w, candidate_split_times(w, min_side=k + 1))
-            full, top = build_neighbor_graph(w, k), build_neighbor_graph(w, k, width=k)
+            full = np.argsort(build_neighbor_graph(w, k).dist, axis=1, kind="stable")[:, :k]
+            top = build_neighbor_lists(w, k)
             for aggregation in ("mean", "max"):
                 assert np.array_equal(
                     ldd_statistics(top, ranks, aggregation=aggregation),
@@ -335,9 +340,8 @@ class TestSplitSweep:
 
     def test_no_splits_gives_empty(self, rng):
         w = sweep_window(rng, 30)
-        g = build_neighbor_graph(w, 2)
-        assert knn_kls(g, []).shape == (0,)
-        assert ldd_statistics(g, []).shape == (0,)
+        assert knn_kls(build_neighbor_graph(w, 2), []).shape == (0,)
+        assert ldd_statistics(build_neighbor_lists(w, 2), []).shape == (0,)
 
 
 class TestMmd:
@@ -405,6 +409,15 @@ class TestMmd:
         w = Window(rng.normal(size=(80, 2)), np.sort(rng.uniform(0, 1, 80)))
         with pytest.raises(ParameterError, match="bandwidth"):
             detect_drift(MmdEstimator(bandwidth=float("nan")), w, n_perms=19, seed=0)
+
+    def test_rank_outside_one_to_n_minus_one_errors(self, rng):
+        # ranks 0 and n gave nan or inf, and rank -1 wrapped round to a finite value
+        w = Window(rng.normal(size=(30, 2)), np.sort(rng.uniform(0, 1, 30)))
+        gram = build_kernel_gram(w)
+        assert np.isfinite(mmds_from_gram(gram, [1, 29])).all()
+        for bad in (0, -1, 30):
+            with pytest.raises(InvalidSplitError):
+                mmds_from_gram(gram, [15, bad])
 
     def test_scan_all_splits_o1_per_split(self, rng):
         # the cached block sums agree with a fresh two-block computation
@@ -487,7 +500,7 @@ class TestSizeGuard:
         big = Window(rng.normal(size=(21, 2)), np.sort(rng.uniform(0, 1, 21)))
         fits = [
             lambda: build_neighbor_graph(big, 3),
-            lambda: build_neighbor_graph(big, 3, width=3),
+            lambda: build_neighbor_lists(big, 3),
             lambda: build_kernel_gram(big),
             lambda: build_kernel_gram(big, bandwidth=1.0),
         ]
@@ -523,8 +536,9 @@ class TestSideInvariance:
         t2[mask] = rng.permutation(t[mask])
         t2[~mask] = rng.permutation(t[~mask])
         w2 = window(x, t2)
+        l1, l2 = build_neighbor_lists(w, k=4), build_neighbor_lists(w2, k=4)
+        assert ldd_at(l1, w, split) == pytest.approx(ldd_at(l2, w2, split), abs=1e-12)
         g1, g2 = build_neighbor_graph(w, k=4), build_neighbor_graph(w2, k=4)
-        assert ldd_at(g1, w, split) == pytest.approx(ldd_at(g2, w2, split), abs=1e-12)
         assert knn_kl_at(g1, w, split) == pytest.approx(knn_kl_at(g2, w2, split), abs=1e-12)
         m1 = mmd_at(w, split)
         m2 = mmd_at(w2, split)

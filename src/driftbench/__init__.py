@@ -51,13 +51,13 @@ from .detector import (
     Descriptor,
     DriftVerdict,
     Estimator,
-    KnnEstimator,
+    KnnKlEstimator,
+    LddEstimator,
     MmdEstimator,
     MomentForestEstimator,
     PartitionEstimator,
     classifier_tv_oracle,
     detect_drift,
-    permutation_normalize,
     scan_splits,
 )
 from .generators import (

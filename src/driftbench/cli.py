@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .detector import KnnEstimator, classifier_tv_oracle, detect_drift, scan_splits
+from .detector import KnnKlEstimator, LddEstimator, classifier_tv_oracle, detect_drift, scan_splits
 from .harness import (
     DESK_REPETITIONS,
     ESTIMATOR_BUILDERS,
@@ -172,7 +172,7 @@ def cmd_oracle(args) -> int:
         x[n // 2 :] += rng.uniform(0.5, 2.0)
         w = Window(x, np.sort(rng.uniform(0, 1, n)))
         k = int(rng.integers(1, 6))
-        verdict = scan_splits(KnnEstimator(k=k, statistic="kl"), w)
+        verdict = scan_splits(KnnKlEstimator(k), w)
         for t, fast in zip(verdict.split_times, verdict.statistics):
             i = w.rank_of(t)
             slow = knn_kl_reference(w.x[:i], w.x[i:], k)
@@ -188,7 +188,7 @@ def cmd_oracle(args) -> int:
         x[n // 2 :] += rng.uniform(0.5, 2.0)
         w = Window(x, np.sort(rng.uniform(0, 1, n)))
         k = int(rng.integers(1, 11))
-        verdict = scan_splits(KnnEstimator(k=k), w)
+        verdict = scan_splits(LddEstimator(k), w)
         for j in rng.choice(len(verdict.split_times), 5):
             i = w.rank_of(verdict.split_times[j])
             worst = max(worst, abs(verdict.statistics[j] - ldd_reference(w.x[:i], w.x[i:], k)))

@@ -3,7 +3,10 @@
 An estimator pairs a descriptor builder (fitted once per window) with a
 similarity that can be evaluated at any split point.  ``statistics_at``
 maps split times to ranks (the number of samples at or before the split)
-and rejects an empty side for every descriptor, which works on ranks.
+for ``statistics``.  One split contract holds for every estimator and
+metric: ``statistics`` takes ranks in [1, n-1] and raises ``InvalidSplitError``
+for any other, as for a time before the first sample or at or after the
+last (kNN-KL, which needs more than k samples a side, also within k of an end).
 A fitted descriptor is a window plus a function of ranks: the kNN and
 kernel estimators bind their fitted graph or Gram to a ``neighbor_kernel``
 statistic, and a binning or tree descriptor holds one cumulative histogram
@@ -65,8 +68,8 @@ class Descriptor:
     """Fitted descriptor: evaluates the drift statistic at split times.
 
     ``statistics(ranks)`` gives the statistic at before-side counts in
-    [1, n-1]; a subclass that computes it itself overrides the method
-    instead of passing one.
+    [1, n-1] and raises ``InvalidSplitError`` for any other; a subclass
+    that computes it itself overrides the method instead of passing one.
     """
 
     def __init__(self, window: Window, statistics=None):
@@ -76,10 +79,7 @@ class Descriptor:
 
     def statistics_at(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        ranks = np.searchsorted(self.window.t, ts, side="right")
-        if len(ranks) and (ranks.min() <= 0 or ranks.max() >= len(self.window)):
-            raise InvalidSplitError("split leaves an empty side")
-        return self.statistics(ranks)
+        return self.statistics(np.searchsorted(self.window.t, ts, side="right"))
 
     def statistics(self, ranks: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -118,6 +118,7 @@ class _PartitionDescriptor(Descriptor):
         self._hist = CumulativeHistogram(stacked_cells(self.partitions, w.x), w.t, self._sizes)
 
     def statistics(self, ranks):
+        ranks = neighbor_kernel._checked_ranks(ranks, self._hist.n)
         out = np.empty(len(ranks))
         # blocks of ranks keep the metric's largest temporary, the counts of
         # both sides as one (cells x 2 ranks) block, within the sweep budget
@@ -257,39 +258,46 @@ class MomentForestEstimator(Estimator):
         return (_ForestDescriptor(forest, w, self.metric) for forest, w in zip(forests, windows))
 
 
-class KnnEstimator(Estimator):
-    """k-nearest-neighbor estimator with LDD or kNN-KL similarity.  An LDD
-    fit keeps each sample's k nearest as an (n, k) index set (no distances,
-    no sort); a kNN-KL fit keeps the ``NeighborGraph`` of distance rows."""
+class LddEstimator(Estimator):
+    """Local drift degree estimator, the per-point values aggregated by
+    'mean' or 'max': a fit keeps each sample's k nearest as an (n, k) index
+    set (no distances, no sort)."""
 
-    def __init__(self, k: int = 10, statistic: str = "ldd", aggregation: str | None = None):
-        """``aggregation`` of the per-point LDD values is 'mean' (default) or
-        'max'; the kNN-KL statistic takes none."""
-        if statistic not in ("ldd", "kl"):
-            raise ParameterError(f"unknown knn statistic {statistic!r}")
-        if statistic == "kl" and aggregation is not None:
-            raise ParameterError("the knn_kl statistic takes no aggregation")
-        if aggregation not in (None, "mean", "max"):
+    name = "ldd"
+
+    def __init__(self, k: int = 10, aggregation: str = "mean"):
+        if aggregation not in ("mean", "max"):
             raise ParameterError(f"unknown aggregation {aggregation!r}; known: ['mean', 'max']")
         _at_least(1, k=k)
-        self.name = "ldd" if statistic == "ldd" else "knn_kl"
         self.k = k
-        self.statistic = statistic
         self.aggregation = aggregation
 
     def fit(self, w: Window, seed=None, drift_time: float | None = None) -> Descriptor:
-        if self.statistic == "ldd":
-            lists = build_neighbor_lists(w, self.k)
-            return Descriptor(w, functools.partial(ldd_statistics, lists, aggregation=self.aggregation or "mean"))
+        lists = build_neighbor_lists(w, self.k)
+        return Descriptor(w, functools.partial(ldd_statistics, lists, aggregation=self.aggregation))
+
+
+class KnnKlEstimator(Estimator):
+    """kNN estimate of KL(before || after): a fit keeps the ``NeighborGraph``
+    of distance rows."""
+
+    name = "knn_kl"
+
+    def __init__(self, k: int = 2):
+        _at_least(1, k=k)
+        self.k = k
+
+    def fit(self, w: Window, seed=None, drift_time: float | None = None) -> Descriptor:
         return Descriptor(w, functools.partial(knn_kls, build_neighbor_graph(w, self.k)))
 
 
 class MmdEstimator(Estimator):
     """Biased Gaussian-kernel MMD estimator."""
 
+    name = "mmd"
+
     def __init__(self, bandwidth: float | str = "median"):
         neighbor_kernel._check_bandwidth(bandwidth)
-        self.name = "mmd"
         self.bandwidth = bandwidth
 
     def fit(self, w: Window, seed=None, drift_time: float | None = None) -> Descriptor:

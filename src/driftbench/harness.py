@@ -32,7 +32,8 @@ import numpy as np
 from . import __version__
 from .detector import (
     Estimator,
-    KnnEstimator,
+    KnnKlEstimator,
+    LddEstimator,
     MmdEstimator,
     MomentForestEstimator,
     grid_estimator,
@@ -68,13 +69,6 @@ def _moment_estimator(variant):
     return build
 
 
-def _knn_estimator(statistic, default_k):
-    def build(k=default_k, aggregation: str | None = None):
-        return KnnEstimator(k, statistic, aggregation)
-
-    return build
-
-
 ESTIMATOR_BUILDERS = {
     "marg": marginal_estimator,
     "rnd_pj": random_projection_estimator,
@@ -85,8 +79,8 @@ ESTIMATOR_BUILDERS = {
     "rf": _moment_estimator(VARIANT_RF),
     "dt": _moment_estimator(VARIANT_DT),
     "mmd": MmdEstimator,
-    "ldd": _knn_estimator("ldd", 10),
-    "knn_kl": _knn_estimator("kl", 2),
+    "ldd": LddEstimator,
+    "knn_kl": KnnKlEstimator,
 }
 
 #: Estimators shown in the benchmark tables.
@@ -184,8 +178,6 @@ class ExperimentConfig:
         # derive_seed keeps 32 bits, so any other seed would alias one of these
         if not 0 <= self.seed < 2**32:
             raise ParameterError(f"bad seed {self.seed!r}: must lie in [0, 2**32)")
-        if self.metric.lower() not in METRICS:
-            raise ParameterError(f"unknown metric {self.metric!r}; known: {list(METRICS)}")
         # a bad id or parameter fails here, before any cell: a dataset by its
         # signature (building it may read a file), an estimator by construction
         for dataset_id in dict.fromkeys([*self.datasets, *self.dataset_params]):

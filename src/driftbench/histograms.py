@@ -270,5 +270,4 @@ def histogram_metric(name: str):
         # both sides normalized in one pass, as the halves of one block
         return _divergence(rows, counts_before, counts_after, sizes, smoothing=alpha)
 
-    metric.name = name
     return metric

@@ -1,0 +1,65 @@
+"""Golden ``detect_drift`` results of the binning, tree and kernel estimators:
+the p-value, ``t_hat`` and ``max_stat`` with 19 permutations, and the state
+of the generator afterwards, for the estimators of ``estimators.py`` under
+their default parameters and metric, on two n = 80 windows of ``neighbor.py``.
+
+    PYTHONPATH=src python tests/golden/detections.py   # rewrites detections.json
+
+Every run starts from a generator seeded with ``estimators.SEED``.  Each
+permutation refit draws from that generator, so its final state pins every
+draw of the run.  A run that raises is recorded by its error class.
+``tests/test_golden.py`` recomputes every entry and compares; the file
+records the numpy version it was written with.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+
+from driftbench.detector import detect_drift
+from driftbench.errors import DriftBenchError
+from driftbench.harness import make_estimator
+
+PATH = Path(__file__).with_name("detections.json")
+WINDOWS = ("sea_n80_drifting", "rbf4_n80_permuted")
+
+_spec = importlib.util.spec_from_file_location("golden_estimators_scans", Path(__file__).with_name("estimators.py"))
+estimators = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(estimators)
+
+
+def detections() -> dict[str, dict]:
+    """Entry name -> the run's p-value, maximum, split and generator state,
+    or the class of the error it raised; in a fixed order."""
+    ws = estimators.neighbor.windows()
+    out = {}
+    for window_name in WINDOWS:
+        for estimator_id in estimators.ESTIMATORS:
+            name = f"{window_name}/{estimator_id}"
+            rng = np.random.default_rng(estimators.SEED)
+            try:
+                v = detect_drift(make_estimator(estimator_id), ws[window_name], n_perms=19, seed=rng)
+            except DriftBenchError as exc:
+                out[name] = {"error": type(exc).__name__}
+                continue
+            out[name] = {
+                "p_value": v.p_value,
+                "max_stat": v.max_stat.hex(),
+                "t_hat": v.t_hat.hex(),
+                "state": rng.bit_generator.state,
+            }
+    return out
+
+
+def main() -> None:
+    doc = {"numpy": np.__version__, "detections": detections()}
+    PATH.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote {len(doc['detections'])} detections to {PATH}")
+
+
+if __name__ == "__main__":
+    main()

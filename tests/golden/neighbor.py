@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from driftbench.detector import KnnEstimator, detect_drift
+from driftbench.detector import KnnKlEstimator, LddEstimator, detect_drift
 from driftbench.generators import rbf_pair, sea_pair, stagger_pair
 from driftbench.neighbor_kernel import build_neighbor_graph, build_neighbor_lists, knn_kls, ldd_statistics
 from driftbench.windows import Window, candidate_split_times, make_paired
@@ -74,7 +74,7 @@ def detections() -> dict[str, dict]:
     """p-value, maximum and split of ``detect_drift`` with 19 permutations,
     and the state of its generator afterwards."""
     ws = windows()
-    estimators = {"ldd": KnnEstimator(10), "knn_kl": KnnEstimator(2, statistic="kl")}
+    estimators = {"ldd": LddEstimator(10), "knn_kl": KnnKlEstimator(2)}
     out = {}
     for window_name in ("sea_n150_drifting", "stagger_n150_drifting", "rbf4_n80_permuted"):
         for est_name, est in estimators.items():

@@ -243,6 +243,7 @@ class TestRun:
             ("estimator.rff.n_trees = 4", "unknown estimator 'rff'"),
             ("dataset.sea.variant_aftr = 2", "'variant_aftr'"),
             ("dataset.rbf.seed = 3", "'seed'"),
+            ("estimator.knn_kl.aggregation = mean", "'aggregation'"),
         ],
     )
     def test_bad_parameter_name_or_type_is_usage_error_before_any_cell(self, tmp_path, capsys, line, message):

@@ -172,15 +172,26 @@ class TestDescriptorProtocol:
         batch = desc.statistics_at(ts)
         assert np.array_equal(batch, [desc.statistics_at([t])[0] for t in ts])
         assert desc.statistics_at([]).shape == (0,)
-        for t in (float(w.t[-1]), float(w.t[0]) - 0.01):
-            with pytest.raises(InvalidSplitError):
-                desc.statistics_at([t])
         # a time strictly between two samples splits like the earlier one
         gaps = np.flatnonzero(np.diff(w.t) > 0)
         j = int(gaps[len(gaps) // 2])
         between = 0.5 * (w.t[j] + w.t[j + 1])
         assert w.t[j] < between < w.t[j + 1]
         assert desc.statistics_at([between])[0] == desc.statistics_at([w.t[j]])[0]
+        # one split contract for every estimator under every metric: ranks
+        # outside [1, n-1], and the times that map to them, raise
+        # InvalidSplitError
+        n = len(w)
+        for metric in METRICS:
+            desc = make_estimator(estimator_id, metric).fit(w, seed=3)
+            for r in (-1, 0, n, n + 1):
+                for ranks in ([r], [n // 2, r]):
+                    with pytest.raises(InvalidSplitError):
+                        desc.statistics(np.array(ranks))
+            # ranks 0, n and n; no time maps to -1 or n + 1
+            for t in (float(w.t[0]) - 0.01, float(w.t[-1]), float(w.t[-1]) + 0.01):
+                with pytest.raises(InvalidSplitError):
+                    desc.statistics_at([t])
 
     def test_rank_list_path_gives_dense_bits(self, monkeypatch):
         # both prefix storage paths hand the metrics column-major counts, so

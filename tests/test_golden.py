@@ -1,7 +1,8 @@
 """The statistics, p-values and generator states still equal the digests
 recorded in ``tests/golden/*.json``, each rewritten by the script of the
 same name: ``neighbor.py`` for the kNN statistics, ``estimators.py`` for the
-scans of the binning, tree and kernel estimators."""
+scans of the binning, tree and kernel estimators and ``detections.py`` for
+their ``detect_drift`` p-values and generator states."""
 
 import importlib.util
 import json
@@ -19,6 +20,7 @@ def _load(name):
 
 golden = _load("neighbor")
 golden_estimators = _load("estimators")
+golden_detections = _load("detections")
 
 
 def _recorded(module) -> dict:
@@ -45,4 +47,10 @@ def test_neighbor_statistics_equal_the_golden_digests():
 def test_estimator_scans_equal_the_golden_digests():
     recorded = _recorded(golden_estimators)
     differ = _differ(golden_estimators.scans(), recorded["scans"])
+    assert not differ, f"{len(differ)} golden entries differ: {differ}"
+
+
+def test_estimator_detections_equal_the_golden_results():
+    recorded = _recorded(golden_detections)
+    differ = _differ(golden_detections.detections(), recorded["detections"])
     assert not differ, f"{len(differ)} golden entries differ: {differ}"

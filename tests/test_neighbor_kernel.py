@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from driftbench.detector import KnnEstimator, MmdEstimator, detect_drift, scan_splits
+from driftbench.detector import KnnKlEstimator, LddEstimator, MmdEstimator, detect_drift, scan_splits
 from driftbench.errors import DataError, InvalidSplitError, ParameterError
 from driftbench import neighbor_kernel
 from driftbench.neighbor_kernel import (
@@ -120,11 +120,11 @@ class TestNeighborGraph:
 
         # a kNN descriptor's statistics are bound to its fitted neighbors:
         # for LDD one (n, k) integer array and no float array
-        ldd = KnnEstimator(k=4).fit(w).statistics
+        ldd = LddEstimator(k=4).fit(w).statistics
         assert [(a.shape, a.dtype.kind) for a in ldd.args] == [((50, 4), "i")]
         assert not [v for v in ldd.keywords.values() if isinstance(v, np.ndarray)]
         # kNN-KL holds the one distance matrix and no n x n integer array
-        kl = KnnEstimator(k=4, statistic="kl").fit(w).statistics.args[0]
+        kl = KnnKlEstimator(k=4).fit(w).statistics.args[0]
         assert [(a.shape, a.dtype) for a in held(kl)] == [((50, 50), np.float64)]
 
 
@@ -180,7 +180,7 @@ class TestLdd:
 
     def test_empty_side_errors(self, rng):
         w = Window(rng.normal(size=(20, 1)), np.sort(rng.uniform(0.2, 0.8, 20)))
-        desc = KnnEstimator(k=2).fit(w)
+        desc = LddEstimator(k=2).fit(w)
         with pytest.raises(InvalidSplitError):
             desc.statistics_at([0.95])[0]
 
@@ -515,7 +515,7 @@ class TestSizeGuard:
         x = rng.normal(size=(60, 2))
         x *= 0.99 * limit / np.linalg.norm(x, axis=1).max()
         t = np.sort(rng.uniform(0, 1, 60))
-        estimators = (KnnEstimator(k=3), KnnEstimator(k=2, statistic="kl"), MmdEstimator())
+        estimators = (LddEstimator(k=3), KnnKlEstimator(k=2), MmdEstimator())
         for est in estimators:
             assert np.isfinite(scan_splits(est, Window(x, t)).statistics).all(), est.name
         for est in estimators:

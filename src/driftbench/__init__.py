@@ -14,10 +14,7 @@ from .windows import (
 )
 from .histograms import (
     CumulativeHistogram,
-    hellinger,
     histogram_metric,
-    jensen_shannon,
-    kl_divergence,
     to_distribution,
     total_variation,
 )

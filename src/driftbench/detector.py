@@ -30,7 +30,7 @@ import numpy as np
 from . import neighbor_kernel
 from .errors import InvalidSplitError, ParameterError
 from .histograms import CumulativeHistogram, histogram_metric
-from .moment_tree import MomentTreeConfig, VARIANT_RF, fit_moment_forest, fit_moment_forests, truncate_reference
+from .moment_tree import MomentTreeConfig, VARIANT_DT, VARIANT_RF, fit_moment_forest, fit_moment_forests, truncate_reference
 from .neighbor_kernel import (
     build_kernel_gram,
     build_neighbor_graph,
@@ -49,7 +49,7 @@ from .partitions import (
     stacked_cells,
 )
 from .seeding import as_generator
-from .windows import Window, candidate_split_times, permute_timestamps
+from .windows import Window, _checked_ranks, candidate_split_times, permute_timestamps
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ class _PartitionDescriptor(Descriptor):
         self._hist = CumulativeHistogram(stacked_cells(self.partitions, w.x), w.t, self._sizes)
 
     def statistics(self, ranks):
-        ranks = neighbor_kernel._checked_ranks(ranks, self._hist.n)
+        ranks = _checked_ranks(ranks, self._hist.n)
         out = np.empty(len(ranks))
         # blocks of ranks keep the metric's largest temporary, the counts of
         # both sides as one (cells x 2 ranks) block, within the sweep budget
@@ -138,7 +138,7 @@ class _ForestDescriptor(_PartitionDescriptor):
     _combine, _start = np.add, 0.0
 
     def __init__(self, forest, w: Window, metric):
-        super().__init__(forest.trees, w, metric)
+        super().__init__([tree.partition for tree in forest.trees], w, metric)
         self.forest = forest
 
     def statistics(self, ranks):
@@ -146,7 +146,8 @@ class _ForestDescriptor(_PartitionDescriptor):
 
 
 class PartitionEstimator(Estimator):
-    """Generic binning/tree estimator: build partitions once, scan cheaply."""
+    """Generic binning/tree estimator: build partitions once, scan cheaply;
+    ``builder(w, rng)`` returns the list of partitions."""
 
     def __init__(self, name, builder, metric="tv"):
         self.name = name
@@ -154,10 +155,7 @@ class PartitionEstimator(Estimator):
         self.metric = histogram_metric(metric)
 
     def fit(self, w: Window, seed=None, drift_time: float | None = None) -> Descriptor:
-        parts = self._builder(w, as_generator(seed))
-        if not isinstance(parts, (list, tuple)):
-            parts = [parts]
-        return _PartitionDescriptor(parts, w, self.metric)
+        return _PartitionDescriptor(self._builder(w, as_generator(seed)), w, self.metric)
 
 
 def _at_least(low, **values) -> None:
@@ -197,7 +195,7 @@ def pca_projection_estimator(n_axes: int | None = None, bins: int = 8, edge_mode
 
 def grid_estimator(bins: int = 4, edge_mode: str = "equidistant", metric: str = "tv") -> PartitionEstimator:
     _check_binning(bins, edge_mode)
-    return PartitionEstimator("grid", lambda w, rng: build_grid(w, bins, edge_mode), metric)
+    return PartitionEstimator("grid", lambda w, rng: [build_grid(w, bins, edge_mode)], metric)
 
 
 def random_tree_estimator(
@@ -216,7 +214,7 @@ def random_tree_estimator(
 def kdq_tree_estimator(min_side: float = 0.05, min_count: int = 10, metric: str = "tv") -> PartitionEstimator:
     if not min_side > 0:
         raise ParameterError(f"min_side must be positive, got {min_side!r}")
-    return PartitionEstimator("kdq", lambda w, rng: build_kdq_tree(w, min_side, min_count), metric)
+    return PartitionEstimator("kdq", lambda w, rng: [build_kdq_tree(w, min_side, min_count)], metric)
 
 
 class MomentForestEstimator(Estimator):
@@ -233,27 +231,25 @@ class MomentForestEstimator(Estimator):
         _at_least(1, n_trees=n_trees)
         if not 0.0 <= skip_fraction < 0.5:
             raise ParameterError(f"skip_fraction must lie in [0, 0.5), got {skip_fraction!r}")
-        self.name = "rf" if variant == VARIANT_RF else "dt"
+        if variant not in (VARIANT_DT, VARIANT_RF):
+            raise ParameterError(f"unknown variant {variant!r}; known: {[VARIANT_DT, VARIANT_RF]}")
+        self.name = variant
         self.n_trees = n_trees
         self.variant = variant
         self.config = config or MomentTreeConfig()
         self.skip_fraction = skip_fraction
         self.metric = histogram_metric(metric)
 
-    def _train(self, w: Window, drift_time: float | None) -> Window:
-        if self.skip_fraction > 0.0:
-            return truncate_reference(w, self.skip_fraction, drift_time=drift_time)
-        return w
-
     def fit(self, w: Window, seed=None, drift_time: float | None = None) -> Descriptor:
-        forest = fit_moment_forest(self._train(w, drift_time), self.n_trees, self.config, seed, self.variant)
+        train = truncate_reference(w, self.skip_fraction, drift_time=drift_time)
+        forest = fit_moment_forest(train, self.n_trees, self.config, seed, self.variant)
         return _ForestDescriptor(forest, w, self.metric)
 
     def fit_each(self, windows, rngs, drift_times):
         """As ``Estimator.fit_each``, but the forests grow in lockstep
         (``fit_moment_forests``) and equal what ``fit`` gives each window alone; the descriptors, which hold the leaf
         histograms, are built one at a time as they are asked for."""
-        trains = [self._train(w, t) for w, t in zip(windows, drift_times)]
+        trains = [truncate_reference(w, self.skip_fraction, drift_time=t) for w, t in zip(windows, drift_times)]
         forests = fit_moment_forests(trains, self.n_trees, self.config, rngs, self.variant)
         return (_ForestDescriptor(forest, w, self.metric) for forest, w in zip(forests, windows))
 

@@ -1,4 +1,4 @@
-"""Cumulative cell histograms and discrete-distribution divergences.
+"""Cumulative cell histograms and the histogram metrics.
 
 The cumulative histogram stores, per cell, prefix counts over arrival
 order; a descriptor builds one over the stacked cells of all its
@@ -6,9 +6,13 @@ partitions (``partitions.stacked_cells``, one row per partition).  After
 that one build, the before/after histograms of any split come from a
 prefix subtraction whose cost depends on the number of cells, not the
 window length; that is what makes every binning and tree descriptor cheap
-to scan over all candidate split points.
+to scan over all candidate split points.  A rank or time that leaves a
+side empty raises ``InvalidSplitError``, under the split rule of
+``windows``.
 
-A metric from ``histogram_metric`` scores the whole stack at once: given
+Every metric is reached through ``histogram_metric(name)``, one of
+``METRICS``; ``to_distribution`` and ``total_variation`` work on plain
+distributions.  A metric scores the whole stack at once: given
 the (cells x splits) counts of both sides and the cells per partition, it
 normalizes each side of each partition by its own exact integer total and
 returns one row per partition.  Every step is elementwise except the sum
@@ -23,7 +27,8 @@ import itertools
 
 import numpy as np
 
-from .errors import InvalidSplitError, ParameterError
+from .errors import ParameterError
+from .windows import _checked_ranks
 
 # Above this many prefix entries (cells * (n+1)) in any row of cells, the dense matrix is
 # replaced by per-cell sorted arrival ranks; lookups stay equivalent.
@@ -78,11 +83,10 @@ class CumulativeHistogram:
         """Counts of every cell among the first ``rank`` arrivals, per queried rank.
 
         Returns a column-major array of shape (n_cells, len(ranks)), so each
-        partition's cells are a contiguous run of every column.
+        partition's cells are a contiguous run of every column.  A rank
+        outside [0, n] raises ``InvalidSplitError``.
         """
-        ranks = np.atleast_1d(np.asarray(ranks, dtype=np.int64))
-        if len(ranks) and (ranks.min() < 0 or ranks.max() > self.n):
-            raise ParameterError("rank out of range")
+        ranks = _checked_ranks(ranks, self.n, 0)
         if self._prefix is not None:
             return self._prefix[ranks].T.astype(np.int64)
         # column-major like the dense path's gather
@@ -92,11 +96,10 @@ class CumulativeHistogram:
         return out
 
     def counts_at(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """Before/after cell counts of the split at time ``t``."""
-        rank = int(np.searchsorted(self.times, float(t), side="right"))
-        if rank <= 0 or rank >= self.n:
-            raise InvalidSplitError(f"split leaves an empty side (rank={rank}, n={self.n})")
-        before = self.counts_before_ranks([rank])[:, 0]
+        """Before/after cell counts of the split at time ``t``; a time before
+        the first sample or at or after the last raises ``InvalidSplitError``."""
+        rank = _checked_ranks(np.searchsorted(self.times, float(t), side="right"), self.n)
+        before = self.counts_before_ranks(rank)[:, 0]
         return before, self.totals - before
 
 
@@ -181,6 +184,7 @@ def _hellinger_rows(p, q, runs):
 
 
 def _kl_rows(p, q, runs):
+    # KL(p || q), natural log: a cell with p > 0 = q gives inf, not an error
     active = p > 0
     log_p = np.log(p, where=active, out=np.zeros_like(p))
     log_q = np.log(q, where=q > 0, out=np.full_like(q, -np.inf))
@@ -219,27 +223,6 @@ def _divergence(rows, p, q, sizes=None, smoothing=None):
 def total_variation(p, q) -> float | np.ndarray:
     """Total variation distance, 0.5 * sum |p - q|, in [0, 1]."""
     return _divergence(_tv_rows, p, q)
-
-
-def hellinger(p, q) -> float | np.ndarray:
-    """Hellinger distance sqrt(0.5 * sum (sqrt p - sqrt q)^2), in [0, 1]."""
-    return _divergence(_hellinger_rows, p, q)
-
-
-def kl_divergence(p, q) -> float | np.ndarray:
-    """Kullback-Leibler divergence sum p log(p/q), natural log.
-
-    A cell with p > 0 = q yields inf (not an error).
-    """
-    return _divergence(_kl_rows, p, q)
-
-
-def jensen_shannon(p, q) -> float | np.ndarray:
-    """Jensen-Shannon metric: sqrt(0.5 KL(p||m) + 0.5 KL(q||m)), m=(p+q)/2.
-
-    Bounded by sqrt(log 2) for the natural log.
-    """
-    return _divergence(_js_rows, p, q)
 
 
 #: Laplace pseudo-count per cell count for KL used as a drift statistic.

@@ -31,8 +31,8 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import DataError, InvalidSplitError, ParameterError
-from .windows import Window
+from .errors import DataError, ParameterError
+from .windows import Window, _checked_ranks
 
 DISTANCE_FLOOR = 1e-12
 LDD_CAP = 10.0
@@ -55,15 +55,6 @@ def _row_blocks(n_rows: int, width: int):
     step = max(1, _BLOCK_ELEMENTS // width)
     for lo in range(0, n_rows, step):
         yield slice(lo, min(lo + step, n_rows))
-
-
-def _checked_ranks(ranks, n: int, fewest: int = 1) -> np.ndarray:
-    """``ranks`` as an index array, once every split leaves at least
-    ``fewest`` of the n samples on each side."""
-    ranks = np.asarray(ranks, dtype=np.intp)
-    if len(ranks) and (ranks.min() < fewest or n - ranks.max() < fewest):
-        raise InvalidSplitError(f"each side of a split needs at least {fewest} of the {n} samples")
-    return ranks
 
 
 def _pairwise_distances(x: np.ndarray) -> np.ndarray:
@@ -306,6 +297,7 @@ def mmd_biased_reference(x_before: np.ndarray, x_after: np.ndarray, sigma: float
         return np.exp(-np.sum((a - b) ** 2) / (2.0 * sigma**2))
 
     nb, na = len(x_before), len(x_after)
+    _checked_ranks(nb, nb + na)
     s_bb = sum(k(x_before[i], x_before[j]) for i in range(nb) for j in range(nb))
     s_aa = sum(k(x_after[i], x_after[j]) for i in range(na) for j in range(na))
     s_ba = sum(k(x_before[i], x_after[j]) for i in range(nb) for j in range(na))
@@ -318,8 +310,7 @@ def knn_kl_reference(x_before: np.ndarray, x_after: np.ndarray, k: int) -> float
     x_before = np.asarray(x_before, dtype=float)
     x_after = np.asarray(x_after, dtype=float)
     nb, na = len(x_before), len(x_after)
-    if nb <= k or na <= k:
-        raise InvalidSplitError(f"both sides must have more than k={k} samples")
+    _checked_ranks(nb, nb + na, k + 1)
     within = np.sqrt(((x_before[:, None, :] - x_before[None, :, :]) ** 2).sum(axis=2))
     np.fill_diagonal(within, np.inf)
     across = np.sqrt(((x_before[:, None, :] - x_after[None, :, :]) ** 2).sum(axis=2))
@@ -335,8 +326,7 @@ def ldd_reference(x_before: np.ndarray, x_after: np.ndarray, k: int) -> float:
     (test oracle)."""
     x = np.concatenate([np.asarray(x_before, dtype=float), np.asarray(x_after, dtype=float)])
     n, nb = len(x), len(x_before)
-    if nb == 0 or nb == n:
-        raise InvalidSplitError("split leaves an empty side")
+    _checked_ranks(nb, n)
     k = min(k, n - 1)
     index = np.arange(n)
     degrees = np.empty(n)

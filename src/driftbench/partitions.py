@@ -9,7 +9,7 @@ reads: an axis and its edges, the edges of each feature, or the tree
 arrays; the builder's arguments are not kept.  Tree builders record their
 splits in a list and ``tree_from_splits`` lays the list out as a
 ``TreePartition``; ``stacked_cells`` maps points through all of a
-descriptor's partitions at once.
+descriptor's partitions at once, every ``TreePartition`` in one shared walk.
 """
 
 from __future__ import annotations
@@ -82,11 +82,8 @@ class Binning1D(Partition):
     def n_cells(self) -> int:
         return len(self.edges) + 1
 
-    def project(self, X) -> np.ndarray:
-        return _as_matrix(X) @ self.axis
-
     def cell_of(self, X) -> np.ndarray:
-        return np.searchsorted(self.edges, self.project(X), side="right")
+        return np.searchsorted(self.edges, _as_matrix(X) @ self.axis, side="right")
 
     def to_dict(self) -> dict:
         return {
@@ -195,10 +192,9 @@ def _walk_trees(trees, X: np.ndarray) -> np.ndarray:
 def stacked_cells(partitions, X) -> np.ndarray:
     """Cells of ``X`` in every partition, shape (P, n): row i is partition i's
     cells plus the cell count of the partitions before it, so the partitions
-    own disjoint cell ids.  All trees (moment trees through ``.partition``)
-    share one walk; other partitions map points with their own ``cell_of``."""
+    own disjoint cell ids.  All ``TreePartition``s share one walk; other
+    partitions map points with their own ``cell_of``."""
     X = _as_matrix(X)
-    partitions = [getattr(p, "partition", p) for p in partitions]
     is_tree = [isinstance(p, TreePartition) for p in partitions]
     walked = iter(_walk_trees([p for p, tree in zip(partitions, is_tree) if tree], X) if any(is_tree) else ())
     rows = [next(walked) if tree else p.cell_of(X) for p, tree in zip(partitions, is_tree)]

@@ -3,7 +3,9 @@
 A window is an ordered batch of (x, t) observations with timestamps in
 [0, 1].  Everything downstream (descriptors, similarities, the evaluation
 harness) consumes windows; they are immutable after construction and safe
-to share across workers.
+to share across workers.  A split at rank r puts the first r samples on
+the before side, and ``_checked_ranks`` is the one rule for which ranks
+are splits.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError, InvalidSplitError, ParameterError
 from .seeding import as_generator
 
 
@@ -71,6 +73,17 @@ class Window:
     def rank_of(self, t: float) -> int:
         """Number of samples with timestamp <= t."""
         return int(np.searchsorted(self.t, t, side="right"))
+
+
+def _checked_ranks(ranks, n: int, fewest: int = 1) -> np.ndarray:
+    """``ranks`` as a 1-D index array, once every split leaves at least
+    ``fewest`` of the n samples on each side; a rank r puts the first r
+    samples on the before side.  This is the one split rule: every statistic
+    and prefix count raises ``InvalidSplitError`` outside [fewest, n - fewest]."""
+    ranks = np.atleast_1d(np.asarray(ranks, dtype=np.intp))
+    if len(ranks) and (ranks.min() < fewest or n - ranks.max() < fewest):
+        raise InvalidSplitError(f"split rank outside [{fewest}, {n - fewest}] for a window of {n} samples")
+    return ranks
 
 
 @dataclass(frozen=True)
@@ -213,15 +226,15 @@ def ingest_window(x, t=None, *, label_feature_appended: bool = False) -> Window:
     return Window(x[order], t[order], label_feature_appended)
 
 
-def encode_labels(values: list[str]) -> tuple[np.ndarray, list[str]]:
+def encode_labels(values: list[str]) -> np.ndarray:
     """Encode class labels: {0,1} scalar for two classes, one-hot above."""
     classes = sorted(set(values))
     idx = np.array([classes.index(v) for v in values])
     if len(classes) <= 2:
-        return idx.astype(float)[:, None], classes
+        return idx.astype(float)[:, None]
     out = np.zeros((len(values), len(classes)))
     out[np.arange(len(values)), idx] = 1.0
-    return out, classes
+    return out
 
 
 def window_from_csv(path) -> Window:
@@ -265,8 +278,7 @@ def window_from_csv(path) -> Window:
     x = np.column_stack(feats) if feats else np.empty((len(rows), 0))
     labeled = labels is not None
     if labeled:
-        encoded, _ = encode_labels(labels)
-        x = np.hstack([x, encoded])
+        x = np.hstack([x, encode_labels(labels)])
     t = to_float("t", t_raw) if t_raw is not None else None
     try:
         return ingest_window(x, t, label_feature_appended=labeled)

@@ -1,8 +1,9 @@
 """The statistics, p-values and generator states still equal the digests
 recorded in ``tests/golden/*.json``, each rewritten by the script of the
 same name: ``neighbor.py`` for the kNN statistics, ``estimators.py`` for the
-scans of the binning, tree and kernel estimators and ``detections.py`` for
-their ``detect_drift`` p-values and generator states."""
+scans of the binning, tree and kernel estimators, ``detections.py`` for
+their ``detect_drift`` p-values and generator states and ``results.py`` for
+the ``results.csv`` of a small grid and a sweep."""
 
 import importlib.util
 import json
@@ -21,6 +22,7 @@ def _load(name):
 golden = _load("neighbor")
 golden_estimators = _load("estimators")
 golden_detections = _load("detections")
+golden_results = _load("results")
 
 
 def _recorded(module) -> dict:
@@ -54,3 +56,9 @@ def test_estimator_detections_equal_the_golden_results():
     recorded = _recorded(golden_detections)
     differ = _differ(golden_detections.detections(), recorded["detections"])
     assert not differ, f"{len(differ)} golden entries differ: {differ}"
+
+
+def test_grid_results_equal_the_golden_csv():
+    recorded = _recorded(golden_results)
+    differ = _differ(golden_results.results(), recorded["results"])
+    assert not differ, f"{len(differ)} golden grids differ: {differ}"

@@ -8,10 +8,7 @@ import driftbench.histograms as hg
 from driftbench.errors import InvalidSplitError, ParameterError
 from driftbench.histograms import (
     CumulativeHistogram,
-    hellinger,
     histogram_metric,
-    jensen_shannon,
-    kl_divergence,
     recount_histograms,
     to_distribution,
     total_variation,
@@ -29,6 +26,16 @@ class TestCumulativeHistogram:
         assert ch.n_cells == 5
         assert np.array_equal(ch.totals, [1, 2, 1, 1, 1])
         assert np.array_equal(ch.counts_before_ranks([0, 2, 3])[2:], [[0, 1, 1], [0, 0, 1], [0, 1, 1]])
+        # ranks 0 and n are the empty and the full prefix; beyond them, and
+        # at a time that leaves a side empty, the split rule's error
+        assert np.array_equal(ch.counts_before_ranks([0])[:, 0], np.zeros(5))
+        assert np.array_equal(ch.counts_before_ranks([3])[:, 0], ch.totals)
+        for bad in (-1, 4):
+            with pytest.raises(InvalidSplitError):
+                ch.counts_before_ranks([0, bad])
+        for t in (0.05, 0.9):  # before the first sample, at the last
+            with pytest.raises(InvalidSplitError):
+                ch.counts_at(t)
         with pytest.raises(ParameterError):  # row 0 reaches into row 1's ids
             CumulativeHistogram([[0, 2, 1], [2, 4, 3]], times, [2, 3])
         with pytest.raises(ParameterError):  # one n_cells per row
@@ -116,6 +123,7 @@ class TestDivergences:
             total_variation([1.0], [0.5, 0.5])
 
     def test_hellinger_values(self):
+        hellinger = histogram_metric("hellinger")
         assert hellinger([0.5, 0.5], [0.5, 0.5]) == 0.0
         assert hellinger([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
         expected = math.sqrt(0.5 * ((math.sqrt(0.5) - 1.0) ** 2 + 0.5))
@@ -123,20 +131,22 @@ class TestDivergences:
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.5412, abs=5e-5)
 
+    # unsmoothed KL, as the 'js' metric uses it; histogram_metric("kl") smooths the counts
     def test_kl_values(self):
-        assert kl_divergence([0.5, 0.5], [0.5, 0.5]) == 0.0
-        assert kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(math.log(2.0))
+        assert hg._divergence(hg._kl_rows, [0.5, 0.5], [0.5, 0.5]) == 0.0
+        assert hg._divergence(hg._kl_rows, [1.0, 0.0], [0.5, 0.5]) == pytest.approx(math.log(2.0))
 
     def test_kl_infinite_without_smoothing(self):
-        assert kl_divergence([1.0, 0.0], [0.0, 1.0]) == np.inf
+        assert hg._divergence(hg._kl_rows, [1.0, 0.0], [0.0, 1.0]) == np.inf
 
     def test_kl_smoothing_monotone_on_disjoint(self):
         alphas = [1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0]
-        vals = [kl_divergence(to_distribution([1.0, 0.0], a), to_distribution([0.0, 1.0], a)) for a in alphas]
+        vals = [hg._divergence(hg._kl_rows, to_distribution([1.0, 0.0], a), to_distribution([0.0, 1.0], a)) for a in alphas]
         assert all(np.isfinite(vals))
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_jensen_shannon_values(self):
+        jensen_shannon = histogram_metric("js")
         assert jensen_shannon([0.5, 0.5], [0.5, 0.5]) == 0.0
         assert jensen_shannon([1.0, 0.0], [0.0, 1.0]) == pytest.approx(math.sqrt(math.log(2.0)))
 
@@ -146,7 +156,7 @@ class TestDivergences:
         p = to_distribution(rng.uniform(0, 1, (L, m)))
         q = to_distribution(rng.uniform(0, 1, (L, m)))
         r = to_distribution(rng.uniform(0, 1, (L, m)))
-        for metric in (total_variation, hellinger, jensen_shannon):
+        for metric in map(histogram_metric, ("tv", "hellinger", "js")):
             dpq, dqp = metric(p, q), metric(q, p)
             assert np.allclose(dpq, dqp, atol=1e-12)
             assert np.all(dpq >= 0)
@@ -159,15 +169,15 @@ class TestDivergences:
         p = to_distribution(rng.uniform(0.05, 1, (L, m)))
         q = to_distribution(rng.uniform(0.05, 1, (L, m)))
         tv = total_variation(p, q)
-        kl = kl_divergence(p, q)
+        kl = hg._divergence(hg._kl_rows, p, q)
         assert np.all(tv**2 <= 0.5 * kl + 1e-12)
 
     def test_bounds(self, rng):
         p = to_distribution(rng.uniform(0, 1, (8, 200)))
         q = to_distribution(rng.uniform(0, 1, (8, 200)))
         assert np.all(total_variation(p, q) <= 1.0)
-        assert np.all(hellinger(p, q) <= 1.0)
-        assert np.all(jensen_shannon(p, q) <= JS_MAX + 1e-12)
+        assert np.all(histogram_metric("hellinger")(p, q) <= 1.0)
+        assert np.all(histogram_metric("js")(p, q) <= JS_MAX + 1e-12)
 
 
 def reference_metric(name, before, after):

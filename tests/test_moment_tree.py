@@ -11,6 +11,7 @@ from driftbench.moment_tree import (
     CANDIDATE_NODE_SIZE,
     MAX_CANDIDATES,
     MIN_SPLIT_SCORE,
+    MomentTree,
     MomentTreeConfig,
     VARIANT_DT,
     VARIANT_RF,
@@ -139,6 +140,11 @@ class TestForest:
             fit_moment_forest(w, n_trees=0)
         with pytest.raises(ParameterError):
             fit_moment_forest(w, variant="boosted")
+
+    def test_estimator_rejects_unknown_variant_at_construction(self):
+        with pytest.raises(ParameterError, match="unknown variant 'boosted'"):
+            MomentForestEstimator(variant="boosted")
+        assert [MomentForestEstimator(variant=v).name for v in (VARIANT_RF, VARIANT_DT)] == ["rf", "dt"]
 
 
 class TestTruncateReference:
@@ -404,13 +410,13 @@ class TestLockstepGrowerMatchesRecursion:
         desc = MomentForestEstimator(16, VARIANT_RF, config).fit(w, seed=5)
         ts = np.unique(w.t)[1:-2]
         reference_trees = [
-            TreePartition(
+            MomentTree(TreePartition(
                 feature=np.array(doc["feature"]),
                 threshold=np.array([np.nan if v is None else v for v in doc["threshold"]]),
                 left=np.array(doc["left"]),
                 right=np.array(doc["right"]),
                 cell=np.array(doc["cell"]),
-            )
+            ))
             for doc in reference_forest(w, 16, config, 5, VARIANT_RF)
         ]
         reference = _ForestDescriptor(dataclasses.replace(desc.forest, trees=reference_trees), w, desc.metric)

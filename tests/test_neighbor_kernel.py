@@ -419,6 +419,14 @@ class TestMmd:
             with pytest.raises(InvalidSplitError):
                 mmds_from_gram(gram, [15, bad])
 
+    def test_reference_rejects_an_empty_side(self, rng):
+        # an empty side used to raise ZeroDivisionError
+        x = rng.normal(size=(6, 2))
+        assert np.isfinite(mmd_biased_reference(x[:1], x[1:], 1.0))
+        for before, after in ((x[:0], x), (x, x[:0])):
+            with pytest.raises(InvalidSplitError):
+                mmd_biased_reference(before, after, 1.0)
+
     def test_scan_all_splits_o1_per_split(self, rng):
         # the cached block sums agree with a fresh two-block computation
         w = Window(rng.normal(size=(60, 2)), np.sort(rng.uniform(0, 1, 60)))

@@ -2,8 +2,9 @@
 recorded in ``tests/golden/*.json``, each rewritten by the script of the
 same name: ``neighbor.py`` for the kNN statistics, ``estimators.py`` for the
 scans of the binning, tree and kernel estimators, ``detections.py`` for
-their ``detect_drift`` p-values and generator states and ``results.py`` for
-the ``results.csv`` of a small grid and a sweep."""
+their ``detect_drift`` p-values and generator states, ``results.py`` for
+the ``results.csv`` of a small grid and a sweep and ``partitions.py`` for the
+documents of the partition builders and the ``bench oracle`` output."""
 
 import importlib.util
 import json
@@ -23,6 +24,7 @@ golden = _load("neighbor")
 golden_estimators = _load("estimators")
 golden_detections = _load("detections")
 golden_results = _load("results")
+golden_partitions = _load("partitions")
 
 
 def _recorded(module) -> dict:
@@ -62,3 +64,10 @@ def test_grid_results_equal_the_golden_csv():
     recorded = _recorded(golden_results)
     differ = _differ(golden_results.results(), recorded["results"])
     assert not differ, f"{len(differ)} golden grids differ: {differ}"
+
+
+def test_partitions_equal_the_golden_documents():
+    recorded = _recorded(golden_partitions)
+    differ = _differ(golden_partitions.partitions(), recorded["partitions"])
+    assert not differ, f"{len(differ)} golden entries differ: {differ}"
+    assert golden_partitions.oracle_stdout() == recorded["oracle"]

@@ -45,7 +45,7 @@ from .partitions import (
     build_marginal,
     build_pca_projection,
     build_random_projection,
-    build_random_tree,
+    build_random_trees,
     stacked_cells,
 )
 from .seeding import as_generator
@@ -206,7 +206,7 @@ def random_tree_estimator(
     _at_least(1, min_leaf=min_leaf, n_trees=n_trees)
     return PartitionEstimator(
         "rnd_tree",
-        lambda w, rng: [build_random_tree(w, n_leaves, rng, min_leaf) for _ in range(n_trees)],
+        lambda w, rng: build_random_trees(w, n_trees, n_leaves, rng, min_leaf),
         metric,
     )
 

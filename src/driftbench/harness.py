@@ -150,7 +150,13 @@ def make_concept_pair(dataset_id: str, rng, params: dict | None = None, noise_di
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One grid run: datasets x estimators at fixed window settings."""
+    """One grid run: datasets x estimators at fixed window settings.
+
+    Every value is checked here, before any cell runs, except what only a
+    drawn window shows: a ``custom`` split position that maps before the
+    window's first sample fails its cell with ``InvalidSplitError``, and the
+    run goes on (``bench run`` exits 0, the error in the cell's row).
+    """
 
     datasets: tuple[str, ...] = TABLE_DATASETS
     estimators: tuple[str, ...] = TABLE_ESTIMATORS

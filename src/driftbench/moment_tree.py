@@ -18,8 +18,9 @@ one, and ``fit_moment_tree`` its one-tree 'dt' forest).  Each tree argsorts
 its features once; a node's rows stay in every feature's sorted order as the
 tree splits them (presorted attribute lists, as in SLIQ: Mehta, Agrawal &
 Rissanen 1996), so no node sorts.  A tree is
-recorded as its list of splits, in growth order, and laid out by
-``partitions.tree_from_splits``; a fitted tree keeps only that partition.
+recorded as its list of splits, in growth order, and a forest's lists are
+laid out together by ``partitions.trees_from_splits``; a fitted tree keeps
+only its partition.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .partitions import TreePartition, tree_from_splits
+from .partitions import TreePartition, trees_from_splits
 from .seeding import as_generator
 from .windows import Window
 
@@ -158,7 +159,7 @@ def _grow_forest(w: Window, n_trees: int, config: MomentTreeConfig, rng, variant
     n_sub = max(1, int(np.ceil(np.sqrt(d)))) if variant == VARIANT_RF else d
     every_feature = np.arange(d)
     splittable = 2 * config.min_leaf
-    trees = []
+    split_lists = []
     for _ in range(n_trees):
         xt, t = w.x.T, w.t
         if variant == VARIANT_RF:
@@ -190,8 +191,8 @@ def _grow_forest(w: Window, n_trees: int, config: MomentTreeConfig, rng, variant
                     stack.append((lc + 1, rows[~left].reshape(d, -1), depth + 1))
                 if n_left >= splittable:
                     stack.append((lc, rows[left].reshape(d, -1), depth + 1))
-        trees.append(MomentTree(tree_from_splits(splits)))
-    return MomentForest(tuple(trees))
+        split_lists.append(splits)
+    return MomentForest(tuple(MomentTree(tree) for tree in trees_from_splits(split_lists)))
 
 
 def _grow_in_lockstep(growers, min_leaf: int) -> list[MomentForest]:

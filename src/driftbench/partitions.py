@@ -6,10 +6,14 @@ binning, random trees and kdq-trees.  Every builder is deterministic given
 point to a cell (out-of-range values land in the nearest boundary cell)
 and serialize to plain dicts.  A partition holds only what ``cell_of``
 reads: an axis and its edges, the edges of each feature, or the tree
-arrays; the builder's arguments are not kept.  Tree builders record their
-splits in a list and ``tree_from_splits`` lays the list out as a
-``TreePartition``; ``stacked_cells`` maps points through all of a
-descriptor's partitions at once, every ``TreePartition`` in one shared walk.
+arrays; the builder's arguments are not kept.  Each fit pays its fixed
+numpy costs once, not once per tree or axis: ``column_edges`` takes the
+edges of every feature or projection in one pass, ``build_random_trees``
+grows all trees of a fit on one stable argsort per feature, and tree
+builders record their splits in lists that ``trees_from_splits`` lays out
+together, each ``TreePartition`` a slice of shared node arrays.
+``stacked_cells`` maps points through all of a descriptor's partitions at
+once, every ``TreePartition`` in one shared walk.
 """
 
 from __future__ import annotations
@@ -46,28 +50,35 @@ def _as_matrix(X) -> np.ndarray:
     return X[None, :] if X.ndim == 1 else X
 
 
-def make_edges(values: np.ndarray, bins: int, edge_mode: str) -> np.ndarray:
-    """Interior bin edges over observed values.
+def column_edges(P: np.ndarray, bins: int, edge_mode: str) -> list[np.ndarray]:
+    """Interior bin edges over the observed values of each column of ``P``.
 
-    'equidistant' spaces edges evenly over the observed range, 'equilikely'
-    places them at empirical quantiles.  Duplicate edges are collapsed, so a
-    constant feature yields no edge: a single bin.
+    'equidistant' spaces edges evenly over a column's observed range,
+    'equilikely' places them at its empirical quantiles.  Duplicate edges
+    are collapsed, so a constant column yields no edge: a single bin.  All
+    columns are done at once, with the arithmetic ``np.linspace`` and
+    ``np.quantile`` apply to each column alone, so every edge has the bits
+    a per-column call gives.
     """
     if bins < 2:
         raise ParameterError("bins must be >= 2")
-    values = np.asarray(values, dtype=float)
-    lo, hi = float(values.min()), float(values.max())
-    if hi <= lo:
-        return np.empty(0)
+    P = np.asarray(P, dtype=float)
+    lo, hi = P.min(axis=0), P.max(axis=0)
     if edge_mode == "equidistant":
-        edges = np.linspace(lo, hi, bins + 1)[1:-1]
+        i = np.arange(1.0, bins)[:, None]
+        delta = hi - lo
+        step = delta / bins
+        # np.linspace divides first where the step underflows to zero
+        edges = np.where(step == 0, i / bins * delta, i * step) + lo
     elif edge_mode == "equilikely":
-        edges = np.quantile(values, np.arange(1, bins) / bins)
+        edges = np.quantile(P, np.arange(1, bins) / bins, axis=0)
     else:
         raise ParameterError(f"unknown edge_mode {edge_mode!r}")
-    edges = np.unique(edges)
-    edges = edges[(edges > lo) & (edges <= hi)]
-    return edges
+    # np.unique per column: sorted, the first of each run of equal edges
+    edges = np.sort(edges, axis=0)
+    keep = (edges > lo) & (edges <= hi)
+    keep[1:] &= edges[1:] != edges[:-1]
+    return [column[kept] for column, kept in zip(edges.T, keep.T)]
 
 
 @dataclass(frozen=True)
@@ -152,21 +163,29 @@ class TreePartition(Partition):
         }
 
 
-def tree_from_splits(splits) -> TreePartition:
-    """The tree grown from a root leaf (node 0) by ``splits``, a list of
-    (node, feature, threshold): split k turns leaf ``node`` into an inner node
-    whose children are nodes 2k+1 (left) and 2k+2 (right)."""
-    size = 2 * len(splits) + 1
-    feature, left, right, cell = (np.full(size, -1, dtype=np.int64) for _ in range(4))
-    threshold = np.full(size, np.nan)
-    if splits:
-        node, feature_of, threshold_of = (np.array(column) for column in zip(*splits))
+def trees_from_splits(split_lists) -> list[TreePartition]:
+    """The trees grown from a root leaf (node 0) by each list of splits
+    (node, feature, threshold): split k turns leaf ``node`` into an inner
+    node whose children are nodes 2k+1 (left) and 2k+2 (right).  All trees
+    are laid out in one pass over shared node arrays, each tree's arrays a
+    slice of them."""
+    counts = np.array([len(splits) for splits in split_lists], dtype=np.int64)
+    sizes = 2 * counts + 1
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    feature, left, right, cell = (np.full(starts[-1], -1, dtype=np.int64) for _ in range(4))
+    threshold = np.full(starts[-1], np.nan)
+    flat = [split for splits in split_lists for split in splits]
+    if flat:
+        node, feature_of, threshold_of = (np.array(column) for column in zip(*flat))
+        node = node + np.repeat(starts[:-1], counts)
+        k = np.arange(len(flat)) - np.repeat(np.cumsum(counts) - counts, counts)
         feature[node], threshold[node] = feature_of, threshold_of
-        left[node] = np.arange(1, size, 2)
-        right[node] = left[node] + 1
-    leaves = np.flatnonzero(feature < 0)
-    cell[leaves] = np.arange(len(leaves))
-    return TreePartition(feature, threshold, left, right, cell)
+        left[node], right[node] = 2 * k + 1, 2 * k + 2
+    leaf = feature < 0
+    leaves_before = np.cumsum(leaf) - leaf
+    cell[leaf] = (leaves_before - np.repeat(leaves_before[starts[:-1]], sizes))[leaf]
+    arrays = (feature, threshold, left, right, cell)
+    return [TreePartition(*(a[start:stop] for a in arrays)) for start, stop in zip(starts[:-1], starts[1:])]
 
 
 def _walk_trees(trees, X: np.ndarray) -> np.ndarray:
@@ -210,12 +229,15 @@ def _require_window(w: Window):
 def build_marginal(w: Window, bins_per_dim: int = 8, edge_mode: str = "equilikely") -> list[Binning1D]:
     """One 1-D binning per feature (coordinate-axis projections)."""
     _require_window(w)
-    out = []
-    for j in range(w.dim):
-        axis = np.zeros(w.dim)
-        axis[j] = 1.0
-        out.append(Binning1D(axis, make_edges(w.x[:, j], bins_per_dim, edge_mode)))
-    return out
+    edges = column_edges(w.x, bins_per_dim, edge_mode)
+    return [Binning1D(axis, e) for axis, e in zip(np.eye(w.dim), edges)]
+
+
+def _binnings(w: Window, axes, bins: int, edge_mode: str) -> list[Binning1D]:
+    """Binnings along ``axes``: each projection is its own product, as
+    ``cell_of`` computes it, and the edges of all are taken at once."""
+    P = np.column_stack([w.x @ axis for axis in axes])
+    return [Binning1D(axis, e) for axis, e in zip(axes, column_edges(P, bins, edge_mode))]
 
 
 def build_random_projection(
@@ -232,16 +254,15 @@ def build_random_projection(
     if n_axes < 1:
         raise ParameterError("n_axes must be >= 1")
     rng = as_generator(seed)
-    out = []
+    axes = []
     for _ in range(n_axes):
         axis = rng.standard_normal(w.dim)
         norm = np.linalg.norm(axis)
         if norm == 0.0:
             axis[0] = 1.0
             norm = 1.0
-        axis = axis / norm
-        out.append(Binning1D(axis, make_edges(w.x @ axis, bins_per_axis, edge_mode)))
-    return out
+        axes.append(axis / norm)
+    return _binnings(w, axes, bins_per_axis, edge_mode)
 
 
 def build_pca_projection(
@@ -265,60 +286,74 @@ def build_pca_projection(
         raise DataError("feature covariance overflows; rescale the features")
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1][:n_axes]
-    out = []
-    for j in order:
-        axis = eigvecs[:, j]
-        out.append(Binning1D(axis, make_edges(w.x @ axis, bins_per_axis, edge_mode)))
-    return out
+    return _binnings(w, [eigvecs[:, j] for j in order], bins_per_axis, edge_mode)
 
 
 def build_grid(w: Window, bins_per_dim: int = 4, edge_mode: str = "equidistant") -> GridPartition:
     """Full product grid over all features."""
     _require_window(w)
-    edges = []
-    total = 1
-    for j in range(w.dim):
-        e = make_edges(w.x[:, j], bins_per_dim, edge_mode)
-        edges.append(e)
-        total *= len(e) + 1
-        if total > MAX_GRID_CELLS:
-            raise ParameterError(f"grid would exceed {MAX_GRID_CELLS} cells")
+    edges = column_edges(w.x, bins_per_dim, edge_mode)
+    if np.prod([len(e) + 1 for e in edges], dtype=float) > MAX_GRID_CELLS:
+        raise ParameterError(f"grid would exceed {MAX_GRID_CELLS} cells")
     return GridPartition(tuple(edges))
 
 
-def build_random_tree(w: Window, n_leaves: int = 16, seed=None, min_leaf: int = 5) -> TreePartition:
-    """Grow a tree by uniformly random (leaf, feature, threshold) choices.
+def build_random_trees(w: Window, n_trees: int, n_leaves: int = 16, seed=None, min_leaf: int = 5) -> list[TreePartition]:
+    """Grow ``n_trees`` trees, one after another from one generator, by
+    uniformly random (leaf, feature, threshold) choices.
 
     Thresholds are drawn uniformly between the leaf's min_leaf-th smallest
     and min_leaf-th largest value of the chosen feature, so every leaf keeps
     at least ``min_leaf`` build samples.  Growth stops at ``n_leaves`` or
-    when no leaf can be split.
+    when no leaf can be split.  Every tree grows on the whole window, so one
+    stable argsort per feature serves them all: a leaf holds its rows as a
+    (d, m) matrix, row f in feature f's sorted order, and its order
+    statistics are index reads (presorted attribute lists, as in SLIQ:
+    Mehta, Agrawal & Rissanen 1996).
     """
     _require_window(w)
-    if n_leaves < 2 or min_leaf < 1:
-        raise ParameterError("n_leaves must be >= 2 and min_leaf >= 1")
+    if n_leaves < 2 or min_leaf < 1 or n_trees < 1:
+        raise ParameterError("n_leaves must be >= 2, min_leaf >= 1 and n_trees >= 1")
     rng = as_generator(seed)
-    x = w.x
-    splits = []
-    # (node, build samples) of each leaf that may still split, in growth order
-    open_leaves = [(0, np.arange(len(w)))] if len(w) >= 2 * min_leaf else []
-    while open_leaves and len(splits) + 1 < n_leaves:
-        nid, idx = open_leaves.pop(rng.integers(len(open_leaves)))
-        for f in rng.permutation(x.shape[1]):
-            v = np.sort(x[idx, f])
-            lo, hi = v[min_leaf - 1], v[len(v) - min_leaf]
-            if hi > lo:
-                thr = float(rng.uniform(lo, hi))
-                if thr >= hi:
-                    thr = 0.5 * (lo + hi)
-                break
-        else:  # no feature separates the leaf: it stays a leaf for good
-            continue
-        mask = x[idx, f] <= thr
-        lc = 2 * len(splits) + 1
-        splits.append((nid, int(f), thr))
-        open_leaves += [(c, part) for c, part in ((lc, idx[mask]), (lc + 1, idx[~mask])) if len(part) >= 2 * min_leaf]
-    return tree_from_splits(splits)
+    xt = np.ascontiguousarray(w.x.T)
+    d, n = xt.shape
+    presorted = np.argsort(xt, axis=1, kind="stable")
+    split_lists = []
+    for _ in range(n_trees):
+        splits = []
+        # (node, rows of its parent, mask of its own rows or None for all)
+        # of each leaf that may still split, in growth order; a leaf's rows
+        # are taken only when it is picked
+        open_leaves = [(0, presorted, None)] if n >= 2 * min_leaf else []
+        while open_leaves and len(splits) + 1 < n_leaves:
+            nid, rows, keep = open_leaves.pop(rng.integers(len(open_leaves)))
+            if keep is not None:
+                rows = rows[keep].reshape(d, -1)
+            m = rows.shape[1]
+            for f in rng.permutation(d):
+                lo, hi = xt[f, rows[f, min_leaf - 1]], xt[f, rows[f, m - min_leaf]]
+                if hi > lo:
+                    thr = float(rng.uniform(lo, hi))
+                    if thr >= hi:
+                        thr = 0.5 * (lo + hi)
+                    break
+            else:  # no feature separates the leaf: it stays a leaf for good
+                continue
+            left = (xt[f] <= thr)[rows]
+            n_left = int(np.count_nonzero(left[0]))
+            lc = 2 * len(splits) + 1
+            splits.append((nid, int(f), thr))
+            if n_left >= 2 * min_leaf:
+                open_leaves.append((lc, rows, left))
+            if m - n_left >= 2 * min_leaf:
+                open_leaves.append((lc + 1, rows, ~left))
+        split_lists.append(splits)
+    return trees_from_splits(split_lists)
+
+
+def build_random_tree(w: Window, n_leaves: int = 16, seed=None, min_leaf: int = 5) -> TreePartition:
+    """One random tree: ``build_random_trees`` with a single tree."""
+    return build_random_trees(w, 1, n_leaves, seed, min_leaf)[0]
 
 
 def build_kdq_tree(w: Window, min_side: float = 0.05, min_count: int = 10) -> TreePartition:
@@ -351,4 +386,4 @@ def build_kdq_tree(w: Window, min_side: float = 0.05, min_count: int = 10) -> Tr
         r_lo[dim] = mid
         stack.append((lc + 1, idx[~mask], r_lo, hi.copy(), depth + 1))
         stack.append((lc, idx[mask], lo.copy(), l_hi, depth + 1))
-    return tree_from_splits(splits)
+    return trees_from_splits([splits])[0]

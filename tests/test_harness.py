@@ -313,6 +313,16 @@ class TestConfigValidation:
             ExperimentConfig(offset=offset, split_positions=positions, custom=True)
         assert ExperimentConfig(offset=0.25, split_positions=(0.3, 0.5), custom=True).offset == 0.25
 
+    def test_custom_split_before_the_first_sample_fails_its_cell(self):
+        # the config cannot see where the drawn window starts: the cell
+        # fails with the split contract's error and the grid goes on
+        cfg = ExperimentConfig(
+            datasets=("sea",), estimators=("marg",), n=150, repetitions=3, split_positions=(0.001, 0.5), custom=True
+        )
+        (cell,) = run_grid(cfg).cells
+        assert cell.status == "failed"
+        assert cell.error == "InvalidSplitError: split rank outside [1, 149] for a window of 150 samples"
+
     def test_unknown_estimator_rejected_at_runtime(self):
         with pytest.raises(ParameterError):
             make_estimator("nope")

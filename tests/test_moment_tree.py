@@ -20,7 +20,7 @@ from driftbench.moment_tree import (
     fit_moment_tree,
     truncate_reference,
 )
-from driftbench.partitions import tree_from_splits
+from driftbench.partitions import trees_from_splits
 from driftbench.windows import Window
 
 
@@ -276,7 +276,7 @@ def _reference_tree(x, t, config, rng, feature_subsample):
         recurse(lc + 1, idx[~mask], depth + 1)
 
     recurse(0, np.arange(n), 0)
-    return tree_from_splits(splits)
+    return trees_from_splits([splits])[0]
 
 
 def reference_forest(w, n_trees, config, seed, variant):

@@ -16,9 +16,10 @@ from driftbench.partitions import (
     build_pca_projection,
     build_random_projection,
     build_random_tree,
-    make_edges,
+    build_random_trees,
+    column_edges,
     stacked_cells,
-    tree_from_splits,
+    trees_from_splits,
 )
 from driftbench.windows import Window, permute_timestamps
 
@@ -63,19 +64,47 @@ class TestMarginal:
         assert part.cell_of(np.array([[10.0]]))[0] == part.n_cells - 1
 
 
+def reference_edges(values: np.ndarray, bins: int, edge_mode: str) -> np.ndarray:
+    """The edges of one column, computed alone with np.linspace or np.quantile."""
+    lo, hi = float(values.min()), float(values.max())
+    if hi <= lo:
+        return np.empty(0)
+    if edge_mode == "equidistant":
+        edges = np.linspace(lo, hi, bins + 1)[1:-1]
+    else:
+        edges = np.quantile(values, np.arange(1, bins) / bins)
+    edges = np.unique(edges)
+    return edges[(edges > lo) & (edges <= hi)]
+
+
 class TestEdges:
     def test_unknown_mode(self):
         with pytest.raises(ParameterError):
-            make_edges(np.arange(5.0), 4, "mystery")
+            column_edges(np.arange(5.0)[:, None], 4, "mystery")
 
     def test_too_few_bins(self):
         with pytest.raises(ParameterError):
-            make_edges(np.arange(5.0), 1, "equidistant")
+            column_edges(np.arange(5.0)[:, None], 1, "equidistant")
 
     def test_edges_strictly_increasing(self, rng):
         values = np.round(rng.uniform(0, 1, 200), 2)
-        edges = make_edges(values, 16, "equilikely")
+        (edges,) = column_edges(values[:, None], 16, "equilikely")
         assert np.all(np.diff(edges) > 0)
+
+    @pytest.mark.parametrize("edge_mode", ["equidistant", "equilikely"])
+    def test_all_columns_at_once_equal_each_column_alone(self, edge_mode):
+        """Bit for bit, on columns with ties, signed zeros, constant
+        columns, underflowing steps and scales from 1e-300 to 1e300."""
+        rng = np.random.default_rng(17)
+        for _ in range(600):
+            n, k, bins = int(rng.integers(1, 40)), int(rng.integers(1, 6)), int(rng.integers(2, 17))
+            P = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-300, 301, size=k)
+            ties = rng.random(k) < 0.4
+            P[:, ties] = rng.integers(-2, 3, size=(n, int(ties.sum()))) * rng.choice([0.0, -0.0, 5e-324, 1e-320, 1.0], int(ties.sum()))
+            P[:, rng.random(k) < 0.2] = rng.normal()
+            for got, column in zip(column_edges(P, bins, edge_mode), P.T):
+                expected = reference_edges(column, bins, edge_mode)
+                assert got.tobytes() == expected.tobytes()
 
 
 class TestRandomProjection:
@@ -118,7 +147,7 @@ class TestRandomProjection:
         from driftbench.partitions import Binning1D
 
         axis = np.array([1.0, 1.0]) / np.sqrt(2)
-        part = Binning1D(axis, make_edges(w.x @ axis, 8, "equilikely"))
+        part = Binning1D(axis, column_edges((w.x @ axis)[:, None], 8, "equilikely")[0])
         ch = CumulativeHistogram(part.cell_of(w.x), w.t, part.n_cells)
         before, after = ch.counts_at(0.5)
         tv = total_variation(to_distribution(before), to_distribution(after))
@@ -291,15 +320,52 @@ class TestSerialization:
         assert tree.to_dict() == GOLDEN_STALLED_TREE
 
 
+def reference_layout(splits) -> TreePartition:
+    """One tree laid out alone from its list of splits."""
+    size = 2 * len(splits) + 1
+    feature, left, right, cell = (np.full(size, -1, dtype=np.int64) for _ in range(4))
+    threshold = np.full(size, np.nan)
+    for k, (node, f, thr) in enumerate(splits):
+        feature[node], threshold[node], left[node], right[node] = f, thr, 2 * k + 1, 2 * k + 2
+    leaves = np.flatnonzero(feature < 0)
+    cell[leaves] = np.arange(len(leaves))
+    return TreePartition(feature, threshold, left, right, cell)
+
+
+def reference_random_tree(w, n_leaves, rng, min_leaf) -> TreePartition:
+    """A random tree grown leaf by leaf, sorting the chosen leaf's values of
+    each tried feature, with the draws ``build_random_trees`` makes."""
+    x = w.x
+    splits = []
+    open_leaves = [(0, np.arange(len(w)))] if len(w) >= 2 * min_leaf else []
+    while open_leaves and len(splits) + 1 < n_leaves:
+        nid, idx = open_leaves.pop(rng.integers(len(open_leaves)))
+        for f in rng.permutation(x.shape[1]):
+            v = np.sort(x[idx, f])
+            lo, hi = v[min_leaf - 1], v[len(v) - min_leaf]
+            if hi > lo:
+                thr = float(rng.uniform(lo, hi))
+                if thr >= hi:
+                    thr = 0.5 * (lo + hi)
+                break
+        else:
+            continue
+        mask = x[idx, f] <= thr
+        lc = 2 * len(splits) + 1
+        splits.append((nid, int(f), thr))
+        open_leaves += [(c, part) for c, part in ((lc, idx[mask]), (lc + 1, idx[~mask])) if len(part) >= 2 * min_leaf]
+    return reference_layout(splits)
+
+
 class TestTreeFromSplits:
     def test_no_splits_is_one_leaf(self):
-        tree = tree_from_splits([])
+        (tree,) = trees_from_splits([[]])
         assert tree.n_cells == 1
         assert tree.to_dict()["feature"] == [-1] and tree.to_dict()["cell"] == [0]
         assert np.array_equal(tree.cell_of(np.zeros((3, 2))), [0, 0, 0])
 
     def test_split_k_makes_nodes_2k_plus_1_and_2k_plus_2(self):
-        tree = tree_from_splits([(0, 1, 0.5), (2, 0, -1.0), (3, 0, -3.0)])
+        (tree,) = trees_from_splits([[(0, 1, 0.5), (2, 0, -1.0), (3, 0, -3.0)]])
         doc = tree.to_dict()
         assert doc["feature"] == [1, -1, 0, 0, -1, -1, -1]
         assert doc["threshold"] == [0.5, None, -1.0, -3.0, None, None, None]
@@ -308,6 +374,64 @@ class TestTreeFromSplits:
         assert doc["cell"] == [-1, 0, -1, -1, 1, 2, 3]
         points = np.array([[0.0, 0.4], [0.0, 0.6], [-4.0, 0.6], [-2.0, 0.6]])
         assert np.array_equal(tree.cell_of(points), [0, 1, 2, 3])
+
+    def test_forest_layout_equals_each_tree_alone(self):
+        """Empty and one-split lists among others; each tree's arrays are
+        slices of the forest's shared node arrays."""
+        split_lists = [
+            [],
+            [(0, 1, 0.5)],
+            [(0, 1, 0.5), (2, 0, -1.0), (3, 0, -3.0)],
+            [],
+            [(0, 0, 2.0), (1, 1, 1.0)],
+            [(0, 2, -0.0)],
+        ]
+        trees = trees_from_splits(split_lists)
+        assert len(trees) == len(split_lists)
+        for tree, splits in zip(trees, split_lists):
+            expected = reference_layout(splits)
+            for field in ("feature", "threshold", "left", "right", "cell"):
+                got, want = getattr(tree, field), getattr(expected, field)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert tree.feature.base is trees[0].feature.base
+        assert trees_from_splits([]) == []
+
+
+class TestRandomTreesMatchReference:
+    """The presorted forest builder equals the per-leaf-sort builder tree by
+    tree, and leaves the generator in the same state."""
+
+    @staticmethod
+    def windows():
+        rng = np.random.default_rng(23)
+        t = np.sort(rng.uniform(0, 1, 120))
+        yield Window(rng.normal(size=(120, 3)), t)
+        yield Window(rng.integers(0, 3, (120, 2)).astype(float), t)  # ties
+        x = rng.normal(size=(120, 3))
+        x[:, 0] = 1.5  # a constant feature
+        x[:, 2] = np.round(x[:, 2])
+        yield Window(x, t)
+        yield Window(rng.integers(0, 2, (40, 1)).astype(float), t[:40])  # d = 1, two values
+        yield Window(np.full((30, 2), 4.0), t[:30])  # nothing splits
+        yield Window(rng.normal(size=(9, 2)), t[:9])  # fewer samples than two leaves need
+
+    @pytest.mark.parametrize("n_leaves, min_leaf", [(2, 1), (2, 5), (5, 2), (16, 5), (64, 1)])
+    def test_trees_and_generator_state(self, n_leaves, min_leaf):
+        for i, w in enumerate(self.windows()):
+            rng, reference_rng = np.random.default_rng(i), np.random.default_rng(i)
+            trees = build_random_trees(w, 8, n_leaves, rng, min_leaf)
+            for tree in trees:
+                assert tree.to_dict() == reference_random_tree(w, n_leaves, reference_rng, min_leaf).to_dict()
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_one_tree_is_the_forest_of_one(self, rng):
+        w = Window(rng.normal(size=(60, 2)), np.sort(rng.uniform(0, 1, 60)))
+        assert build_random_tree(w, 8, 3, 2).to_dict() == build_random_trees(w, 1, 8, 3, 2)[0].to_dict()
+
+    def test_needs_a_tree(self, rng):
+        w = Window(rng.normal(size=(60, 2)), np.sort(rng.uniform(0, 1, 60)))
+        with pytest.raises(ParameterError, match="n_trees"):
+            build_random_trees(w, 0)
 
 
 PROPERTY = settings(derandomize=True, max_examples=60, database=None, deadline=None)

@@ -7,7 +7,9 @@ binnings, plus the standard output of ``bench oracle --trials 40``.
 Windows: four of ``neighbor.py`` (with the n = 600 one, where moment trees
 thin their candidate cuts), its tied window, and small windows made for
 the corner cases: d = 1 with ties, a constant feature, fewer samples than
-two moment-tree leaves need, and features scaled by 1e300 and 1e-300.  An
+two moment-tree leaves need, and features scaled by 1e300 and 1e-300; and
+the ``rf`` and ``dt`` fits of a drifting rbf d = 2, n = 600 window, where
+moment trees thin their candidate cuts and no node draws.  An
 entry is the sha256 of the JSON of its documents (JSON floats round-trip,
 so any last-bit change changes it) and the cell count; a fit that draws
 also records its generator's state afterwards.  A builder that refuses a
@@ -29,6 +31,7 @@ import numpy as np
 
 from driftbench import cli
 from driftbench.errors import DriftBenchError
+from driftbench.generators import rbf_pair
 from driftbench.harness import make_estimator
 from driftbench.partitions import (
     build_grid,
@@ -38,7 +41,7 @@ from driftbench.partitions import (
     build_random_projection,
     build_random_tree,
 )
-from driftbench.windows import Window
+from driftbench.windows import Window, make_paired
 
 PATH = Path(__file__).with_name("partitions.json")
 SEED = 2024
@@ -110,6 +113,10 @@ def partitions() -> dict[str, dict]:
                     lambda rng: build_random_projection(w, None, bins, mode, rng), draws=True
                 )
                 out[f"{name}/grid/{mode}/{bins}"] = _recorded(lambda rng: [build_grid(w, bins, mode)])
+    w = make_paired(*rbf_pair(2, seed=6), 600, seed=np.random.default_rng(16)).drifting
+    for estimator_id in ("rf", "dt"):
+        estimator = make_estimator(estimator_id, "tv")
+        out[f"rbf2_n600_drifting/{estimator_id}"] = _recorded(lambda rng: estimator.fit(w, rng).partitions, draws=True)
     return out
 
 

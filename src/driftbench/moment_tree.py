@@ -8,19 +8,25 @@ timestamps at build time.  This module only fits trees; the detector
 evaluates a forest like any other set of partitions, with cumulative leaf
 histograms of the evaluation window averaged over trees.
 
-One grower fits every forest.  ``_grow_forest`` grows a window's trees
-depth-first as a generator that yields each node's split request, and
-``_grow_in_lockstep`` answers the pending requests of many windows in one
-padded ``_best_splits`` pass, so the forests of a batch of windows
+One grower fits every forest.  ``_grow_forest`` grows a window's trees as
+a generator that yields rounds of split requests, and ``_grow_in_lockstep``
+answers the rounds of many windows together, in blocks of padded
+``_best_splits`` passes, so the forests of a batch of windows
 (``fit_moment_forests``) grow together while each draws from its own
 generator exactly what it draws alone (``fit_moment_forest`` is the batch of
-one, and ``fit_moment_tree`` its one-tree 'dt' forest).  Each tree argsorts
-its features once; a node's rows stay in every feature's sorted order as the
-tree splits them (presorted attribute lists, as in SLIQ: Mehta, Agrawal &
-Rissanen 1996), so no node sorts.  A tree is
-recorded as its list of splits, in growth order, and a forest's lists are
-laid out together by ``partitions.trees_from_splits``; a fitted tree keeps
-only its partition.
+one, and ``fit_moment_tree`` its one-tree 'dt' forest).  Where nodes draw
+their features ('rf' with fewer features per node than d), a round is one
+node, in depth-first preorder, so the draws keep their order; where they
+draw nothing ('dt', and 'rf' with d <= 2), a round is every open node of
+every tree, so a forest grows level by level in a few passes.  Each tree
+argsorts its features once; a node's rows stay in every feature's sorted
+order as the tree splits them (presorted attribute lists, as in SLIQ:
+Mehta, Agrawal & Rissanen 1996), so no node sorts.  A tree's splits are
+recorded at their nodes and listed in depth-first preorder, and a forest's
+lists are laid out together by ``partitions.trees_from_splits``, so a tree
+has the same node numbers whichever way it grew; a fitted tree keeps only
+its partition.  Features beyond half the largest float are refused with
+``DataError``, since a midpoint threshold of them can overflow.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .partitions import TreePartition, trees_from_splits
+from .partitions import TreePartition, _require_halvable, trees_from_splits
 from .seeding import as_generator
 from .windows import Window
 
@@ -43,6 +49,9 @@ MIN_SPLIT_SCORE = 1e-24
 # per feature, evenly spaced over the distinct cuts
 MAX_CANDIDATES = 64
 CANDIDATE_NODE_SIZE = 256
+# most padded values (rows x width) one ``_best_splits`` call scores, unless
+# a single request is larger; bounds the per-call arrays as a round grows
+_BLOCK_ELEMENTS = 8192
 
 
 @dataclass(frozen=True)
@@ -80,33 +89,52 @@ class MomentForest:
     trees: tuple[MomentTree, ...]
 
 
+def _thin_candidates(ok: np.ndarray, m: np.ndarray) -> None:
+    """Keep, on each row of ``ok`` whose node has more than CANDIDATE_NODE_SIZE
+    samples (``m``) and more than MAX_CANDIDATES marked cuts, only the marked
+    cuts at positions round(i·(L−1)/(MAX_CANDIDATES−1)) of its L marked ones,
+    the last at L−1: ``np.linspace``'s own arithmetic.  The step exceeds 1, so
+    no position repeats.  All rows are thinned in one pass, in place."""
+    counts = np.count_nonzero(ok, axis=1)
+    thin = np.flatnonzero((m > CANDIDATE_NODE_SIZE) & (counts > MAX_CANDIDATES))
+    if len(thin) == 0:
+        return
+    counts = counts[thin]
+    positions = np.round(np.arange(MAX_CANDIDATES) * ((counts[:, None] - 1) / (MAX_CANDIDATES - 1))).astype(np.int64)
+    positions[:, -1] = counts - 1
+    row, col = np.nonzero(ok[thin])
+    keep = (positions + (np.cumsum(counts) - counts)[:, None]).ravel()
+    ok[thin] = False
+    ok[thin[row[keep]], col[keep]] = True
+
+
 def _best_splits(requests, min_leaf: int) -> list:
     """Answer the split requests of many nodes in one padded pass.
 
-    A request holds a node's values on each of its k drawn features, shape
-    (k, m), each row in that feature's stable sort order, and the time
-    powers of the same rows, shape (D, k, m).  Rows are padded to the
-    longest node with +inf values and zero time powers; the prefix sums run
-    sequentially along the rows and the squared moment contrasts are summed
-    over a contiguous last axis of length D, so every real cut sees the
-    same arithmetic as a node scored alone.  A cut must leave ``min_leaf``
-    samples on each side and separate two distinct values; above
-    CANDIDATE_NODE_SIZE samples, at most MAX_CANDIDATES of them, evenly
-    spaced, are scored.  The answer for a node is (j, threshold) for its
-    best cut, on its j-th feature, or None: the first feature in drawn order
-    whose first best cut scores highest, if that score exceeds
-    MIN_SPLIT_SCORE.
+    A request (xt, t_pows, features, rows) is a node of a tree over the
+    features ``xt`` (d, n) and time powers ``t_pows`` (D, n) of its window:
+    ``rows`` (k, m) holds the node's rows in the stable sort order of each
+    of its k drawn ``features``.  The values and time powers are gathered
+    here, each row padded to the longest node with +inf values and zero
+    time powers; the prefix sums run sequentially along the rows and the
+    squared moment contrasts are summed over a contiguous last axis of
+    length D, so every real cut sees the same arithmetic as a node scored
+    alone.  A cut must leave ``min_leaf`` samples on each side and separate
+    two distinct values; above CANDIDATE_NODE_SIZE samples, at most
+    MAX_CANDIDATES of them, evenly spaced, are scored.  The answer for a
+    node is (j, threshold) for its best cut, on its j-th feature, or None:
+    the first feature in drawn order whose first best cut scores highest,
+    if that score exceeds MIN_SPLIT_SCORE.
     """
-    ks = [values.shape[0] for values, _ in requests]
-    sizes = [values.shape[1] for values, _ in requests]
+    ks = [len(features) for _, _, features, _ in requests]
+    sizes = [rows.shape[1] for _, _, _, rows in requests]
     n_rows, width, degree = sum(ks), max(sizes), requests[0][1].shape[0]
     values = np.full((n_rows, width), np.inf)
     t_pows = np.zeros((degree, n_rows, width))
     start = 0
-    for v, p in requests:
-        k, size = v.shape
-        values[start : start + k, :size] = v
-        t_pows[:, start : start + k, :size] = p
+    for (xt, p, features, rows), k, size in zip(requests, ks, sizes):
+        values[start : start + k, :size] = xt[features[:, None], rows]
+        t_pows[:, start : start + k, :size] = p[:, rows]
         start += k
     prefix = np.cumsum(t_pows, axis=2)
 
@@ -117,12 +145,7 @@ def _best_splits(requests, min_leaf: int) -> list:
     cuts = np.arange(float(min_leaf), hi + 1)
     ok = (cuts <= m[:, None] - min_leaf) & (values[:, lo:hi] < values[:, lo + 1 : hi + 1])
     if width > CANDIDATE_NODE_SIZE:
-        for row in np.flatnonzero(m > CANDIDATE_NODE_SIZE):
-            candidates = np.flatnonzero(ok[row])
-            if len(candidates) > MAX_CANDIDATES:
-                sel = np.unique(np.round(np.linspace(0, len(candidates) - 1, MAX_CANDIDATES)).astype(int))
-                ok[row] = False
-                ok[row, candidates[sel]] = True
+        _thin_candidates(ok, m)
     row, col = np.nonzero(ok)
     c, mr = cuts[col], m[row]
     before = prefix[:, row, col + lo]
@@ -145,65 +168,119 @@ def _best_splits(requests, min_leaf: int) -> list:
 
 
 def _grow_forest(w: Window, n_trees: int, config: MomentTreeConfig, rng, variant: str):
-    """Grow one window's forest; a generator that yields each node's split
-    request to ``_best_splits`` and receives its answer, and returns the
-    MomentForest.
+    """Grow one window's forest; a generator that yields rounds of split
+    requests to ``_best_splits``, receives each round's answers, and returns
+    the MomentForest.
 
-    Trees grow one after another, each depth-first in preorder.  'rf' draws
-    each tree's bootstrap and then, at each node that passes the depth and
-    size test, ``rng.permutation(d)[:n_sub]``; 'dt' draws nothing.  A node
-    holds the (d, m) matrix of its rows, row f in feature f's stable sort
-    order; its children filter that matrix by ``x[:, f] <= threshold``.
+    'rf' draws each tree's bootstrap and then, at each node that passes the
+    depth and size test, ``rng.permutation(d)[:n_sub]``; 'dt' draws
+    nothing.  When nodes draw ('rf' with n_sub < d), trees grow one after
+    another, each depth-first in preorder, and a round is the node on top of
+    the stack.  When they do not, every bootstrap is drawn first (the same
+    draws in the same order) and a round is every open node of every tree,
+    so the forest grows level by level.  A node holds the (d, m) matrix of
+    its rows, as window indices, row f in feature f's stable sort order; its
+    children filter that matrix by ``x[:, f] <= threshold``.  Each split is
+    recorded at its node, and each tree's splits are laid out at the end in
+    depth-first preorder, left child first, so node numbers, leaves and
+    cells are those of a depth-first growth whichever way the tree grew.
     """
     n, d = w.x.shape
     n_sub = max(1, int(np.ceil(np.sqrt(d)))) if variant == VARIANT_RF else d
+    draws = n_sub < d
     every_feature = np.arange(d)
     splittable = 2 * config.min_leaf
-    split_lists = []
-    for _ in range(n_trees):
-        xt, t = w.x.T, w.t
-        if variant == VARIANT_RF:
-            boot = rng.integers(0, n, size=n)
-            xt, t = xt[:, boot], t[boot]
-        xt = np.ascontiguousarray(xt)
-        t_pows = np.stack([t**k for k in range(1, config.degree + 1)])
-        splits = []
-        # only nodes that pass the depth and size test go on the stack; the
-        # others stay leaves and draw nothing
-        stack = []
-        if config.max_depth > 0 and n >= splittable:
-            stack.append((0, np.argsort(xt, axis=1, kind="stable"), 0))
-        while stack:
-            node, rows, depth = stack.pop()
-            features = rng.permutation(d)[:n_sub] if n_sub < d else every_feature
-            sorted_rows = rows[features]
-            split = yield xt[features[:, None], sorted_rows], t_pows[:, sorted_rows]
+    grows = config.max_depth > 0 and n >= splittable
+    xt = np.ascontiguousarray(w.x.T)
+    t_pows = np.stack([w.t**k for k in range(1, config.degree + 1)])
+    presorted = np.argsort(xt, axis=1, kind="stable") if grows and variant == VARIANT_DT else None
+    # each tree is a one-slot list holding its root split; a split is
+    # [feature, threshold, left, right], each child its split or None.  An
+    # open node is (slots, slot, rows, depth): its split goes to slots[slot].
+    # Only nodes that pass the depth and size test open; the others stay
+    # leaves and draw nothing.
+    roots, open_nodes = [], []
+    while len(roots) < n_trees or open_nodes:
+        if not open_nodes:
+            for _ in range(1 if draws else n_trees):
+                roots.append([None])
+                rows = presorted
+                if variant == VARIANT_RF:
+                    boot = rng.integers(0, n, size=n)
+                    rows = boot[np.argsort(xt[:, boot], axis=1, kind="stable")] if grows else None
+                if grows:
+                    open_nodes.append((roots[-1], 0, rows, 0))
+            continue
+        if draws:
+            nodes = [open_nodes.pop()]
+            features = rng.permutation(d)[:n_sub]
+            answers = yield [(xt, t_pows, features, nodes[0][2][features])]
+        else:
+            nodes, open_nodes = open_nodes, []
+            features = every_feature
+            answers = yield [(xt, t_pows, features, rows) for _, _, rows, _ in nodes]
+        for (slots, slot, rows, depth), split in zip(nodes, answers):
             if split is None:
                 continue
             j, threshold = split
             f = int(features[j])
-            lc = 2 * len(splits) + 1
-            splits.append((node, f, threshold))
+            slots[slot] = split = [f, threshold, None, None]
             if depth + 1 < config.max_depth:
                 left = (xt[f] <= threshold)[rows]
                 n_left = int(np.count_nonzero(left[0]))
                 if rows.shape[1] - n_left >= splittable:
-                    stack.append((lc + 1, rows[~left].reshape(d, -1), depth + 1))
+                    open_nodes.append((split, 3, rows[~left].reshape(d, -1), depth + 1))
                 if n_left >= splittable:
-                    stack.append((lc, rows[left].reshape(d, -1), depth + 1))
-        split_lists.append(splits)
-    return MomentForest(tuple(MomentTree(tree) for tree in trees_from_splits(split_lists)))
+                    open_nodes.append((split, 2, rows[left].reshape(d, -1), depth + 1))
+    return MomentForest(tuple(MomentTree(tree) for tree in trees_from_splits([_preorder(root) for (root,) in roots])))
+
+
+def _preorder(root) -> list:
+    """A tree's splits (node, feature, threshold) in depth-first preorder,
+    left child first, numbered as ``trees_from_splits`` numbers them: the
+    children of the k-th split are nodes 2k+1 and 2k+2."""
+    splits, stack = [], [(root, 0)] if root else []
+    while stack:
+        (feature, threshold, left, right), node = stack.pop()
+        lc = 2 * len(splits) + 1
+        splits.append((node, feature, threshold))
+        if right:
+            stack.append((right, lc + 1))
+        if left:
+            stack.append((left, lc))
+    return splits
+
+
+def _blocks(requests):
+    """Split a round's requests into ``_best_splits`` calls, as lists of
+    indices: the whole round if its padded block holds at most
+    _BLOCK_ELEMENTS values, else the widest requests first, in blocks of at
+    most that many values (or one request, if larger), so that little of a
+    block is padding."""
+    ks = [len(features) for _, _, features, _ in requests]
+    widths = [rows.shape[1] for _, _, _, rows in requests]
+    if sum(ks) * max(widths) <= _BLOCK_ELEMENTS:
+        return [range(len(requests))]
+    blocks, n_rows = [], 0
+    for r in sorted(range(len(requests)), key=widths.__getitem__, reverse=True):
+        if not blocks or (n_rows + ks[r]) * widths[blocks[-1][0]] > _BLOCK_ELEMENTS:
+            blocks.append([])
+            n_rows = 0
+        blocks[-1].append(r)
+        n_rows += ks[r]
+    return blocks
 
 
 def _grow_in_lockstep(growers, min_leaf: int) -> list[MomentForest]:
-    """Run forest growers together: each round answers the pending request
-    of every grower in one ``_best_splits`` pass."""
+    """Run forest growers together, one round of every grower at a time;
+    each block of a round is one ``_best_splits`` call, which gathers only
+    its own requests."""
     forests = [None] * len(growers)
     pending: dict = {}
 
-    def advance(i, answer):
+    def advance(i, answers):
         try:
-            pending[i] = growers[i].send(answer)
+            pending[i] = growers[i].send(answers)
         except StopIteration as done:
             forests[i] = done.value
             pending.pop(i, None)
@@ -212,8 +289,21 @@ def _grow_in_lockstep(growers, min_leaf: int) -> list[MomentForest]:
         advance(i, None)
     while pending:
         waiting = list(pending)
-        for i, answer in zip(waiting, _best_splits([pending[i] for i in waiting], min_leaf)):
-            advance(i, answer)
+        requests = [request for i in waiting for request in pending[i]]
+        # a lone node, as in every round of a lone fit whose nodes draw,
+        # skips the block bookkeeping
+        if len(requests) == 1:
+            answers = _best_splits(requests, min_leaf)
+        else:
+            answers = [None] * len(requests)
+            for block in _blocks(requests):
+                for r, answer in zip(block, _best_splits([requests[r] for r in block], min_leaf)):
+                    answers[r] = answer
+        start = 0
+        for i in waiting:
+            k = len(pending[i])
+            advance(i, answers[start : start + k])
+            start += k
     return forests
 
 
@@ -238,6 +328,8 @@ def fit_moment_forests(
         raise ParameterError(f"unknown variant {variant!r}")
     if any(len(w) == 0 for w in windows):
         raise ParameterError("cannot fit on an empty window")
+    for w in windows:
+        _require_halvable(w)
     rngs = [as_generator(r) for r in rngs]
     if len(rngs) != len(windows) or len({id(r) for r in rngs}) != len(rngs):
         raise ParameterError("each window needs a generator of its own")

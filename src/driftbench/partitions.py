@@ -13,7 +13,10 @@ grows all trees of a fit on one stable argsort per feature, and tree
 builders record their splits in lists that ``trees_from_splits`` lays out
 together, each ``TreePartition`` a slice of shared node arrays.
 ``stacked_cells`` maps points through all of a descriptor's partitions at
-once, every ``TreePartition`` in one shared walk.
+once, every ``TreePartition`` in one shared walk.  The tree builders refuse
+features beyond half the largest float with ``DataError``: a midpoint
+threshold of two such values, or the width a random threshold is drawn
+from, would overflow.
 """
 
 from __future__ import annotations
@@ -226,6 +229,13 @@ def _require_window(w: Window):
         raise ParameterError("cannot build a partition on an empty window")
 
 
+def _require_halvable(w: Window):
+    """Tree builders cut at midpoints 0.5 * (a + b) and draw between two
+    values; both stay finite while no feature exceeds half the largest float."""
+    if len(w) and np.abs(w.x).max() > np.finfo(float).max / 2:
+        raise DataError("features exceed half the largest float, so tree thresholds overflow; rescale the features")
+
+
 def build_marginal(w: Window, bins_per_dim: int = 8, edge_mode: str = "equilikely") -> list[Binning1D]:
     """One 1-D binning per feature (coordinate-axis projections)."""
     _require_window(w)
@@ -312,6 +322,7 @@ def build_random_trees(w: Window, n_trees: int, n_leaves: int = 16, seed=None, m
     Mehta, Agrawal & Rissanen 1996).
     """
     _require_window(w)
+    _require_halvable(w)
     if n_leaves < 2 or min_leaf < 1 or n_trees < 1:
         raise ParameterError("n_leaves must be >= 2, min_leaf >= 1 and n_trees >= 1")
     rng = as_generator(seed)
@@ -364,6 +375,7 @@ def build_kdq_tree(w: Window, min_side: float = 0.05, min_count: int = 10) -> Tr
     the current dimension would create sides shorter than ``min_side``.
     """
     _require_window(w)
+    _require_halvable(w)
     if min_side <= 0:
         raise ParameterError("min_side must be positive")
     x = w.x

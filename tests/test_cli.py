@@ -89,6 +89,18 @@ class TestDetect:
         assert "rescale" in captured.err
         assert "drift detected" not in captured.out
 
+    @pytest.mark.parametrize("estimator", ["rnd_tree", "kdq", "rf", "dt"])
+    def test_features_past_half_the_float_range_are_data_error_for_trees(self, tmp_path, capsys, estimator):
+        rng = np.random.default_rng(0)
+        rows = ["a,b"] + [f"{u:.17g},{v:.17g}" for u, v in rng.uniform(-1, 1, (80, 2)) * np.finfo(float).max]
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join(rows) + "\n")
+        code = main(["detect", "--csv", str(path), "--estimator", estimator, "--perms", "19"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "rescale" in captured.err and "Traceback" not in captured.err
+        assert "drift detected" not in captured.out
+
     @pytest.mark.parametrize(
         "estimator, option",
         [

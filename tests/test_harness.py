@@ -207,6 +207,20 @@ class TestRunGrid:
         assert failed.status == "failed" and failed.error.startswith("DataError")
         assert table.cell("csv", "marg").status == "ok"
 
+    def test_tree_features_past_half_the_float_range_cells_recorded_as_failed(self, tmp_path):
+        rng = np.random.default_rng(0)
+        rows = ["a,b"] + [f"{u:.17g},{v:.17g}" for u, v in rng.uniform(-1, 1, (80, 2)) * np.finfo(float).max]
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join(rows) + "\n")
+        cfg = dataclasses.replace(
+            SMALL, datasets=("csv",), estimators=("rnd_tree", "rf"), n=60, repetitions=2,
+            dataset_params={"csv": {"path": str(path)}},
+        )
+        table = run_grid(cfg)
+        for estimator_id in ("rnd_tree", "rf"):
+            failed = table.cell("csv", estimator_id)
+            assert failed.status == "failed" and failed.error.startswith("DataError")
+
     def test_metric_name_checked_for_every_estimator(self):
         cfg = dataclasses.replace(SMALL, estimators=("mmd", "ldd", "marg"), repetitions=2, metric="hellinger")
         assert [c.status for c in run_grid(cfg).cells] == ["ok"] * 3

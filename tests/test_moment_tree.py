@@ -5,7 +5,7 @@ import pytest
 
 from driftbench import harness
 from driftbench.detector import MomentForestEstimator
-from driftbench.errors import InvalidSplitError, ParameterError
+from driftbench.errors import DataError, InvalidSplitError, ParameterError
 from driftbench.histograms import histogram_metric
 from driftbench.moment_tree import (
     CANDIDATE_NODE_SIZE,
@@ -15,6 +15,8 @@ from driftbench.moment_tree import (
     MomentTreeConfig,
     VARIANT_DT,
     VARIANT_RF,
+    _best_splits,
+    _thin_candidates,
     fit_moment_forest,
     fit_moment_forests,
     fit_moment_tree,
@@ -421,3 +423,137 @@ class TestLockstepGrowerMatchesRecursion:
         ]
         reference = _ForestDescriptor(dataclasses.replace(desc.forest, trees=reference_trees), w, desc.metric)
         assert np.array_equal(desc.statistics_at(ts), reference.statistics_at(ts))
+
+
+# ---------------------------------------------------------------------------
+# reference: the depth-first grower the level-wise rounds replaced
+
+
+def depth_first_forest(w, n_trees, config, rng, variant):
+    """The trees of the depth-first grower: trees one after another, each
+    grown in preorder from an explicit stack, one ``_best_splits`` call per
+    node; 'rf' draws each tree's bootstrap and then, at each node that passes
+    the depth and size test, ``rng.permutation(d)[:n_sub]``."""
+    n, d = w.x.shape
+    n_sub = max(1, int(np.ceil(np.sqrt(d)))) if variant == VARIANT_RF else d
+    splittable = 2 * config.min_leaf
+    split_lists = []
+    for _ in range(n_trees):
+        x, t = w.x, w.t
+        if variant == VARIANT_RF:
+            boot = rng.integers(0, n, size=n)
+            x, t = x[boot], t[boot]
+        xt = np.ascontiguousarray(x.T)
+        t_pows = np.stack([t**k for k in range(1, config.degree + 1)])
+        splits, stack = [], []
+        if config.max_depth > 0 and n >= splittable:
+            stack.append((0, np.argsort(x.T, axis=1, kind="stable"), 0))
+        while stack:
+            node, rows, depth = stack.pop()
+            features = rng.permutation(d)[:n_sub] if n_sub < d else np.arange(d)
+            (split,) = _best_splits([(xt, t_pows, features, rows[features])], config.min_leaf)
+            if split is None:
+                continue
+            j, threshold = split
+            f = int(features[j])
+            lc = 2 * len(splits) + 1
+            splits.append((node, f, threshold))
+            if depth + 1 < config.max_depth:
+                left = (xt[f] <= threshold)[rows]
+                n_left = int(np.count_nonzero(left[0]))
+                if rows.shape[1] - n_left >= splittable:
+                    stack.append((lc + 1, rows[~left].reshape(d, -1), depth + 1))
+                if n_left >= splittable:
+                    stack.append((lc, rows[left].reshape(d, -1), depth + 1))
+        split_lists.append(splits)
+    return trees_from_splits(split_lists)
+
+
+def mixed_windows(variant):
+    """Windows whose 'rf' nodes draw (d >= 3) and do not (d <= 2), with a
+    window too small to split, tied features and one above CANDIDATE_NODE_SIZE."""
+    dims = (1, 2, 4, 10) if variant == VARIANT_DT else (1, 2, 3, 4)
+    windows = [random_window(30 + d, 90 + 7 * d, d) for d in dims]
+    windows.append(random_window(40, 7, 2))
+    windows.append(random_window(41, 120, 2, ties=True))
+    windows.append(random_window(42, 120, 3, ties=True))
+    windows.append(random_window(43, CANDIDATE_NODE_SIZE + 64, 2))
+    windows.append(random_window(44, CANDIDATE_NODE_SIZE + 64, 3))
+    return windows
+
+
+class TestLevelWiseGrowerMatchesDepthFirst:
+    @pytest.mark.parametrize("variant", [VARIANT_RF, VARIANT_DT])
+    @pytest.mark.parametrize("max_depth", [0, 1, 12])
+    def test_mixed_batch_equals_depth_first_growth(self, variant, max_depth):
+        config = MomentTreeConfig(degree=2, min_leaf=4, max_depth=max_depth)
+        windows = mixed_windows(variant)
+        rngs = [np.random.default_rng([max_depth, s]) for s in range(len(windows))]
+        forests = fit_moment_forests(windows, 5, config, rngs, variant)
+        for s, (w, forest, rng) in enumerate(zip(windows, forests, rngs)):
+            reference_rng = np.random.default_rng([max_depth, s])
+            expected = depth_first_forest(w, 5, config, reference_rng, variant)
+            assert [tree.partition.to_dict() for tree in forest.trees] == [tree.to_dict() for tree in expected]
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+        if max_depth == 0:
+            assert all(tree.n_cells == 1 for forest in forests for tree in forest.trees)
+
+    def test_draw_free_forest_is_scored_in_few_calls(self, monkeypatch):
+        from driftbench import moment_tree
+
+        calls = []
+        score = moment_tree._best_splits
+        monkeypatch.setattr(moment_tree, "_best_splits", lambda *a: calls.append(1) or score(*a))
+        w = random_window(3, 150, 2)
+        forest = fit_moment_forest(w, 16, MomentTreeConfig(), seed=3, variant=VARIANT_RF)
+        inner = sum(int(np.count_nonzero(tree.partition.feature >= 0)) for tree in forest.trees)
+        # one call per level and block, not one per inner node
+        assert inner > 100 and len(calls) <= 16
+
+
+def thin_candidates_loop(ok, m):
+    """The per-row thinning loop the vectorised pass replaced."""
+    for row in np.flatnonzero(m > CANDIDATE_NODE_SIZE):
+        candidates = np.flatnonzero(ok[row])
+        if len(candidates) > MAX_CANDIDATES:
+            sel = np.unique(np.round(np.linspace(0, len(candidates) - 1, MAX_CANDIDATES)).astype(int))
+            ok[row] = False
+            ok[row, candidates[sel]] = True
+
+
+class TestCandidateThinning:
+    def test_equals_the_per_row_loop(self):
+        rng = np.random.default_rng(0)
+        for trial in range(300):
+            rows, width = rng.integers(1, 12), rng.integers(2, 2500)
+            ok = rng.random((rows, width)) < rng.uniform(0.0, 1.0, (rows, 1))
+            # counts on both sides of MAX_CANDIDATES, sizes on both sides of CANDIDATE_NODE_SIZE
+            ok[0, : MAX_CANDIDATES + trial % 3] = True
+            m = rng.integers(CANDIDATE_NODE_SIZE - 5, CANDIDATE_NODE_SIZE + 2000, rows).astype(float)
+            expected = ok.copy()
+            thin_candidates_loop(expected, m)
+            _thin_candidates(ok, m)
+            assert np.array_equal(ok, expected)
+
+    def test_keeps_evenly_spaced_cuts(self):
+        ok = np.ones((1, 1000), dtype=bool)
+        _thin_candidates(ok, np.array([1000.0]))
+        kept = np.flatnonzero(ok[0])
+        assert len(kept) == MAX_CANDIDATES and kept[0] == 0 and kept[-1] == 999
+
+
+class TestHugeFeatures:
+    def test_features_past_half_the_float_range_raise_data_error(self):
+        rng = np.random.default_rng(0)
+        w = Window(rng.uniform(-1, 1, (60, 2)) * np.finfo(float).max, np.sort(rng.uniform(0, 1, 60)))
+        for variant in (VARIANT_RF, VARIANT_DT):
+            with pytest.raises(DataError, match="rescale"):
+                fit_moment_forest(w, 2, seed=0, variant=variant)
+
+    def test_features_at_half_the_float_range_split_finitely(self):
+        rng = np.random.default_rng(1)
+        w = Window(rng.uniform(-1, 1, (60, 2)) * (np.finfo(float).max / 2), np.sort(rng.uniform(0, 1, 60)))
+        tree = fit_moment_tree(w, MomentTreeConfig(degree=1, min_leaf=5), seed=0)
+        inner = tree.partition.feature >= 0
+        assert inner.any() and np.isfinite(tree.partition.threshold[inner]).all()
+        assert np.bincount(tree.cell_of(w.x), minlength=tree.n_cells).min() >= 5

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from driftbench import partitions
-from driftbench.errors import ParameterError
+from driftbench.errors import DataError, ParameterError
 from driftbench.histograms import CumulativeHistogram, to_distribution, total_variation
 from driftbench.moment_tree import MomentTreeConfig, fit_moment_tree
 from driftbench.partitions import (
@@ -523,3 +523,30 @@ class TestStackedCells:
             tree = getattr(part, "partition", part)
             if isinstance(tree, TreePartition):
                 assert np.array_equal(row - offset, [descend(tree, x) for x in X])
+
+
+class TestHugeFeatures:
+    """Tree thresholds are midpoints or draws between two values: the tree
+    builders refuse features whose midpoints can overflow, and take those
+    that cannot."""
+
+    @staticmethod
+    def window(scale, seed=0):
+        rng = np.random.default_rng(seed)
+        return Window(rng.uniform(-1, 1, (80, 2)) * scale, np.sort(rng.uniform(0, 1, 80)))
+
+    @pytest.mark.parametrize("build", [
+        lambda w: build_random_tree(w, 16, 0, 5),
+        lambda w: build_kdq_tree(w),
+    ])
+    def test_past_half_the_float_range_raise_data_error(self, build):
+        with pytest.raises(DataError, match="rescale"):
+            build(self.window(np.finfo(float).max))
+
+    def test_at_half_the_float_range_thresholds_stay_finite(self):
+        w = self.window(np.finfo(float).max / 2)
+        random_tree, kdq_tree = build_random_tree(w, 16, 0, 5), build_kdq_tree(w, 1e-3, 5)
+        for tree in (random_tree, kdq_tree):
+            inner = tree.feature >= 0
+            assert inner.sum() > 3 and np.isfinite(tree.threshold[inner]).all()
+        assert np.bincount(random_tree.cell_of(w.x), minlength=random_tree.n_cells).min() >= 5

@@ -531,8 +531,8 @@ class TestHugeFeatures:
     that cannot."""
 
     @staticmethod
-    def window(scale, seed=0):
-        rng = np.random.default_rng(seed)
+    def window(scale):
+        rng = np.random.default_rng(0)
         return Window(rng.uniform(-1, 1, (80, 2)) * scale, np.sort(rng.uniform(0, 1, 80)))
 
     @pytest.mark.parametrize("build", [

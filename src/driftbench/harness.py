@@ -59,14 +59,15 @@ DESK_REPETITIONS = 200
 REPETITION_BLOCK = 16
 
 
-def _moment_estimator(variant):
-    def build(metric="tv", n_trees: int | None = None, degree=2, min_leaf=10, max_depth=8, skip_fraction=0.0):
-        if n_trees is None:
-            n_trees = 16 if variant == VARIANT_RF else 1
-        cfg = MomentTreeConfig(degree=degree, min_leaf=min_leaf, max_depth=max_depth)
-        return MomentForestEstimator(n_trees, variant, cfg, skip_fraction, metric)
+def _rf_estimator(metric="tv", n_trees=16, degree=2, min_leaf=10, max_depth=8, skip_fraction=0.0):
+    cfg = MomentTreeConfig(degree=degree, min_leaf=min_leaf, max_depth=max_depth)
+    return MomentForestEstimator(n_trees, VARIANT_RF, cfg, skip_fraction, metric)
 
-    return build
+
+def _dt_estimator(metric="tv", degree=2, min_leaf=10, max_depth=8, skip_fraction=0.0):
+    """One tree: 'dt' draws nothing, so a second tree would be a copy."""
+    cfg = MomentTreeConfig(degree=degree, min_leaf=min_leaf, max_depth=max_depth)
+    return MomentForestEstimator(1, VARIANT_DT, cfg, skip_fraction, metric)
 
 
 ESTIMATOR_BUILDERS = {
@@ -76,8 +77,8 @@ ESTIMATOR_BUILDERS = {
     "grid": grid_estimator,
     "rnd_tree": random_tree_estimator,
     "kdq": kdq_tree_estimator,
-    "rf": _moment_estimator(VARIANT_RF),
-    "dt": _moment_estimator(VARIANT_DT),
+    "rf": _rf_estimator,
+    "dt": _dt_estimator,
     "mmd": MmdEstimator,
     "ldd": LddEstimator,
     "knn_kl": KnnKlEstimator,

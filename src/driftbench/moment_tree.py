@@ -290,15 +290,10 @@ def _grow_in_lockstep(growers, min_leaf: int) -> list[MomentForest]:
     while pending:
         waiting = list(pending)
         requests = [request for i in waiting for request in pending[i]]
-        # a lone node, as in every round of a lone fit whose nodes draw,
-        # skips the block bookkeeping
-        if len(requests) == 1:
-            answers = _best_splits(requests, min_leaf)
-        else:
-            answers = [None] * len(requests)
-            for block in _blocks(requests):
-                for r, answer in zip(block, _best_splits([requests[r] for r in block], min_leaf)):
-                    answers[r] = answer
+        answers = [None] * len(requests)
+        for block in _blocks(requests):
+            for r, answer in zip(block, _best_splits([requests[r] for r in block], min_leaf)):
+                answers[r] = answer
         start = 0
         for i in waiting:
             k = len(pending[i])

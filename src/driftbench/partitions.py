@@ -16,7 +16,8 @@ together, each ``TreePartition`` a slice of shared node arrays.
 once, every ``TreePartition`` in one shared walk.  The tree builders refuse
 features beyond half the largest float with ``DataError``: a midpoint
 threshold of two such values, or the width a random threshold is drawn
-from, would overflow.
+from, would overflow.  The binnings refuse a feature or projection whose
+range overflows, in ``column_edges``.
 """
 
 from __future__ import annotations
@@ -61,15 +62,19 @@ def column_edges(P: np.ndarray, bins: int, edge_mode: str) -> list[np.ndarray]:
     are collapsed, so a constant column yields no edge: a single bin.  All
     columns are done at once, with the arithmetic ``np.linspace`` and
     ``np.quantile`` apply to each column alone, so every edge has the bits
-    a per-column call gives.
+    a per-column call gives.  A column whose range ``hi - lo`` overflows
+    raises ``DataError``: its edges would not be finite.
     """
     if bins < 2:
         raise ParameterError("bins must be >= 2")
     P = np.asarray(P, dtype=float)
     lo, hi = P.min(axis=0), P.max(axis=0)
+    with np.errstate(over="ignore"):
+        delta = hi - lo
+    if not np.isfinite(delta).all():
+        raise DataError("a feature or projection spans more than the largest float; rescale the features")
     if edge_mode == "equidistant":
         i = np.arange(1.0, bins)[:, None]
-        delta = hi - lo
         step = delta / bins
         # np.linspace divides first where the step underflows to zero
         edges = np.where(step == 0, i / bins * delta, i * step) + lo
@@ -246,7 +251,9 @@ def build_marginal(w: Window, bins_per_dim: int = 8, edge_mode: str = "equilikel
 def _binnings(w: Window, axes, bins: int, edge_mode: str) -> list[Binning1D]:
     """Binnings along ``axes``: each projection is its own product, as
     ``cell_of`` computes it, and the edges of all are taken at once."""
-    P = np.column_stack([w.x @ axis for axis in axes])
+    # a projection that overflows is refused by column_edges, without a warning
+    with np.errstate(over="ignore"):
+        P = np.column_stack([w.x @ axis for axis in axes])
     return [Binning1D(axis, e) for axis, e in zip(axes, column_edges(P, bins, edge_mode))]
 
 

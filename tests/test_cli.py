@@ -89,8 +89,8 @@ class TestDetect:
         assert "rescale" in captured.err
         assert "drift detected" not in captured.out
 
-    @pytest.mark.parametrize("estimator", ["rnd_tree", "kdq", "rf", "dt"])
-    def test_features_past_half_the_float_range_are_data_error_for_trees(self, tmp_path, capsys, estimator):
+    @pytest.mark.parametrize("estimator", ["rnd_tree", "kdq", "rf", "dt", "marg", "grid", "rnd_pj"])
+    def test_features_past_half_the_float_range_are_data_error(self, tmp_path, capsys, estimator):
         rng = np.random.default_rng(0)
         rows = ["a,b"] + [f"{u:.17g},{v:.17g}" for u, v in rng.uniform(-1, 1, (80, 2)) * np.finfo(float).max]
         path = tmp_path / "huge.csv"
@@ -256,6 +256,7 @@ class TestRun:
             ("dataset.sea.variant_aftr = 2", "'variant_aftr'"),
             ("dataset.rbf.seed = 3", "'seed'"),
             ("estimator.knn_kl.aggregation = mean", "'aggregation'"),
+            ("estimator.dt.n_trees = 4", "'n_trees'"),
         ],
     )
     def test_bad_parameter_name_or_type_is_usage_error_before_any_cell(self, tmp_path, capsys, line, message):
@@ -345,7 +346,7 @@ BAD_LINES = [
     "dataset.sea.variant_aftr = 2", "dataset.rbf.seed = 3", "estimator.ldd.metric = tv", "estimator.rf = 3",
     "n = 8.5", "repetitions = two", "custom = 1", "seed = -1", "estimator.marg.bins = 8.5",
     "dataset.sea.variant_after = 2.0", "estimator.rf.n_trees = many", "split_positions = 0.5, x", "datasets sea",
-    "datasets =", "estimators = ,", *VALUES_THAT_NEED_NO_DATA,
+    "datasets =", "estimators = ,", "estimator.dt.n_trees = 4", *VALUES_THAT_NEED_NO_DATA,
 ]
 #: Other invocations, with the exit code each must give; ``{dir}`` is a fresh directory.
 OTHER_INVOCATIONS = [

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -336,7 +338,8 @@ class TestPermutationNormalize:
 
 class TestHugeFeatures:
     """Finite features whose squares overflow: the O(n^2) and PCA fits
-    refuse them instead of scanning NaN or constant statistics."""
+    refuse them instead of scanning NaN or constant statistics.  Past half
+    the largest float, the tree fits and the binnings refuse them too."""
 
     @pytest.fixture(scope="class")
     def window(self):
@@ -352,13 +355,16 @@ class TestHugeFeatures:
         verdict = scan_splits(make_estimator("marg"), window, 0)
         assert np.isfinite(verdict.statistics).all() and 0.0 < verdict.max_stat <= 1.0
 
-    @pytest.mark.parametrize("estimator_id", ["rnd_tree", "kdq", "rf", "dt"])
-    def test_tree_fits_refuse_features_past_half_the_float_range(self, window, estimator_id):
-        # a midpoint 0.5 * (a + b) of such features overflows to inf
+    @pytest.mark.parametrize("estimator_id", ["rnd_tree", "kdq", "rf", "dt", "marg", "grid", "rnd_pj"])
+    def test_fits_refuse_features_past_half_the_float_range(self, window, estimator_id):
+        # a midpoint 0.5 * (a + b) of such features overflows to inf, and so
+        # does the range hi - lo of a feature or projection that a binning spans
         rng = np.random.default_rng(1)
         w = Window(rng.uniform(-1, 1, (80, 2)) * np.finfo(float).max, np.sort(rng.uniform(0, 1, 80)))
-        with pytest.raises(DataError, match="rescale"):
-            scan_splits(make_estimator(estimator_id), w, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="rescale"):
+                scan_splits(make_estimator(estimator_id), w, 0)
         # features whose squares overflow still fit
         assert np.isfinite(scan_splits(make_estimator(estimator_id), window, 0).max_stat)
 

@@ -207,17 +207,17 @@ class TestRunGrid:
         assert failed.status == "failed" and failed.error.startswith("DataError")
         assert table.cell("csv", "marg").status == "ok"
 
-    def test_tree_features_past_half_the_float_range_cells_recorded_as_failed(self, tmp_path):
+    def test_features_past_half_the_float_range_cells_recorded_as_failed(self, tmp_path):
         rng = np.random.default_rng(0)
         rows = ["a,b"] + [f"{u:.17g},{v:.17g}" for u, v in rng.uniform(-1, 1, (80, 2)) * np.finfo(float).max]
         path = tmp_path / "huge.csv"
         path.write_text("\n".join(rows) + "\n")
         cfg = dataclasses.replace(
-            SMALL, datasets=("csv",), estimators=("rnd_tree", "rf"), n=60, repetitions=2,
+            SMALL, datasets=("csv",), estimators=("rnd_tree", "rf", "marg", "grid", "rnd_pj"), n=60, repetitions=2,
             dataset_params={"csv": {"path": str(path)}},
         )
         table = run_grid(cfg)
-        for estimator_id in ("rnd_tree", "rf"):
+        for estimator_id in cfg.estimators:
             failed = table.cell("csv", estimator_id)
             assert failed.status == "failed" and failed.error.startswith("DataError")
 
@@ -509,7 +509,7 @@ dataset.sea.variant_after = 2
         [
             ("estimator.marg.bins = 8.5", "bad value for 'estimator.marg.bins': '8.5' is not int"),
             ("dataset.sea.variant_after = 2.0", "bad value for 'dataset.sea.variant_after': '2.0' is not int"),
-            ("estimator.rf.n_trees = none", "bad value for 'estimator.rf.n_trees': 'none' is not int | None"),
+            ("estimator.rnd_pj.n_axes = none", "bad value for 'estimator.rnd_pj.n_axes': 'none' is not int | None"),
             ("dataset.csv.two_sample_check = 1", "bad value for 'dataset.csv.two_sample_check': '1' is not bool"),
             ("estimator.rff.n_trees = 4", "unknown estimator 'rff'"),
             ("dataset.sea.variant_aftr = 2", "bad parameters for dataset 'sea': .*'variant_aftr'"),

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -528,7 +529,8 @@ class TestStackedCells:
 class TestHugeFeatures:
     """Tree thresholds are midpoints or draws between two values: the tree
     builders refuse features whose midpoints can overflow, and take those
-    that cannot."""
+    that cannot.  The binnings refuse a feature or projection whose range
+    overflows."""
 
     @staticmethod
     def window(scale):
@@ -538,10 +540,17 @@ class TestHugeFeatures:
     @pytest.mark.parametrize("build", [
         lambda w: build_random_tree(w, 16, 0, 5),
         lambda w: build_kdq_tree(w),
+        # the range hi - lo of a feature or projection overflows
+        lambda w: build_marginal(w, 4, "equidistant"),
+        lambda w: build_marginal(w, 8, "equilikely"),
+        lambda w: build_grid(w),
+        lambda w: build_random_projection(w, seed=0),
     ])
     def test_past_half_the_float_range_raise_data_error(self, build):
-        with pytest.raises(DataError, match="rescale"):
-            build(self.window(np.finfo(float).max))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="rescale"):
+                build(self.window(np.finfo(float).max))
 
     def test_at_half_the_float_range_thresholds_stay_finite(self):
         w = self.window(np.finfo(float).max / 2)

@@ -30,7 +30,7 @@ import numpy as np
 from . import neighbor_kernel
 from .errors import InvalidSplitError, ParameterError
 from .histograms import CumulativeHistogram, histogram_metric
-from .moment_tree import MomentTreeConfig, VARIANT_DT, VARIANT_RF, fit_moment_forest, fit_moment_forests, truncate_reference
+from .moment_tree import MomentTreeConfig, VARIANT_DT, VARIANT_RF, fit_moment_forest, fit_moment_forests
 from .neighbor_kernel import (
     build_kernel_gram,
     build_neighbor_graph,
@@ -92,13 +92,13 @@ class Estimator:
 
     name: str = "estimator"
 
-    def fit(self, w: Window, seed=None, drift_time: float | None = None) -> Descriptor:
+    def fit(self, w: Window, seed=None) -> Descriptor:
         raise NotImplementedError
 
-    def fit_each(self, windows, rngs, drift_times):
+    def fit_each(self, windows, rngs):
         """The descriptor of each window in turn, window i fitted from
         ``rngs[i]``; lazy, so only the descriptor in use is alive."""
-        return (self.fit(w, rng, drift_time=t) for w, rng, t in zip(windows, rngs, drift_times))
+        return (self.fit(w, rng) for w, rng in zip(windows, rngs))
 
 
 class _PartitionDescriptor(Descriptor):
@@ -154,7 +154,7 @@ class PartitionEstimator(Estimator):
         self._builder = builder
         self.metric = histogram_metric(metric)
 
-    def fit(self, w: Window, seed=None, drift_time: float | None = None) -> Descriptor:
+    def fit(self, w: Window, seed=None) -> Descriptor:
         return _PartitionDescriptor(self._builder(w, as_generator(seed)), w, self.metric)
 
 
@@ -225,32 +225,25 @@ class MomentForestEstimator(Estimator):
         n_trees: int = 16,
         variant: str = VARIANT_RF,
         config: MomentTreeConfig | None = None,
-        skip_fraction: float = 0.0,
         metric: str = "tv",
     ):
         _at_least(1, n_trees=n_trees)
-        if not 0.0 <= skip_fraction < 0.5:
-            raise ParameterError(f"skip_fraction must lie in [0, 0.5), got {skip_fraction!r}")
         if variant not in (VARIANT_DT, VARIANT_RF):
             raise ParameterError(f"unknown variant {variant!r}; known: {[VARIANT_DT, VARIANT_RF]}")
         self.name = variant
         self.n_trees = n_trees
-        self.variant = variant
         self.config = config or MomentTreeConfig()
-        self.skip_fraction = skip_fraction
         self.metric = histogram_metric(metric)
 
-    def fit(self, w: Window, seed=None, drift_time: float | None = None) -> Descriptor:
-        train = truncate_reference(w, self.skip_fraction, drift_time=drift_time)
-        forest = fit_moment_forest(train, self.n_trees, self.config, seed, self.variant)
+    def fit(self, w: Window, seed=None) -> Descriptor:
+        forest = fit_moment_forest(w, self.n_trees, self.config, seed, self.name)
         return _ForestDescriptor(forest, w, self.metric)
 
-    def fit_each(self, windows, rngs, drift_times):
+    def fit_each(self, windows, rngs):
         """As ``Estimator.fit_each``, but the forests grow in lockstep
         (``fit_moment_forests``) and equal what ``fit`` gives each window alone; the descriptors, which hold the leaf
         histograms, are built one at a time as they are asked for."""
-        trains = [truncate_reference(w, self.skip_fraction, drift_time=t) for w, t in zip(windows, drift_times)]
-        forests = fit_moment_forests(trains, self.n_trees, self.config, rngs, self.variant)
+        forests = fit_moment_forests(windows, self.n_trees, self.config, rngs, self.name)
         return (_ForestDescriptor(forest, w, self.metric) for forest, w in zip(forests, windows))
 
 
@@ -268,7 +261,7 @@ class LddEstimator(Estimator):
         self.k = k
         self.aggregation = aggregation
 
-    def fit(self, w: Window, seed=None, drift_time: float | None = None) -> Descriptor:
+    def fit(self, w: Window, seed=None) -> Descriptor:
         lists = build_neighbor_lists(w, self.k)
         return Descriptor(w, functools.partial(ldd_statistics, lists, aggregation=self.aggregation))
 
@@ -283,7 +276,7 @@ class KnnKlEstimator(Estimator):
         _at_least(1, k=k)
         self.k = k
 
-    def fit(self, w: Window, seed=None, drift_time: float | None = None) -> Descriptor:
+    def fit(self, w: Window, seed=None) -> Descriptor:
         return Descriptor(w, functools.partial(knn_kls, build_neighbor_graph(w, self.k)))
 
 
@@ -296,7 +289,7 @@ class MmdEstimator(Estimator):
         neighbor_kernel._check_bandwidth(bandwidth)
         self.bandwidth = bandwidth
 
-    def fit(self, w: Window, seed=None, drift_time: float | None = None) -> Descriptor:
+    def fit(self, w: Window, seed=None) -> Descriptor:
         return Descriptor(w, functools.partial(mmds_from_gram, build_kernel_gram(w, self.bandwidth)))
 
 
@@ -313,17 +306,6 @@ def scan_splits(estimator: Estimator, w: Window, seed=None, min_side: int | None
     stats = descriptor.statistics_at(ts)
     best = int(np.argmax(stats))
     return DriftVerdict(ts, stats, float(ts[best]), float(stats[best]))
-
-
-def _permutation_pvalue(statistic, w: Window, observed: float, n_perms: int, rng) -> float:
-    """p = (1 + #{replicates >= observed}) / (n_perms + 1), where each
-    replicate is ``statistic`` of ``w`` with its timestamps re-paired at
-    random (Phipson & Smyth 2010: never zero)."""
-    exceed = 0
-    for _ in range(n_perms):
-        if statistic(permute_timestamps(w, rng)) >= observed:
-            exceed += 1
-    return (1 + exceed) / (n_perms + 1)
 
 
 def detect_drift(
@@ -345,9 +327,12 @@ def detect_drift(
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
     rng = as_generator(seed)
     verdict = scan_splits(estimator, w, rng, min_side)
-    p = _permutation_pvalue(
-        lambda v: scan_splits(estimator, v, rng, min_side).max_stat, w, verdict.max_stat, n_perms, rng
+    exceed = sum(
+        scan_splits(estimator, permute_timestamps(w, rng), rng, min_side).max_stat >= verdict.max_stat
+        for _ in range(n_perms)
     )
+    # p = (1 + #{replicates >= observed}) / (n_perms + 1), never zero (Phipson & Smyth 2010)
+    p = (1 + exceed) / (n_perms + 1)
     return replace(verdict, p_value=p, detected=bool(p <= alpha))
 
 

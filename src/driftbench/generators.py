@@ -13,16 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import _permutation_pvalue
 from .errors import DataError, ParameterError
-from .neighbor_kernel import build_kernel_gram, mmds_from_gram
 from .seeding import as_generator
-from .windows import Window, window_from_csv
+from .windows import window_from_csv
 
 SEA_THRESHOLDS = (8.0, 9.0, 7.0, 9.5)
-#: Rows drawn from each side for the CSV two-sample check, and its permutations.
-CHECK_SAMPLES = 200
-CHECK_PERMUTATIONS = 99
 
 
 @dataclass(frozen=True)
@@ -163,48 +158,17 @@ class ResampleConcept:
         return self.rows[rng.integers(0, len(self.rows), size=n)]
 
 
-def csv_concept_pair(
-    path: str, timestamp_split: float = 0.5, two_sample_check: bool = False, seed=0
-) -> tuple[ResampleConcept, ResampleConcept]:
-    """Bootstrap samplers from the rows before/after a timestamp split.
-
-    With ``two_sample_check`` a permutation MMD test compares the two row
-    pools (at most ``CHECK_SAMPLES`` rows each) and warns when they are not
-    significantly different.
-    """
+def csv_concept_pair(path: str, timestamp_split: float = 0.5) -> tuple[ResampleConcept, ResampleConcept]:
+    """Bootstrap samplers from the rows before/after a timestamp split."""
     w = window_from_csv(path)
     before = w.x[w.t <= timestamp_split]
     after = w.x[w.t > timestamp_split]
     if len(before) == 0 or len(after) == 0:
         raise DataError(f"timestamp split {timestamp_split} leaves an empty side")
-    pair = (
+    return (
         ResampleConcept(before, w.label_feature_appended),
         ResampleConcept(after, w.label_feature_appended),
     )
-    if two_sample_check:
-        p = _mmd_two_sample_p(before, after, as_generator(seed))
-        if p > 0.05:
-            warnings.warn(
-                f"two-sample check not significant (p={p:.3f}); the split may carry no drift",
-                stacklevel=2,
-            )
-    return pair
-
-
-def _mmd_two_sample_p(before, after, rng) -> float:
-    nb = min(len(before), CHECK_SAMPLES)
-    na = min(len(after), CHECK_SAMPLES)
-    xb = before[rng.choice(len(before), nb, replace=False)]
-    xa = after[rng.choice(len(after), na, replace=False)]
-    x = np.vstack([xb, xa])
-    t = np.concatenate([np.linspace(0.0, 0.5, nb), np.linspace(0.5 + 1e-9, 1.0, na)])
-    w = Window(x, t)
-
-    def mmd(v: Window) -> float:
-        # a permutation keeps the timestamps, so the before side stays the first nb
-        return mmds_from_gram(build_kernel_gram(v), [nb])[0]
-
-    return _permutation_pvalue(mmd, w, mmd(w), CHECK_PERMUTATIONS, rng)
 
 
 @dataclass(frozen=True)

@@ -59,15 +59,15 @@ DESK_REPETITIONS = 200
 REPETITION_BLOCK = 16
 
 
-def _rf_estimator(metric="tv", n_trees=16, degree=2, min_leaf=10, max_depth=8, skip_fraction=0.0):
+def _rf_estimator(metric="tv", n_trees=16, degree=2, min_leaf=10, max_depth=8):
     cfg = MomentTreeConfig(degree=degree, min_leaf=min_leaf, max_depth=max_depth)
-    return MomentForestEstimator(n_trees, VARIANT_RF, cfg, skip_fraction, metric)
+    return MomentForestEstimator(n_trees, VARIANT_RF, cfg, metric)
 
 
-def _dt_estimator(metric="tv", degree=2, min_leaf=10, max_depth=8, skip_fraction=0.0):
+def _dt_estimator(metric="tv", degree=2, min_leaf=10, max_depth=8):
     """One tree: 'dt' draws nothing, so a second tree would be a copy."""
     cfg = MomentTreeConfig(degree=degree, min_leaf=min_leaf, max_depth=max_depth)
-    return MomentForestEstimator(1, VARIANT_DT, cfg, skip_fraction, metric)
+    return MomentForestEstimator(1, VARIANT_DT, cfg, metric)
 
 
 ESTIMATOR_BUILDERS = {
@@ -264,6 +264,13 @@ def p_pa(records: EvalRecords, delta: float) -> float:
     return float(np.mean(records.drift[:, i] > records.drift[:, j]))
 
 
+def _pa_deltas(positions) -> list[float]:
+    """The displacements ``p_pa`` is reported at: each position after the
+    drift point less the drift point, rounded so that float noise cannot
+    split one delta in two."""
+    return sorted({round(p - DRIFT_POSITION, 9) for p in positions if p > DRIFT_POSITION})
+
+
 @dataclass(frozen=True)
 class CellResult:
     dataset: str
@@ -294,7 +301,7 @@ class ResultTable:
         import os
 
         os.makedirs(out_dir, exist_ok=True)
-        deltas = sorted({round(p - DRIFT_POSITION, 9) for p in self.config.split_positions if p > DRIFT_POSITION})
+        deltas = _pa_deltas(self.config.split_positions)
         path = os.path.join(out_dir, "results.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -346,9 +353,8 @@ def collect_records(cfg: ExperimentConfig, dataset_id: str, estimator_id: str, p
         for rng in rngs:
             before, after = make_concept_pair(dataset_id, rng, ds_params, cfg.noise_dims)
             pairs.append(make_paired(before, after, cfg.n, DRIFT_POSITION, cfg.offset, rng))
-        drift_times = [pw.t0 for pw in pairs]
         for out, windows in ((drift, [pw.drifting for pw in pairs]), (perm, [pw.permuted for pw in pairs])):
-            for rep, descriptor in zip(block, estimator.fit_each(windows, rngs, drift_times)):
+            for rep, descriptor in zip(block, estimator.fit_each(windows, rngs)):
                 out[rep] = descriptor.statistics_at(eff_positions)
     return EvalRecords(cfg.split_positions, drift, perm)
 
@@ -359,7 +365,7 @@ def run_cell(cfg: ExperimentConfig, dataset_id: str, estimator_id: str, sweep: b
     incompatible cell is recorded as failed, not raised."""
     configured = cfg.estimator_params.get(estimator_id, {})
     sets = [{**configured, **p} for p in SWEEP_GRIDS.get(estimator_id, [{}])] if sweep else [dict(configured)]
-    deltas = sorted({round(p - DRIFT_POSITION, 9) for p in cfg.split_positions if p > DRIFT_POSITION})
+    deltas = _pa_deltas(cfg.split_positions)
     cells = []
     for params in sets:
         try:

@@ -343,24 +343,3 @@ def fit_moment_forest(
     """Fit an ensemble of moment trees on one window (see ``fit_moment_forests``)."""
     return fit_moment_forests([w], n_trees, config, [as_generator(seed)], variant)[0]
 
-
-def truncate_reference(w: Window, skip_fraction: float, *, drift_time: float | None = None) -> Window:
-    """Drop samples from the trailing band of the reference time range.
-
-    The reference range runs from the window's first timestamp to
-    ``drift_time`` (default: the window's last timestamp); samples whose
-    timestamps fall in its last ``skip_fraction`` are removed.  Used before
-    fitting time-aware descriptors; evaluation still sees the full window.
-    """
-    if not 0.0 <= skip_fraction < 0.5:
-        raise ParameterError("skip_fraction must lie in [0, 0.5)")
-    if skip_fraction == 0.0 or len(w) == 0:
-        return w
-    t_lo = float(w.t[0])
-    t_end = float(w.t[-1]) if drift_time is None else float(drift_time)
-    cut = t_lo + (1.0 - skip_fraction) * (t_end - t_lo)
-    keep = ~((w.t > cut) & (w.t <= t_end))
-    if not keep.any():
-        raise ParameterError("truncation would drop the whole window")
-    return Window(w.x[keep], w.t[keep], w.label_feature_appended)
-

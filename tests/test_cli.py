@@ -143,7 +143,7 @@ VALUES_THAT_NEED_NO_DATA = [
     "estimator.rnd_tree.n_trees = 0", "estimator.ldd.k = 0", "estimator.knn_kl.k = -3", "estimator.mmd.bandwidth = -1.0",
     "estimator.marg.bins = 0", "estimator.rnd_pj.bins = 0", "estimator.rnd_tree.n_leaves = 0", "estimator.rf.n_trees = 0",
     "estimator.pca.n_axes = 0", "estimator.rnd_tree.min_leaf = 0", "estimator.grid.edge_mode = even",
-    "estimator.kdq.min_side = 0.0", "estimator.dt.skip_fraction = 0.5",
+    "estimator.kdq.min_side = 0.0",
 ]
 
 
@@ -346,7 +346,8 @@ BAD_LINES = [
     "dataset.sea.variant_aftr = 2", "dataset.rbf.seed = 3", "estimator.ldd.metric = tv", "estimator.rf = 3",
     "n = 8.5", "repetitions = two", "custom = 1", "seed = -1", "estimator.marg.bins = 8.5",
     "dataset.sea.variant_after = 2.0", "estimator.rf.n_trees = many", "split_positions = 0.5, x", "datasets sea",
-    "datasets =", "estimators = ,", "estimator.dt.n_trees = 4", *VALUES_THAT_NEED_NO_DATA,
+    "datasets =", "estimators = ,", "estimator.dt.n_trees = 4", "estimator.dt.skip_fraction = 0.5",
+    *VALUES_THAT_NEED_NO_DATA,
 ]
 #: Other invocations, with the exit code each must give; ``{dir}`` is a fresh directory.
 OTHER_INVOCATIONS = [

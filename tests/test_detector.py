@@ -39,8 +39,8 @@ class _Transformed:
         self.inner, self.fn = inner, fn
         self.name = inner.name
 
-    def fit(self, w, seed=None, drift_time=None):
-        desc, fn = self.inner.fit(w, seed, drift_time), self.fn
+    def fit(self, w, seed=None):
+        desc, fn = self.inner.fit(w, seed), self.fn
 
         class Wrapped:
             def statistics_at(self, ts):
@@ -305,7 +305,7 @@ class TestPermutationNormalize:
         class Unfittable:
             name = "unfittable"
 
-            def fit(self, w, seed=None, drift_time=None):
+            def fit(self, w, seed=None):
                 raise AssertionError("fitted before the arguments were checked")
 
         w = make_paired(BLOCK_BEFORE, BLOCK_AFTER, 100, seed=0).drifting

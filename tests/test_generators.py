@@ -159,7 +159,7 @@ class TestCsvPair:
         rng = np.random.default_rng(0)
         rows = [f"{v:.3f},{v + 1:.3f}" for v in rng.normal(size=60)]
         path = self.write(tmp_path, rows)
-        before, after = csv_concept_pair(path, 0.5, seed=0)
+        before, after = csv_concept_pair(path, 0.5)
         draws = before.draw(40, np.random.default_rng(2))
         assert draws.shape == (40, 2)
 
@@ -168,17 +168,11 @@ class TestCsvPair:
         with pytest.raises(DataError):
             csv_concept_pair(path, -0.1)
 
-    def test_two_sample_check_warns_on_identical_halves(self, tmp_path):
-        rows = ["1,2", "2,1"] * 40
-        path = self.write(tmp_path, rows)
-        with pytest.warns(UserWarning):
-            csv_concept_pair(path, 0.5, two_sample_check=True, seed=0)
-
     def test_deterministic_draws(self, tmp_path):
         rng = np.random.default_rng(1)
         rows = [f"{v:.3f},{-v:.3f}" for v in rng.normal(size=50)]
         path = self.write(tmp_path, rows)
-        before, _ = csv_concept_pair(path, 0.4, seed=3)
+        before, _ = csv_concept_pair(path, 0.4)
         assert np.array_equal(before.draw(20, np.random.default_rng(4)), before.draw(20, np.random.default_rng(4)))
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import re
 
@@ -230,11 +231,18 @@ class TestRunGrid:
             with pytest.raises(ParameterError, match="unknown metric"):
                 make_estimator(estimator_id, "bogus")
 
+    @pytest.mark.parametrize("estimator_id", sorted(ESTIMATOR_BUILDERS))
+    def test_fit_takes_a_window_and_a_seed(self, estimator_id):
+        # a fit sees nothing but its window and its draws: no drift time
+        estimator = make_estimator(estimator_id)
+        assert list(inspect.signature(estimator.fit).parameters) == ["w", "seed"]
+        assert list(inspect.signature(estimator.fit_each).parameters) == ["windows", "rngs"]
+
     def test_unexpected_error_propagates(self, monkeypatch):
         class Broken(Estimator):
             name = "broken"
 
-            def fit(self, w, seed=None, drift_time=None):
+            def fit(self, w, seed=None):
                 raise TypeError("bug in estimator code")
 
         monkeypatch.setitem(ESTIMATOR_BUILDERS, "broken", lambda metric="tv", **p: Broken())
@@ -493,16 +501,16 @@ dataset.sea.variant_after = 2
             "split_positions = 0.5, 0.75\noffset = 0\ncustom = yes\n"
             "estimator.rf.n_trees = 4\nestimator.kdq.min_side = 1\nestimator.mmd.bandwidth = 2\n"
             "estimator.ldd.aggregation = max\ndataset.rhp.rotation_angle = 1\n"
-            "dataset.csv.path = 1\ndataset.csv.two_sample_check = on\n"
+            "dataset.csv.path = 1\n"
         )
         cfg = load_config(path)
         assert cfg.split_positions == (0.5, 0.75) and type(cfg.offset) is float and cfg.custom is True
         assert cfg.estimator_params == {
             "rf": {"n_trees": 4}, "kdq": {"min_side": 1.0}, "mmd": {"bandwidth": 2.0}, "ldd": {"aggregation": "max"},
         }
-        assert cfg.dataset_params == {"rhp": {"rotation_angle": 1.0}, "csv": {"path": "1", "two_sample_check": True}}
+        assert cfg.dataset_params == {"rhp": {"rotation_angle": 1.0}, "csv": {"path": "1"}}
         types = [type(v) for p in (*cfg.estimator_params.values(), *cfg.dataset_params.values()) for v in p.values()]
-        assert types == [int, float, float, str, float, str, bool]
+        assert types == [int, float, float, str, float, str]
 
     @pytest.mark.parametrize(
         "line, message",
@@ -510,11 +518,14 @@ dataset.sea.variant_after = 2
             ("estimator.marg.bins = 8.5", "bad value for 'estimator.marg.bins': '8.5' is not int"),
             ("dataset.sea.variant_after = 2.0", "bad value for 'dataset.sea.variant_after': '2.0' is not int"),
             ("estimator.rnd_pj.n_axes = none", "bad value for 'estimator.rnd_pj.n_axes': 'none' is not int | None"),
-            ("dataset.csv.two_sample_check = 1", "bad value for 'dataset.csv.two_sample_check': '1' is not bool"),
+            ("custom = 1", "bad value for 'custom': '1' is not bool"),
             ("estimator.rff.n_trees = 4", "unknown estimator 'rff'"),
             ("dataset.sea.variant_aftr = 2", "bad parameters for dataset 'sea': .*'variant_aftr'"),
             ("dataset.rbf.seed = 3", "bad parameters for dataset 'rbf': .*'seed'"),
             ("estimator.marg.metric = js", "bad parameters for estimator 'marg': .*'metric'"),
+            ("estimator.dt.skip_fraction = 0.5", "bad parameters for estimator 'dt': .*'skip_fraction'"),
+            ("estimator.rf.skip_fraction = 0.1", "bad parameters for estimator 'rf': .*'skip_fraction'"),
+            ("dataset.csv.two_sample_check = on", "bad parameters for dataset 'csv': .*'two_sample_check'"),
             ("seed = 1.5", "bad value for 'seed': '1.5' is not int"),
         ],
     )

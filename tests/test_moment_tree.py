@@ -20,7 +20,6 @@ from driftbench.moment_tree import (
     fit_moment_forest,
     fit_moment_forests,
     fit_moment_tree,
-    truncate_reference,
 )
 from driftbench.partitions import trees_from_splits
 from driftbench.windows import Window
@@ -147,39 +146,6 @@ class TestForest:
         with pytest.raises(ParameterError, match="unknown variant 'boosted'"):
             MomentForestEstimator(variant="boosted")
         assert [MomentForestEstimator(variant=v).name for v in (VARIANT_RF, VARIANT_DT)] == ["rf", "dt"]
-
-
-class TestTruncateReference:
-    def test_zero_skip_is_identity(self):
-        w = two_cluster_window()
-        assert truncate_reference(w, 0.0) is w
-
-    def test_removes_last_tenth_of_reference_range(self):
-        w = window(np.arange(21.0), np.linspace(0, 0.5, 21))
-        out = truncate_reference(w, 0.1)
-        assert len(out) == 19
-        assert out.t.max() <= 0.45
-
-    def test_drift_time_limits_removal_band(self):
-        t = np.linspace(0, 1, 41)
-        w = window(np.arange(41.0), t)
-        out = truncate_reference(w, 0.1, drift_time=0.5)
-        removed = np.setdiff1d(w.t, out.t)
-        assert np.all((removed > 0.45) & (removed <= 0.5))
-        # everything after the drift stays
-        assert np.sum(out.t > 0.5) == np.sum(w.t > 0.5)
-
-    def test_invalid_fraction(self):
-        with pytest.raises(ParameterError):
-            truncate_reference(two_cluster_window(), 0.5)
-
-    def test_evaluation_runs_on_untruncated_window(self):
-        w = two_cluster_window(n_per=30, seed=4)
-        train = truncate_reference(w, 0.1, drift_time=0.5)
-        assert len(train) < len(w)
-        desc = MomentForestEstimator(n_trees=2, skip_fraction=0.1).fit(w, seed=0, drift_time=0.5)
-        assert desc.window is w
-        assert desc.statistics_at([0.5])[0] >= 0.0
 
 
 def arrival_time_witness_windows():
@@ -398,8 +364,8 @@ class TestLockstepGrowerMatchesRecursion:
             rng = np.random.default_rng(harness.derive_seed(cfg.seed, "sea", estimator_id, rep))
             before, after = harness.make_concept_pair("sea", rng)
             pw = harness.make_paired(before, after, cfg.n, harness.DRIFT_POSITION, 0.0, rng)
-            drift = estimator.fit(pw.drifting, rng, drift_time=pw.t0).statistics_at(positions)
-            perm = estimator.fit(pw.permuted, rng, drift_time=pw.t0).statistics_at(positions)
+            drift = estimator.fit(pw.drifting, rng).statistics_at(positions)
+            perm = estimator.fit(pw.permuted, rng).statistics_at(positions)
             assert np.array_equal(records.drift[rep], drift)
             assert np.array_equal(records.perm[rep], perm)
 

@@ -11,9 +11,10 @@ A fitted descriptor is a window plus a function of ranks: the kNN and
 kernel estimators bind their fitted graph or Gram to a ``neighbor_kernel``
 statistic, and a binning or tree descriptor holds one cumulative histogram
 over the stacked cells of its partitions.  Its scan takes the ranks in
-blocks; per block it gathers the counts of all cells once, makes one metric
-pass that gives a row per partition, and folds the rows in partition order
-(max over binnings, sum then mean over trees).
+blocks; per block it gathers the counts of all cells once, divides each
+side by its sample count, makes one metric pass that gives a row per
+partition, and folds the rows in partition order (max over binnings, sum
+then mean over trees).
 ``Estimator.fit_each`` fits a sequence of windows lazily; the moment forest
 overrides it to grow the forests of all windows in lockstep.
 Scanning all candidate splits yields a statistic trace, the arg-max split
@@ -114,8 +115,7 @@ class _PartitionDescriptor(Descriptor):
         self.partitions = list(partitions)
         if not self.partitions:
             raise ParameterError("a partition descriptor needs at least one partition")
-        self._sizes = np.array([p.n_cells for p in self.partitions], dtype=np.int64)
-        self._hist = CumulativeHistogram(stacked_cells(self.partitions, w.x), w.t, self._sizes)
+        self._hist = CumulativeHistogram(stacked_cells(self.partitions, w.x), w.t, [p.n_cells for p in self.partitions])
 
     def statistics(self, ranks):
         ranks = _checked_ranks(ranks, self._hist.n)
@@ -123,8 +123,8 @@ class _PartitionDescriptor(Descriptor):
         # blocks of ranks keep the metric's largest temporary, the counts of
         # both sides as one (cells x 2 ranks) block, within the sweep budget
         for block in neighbor_kernel._row_blocks(len(ranks), 2 * self._hist.n_cells):
-            before = self._hist.counts_before_ranks(ranks[block])
-            rows = self.metric(before, self._hist.totals[:, None] - before, self._sizes)
+            before, after = self._hist.side_distributions(ranks[block], self.metric.smoothing)
+            rows = self.metric.rows(before, after, self._hist.sizes)
             # a sequential fold from _start in partition order, so the forest's
             # sum adds its trees one at a time, as a loop would
             rows[0] = self._combine(self._start, rows[0])

@@ -12,13 +12,12 @@ side empty raises ``InvalidSplitError``, under the split rule of
 
 Every metric is reached through ``histogram_metric(name)``, one of
 ``METRICS``; ``to_distribution`` and ``total_variation`` work on plain
-distributions.  A metric scores the whole stack at once: given
-the (cells x splits) counts of both sides and the cells per partition, it
-normalizes each side of each partition by its own exact integer total and
-returns one row per partition.  Every step is elementwise except the sum
-over a partition's cells, which runs on that partition's contiguous run of
-each column of a column-major block, so each value has the bits a
-partition scored alone would have.
+distributions.  A scan scores the whole stack at once: ``side_distributions``
+divides each side's (cells x splits) counts by that side's sample count,
+every partition's total, and the metric's ``rows`` give a row per partition.
+Every step is elementwise except the sum over a partition's cells, which
+runs on that partition's contiguous run of each column of a column-major
+block, so each value has the bits a partition scored alone would have.
 """
 
 from __future__ import annotations
@@ -63,6 +62,7 @@ class CumulativeHistogram:
             raise ParameterError("cell index out of range")
         self.n = len(times)
         self.n_cells = int(sizes.sum())
+        self.sizes = sizes.tolist()
         self.times = times
         self.totals = np.bincount(rows.ravel(), minlength=self.n_cells).astype(np.int64)
         # dense only if each row's own prefix would be, so a stack of
@@ -95,6 +95,26 @@ class CumulativeHistogram:
             out[c] = np.searchsorted(cell_ranks, ranks, side="left")
         return out
 
+    def side_distributions(self, ranks, smoothing: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's before and after distributions per queried rank, the
+        halves of one column-major (n_cells, 2 * len(ranks)) block: each cell
+        count plus ``smoothing``, over the side's sample count (the rank, or n
+        minus it: each sample lies in one cell of each row) plus ``smoothing``
+        per cell of the row.  A rank outside [1, n-1] raises ``InvalidSplitError``."""
+        ranks = _checked_ranks(ranks, self.n)
+        before = self.counts_before_ranks(ranks)
+        m = len(ranks)
+        block = np.empty((self.n_cells, 2 * m), order="F")
+        block[:, :m] = before
+        np.subtract(self.totals[:, None], before, out=block[:, m:])
+        totals = np.concatenate([ranks, self.n - ranks]).astype(float)
+        if smoothing:
+            block += smoothing
+            # built (2m, cells) and transposed, so it is laid out like the block
+            totals = np.add.outer(totals, smoothing * np.repeat(self.sizes, self.sizes)).T
+        block /= totals
+        return block[:, :m], block[:, m:]
+
     def counts_at(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Before/after cell counts of the split at time ``t``; a time before
         the first sample or at or after the last raises ``InvalidSplitError``."""
@@ -120,18 +140,7 @@ def recount_histograms(cells, times, n_cells: int, t: float) -> tuple[np.ndarray
 # Discrete distributions and divergences
 
 
-def _runs(sizes, cells: int) -> np.ndarray:
-    """``sizes``, the lengths of runs of consecutive cells, as an int array
-    checked to cover ``cells`` cells; None is one run of all of them."""
-    sizes = np.asarray((cells,) if sizes is None else sizes, dtype=np.int64)
-    if sizes.sum() != cells:
-        raise ParameterError(f"run sizes {sizes.tolist()} do not cover {cells} cells")
-    if not len(sizes) or sizes.min() < 1:
-        raise ParameterError("cannot normalize an empty histogram")
-    return sizes
-
-
-def _run_sums(terms: np.ndarray, runs: np.ndarray) -> np.ndarray:
+def _run_sums(terms: np.ndarray, runs: list[int]) -> np.ndarray:
     """Column sums of each run of consecutive cells of a 2-D block, one row per run.
 
     Each run is summed on its own, as one partition's histogram would be:
@@ -142,26 +151,11 @@ def _run_sums(terms: np.ndarray, runs: np.ndarray) -> np.ndarray:
     """
     out = np.empty((len(runs), terms.shape[1]))
     lo = row = 0
-    for size, group in itertools.groupby(runs.tolist()):
+    for size, group in itertools.groupby(runs):
         k = len(list(group))
         np.add.reduce(terms[lo : lo + k * size].reshape(k, size, -1), 1, None, out[row : row + k])
         lo, row = lo + k * size, row + k
     return out
-
-
-def _normalize(block: np.ndarray, smoothing: float, runs: np.ndarray) -> np.ndarray:
-    """Normalize a float block of counts in place: each cell plus
-    ``smoothing``, over its run's total.  A run's total of integer counts is
-    an exact integer sum whatever the order."""
-    if block.size and block.min() < 0:
-        raise ParameterError("negative counts")
-    # transposed, so the run axis is last to broadcast and to repeat over
-    totals = np.add.reduceat(block, np.cumsum(runs) - runs, axis=0).T + smoothing * runs
-    if (totals <= 0).any():
-        raise ParameterError("cannot normalize an empty histogram")
-    block += smoothing
-    block /= np.repeat(totals, runs, axis=-1).T
-    return block
 
 
 def to_distribution(counts, smoothing: float = 0.0) -> np.ndarray:
@@ -171,7 +165,15 @@ def to_distribution(counts, smoothing: float = 0.0) -> np.ndarray:
     normalization.  Works column-wise on (n_cells, m) inputs.
     """
     counts = np.array(counts, dtype=float)
-    return _normalize(counts, smoothing, _runs(None, len(counts)))
+    if not len(counts):
+        raise ParameterError("cannot normalize an empty histogram")
+    if counts.size and counts.min() < 0:
+        raise ParameterError("negative counts")
+    # reduceat, not sum: np.sum adds non-integer weights pairwise, in another order
+    totals = np.add.reduceat(counts, [0], axis=0) + smoothing * len(counts)
+    if (totals <= 0).any():
+        raise ParameterError("cannot normalize an empty histogram")
+    return (counts + smoothing) / totals
 
 
 def _tv_rows(p, q, runs):
@@ -197,27 +199,23 @@ def _js_rows(p, q, runs):
     return np.sqrt(np.maximum(0.5 * _kl_rows(p, m, runs) + 0.5 * _kl_rows(q, m, runs), 0.0))
 
 
-def _divergence(rows, p, q, sizes=None, smoothing=None):
+def _divergence(rows, p, q, smoothing=None):
     """``rows`` of the pair (or of its counts, normalized with ``smoothing``),
-    one per run of ``sizes``, each shaped as a column of the input; without
-    ``sizes``, the one run's row.
-
-    Both sides go into one column-major float (cells, 2m) block, so they are
-    normalized together and each run of a column stays contiguous.
-    """
+    shaped as a column of the input.  Both sides go into one column-major
+    float (cells, 2m) block, normalized together, each column contiguous."""
     p = np.asarray(p)
     q = np.asarray(q)
     if p.shape != q.shape:
         raise ParameterError(f"mismatched cell sets: {p.shape} vs {q.shape}")
+    if not len(p):
+        raise ParameterError("cannot normalize an empty histogram")
     m = p[:1].size
     pq = np.empty((len(p), 2 * m), order="F")
     pq[:, :m] = p.reshape(len(p), m)
     pq[:, m:] = q.reshape(len(q), m)
-    runs = _runs(sizes, len(pq))
     if smoothing is not None:
-        _normalize(pq, smoothing, runs)
-    out = rows(pq[:, :m], pq[:, m:], runs).reshape(runs.shape + p.shape[1:])
-    return out if sizes is not None else out[0]
+        pq = to_distribution(pq, smoothing)
+    return rows(pq[:, :m], pq[:, m:], [len(pq)]).reshape((1,) + p.shape[1:])[0]
 
 
 def total_variation(p, q) -> float | np.ndarray:
@@ -233,24 +231,25 @@ METRICS = ("tv", "hellinger", "js", "kl")
 
 
 def histogram_metric(name: str):
-    """Build a metric on count pairs: (before_counts, after_counts, sizes) -> values.
+    """Build a metric on one partition's count pair: (before_counts, after_counts) -> values.
 
     The counts are (cells,) or stacked (cells, m) arrays, one column per
-    split; ``sizes`` splits the cells into partitions of consecutive cells,
-    and the metric gives one row per partition, or the one partition's row
-    when ``sizes`` is omitted.  Each side of each partition is normalized by
-    its own total.  ``name`` is one of ``METRICS``.  For 'kl' (before ||
-    after) each cell count gets the ``KL_SMOOTHING`` pseudo-count before
-    normalization, which keeps the statistic finite on zero cells.
+    split, and the metric gives one value per column.  Each side is
+    normalized by its own total.  ``name`` is one of ``METRICS``.  For 'kl'
+    (before || after) each cell count gets the ``KL_SMOOTHING`` pseudo-count
+    before normalization, which keeps the statistic finite on zero cells.
+
+    A scan applies the metric's ``rows`` to the distributions that
+    ``CumulativeHistogram.side_distributions`` gives with its ``smoothing``.
     """
     name = name.lower()
     if name not in METRICS:
         raise ParameterError(f"unknown metric {name!r}")
-    alpha = KL_SMOOTHING if name == "kl" else 0.0
     rows = {"tv": _tv_rows, "hellinger": _hellinger_rows, "js": _js_rows, "kl": _kl_rows}[name]
+    smoothing = KL_SMOOTHING if name == "kl" else 0.0
 
-    def metric(counts_before, counts_after, sizes=None):
-        # both sides normalized in one pass, as the halves of one block
-        return _divergence(rows, counts_before, counts_after, sizes, smoothing=alpha)
+    def metric(counts_before, counts_after):
+        return _divergence(rows, counts_before, counts_after, smoothing)
 
+    metric.rows, metric.smoothing = rows, smoothing
     return metric

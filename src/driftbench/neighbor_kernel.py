@@ -1,14 +1,14 @@
 """Neighbor- and kernel-based drift statistics: LDD, kNN-KL and biased MMD.
 
-Each fit builds the window's pairwise distances once (O(n^2) time), its one
-n x n float64 matrix at its peak, and keeps only what its statistic reads
-at every split point.  LDD keeps each point's k nearest neighbors as an
-n x k index set, picked with no sort and kept with no distances.  kNN-KL
-keeps the distance matrix itself, in sample order, as the one
-``NeighborGraph``, and sorts nothing.  MMD turns the distances into the
-kernel matrix in place and keeps O(n) block sums.  Windows above
-``MAX_PAIRWISE_N`` samples, or with features too large for the distance
-expansion, are rejected before anything n x n is allocated.
+Each fit builds the window's pairwise distances once (O(n^2) time), one
+n x n float64 matrix at its peak (1.5 under MMD's median bandwidth, which
+copies its upper triangle), and keeps only what its statistic reads.  LDD
+keeps each point's k nearest as an n x k index set, picked with no sort and
+kept with no distances.  kNN-KL keeps the distance matrix itself, in sample
+order, as the one ``NeighborGraph``, and sorts nothing.  MMD turns the
+distances into the kernel matrix in place and keeps O(n) block sums.
+Windows above ``MAX_PAIRWISE_N`` samples, or with features too large for
+the distance expansion, are rejected before anything n x n is allocated.
 
 The statistics take splits as ranks: a rank r puts the first r samples in
 arrival order on the before side.  Each statistic rejects a rank outside
@@ -39,9 +39,9 @@ LDD_CAP = 10.0
 #: Elements in each temporary block of a split sweep or row pass (512 KB of float64).
 _BLOCK_ELEMENTS = 1 << 16
 #: Largest window the O(n^2) neighbor and kernel fits accept.  Their n x n
-#: float64 distance matrix takes 8 n^2 bytes (800 MB at this size), the most
-#: any of them holds; a larger window raises ``ParameterError`` instead of
-#: meeting the out-of-memory killer.
+#: distance matrix takes 8 n^2 bytes (800 MB here); the median bandwidth's
+#: 1.5 times that (1.2 GB) is the most any of them holds.  A larger window
+#: raises ``ParameterError`` instead of meeting the out-of-memory killer.
 MAX_PAIRWISE_N = 10_000
 #: Largest squared norm the distance expansion accepts: below it |a|^2 + |b|^2,
 #: 2 a.b, the squared distances (at most 4x) and 2 sigma^2 (at most 8x) all

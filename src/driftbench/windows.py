@@ -246,7 +246,7 @@ def window_from_csv(path) -> Window:
     rescaled to [0, 1].
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             rows = [row for row in reader if row]

@@ -227,33 +227,39 @@ class TestHistogramMetric:
             histogram_metric("wasserstein")
 
     @pytest.mark.parametrize("name", hg.METRICS)
-    def test_stacked_rows_are_each_partitions_bits(self, name, rng):
+    def test_stacked_rows_are_each_partitions_bits(self, name, rng, monkeypatch):
         # partitions of 1 to 300 cells (pairwise sums start at 8 cells and
-        # split past 128), with empty cells, one column per split
+        # split past 128), most of their cells empty, scored at every rank
+        # from one stacked histogram on both prefix storage paths
         metric = histogram_metric(name)
-        for _ in range(20):
-            sizes = rng.integers(1, 300, rng.integers(1, 6))
-            before = np.asfortranarray(rng.integers(0, 4, (sizes.sum(), 5)) * rng.integers(0, 2, (sizes.sum(), 5)))
-            before[np.cumsum(sizes) - 1] += 1  # no empty side
-            after = before[::-1].copy(order="F")
-            rows = metric(before, after, sizes)
-            assert rows.shape == (len(sizes), 5)
-            for row, lo, size in zip(rows, np.cumsum(sizes) - sizes, sizes):
-                part = slice(lo, lo + size)
-                assert row.tobytes() == reference_metric(name, before[part], after[part]).tobytes()
-                assert row.tobytes() == np.array([metric(before[part, j], after[part, j]) for j in range(5)]).tobytes()
+        n = 40
+        times = np.sort(rng.uniform(0, 1, n))
+        ranks = np.arange(1, n)
+        for limit in (hg.DENSE_PREFIX_LIMIT, 0):
+            monkeypatch.setattr(hg, "DENSE_PREFIX_LIMIT", limit)
+            for _ in range(10):
+                sizes = rng.integers(1, 300, rng.integers(1, 6))
+                offsets = np.cumsum(sizes) - sizes
+                ch = CumulativeHistogram(offsets[:, None] + rng.integers(0, sizes[:, None], (len(sizes), n)), times, sizes)
+                assert (ch._prefix is None) == (limit == 0)
+                rows = metric.rows(*ch.side_distributions(ranks, metric.smoothing), ch.sizes)
+                assert rows.shape == (len(sizes), n - 1)
+                before = ch.counts_before_ranks(ranks)
+                after = ch.totals[:, None] - before
+                for row, lo, size in zip(rows, offsets, sizes):
+                    part = slice(lo, lo + size)
+                    assert row.tobytes() == metric(before[part], after[part]).tobytes()
+                    assert row.tobytes() == reference_metric(name, before[part], after[part]).tobytes()
+                    assert row.tobytes() == np.array([metric(before[part, j], after[part, j]) for j in range(n - 1)]).tobytes()
 
-    def test_stacked_checks_every_partition(self):
+    def test_checks_every_split_column(self):
         metric = histogram_metric("tv")
-        before = np.array([[1, 2], [0, 1], [3, 0]])
-        assert metric(before, before, [1, 2]).shape == (2, 2)
-        with pytest.raises(ParameterError, match="empty"):  # partition 1 is empty before split 1
-            metric(before, before, [2, 1])
+        before = np.array([[1, 2], [3, 0]])
+        assert metric(before, before).shape == (2,)
+        with pytest.raises(ParameterError, match="empty"):  # nothing after split 1
+            metric(before, before * [1, 0])
         with pytest.raises(ParameterError, match="negative"):
-            metric(before, -before, [1, 2])
-        for sizes in ([1, 1], [3, 1], [0, 3], []):
-            with pytest.raises(ParameterError):
-                metric(before, before, sizes)
+            metric(before, -before)
 
 
 PROPERTY = settings(derandomize=True, max_examples=60, database=None, deadline=None)
@@ -327,6 +333,30 @@ class TestProperties:
             assert want.flags.f_contiguous
             assert np.array_equal(stacked[lo : lo + size], want)
             assert np.array_equal(ch.totals[lo : lo + size], single.totals)
+
+    @pytest.mark.parametrize("dense", [True, False])
+    @PROPERTY
+    @given(stack=cell_stacks())
+    def test_side_distributions_rank_by_rank_equal_batch(self, dense, stack):
+        rows, times, sizes = stack
+        offsets = np.cumsum([0] + sizes)[:-1]
+        with pytest.MonkeyPatch.context() as mp:
+            if not dense:
+                mp.setattr(hg, "DENSE_PREFIX_LIMIT", 0)
+            ch = CumulativeHistogram(rows + offsets[:, None], times, sizes)
+        n = len(times)
+        ranks = np.arange(1, n)
+        for smoothing in (0.0, hg.KL_SMOOTHING):
+            before, after = ch.side_distributions(ranks, smoothing)
+            assert before.shape == after.shape == (sum(sizes), n - 1)
+            assert before.flags.f_contiguous and after.flags.f_contiguous
+            for j, rank in enumerate(ranks):
+                one_before, one_after = ch.side_distributions([rank], smoothing)
+                assert one_before[:, 0].tobytes() == before[:, j].tobytes()
+                assert one_after[:, 0].tobytes() == after[:, j].tobytes()
+            for rank in (0, n):
+                with pytest.raises(InvalidSplitError):
+                    ch.side_distributions([rank], smoothing)
 
     @PROPERTY
     @given(pair=count_pairs())

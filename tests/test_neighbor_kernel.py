@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -515,6 +517,31 @@ class TestSizeGuard:
         for fit in fits:
             with pytest.raises(ParameterError, match="MAX_PAIRWISE_N"):
                 fit()
+
+    @pytest.mark.parametrize(
+        "fit, matrices",
+        [
+            (lambda w: build_kernel_gram(w), 1.5),  # the median copies the strict upper triangle
+            (lambda w: build_kernel_gram(w, bandwidth=1.0), 1.0),
+            (lambda w: build_neighbor_graph(w, 2), 1.0),
+            (lambda w: build_neighbor_lists(w, 10), 1.0),
+        ],
+        ids=["gram-median", "gram-fixed", "neighbor-graph", "neighbor-lists"],
+    )
+    def test_fit_peak_memory_is_the_documented_multiple_of_one_matrix(self, fit, matrices):
+        # the module docstring, MAX_PAIRWISE_N and README give these peaks;
+        # row blocks add a few temporaries of the sweep budget on top
+        n = 2000
+        rng = np.random.default_rng(0)
+        w = Window(rng.normal(size=(n, 3)), np.sort(rng.uniform(0, 1, n)))
+        matrix = 8 * n * n
+        tracemalloc.start()
+        try:
+            fit(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (matrices - 0.01) * matrix <= peak <= matrices * matrix + 6 * 8 * neighbor_kernel._BLOCK_ELEMENTS
 
     def test_squared_norms_up_to_an_eighth_of_the_float_range(self, rng):
         # below the limit every intermediate of the distance expansion and of

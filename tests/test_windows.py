@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driftbench.errors import DataError, ParameterError
 from driftbench.windows import (
@@ -107,6 +108,15 @@ class TestPermuteTimestamps:
         w = Window(rng.normal(size=(30, 1)), np.sort(rng.uniform(0, 1, 30)))
         out = permute_timestamps(w, 3)
         assert np.all(np.diff(out.t) >= 0)
+
+    @settings(derandomize=True, max_examples=40, database=None, deadline=None)
+    @given(ticks=st.lists(st.integers(0, 10), min_size=1, max_size=200), seed=st.integers(0, 2**32 - 1))
+    def test_tied_rows_keep_their_arrival_order(self, ticks, seed):
+        # each row's feature is its arrival index, so rows that draw one
+        # timestamp must come out in increasing feature order
+        out = permute_timestamps(window_from_times(np.sort(ticks) / 10.0), seed)
+        for t in np.unique(out.t):
+            assert np.all(np.diff(out.x[out.t == t, 0]) > 0)
 
 
 def uniform_sampler(lo, hi):
@@ -254,6 +264,16 @@ class TestCsv:
         # a dict keyed by header name kept only the last of the repeated columns
         with pytest.raises(DataError, match=re.escape(f"repeated column name(s) [{name!r}]")):
             window_from_csv(self.write(tmp_path, text))
+
+    @pytest.mark.parametrize("text", ["t,x0\n5,1\n3,2\n4,3\n", "label,x0\nup,1\ndown,2\nup,3\n"])
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, text):
+        # spreadsheet exports start UTF-8 files with a byte-order mark
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        want, got = window_from_csv(plain), window_from_csv(marked)
+        assert np.array_equal(got.x, want.x) and np.array_equal(got.t, want.t)
+        assert got.label_feature_appended == want.label_feature_appended
 
     @pytest.mark.parametrize("data", [b"a,b\n1,\xff\n3,4\n", b"\xff\xfea,b\n1,2\n"])
     def test_non_utf8_bytes_are_a_data_error_naming_the_file(self, tmp_path, data):

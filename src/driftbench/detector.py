@@ -123,8 +123,7 @@ class _PartitionDescriptor(Descriptor):
         # blocks of ranks keep the metric's largest temporary, the counts of
         # both sides as one (cells x 2 ranks) block, within the sweep budget
         for block in neighbor_kernel._row_blocks(len(ranks), 2 * self._hist.n_cells):
-            before, after = self._hist.side_distributions(ranks[block], self.metric.smoothing)
-            rows = self.metric.rows(before, after, self._hist.sizes)
+            rows = self._hist.metric_rows(ranks[block], self.metric)
             # a sequential fold from _start in partition order, so the forest's
             # sum adds its trees one at a time, as a loop would
             rows[0] = self._combine(self._start, rows[0])

@@ -1,20 +1,19 @@
 """Cumulative cell histograms and the histogram metrics.
 
-The cumulative histogram stores, per cell, prefix counts over arrival
-order; a descriptor builds one over the stacked cells of all its
-partitions (``partitions.stacked_cells``, one row per partition).  After
-that one build, the before/after histograms of any split come from a
-prefix subtraction whose cost depends on the number of cells, not the
-window length; that is what makes every binning and tree descriptor cheap
-to scan over all candidate split points.  A rank or time that leaves a
-side empty raises ``InvalidSplitError``, under the split rule of
-``windows``.
+The cumulative histogram stores, per cell, prefix counts over arrival order;
+a descriptor builds one over the stacked cells of all its partitions
+(``partitions.stacked_cells``, one row per partition).  After that one build,
+the before/after histograms of any split come from a prefix subtraction
+whose cost depends on the number of cells, not the window length; that is
+what makes every binning and tree descriptor cheap to scan over all
+candidate split points.  A rank or time that leaves a side empty raises
+``InvalidSplitError``, under the split rule of ``windows``.
 
 Every metric is reached through ``histogram_metric(name)``, one of
 ``METRICS``; ``to_distribution`` and ``total_variation`` work on plain
-distributions.  A scan scores the whole stack at once: ``side_distributions``
-divides each side's (cells x splits) counts by that side's sample count,
-every partition's total, and the metric's ``rows`` give a row per partition.
+distributions.  A scan scores the whole stack with ``metric_rows``: each
+side's (cells x splits) counts over the side's sample count, every
+partition's total, then the metric's row function, a row per partition.
 Every step is elementwise except the sum over a partition's cells, which
 runs on that partition's contiguous run of each column of a column-major
 block, so each value has the bits a partition scored alone would have.
@@ -96,10 +95,9 @@ class CumulativeHistogram:
         return out
 
     def side_distributions(self, ranks, smoothing: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        """Every row's before and after distributions per queried rank, the
-        halves of one column-major (n_cells, 2 * len(ranks)) block: each cell
-        count plus ``smoothing``, over the side's sample count (the rank, or n
-        minus it: each sample lies in one cell of each row) plus ``smoothing``
+        """Every row's before and after distributions per queried rank, halves of one column-major
+        (n_cells, 2 * len(ranks)) block: each cell count plus ``smoothing``, over the side's sample
+        count (the rank, or n minus it: each sample lies in one cell of each row) plus ``smoothing``
         per cell of the row.  A rank outside [1, n-1] raises ``InvalidSplitError``."""
         ranks = _checked_ranks(ranks, self.n)
         before = self.counts_before_ranks(ranks)
@@ -114,6 +112,10 @@ class CumulativeHistogram:
             totals = np.add.outer(totals, smoothing * np.repeat(self.sizes, self.sizes)).T
         block /= totals
         return block[:, :m], block[:, m:]
+
+    def metric_rows(self, ranks, metric) -> np.ndarray:
+        """``metric`` (from ``histogram_metric``) of every row per queried rank, (rows, len(ranks))."""
+        return metric.rows(*self.side_distributions(ranks, metric.smoothing), self.sizes)
 
     def counts_at(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Before/after cell counts of the split at time ``t``; a time before
@@ -239,8 +241,7 @@ def histogram_metric(name: str):
     (before || after) each cell count gets the ``KL_SMOOTHING`` pseudo-count
     before normalization, which keeps the statistic finite on zero cells.
 
-    A scan applies the metric's ``rows`` to the distributions that
-    ``CumulativeHistogram.side_distributions`` gives with its ``smoothing``.
+    ``CumulativeHistogram.metric_rows`` scores every partition of a stack at once.
     """
     name = name.lower()
     if name not in METRICS:

@@ -10,8 +10,7 @@ code 1); any other outcome, a pass or a collection, usage or internal error,
 counts against it.  The script exits 1 unless every mutant is killed, and a
 mutant whose old text does not occur exactly once is reported, not skipped.
 
-    python tests/mutants.py               # every mutant
-    python tests/mutants.py NAME [NAME]   # the named ones
+    python tests/mutants.py
 """
 
 from __future__ import annotations
@@ -179,15 +178,9 @@ def run(mutant: Mutant) -> tuple[bool, str]:
         return done.returncode == 1, failed[0] if failed else f"pytest exit code {done.returncode}"
 
 
-def main(names) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}")
-        return 2
+def main() -> int:
     missed = 0
     for mutant in MUTANTS:
-        if names and mutant.name not in names:
-            continue
         start = time.perf_counter()
         killed, detail = run(mutant)
         missed += not killed
@@ -199,4 +192,4 @@ def main(names) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

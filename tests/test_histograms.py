@@ -242,7 +242,7 @@ class TestHistogramMetric:
                 offsets = np.cumsum(sizes) - sizes
                 ch = CumulativeHistogram(offsets[:, None] + rng.integers(0, sizes[:, None], (len(sizes), n)), times, sizes)
                 assert (ch._prefix is None) == (limit == 0)
-                rows = metric.rows(*ch.side_distributions(ranks, metric.smoothing), ch.sizes)
+                rows = ch.metric_rows(ranks, metric)
                 assert rows.shape == (len(sizes), n - 1)
                 before = ch.counts_before_ranks(ranks)
                 after = ch.totals[:, None] - before
@@ -357,6 +357,12 @@ class TestProperties:
             for rank in (0, n):
                 with pytest.raises(InvalidSplitError):
                     ch.side_distributions([rank], smoothing)
+        for name in hg.METRICS:
+            metric = histogram_metric(name)
+            batch = ch.metric_rows(ranks, metric)
+            assert batch.shape == (len(sizes), n - 1)
+            for j, rank in enumerate(ranks):
+                assert ch.metric_rows([rank], metric)[:, 0].tobytes() == batch[:, j].tobytes()
 
     @PROPERTY
     @given(pair=count_pairs())

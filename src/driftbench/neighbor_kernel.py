@@ -2,13 +2,15 @@
 
 Each fit builds the window's pairwise distances once (O(n^2) time), one
 n x n float64 matrix at its peak (1.5 under MMD's median bandwidth, which
-copies its upper triangle), and keeps only what its statistic reads.  LDD
-keeps each point's k nearest as an n x k index set, picked with no sort and
-kept with no distances.  kNN-KL keeps the distance matrix itself, in sample
-order, as the one ``NeighborGraph``, and sorts nothing.  MMD turns the
-distances into the kernel matrix in place and keeps O(n) block sums.
-Windows above ``MAX_PAIRWISE_N`` samples, or with features too large for
-the distance expansion, are rejected before anything n x n is allocated.
+copies its upper triangle and partitions it once at the middle), and keeps
+only what its statistic reads.  LDD keeps each point's k nearest as an n x k
+index set, picked by one partition per row (the tie fill runs only on rows
+with more than k candidates) and kept with no distances.  kNN-KL keeps the
+distance matrix itself, in sample order, as the one ``NeighborGraph``, and
+sorts nothing.  MMD turns the distances into the kernel matrix in place and
+keeps O(n) block sums.  Windows above ``MAX_PAIRWISE_N`` samples, or with
+features too large for the distance expansion, are rejected before anything
+n x n is allocated.
 
 The statistics take splits as ranks: a rank r puts the first r samples in
 arrival order on the before side.  Each statistic rejects a rank outside
@@ -118,20 +120,23 @@ def build_neighbor_lists(w: Window, k: int = 10) -> np.ndarray:
     """Each sample's k nearest others (k capped at n - 1) as a row of an
     (n, k) index array: a set in ascending index order, not sorted by
     distance, with distance ties going to the lower index.  As a set, a row
-    is the first k columns of a stable argsort of the distance row.  Row
-    blocks keep the temporaries within the sweep budget."""
+    is the first k columns of a stable argsort of the distance row: the
+    entries at or below the row's k-th distance, tie-filled only where they
+    are more than k.  Row blocks keep the temporaries within the budget."""
     d, k = _distance_rows(w, k)
     out = np.empty((len(d), k), dtype=np.intp)
     for rows in _row_blocks(len(d), len(d)):
         block = d[rows]
         kth = np.partition(block, k - 1, axis=1)[:, k - 1 : k]
-        closer = block < kth
-        # fewer than k entries lie strictly closer; the lowest-index ties
-        # with the k-th value fill the rest
-        tied = block == kth
-        missing = k - np.count_nonzero(closer, axis=1)
-        closer |= tied & (np.cumsum(tied, axis=1) <= missing[:, None])
-        out[rows] = np.nonzero(closer)[1].reshape(len(block), k)
+        near = block <= kth
+        if np.count_nonzero(near) > k * len(block):
+            # some row has more than k: there the lowest-index ties fill what lies closer
+            surplus = np.flatnonzero(np.count_nonzero(near, axis=1) > k)
+            sub, kth = block[surplus], kth[surplus]
+            closer, tied = sub < kth, sub == kth
+            missing = k - np.count_nonzero(closer, axis=1)
+            near[surplus] = closer | tied & (np.cumsum(tied, axis=1) <= missing[:, None])
+        out[rows] = np.nonzero(near)[1].reshape(len(block), k)
     return out
 
 
@@ -239,12 +244,16 @@ class KernelGram:
 
 def _median_distance(d: np.ndarray) -> float:
     """Median of the strict upper triangle of a distance matrix (1.0 when
-    it is empty or the median is 0)."""
+    it is empty or the median is 0): one partition of its copy at h, the
+    middle index, and for an even count the ``np.mean`` of the maximum below
+    h and the value at h, the two values ``np.median`` averages."""
     n = len(d)
     if n < 2:
         return 1.0
     upper = np.concatenate([d[i, i + 1 :] for i in range(n - 1)])
-    med = float(np.median(upper, overwrite_input=True))
+    h = len(upper) // 2
+    upper.partition(h)
+    med = float(np.mean([upper[:h].max(), upper[h]]) if len(upper) % 2 == 0 else upper[h])
     return med if med > 0 else 1.0
 
 

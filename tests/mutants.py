@@ -149,6 +149,27 @@ MUTANTS = (
         "KL smooths each partition's total by that partition's own cell count",
         ("test_histograms.py", "test_detector.py"),
     ),
+    Mutant(
+        "median_lower_index", "neighbor_kernel.py",
+        "h = len(upper) // 2",
+        "h = (len(upper) - 1) // 2",
+        "an even pair count's median averages the values at ranks h - 1 and h, not h - 2 and h - 1",
+        ("test_neighbor_kernel.py", "test_golden.py"),
+    ),
+    Mutant(
+        "median_min_below", "neighbor_kernel.py",
+        "upper[:h].max()",
+        "upper[:h].min()",
+        "the lower middle value is the largest entry below the partition index",
+        ("test_neighbor_kernel.py", "test_golden.py"),
+    ),
+    Mutant(
+        "surplus_fill_short", "neighbor_kernel.py",
+        "<= missing[:, None]",
+        "< missing[:, None]",
+        "a row with surplus ties takes exactly the ties it is missing, lowest index first",
+        ("test_neighbor_kernel.py", "test_golden.py"),
+    ),
 )
 
 
@@ -174,8 +195,13 @@ def run(mutant: Mutant) -> tuple[bool, str]:
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *_test_order(mutant.first)]
         done = subprocess.run(command, cwd=tmp, env={**os.environ, "PYTHONPATH": str(tmp / "src")},
                               capture_output=True, text=True)
-        failed = [line for line in done.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
-        return done.returncode == 1, failed[0] if failed else f"pytest exit code {done.returncode}"
+        lines = done.stdout.splitlines()
+        failed = [line for line in lines if line.startswith(("FAILED", "ERROR"))]
+        if done.returncode == 1:
+            return True, failed[0] if failed else "pytest exit code 1"
+        # an internal error's traceback ends with the exception that stopped pytest
+        internal = [line for line in lines if line.startswith("INTERNALERROR")][-1:]
+        return False, "; ".join([f"pytest exit code {done.returncode}", *internal, *failed[:1]])
 
 
 def main() -> int:

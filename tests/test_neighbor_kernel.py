@@ -98,15 +98,25 @@ class TestNeighborGraph:
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 10, 20])
     def test_top_k_lists_equal_full_prefix(self, k):
         # tie-heavy integer grids (one over several row blocks), an all-zero
-        # window and continuous data
+        # window, continuous data, and a window over several row blocks whose
+        # every block mixes rows with surplus ties at the k-th distance (an
+        # integer lattice and duplicated rows) and rows without them
         rng = np.random.default_rng(200 + k)
+        mixed = rng.normal(size=(600, 2))
+        mixed[::4] = np.round(mixed[::4])
+        mixed[1::7] = mixed[rng.choice(600, len(mixed[1::7]))]
         cases = [
             Window(rng.integers(0, 3, size=(700, 2)).astype(float), np.sort(rng.uniform(0, 1, 700))),
             Window(rng.integers(0, 5, size=(90, 1)).astype(float), np.sort(rng.uniform(0, 1, 90))),
             Window(np.zeros((40, 2)), np.sort(rng.uniform(0, 1, 40))),
             Window(rng.normal(size=(120, 4)), np.sort(rng.uniform(0, 1, 120))),
+            Window(mixed, np.sort(rng.uniform(0, 1, 600))),
         ]
         assert len(cases[0]) ** 2 > 4 * neighbor_kernel._BLOCK_ELEMENTS
+        dist = build_neighbor_graph(cases[-1], k).dist
+        surplus = np.count_nonzero(dist <= np.partition(dist, k - 1, axis=1)[:, k - 1 : k], axis=1) > k
+        blocks = list(neighbor_kernel._row_blocks(600, 600))
+        assert len(blocks) > 4 and all(0 < np.count_nonzero(surplus[b]) < len(surplus[b]) for b in blocks)
         for w in cases:
             order = np.argsort(build_neighbor_graph(w, k).dist, axis=1, kind="stable")[:, :k]
             lists = build_neighbor_lists(w, k)
@@ -487,6 +497,24 @@ class TestDistanceBuffer:
             d = unblocked_distances(x)
             expected = float(np.median(d[np.triu_indices(len(x), k=1)]))
             assert build_kernel_gram(Window(x, np.linspace(0, 1, len(x)))).sigma == expected
+
+    def test_median_distance_equals_np_median(self):
+        # odd and even pair counts (n = 2..7 give 1, 3, 6, 10, 15, 21), rounded
+        # ties, all-equal distances, and an even count split between two
+        # values exactly at the middle, so the two middle values differ
+        rng = np.random.default_rng(17)
+        cases = []
+        for n in (2, 3, 4, 5, 6, 7, 40, 41):
+            m = rng.uniform(0.5, 2.0, size=(n, n))
+            cases += [m, np.round(m, 1), np.full((n, n), 0.75)]
+        for n in (4, 5, 8, 41):
+            m, upper = np.zeros((n, n)), np.triu_indices(n, k=1)
+            m[upper] = rng.permutation(np.repeat([0.5, 2.0], len(upper[0]) // 2))
+            cases.append(m)
+        for m in cases:
+            expected = float(np.median(m[np.triu_indices(len(m), k=1)]))
+            assert neighbor_kernel._median_distance(m) == expected
+        assert neighbor_kernel._median_distance(np.zeros((4, 4))) == 1.0
 
     def test_kernel_matrix_equals_formula(self):
         # the block sums reduce the formula's matrix, bit for bit

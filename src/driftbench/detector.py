@@ -24,6 +24,7 @@ estimate and, after permutation normalization, a p-value.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -320,6 +321,10 @@ def detect_drift(
     Each replicate refits the descriptor from scratch on the permuted window
     and takes its scan maximum.
     """
+    try:
+        n_perms = operator.index(n_perms)
+    except TypeError:
+        raise ParameterError(f"n_perms must be an integer, got {n_perms!r}") from None
     if n_perms < 19:
         raise ParameterError("n_perms must be at least 19")
     if not 0.0 < alpha < 1.0:

@@ -24,6 +24,7 @@ import functools
 import hashlib
 import inspect
 import json
+import operator
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -176,6 +177,11 @@ class ExperimentConfig:
         object.__setattr__(self, "datasets", tuple(self.datasets))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "split_positions", tuple(float(p) for p in self.split_positions))
+        for name in ("n", "repetitions", "noise_dims", "seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ParameterError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if not self.datasets or not self.estimators:
             raise ParameterError("datasets and estimators must each list at least one id")
         if self.repetitions < 1 or self.n < 4:

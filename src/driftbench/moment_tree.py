@@ -321,8 +321,6 @@ def fit_moment_forests(
         raise ParameterError("n_trees must be >= 1")
     if variant not in (VARIANT_DT, VARIANT_RF):
         raise ParameterError(f"unknown variant {variant!r}")
-    if any(len(w) == 0 for w in windows):
-        raise ParameterError("cannot fit on an empty window")
     for w in windows:
         _require_halvable(w)
     rngs = [as_generator(r) for r in rngs]

@@ -8,9 +8,9 @@ index set, picked by one partition per row (the tie fill runs only on rows
 with more than k candidates) and kept with no distances.  kNN-KL keeps the
 distance matrix itself, in sample order, as the one ``NeighborGraph``, and
 sorts nothing.  MMD turns the distances into the kernel matrix in place and
-keeps O(n) block sums.  Windows above ``MAX_PAIRWISE_N`` samples, or with
-features too large for the distance expansion, are rejected before anything
-n x n is allocated.
+keeps O(n) block sums.  ``_pairwise_distances`` rejects a window of fewer
+than two or more than ``MAX_PAIRWISE_N`` samples, or with features too large
+for the distance expansion, before anything n x n is allocated.
 
 The statistics take splits as ranks: a rank r puts the first r samples in
 arrival order on the before side.  Each statistic rejects a rank outside
@@ -63,6 +63,8 @@ def _pairwise_distances(x: np.ndarray) -> np.ndarray:
     """Euclidean distances as sqrt(max(|a|^2 + |b|^2 - 2 a.b, 0)), built in
     one n x n buffer: the subtraction runs in row blocks, the rest in place."""
     n = len(x)
+    if n < 2:
+        raise ParameterError("need at least two samples")
     if n > MAX_PAIRWISE_N:
         raise ParameterError(
             f"window of {n} samples exceeds MAX_PAIRWISE_N={MAX_PAIRWISE_N} for an O(n^2) neighbor or kernel fit"
@@ -101,14 +103,11 @@ class NeighborGraph:
 
 def _distance_rows(w: Window, k: int) -> tuple[np.ndarray, int]:
     """The window's distance matrix, +inf on the diagonal, and k capped at n - 1."""
-    n = len(w)
-    if n < 2:
-        raise ParameterError("need at least two samples")
     if k < 1:
         raise ParameterError("k must be >= 1")
     d = _pairwise_distances(w.x)
     np.fill_diagonal(d, np.inf)
-    return d, min(k, n - 1)
+    return d, min(k, len(w) - 1)
 
 
 def build_neighbor_graph(w: Window, k: int = 10) -> NeighborGraph:
@@ -243,14 +242,11 @@ class KernelGram:
 
 
 def _median_distance(d: np.ndarray) -> float:
-    """Median of the strict upper triangle of a distance matrix (1.0 when
-    it is empty or the median is 0): one partition of its copy at h, the
-    middle index, and for an even count the ``np.mean`` of the maximum below
-    h and the value at h, the two values ``np.median`` averages."""
-    n = len(d)
-    if n < 2:
-        return 1.0
-    upper = np.concatenate([d[i, i + 1 :] for i in range(n - 1)])
+    """Median of the strict upper triangle of a distance matrix of at least
+    two samples (1.0 when the median is 0): one partition of its copy at h,
+    the middle index, and for an even count the ``np.mean`` of the maximum
+    below h and the value at h, the two values ``np.median`` averages."""
+    upper = np.concatenate([d[i, i + 1 :] for i in range(len(d) - 1)])
     h = len(upper) // 2
     upper.partition(h)
     med = float(np.mean([upper[:h].max(), upper[h]]) if len(upper) % 2 == 0 else upper[h])
@@ -266,8 +262,6 @@ def build_kernel_gram(w: Window, bandwidth="median") -> KernelGram:
     """Block sums of the Gram matrix of exp(-||x-y||^2 / (2 sigma^2)) in
     arrival order, formed in place in the distance matrix that also gives
     the median bandwidth."""
-    if len(w) < 2:
-        raise ParameterError("need at least two samples")
     _check_bandwidth(bandwidth)
     K = _pairwise_distances(w.x)
     sigma = _median_distance(K) if bandwidth == "median" else float(bandwidth)

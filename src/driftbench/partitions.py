@@ -144,13 +144,13 @@ class TreePartition(Partition):
     """Axis-aligned binary tree whose leaves are the cells.
 
     Stored as flat arrays; ``feature[i] < 0`` marks node i as a leaf with
-    cell index ``cell[i]``.
+    cell index ``cell[i]`` and a NaN threshold; an inner node's children are
+    ``left[i]`` and ``left[i] + 1``, as ``trees_from_splits`` numbers them.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     cell: np.ndarray
 
     @property
@@ -166,7 +166,7 @@ class TreePartition(Partition):
             "feature": self.feature.tolist(),
             "threshold": [None if f < 0 else t for f, t in zip(self.feature, self.threshold)],
             "left": self.left.tolist(),
-            "right": self.right.tolist(),
+            "right": np.where(self.feature < 0, -1, self.left + 1).tolist(),
             "cell": self.cell.tolist(),
         }
 
@@ -180,7 +180,7 @@ def trees_from_splits(split_lists) -> list[TreePartition]:
     counts = np.array([len(splits) for splits in split_lists], dtype=np.int64)
     sizes = 2 * counts + 1
     starts = np.concatenate(([0], np.cumsum(sizes)))
-    feature, left, right, cell = (np.full(starts[-1], -1, dtype=np.int64) for _ in range(4))
+    feature, left, cell = (np.full(starts[-1], -1, dtype=np.int64) for _ in range(3))
     threshold = np.full(starts[-1], np.nan)
     flat = [split for splits in split_lists for split in splits]
     if flat:
@@ -188,31 +188,31 @@ def trees_from_splits(split_lists) -> list[TreePartition]:
         node = node + np.repeat(starts[:-1], counts)
         k = np.arange(len(flat)) - np.repeat(np.cumsum(counts) - counts, counts)
         feature[node], threshold[node] = feature_of, threshold_of
-        left[node], right[node] = 2 * k + 1, 2 * k + 2
+        left[node] = 2 * k + 1
     leaf = feature < 0
     leaves_before = np.cumsum(leaf) - leaf
     cell[leaf] = (leaves_before - np.repeat(leaves_before[starts[:-1]], sizes))[leaf]
-    arrays = (feature, threshold, left, right, cell)
+    arrays = (feature, threshold, left, cell)
     return [TreePartition(*(a[start:stop] for a in arrays)) for start, stop in zip(starts[:-1], starts[1:])]
 
 
 def _walk_trees(trees, X: np.ndarray) -> np.ndarray:
     """Leaf cell of every row of ``X`` in each tree, shape (len(trees), n): all
-    trees descend at once over their concatenated nodes, each leaf its own child."""
+    trees descend at once over their concatenated nodes, a row from node i to
+    ``left[i] + (x > threshold[i])``.  Each leaf is its own left child, and its
+    NaN threshold never compares greater, so a row stays once at a leaf."""
     n, d = X.shape
     starts = np.cumsum([0] + [len(t.feature) for t in trees])
-    fields = ("feature", "threshold", "left", "right", "cell")
-    feature, threshold, left, right, cell = (np.concatenate([getattr(t, f) for t in trees]) for f in fields)
+    fields = ("feature", "threshold", "left", "cell")
+    feature, threshold, left, cell = (np.concatenate([getattr(t, f) for t in trees]) for f in fields)
     inner = feature >= 0
-    shift = np.repeat(starts[:-1], np.diff(starts))
-    # child[2 * node + goes_left]
-    child = np.where(inner, np.stack([right + shift, left + shift]), np.arange(len(inner))).T.ravel()
+    left = np.where(inner, left + np.repeat(starts[:-1], np.diff(starts)), np.arange(len(inner)))
     feature = np.where(inner, feature, 0)
     x = X.ravel()
     offset = np.tile(np.arange(n) * d, len(trees))
     node = np.repeat(starts[:-1], n)
     while inner[node].any():
-        node = child[2 * node + (x[offset + feature[node]] <= threshold[node])]
+        node = left[node] + (x[offset + feature[node]] > threshold[node])
     return cell[node].reshape(len(trees), n)
 
 
@@ -229,21 +229,15 @@ def stacked_cells(partitions, X) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(rows), len(X)) + offsets[:, None]
 
 
-def _require_window(w: Window):
-    if len(w) == 0:
-        raise ParameterError("cannot build a partition on an empty window")
-
-
 def _require_halvable(w: Window):
     """Tree builders cut at midpoints 0.5 * (a + b) and draw between two
     values; both stay finite while no feature exceeds half the largest float."""
-    if len(w) and np.abs(w.x).max() > np.finfo(float).max / 2:
+    if np.abs(w.x).max() > np.finfo(float).max / 2:
         raise DataError("features exceed half the largest float, so tree thresholds overflow; rescale the features")
 
 
 def build_marginal(w: Window, bins_per_dim: int = 8, edge_mode: str = "equilikely") -> list[Binning1D]:
     """One 1-D binning per feature (coordinate-axis projections)."""
-    _require_window(w)
     edges = column_edges(w.x, bins_per_dim, edge_mode)
     return [Binning1D(axis, e) for axis, e in zip(np.eye(w.dim), edges)]
 
@@ -265,7 +259,6 @@ def build_random_projection(
     seed=None,
 ) -> list[Binning1D]:
     """Binnings along random Gaussian directions (normalized to unit length)."""
-    _require_window(w)
     if n_axes is None:
         n_axes = 2 * w.dim
     if n_axes < 1:
@@ -291,7 +284,6 @@ def build_pca_projection(
     the large-variance structure untouched, so this builder is kept out of
     the benchmark defaults.
     """
-    _require_window(w)
     if n_axes is None:
         n_axes = w.dim
     if n_axes < 1:
@@ -308,7 +300,6 @@ def build_pca_projection(
 
 def build_grid(w: Window, bins_per_dim: int = 4, edge_mode: str = "equidistant") -> GridPartition:
     """Full product grid over all features."""
-    _require_window(w)
     edges = column_edges(w.x, bins_per_dim, edge_mode)
     if np.prod([len(e) + 1 for e in edges], dtype=float) > MAX_GRID_CELLS:
         raise ParameterError(f"grid would exceed {MAX_GRID_CELLS} cells")
@@ -328,7 +319,6 @@ def build_random_trees(w: Window, n_trees: int, n_leaves: int = 16, seed=None, m
     statistics are index reads (presorted attribute lists, as in SLIQ:
     Mehta, Agrawal & Rissanen 1996).
     """
-    _require_window(w)
     _require_halvable(w)
     if n_leaves < 2 or min_leaf < 1 or n_trees < 1:
         raise ParameterError("n_leaves must be >= 2, min_leaf >= 1 and n_trees >= 1")
@@ -381,7 +371,6 @@ def build_kdq_tree(w: Window, min_side: float = 0.05, min_count: int = 10) -> Tr
     not split when its sample count is below ``min_count`` or when halving
     the current dimension would create sides shorter than ``min_side``.
     """
-    _require_window(w)
     _require_halvable(w)
     if min_side <= 0:
         raise ParameterError("min_side must be positive")

@@ -28,7 +28,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Window:
-    """Ordered sample of (x, t) pairs with t non-decreasing in [0, 1].
+    """Ordered sample of at least one (x, t) pair, t non-decreasing in [0, 1].
 
     Parameters
     ----------
@@ -49,17 +49,18 @@ class Window:
         t = np.asarray(self.t, dtype=float)
         if x.ndim != 2:
             raise ParameterError("x must be a 2-D array of shape (n, d)")
+        if x.shape[0] == 0:
+            raise ParameterError("a window needs at least one sample")
         if t.shape != (x.shape[0],):
             raise ParameterError("t must be 1-D and aligned with x")
         if not np.isfinite(x).all():
             raise ParameterError("x must be finite")
         if not np.isfinite(t).all():
             raise ParameterError("timestamps must be finite")
-        if x.shape[0] > 0:
-            if t.min() < -1e-12 or t.max() > 1 + 1e-12:
-                raise ParameterError("timestamps must lie in [0, 1]")
-            if np.any(np.diff(t) < 0):
-                raise ParameterError("timestamps must be sorted non-decreasing")
+        if t.min() < -1e-12 or t.max() > 1 + 1e-12:
+            raise ParameterError("timestamps must lie in [0, 1]")
+        if np.any(np.diff(t) < 0):
+            raise ParameterError("timestamps must be sorted non-decreasing")
         object.__setattr__(self, "x", _freeze(x))
         object.__setattr__(self, "t", _freeze(t))
 
@@ -104,8 +105,6 @@ def candidate_split_times(w: Window, min_side: int | None = None) -> np.ndarray:
     """Distinct sample timestamps whose splits satisfy the margin constraint."""
     if min_side is not None and not min_side >= 1:
         raise ParameterError(f"min_side must be >= 1, got {min_side!r}")
-    if len(w) == 0:
-        return np.empty(0)
     if min_side is None:
         min_side = default_min_side(len(w))
     ts = np.unique(w.t)
@@ -119,8 +118,6 @@ def permute_timestamps(w: Window, seed=None) -> Window:
 
     Both marginal multisets (x rows and t values) are preserved exactly.
     """
-    if len(w) == 0:
-        raise ParameterError("cannot permute an empty window")
     rng = as_generator(seed)
     pi = rng.permutation(len(w))
     t_new = w.t[pi]

@@ -170,6 +170,27 @@ MUTANTS = (
         "a row with surplus ties takes exactly the ties it is missing, lowest index first",
         ("test_neighbor_kernel.py", "test_golden.py"),
     ),
+    Mutant(
+        "empty_window", "windows.py",
+        "if x.shape[0] == 0:",
+        "if x.shape[0] < 0:",
+        "a window holds at least one sample, the one check every consumer relies on",
+        ("test_windows.py",),
+    ),
+    Mutant(
+        "lone_sample_distances", "neighbor_kernel.py",
+        "if n < 2:",
+        "if n < 1:",
+        "every O(n^2) fit refuses a window of one sample in _pairwise_distances",
+        ("test_detector.py", "test_neighbor_kernel.py"),
+    ),
+    Mutant(
+        "walk_on_threshold_right", "partitions.py",
+        "(x[offset + feature[node]] > threshold[node])",
+        "(x[offset + feature[node]] >= threshold[node])",
+        "a point on a tree threshold goes to the left child",
+        ("test_golden.py", "test_partitions.py"),
+    ),
 )
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from driftbench.detector import (
     random_tree_estimator,
     scan_splits,
 )
-from driftbench.errors import DataError, InvalidSplitError, ParameterError
+from driftbench.errors import DataError, DriftBenchError, InvalidSplitError, ParameterError
 from driftbench.harness import ESTIMATOR_BUILDERS, make_estimator
 from driftbench.histograms import METRICS, CumulativeHistogram, histogram_metric
 from driftbench.partitions import build_random_tree
@@ -195,6 +196,17 @@ class TestDescriptorProtocol:
                 with pytest.raises(InvalidSplitError):
                     desc.statistics_at([t])
 
+    @pytest.mark.parametrize("estimator_id", sorted(ESTIMATOR_BUILDERS))
+    def test_one_sample_window_fits_or_raises_a_driftbench_error(self, estimator_id):
+        # a lone sample has no split; the O(n^2) fits refuse it in one place
+        w = Window(np.array([[0.3, 0.7]]), np.array([0.5]))
+        if estimator_id in ("ldd", "knn_kl", "mmd"):
+            with pytest.raises(ParameterError, match="need at least two samples"):
+                make_estimator(estimator_id).fit(w, seed=0)
+        else:
+            with contextlib.suppress(DriftBenchError):
+                make_estimator(estimator_id).fit(w, seed=0)
+
     def test_rank_list_path_gives_dense_bits(self, monkeypatch):
         # both prefix storage paths hand the metrics column-major counts, so
         # their sums over 8 or more cells run in the same order
@@ -312,6 +324,11 @@ class TestPermutationNormalize:
         for kwargs in ({"n_perms": 18}, {"alpha": 1.0}, {"alpha": float("nan")}):
             with pytest.raises(ParameterError):
                 detect_drift(Unfittable(), w, **kwargs)
+
+    def test_fractional_permutation_count_is_parameter_error(self):
+        w = make_paired(BLOCK_BEFORE, BLOCK_AFTER, 100, seed=0).drifting
+        with pytest.raises(ParameterError, match="n_perms must be an integer"):
+            detect_drift(marginal_estimator(), w, n_perms=19.5)
 
     def test_stagger_rf_detects_at_5_percent(self):
         from driftbench.generators import stagger_pair

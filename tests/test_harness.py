@@ -310,6 +310,13 @@ class TestRunGrid:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("name", ["n", "repetitions", "noise_dims", "seed"])
+    def test_integer_fields_must_be_integers(self, name):
+        with pytest.raises(ParameterError, match=f"{name} must be an integer, got 1.5"):
+            ExperimentConfig(**{name: 1.5})
+        cfg = ExperimentConfig(**{name: np.int64(5)})
+        assert getattr(cfg, name) == 5 and type(getattr(cfg, name)) is int
+
     def test_positions_must_include_drift_point(self):
         with pytest.raises(ParameterError):
             ExperimentConfig(split_positions=(0.53, 0.62))

@@ -382,7 +382,6 @@ class TestLockstepGrowerMatchesRecursion:
                 feature=np.array(doc["feature"]),
                 threshold=np.array([np.nan if v is None else v for v in doc["threshold"]]),
                 left=np.array(doc["left"]),
-                right=np.array(doc["right"]),
                 cell=np.array(doc["cell"]),
             ))
             for doc in reference_forest(w, 16, config, 5, VARIANT_RF)

@@ -324,13 +324,13 @@ class TestSerialization:
 def reference_layout(splits) -> TreePartition:
     """One tree laid out alone from its list of splits."""
     size = 2 * len(splits) + 1
-    feature, left, right, cell = (np.full(size, -1, dtype=np.int64) for _ in range(4))
+    feature, left, cell = (np.full(size, -1, dtype=np.int64) for _ in range(3))
     threshold = np.full(size, np.nan)
     for k, (node, f, thr) in enumerate(splits):
-        feature[node], threshold[node], left[node], right[node] = f, thr, 2 * k + 1, 2 * k + 2
+        feature[node], threshold[node], left[node] = f, thr, 2 * k + 1
     leaves = np.flatnonzero(feature < 0)
     cell[leaves] = np.arange(len(leaves))
-    return TreePartition(feature, threshold, left, right, cell)
+    return TreePartition(feature, threshold, left, cell)
 
 
 def reference_random_tree(w, n_leaves, rng, min_leaf) -> TreePartition:
@@ -391,7 +391,7 @@ class TestTreeFromSplits:
         assert len(trees) == len(split_lists)
         for tree, splits in zip(trees, split_lists):
             expected = reference_layout(splits)
-            for field in ("feature", "threshold", "left", "right", "cell"):
+            for field in ("feature", "threshold", "left", "cell"):
                 got, want = getattr(tree, field), getattr(expected, field)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             assert tree.feature.base is trees[0].feature.base
@@ -496,7 +496,7 @@ def descend(tree, x):
     """Leaf cell of one point, found node by node."""
     node = 0
     while tree.feature[node] >= 0:
-        node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+        node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.left[node] + 1
     return tree.cell[node]
 
 

@@ -38,6 +38,10 @@ class TestWindow:
         with pytest.raises(ParameterError, match="x must be finite"):
             Window(np.array([[0.0], [np.inf]]), np.array([0.1, 0.9]))
 
+    def test_rejects_zero_rows(self):
+        with pytest.raises(ParameterError, match="a window needs at least one sample"):
+            Window(np.zeros((0, 2)), np.zeros(0))
+
     def test_immutable_arrays(self):
         w = window_from_times([0.1, 0.2])
         with pytest.raises(ValueError):

@@ -26,7 +26,7 @@ import itertools
 import numpy as np
 
 from .errors import ParameterError
-from .windows import _checked_ranks
+from .windows import _checked_ranks, _scan_rows
 
 # Above this many prefix entries (cells * (n+1)) in any row of cells, the dense matrix is
 # replaced by per-cell sorted arrival ranks; lookups stay equivalent.
@@ -69,11 +69,13 @@ class CumulativeHistogram:
         self._prefix = self._ranks = None
         if sizes.max(initial=0) * (self.n + 1) <= DENSE_PREFIX_LIMIT:
             # rank-major, so the counts of all cells at one rank are one
-            # contiguous row: a scan gathers whole rows
+            # contiguous row: a scan gathers whole rows, and the prefix sum
+            # down the ranks adds whole rows (``_scan_rows``) where a
+            # stack has enough cells
             self._prefix = np.zeros((self.n + 1, self.n_cells), dtype=np.int32)
             # rows own disjoint cells, so no (rank, cell) entry is hit twice
             self._prefix[np.arange(1, self.n + 1), rows] = 1
-            np.cumsum(self._prefix, axis=0, out=self._prefix)
+            _scan_rows(np.add, self._prefix)
         else:
             order = np.argsort(rows.ravel(), kind="stable") % max(self.n, 1)
             self._ranks = np.split(order, np.cumsum(self.totals)[:-1])

@@ -5,7 +5,8 @@ n x n float64 matrix at its peak (1.5 under MMD's median bandwidth, which
 copies its upper triangle and partitions it once at the middle), and keeps
 only what its statistic reads.  LDD keeps each point's k nearest as an n x k
 index set, picked by one partition per row (the tie fill runs only on rows
-with more than k candidates) and kept with no distances.  kNN-KL keeps the
+with more than k candidates), read off the flat indices of a row block's
+picks and kept with no distances.  kNN-KL keeps the
 distance matrix itself, in sample order, as the one ``NeighborGraph``, and
 sorts nothing.  MMD turns the distances into the kernel matrix in place and
 keeps O(n) block sums.  ``_pairwise_distances`` rejects a window of fewer
@@ -20,7 +21,9 @@ The kNN statistics sweep all requested splits at once: LDD counts each
 neighbor pair once per block of sorted splits, O(n k) per block plus O(n)
 per split, and kNN-KL reads every split's k-th same-side and other-side
 distance off running k-th minima of the distance rows in one O(k n^2) pass,
-then costs O(n) per split.  Every sweep and row pass works in blocks that
+then costs O(n) per split; each running minimum covers only the columns a
+split reads.  Running sums and minima are exact, so trimming or regrouping
+them leaves every bit.  Every sweep and row pass works in blocks that
 ``_row_blocks`` sizes against one fixed element budget; the only scratch
 arrays that grow with n are LDD's n k neighbor pairs and kNN-KL's per-split
 terms (splits x before-side rows, under half the matrix's size).
@@ -34,7 +37,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .windows import Window, _checked_ranks
+from .windows import Window, _checked_ranks, _scan_rows
 
 DISTANCE_FLOOR = 1e-12
 LDD_CAP = 10.0
@@ -123,8 +126,9 @@ def build_neighbor_lists(w: Window, k: int = 10) -> np.ndarray:
     entries at or below the row's k-th distance, tie-filled only where they
     are more than k.  Row blocks keep the temporaries within the budget."""
     d, k = _distance_rows(w, k)
-    out = np.empty((len(d), k), dtype=np.intp)
-    for rows in _row_blocks(len(d), len(d)):
+    n = len(d)
+    out = np.empty((n, k), dtype=np.intp)
+    for rows in _row_blocks(n, n):
         block = d[rows]
         kth = np.partition(block, k - 1, axis=1)[:, k - 1 : k]
         near = block <= kth
@@ -135,7 +139,8 @@ def build_neighbor_lists(w: Window, k: int = 10) -> np.ndarray:
             closer, tied = sub < kth, sub == kth
             missing = k - np.count_nonzero(closer, axis=1)
             near[surplus] = closer | tied & (np.cumsum(tied, axis=1) <= missing[:, None])
-        out[rows] = np.nonzero(near)[1].reshape(len(block), k)
+        # a row's k flat indices in order, less the row's offset n i, are its columns
+        out[rows] = np.flatnonzero(near).reshape(len(block), k) - (np.arange(len(block)) * n)[:, None]
     return out
 
 
@@ -147,7 +152,9 @@ def ldd_statistics(lists: np.ndarray, ranks, *, aggregation: str = "mean") -> np
     k nearest, scaled by the side-size ratio, measures the local imbalance:
     delta = (n_before/n_after) * (k_after / max(k_before, 1)) - 1.  The
     statistic aggregates |delta| over all samples, each capped at ``LDD_CAP``.
-    O(n k) per block of splits plus O(n) per split.
+    O(n k) per block of splits plus O(n) per split: each sample's k_before
+    over a block's sorted splits is a running integer sum of event counts,
+    taken by ``_scan_rows`` (whole-row steps from ``_WIDE_ROW`` samples on).
     """
     if aggregation not in ("mean", "max"):
         raise ParameterError(f"unknown aggregation {aggregation!r}")
@@ -169,7 +176,7 @@ def ldd_statistics(lists: np.ndarray, ranks, *, aggregation: str = "mean") -> np
         # offsetting split s by s (k + 1) makes the running count k_before
         # an index into the flattened table
         events[1:] += k + 1
-        degrees = table.ravel()[np.cumsum(events, axis=0)]
+        degrees = table.ravel()[_scan_rows(np.add, events)]
         # a contiguous row per split: the reduction order of a 1-D array
         out[block][by_rank] = reduce(degrees, axis=1)
     return out
@@ -177,7 +184,8 @@ def ldd_statistics(lists: np.ndarray, ranks, *, aggregation: str = "mean") -> np
 
 def _running_kth(q: np.ndarray, k: int) -> np.ndarray:
     """k-th smallest entry of every prefix of each row of ``q``; +inf while
-    a prefix is shorter than k."""
+    a prefix is shorter than k.  k rounds of minima and maxima along the
+    rows, O(k) per entry: the caller passes only the columns it reads."""
     kth = np.minimum.accumulate(q, axis=1)
     for _ in range(k - 1):
         # appending x to a prefix moves its k-th smallest to
@@ -203,7 +211,10 @@ def knn_kls(g: NeighborGraph, ranks) -> np.ndarray:
     smallest of the first r entries and nu_k the k-th smallest of the rest:
     the running k-th minimum of the row taken from the left, read at column
     r - 1, and taken from the right, read at column r.  A k-th smallest
-    value does not depend on how ties are ordered.
+    value does not depend on how ties are ordered.  A row block is live only
+    for splits past its first row, so the left pass stops at the largest
+    rank's column and the right pass at the column after the block's first
+    row: each covers only what it is read at, with the same values.
     """
     n, k = g.n, g.k
     ranks = _checked_ranks(ranks, n, k + 1)
@@ -213,8 +224,8 @@ def knn_kls(g: NeighborGraph, ranks) -> np.ndarray:
         live = ranks > block.start
         r = ranks[live]
         # rows on the after side of a split get finite terms that are never summed
-        rho = np.maximum(_running_kth(g.dist[block], k)[:, r - 1], DISTANCE_FLOOR)
-        nu = np.maximum(_running_kth(g.dist[block, ::-1], k)[:, n - 1 - r], DISTANCE_FLOOR)
+        rho = np.maximum(_running_kth(g.dist[block, :rows], k)[:, r - 1], DISTANCE_FLOOR)
+        nu = np.maximum(_running_kth(g.dist[block, : block.start : -1], k)[:, n - 1 - r], DISTANCE_FLOOR)
         log_ratio[live, block] = np.log(nu / rho).T
     out = np.empty(len(ranks))
     for i, n_b in enumerate(ranks.tolist()):
@@ -265,10 +276,10 @@ def build_kernel_gram(w: Window, bandwidth="median") -> KernelGram:
     _check_bandwidth(bandwidth)
     K = _pairwise_distances(w.x)
     sigma = _median_distance(K) if bandwidth == "median" else float(bandwidth)
-    # the operations of -(d**2) / (2 sigma^2), in that order
+    # -(d**2) / (2 sigma^2) as d**2 / -(2 sigma^2): IEEE division is
+    # sign-symmetric, so moving the negation onto the divisor keeps the bits
     np.square(K, out=K)
-    np.negative(K, out=K)
-    np.divide(K, 2.0 * sigma**2, out=K)
+    np.divide(K, -2.0 * sigma**2, out=K)
     np.exp(K, out=K)
     n = len(w)
     lead = np.zeros(n + 1)

@@ -5,7 +5,8 @@ A window is an ordered batch of (x, t) observations with timestamps in
 harness) consumes windows; they are immutable after construction and safe
 to share across workers.  A split at rank r puts the first r samples on
 the before side, and ``_checked_ranks`` is the one rule for which ranks
-are splits.
+are splits.  ``_scan_rows`` is the running sum down the ranks that the
+cumulative histograms and the LDD sweep share.
 """
 
 from __future__ import annotations
@@ -85,6 +86,36 @@ def _checked_ranks(ranks, n: int, fewest: int = 1) -> np.ndarray:
     if len(ranks) and (ranks.min() < fewest or n - ranks.max() < fewest):
         raise InvalidSplitError(f"split rank outside [{fewest}, {n - fewest}] for a window of {n} samples")
     return ranks
+
+
+#: Narrowest row that ``_scan_rows`` scans in whole-row steps.
+_WIDE_ROW = 256
+
+
+def _scan_rows(op, a: np.ndarray) -> np.ndarray:
+    """Inclusive scan of a C-contiguous 2-D array along axis 0 under an exact
+    ``op`` (integer ``np.add``, ``np.minimum``, ``np.maximum``), in place.
+
+    ``op.accumulate`` along axis 0 runs as a strided scalar loop.  Rows of at
+    least ``_WIDE_ROW`` entries instead take about 2 sqrt(R) whole-row steps,
+    Blelloch's two-level scan: every group of floor(sqrt(R)) rows is scanned
+    within itself, all groups at once, then each group takes the last row of
+    the one before it, and the few rows past the last group follow one by
+    one.  An exact op gives the same values in any grouping, so both paths
+    give the same bits."""
+    rows, width = a.shape
+    if width < _WIDE_ROW:
+        return op.accumulate(a, axis=0, out=a)
+    size = math.isqrt(rows)
+    groups = rows // size if size else 0
+    body = a[: groups * size].reshape(groups, size, width)
+    for i in range(1, size):
+        op(body[:, i], body[:, i - 1], out=body[:, i])
+    for g in range(1, groups):
+        op(body[g], body[g - 1, -1], out=body[g])
+    for i in range(groups * size, rows):
+        op(a[i], a[i - 1], out=a[i])
+    return a
 
 
 @dataclass(frozen=True)

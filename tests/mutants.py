@@ -191,6 +191,27 @@ MUTANTS = (
         "a point on a tree threshold goes to the left child",
         ("test_golden.py", "test_partitions.py"),
     ),
+    Mutant(
+        "scan_carry_second_last", "windows.py",
+        "body[g - 1, -1]",
+        "body[g - 1, -2]",
+        "a group of the two-level scan carries the last row of the group before it",
+        ("test_windows.py", "test_golden.py"),
+    ),
+    Mutant(
+        "knn_kl_right_pass_short", "neighbor_kernel.py",
+        "g.dist[block, : block.start : -1]",
+        "g.dist[block, : block.start + 1 : -1]",
+        "the right pass of a row block covers every column past the block's first row",
+        ("test_neighbor_kernel.py", "test_golden.py"),
+    ),
+    Mutant(
+        "flat_offset_block_rows", "neighbor_kernel.py",
+        "(np.arange(len(block)) * n)",
+        "(np.arange(len(block)) * len(block))",
+        "a flat index into a row block of the distance matrix steps n per row",
+        ("test_neighbor_kernel.py", "test_golden.py"),
+    ),
 )
 
 

@@ -12,6 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
+from driftbench.partitions import build_grid
+from driftbench.windows import _WIDE_ROW
+
 
 def _load(name):
     spec = importlib.util.spec_from_file_location(f"golden_{name}", Path(__file__).parent / "golden" / f"{name}.py")
@@ -71,3 +74,12 @@ def test_partitions_equal_the_golden_documents():
     differ = _differ(golden_partitions.partitions(), recorded["partitions"])
     assert not differ, f"{len(differ)} golden entries differ: {differ}"
     assert golden_partitions.oracle_stdout() == recorded["oracle"]
+
+
+def test_golden_windows_reach_the_whole_row_scan():
+    # ``_scan_rows`` adds whole rows from ``_WIDE_ROW`` columns on: the prefix
+    # table of the d=4 sea windows' default grid has a column per cell, and
+    # the n=600 window's LDD event counts have a column per sample
+    windows = golden.windows()
+    assert build_grid(windows["sea_n150_drifting"]).n_cells == 256 >= _WIDE_ROW
+    assert len(windows["rbf4_n600_drifting"]) == 600 >= _WIDE_ROW

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from driftbench.errors import DataError, ParameterError
 from driftbench.windows import (
+    _WIDE_ROW,
     PairedWindows,
     Window,
+    _scan_rows,
     candidate_split_times,
     default_min_side,
     ingest_window,
@@ -178,6 +180,30 @@ class TestMakePaired:
             p = est.fit(pw.permuted, rng).statistics_at([0.5])[0]
             wins += d > p
         assert abs(wins / reps - 0.5) < 0.06
+
+
+class TestScanRows:
+    """``_scan_rows`` gives the values of ``op.accumulate`` along axis 0, in
+    place, on both sides of its width rule."""
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 7, 16, 151, 2001])
+    @pytest.mark.parametrize("width", [1, _WIDE_ROW - 1, _WIDE_ROW, 300])
+    def test_equals_accumulate(self, rows, width):
+        rng = np.random.default_rng([rows, width])
+        floats = rng.normal(size=(rows, width))
+        floats[rng.random(floats.shape) < 0.05] = np.inf
+        floats[rng.random(floats.shape) < 0.05] = -np.inf
+        cases = [
+            (np.add, rng.integers(-3, 4, size=(rows, width), dtype=np.int32)),
+            (np.add, rng.integers(-(2**40), 2**40, size=(rows, width), dtype=np.int64)),
+            (np.minimum, floats),
+            (np.maximum, floats),
+        ]
+        for op, a in cases:
+            expected = op.accumulate(a, axis=0)
+            scanned = a.copy()
+            assert _scan_rows(op, scanned) is scanned
+            assert scanned.dtype == a.dtype and np.array_equal(scanned, expected)
 
 
 class TestSplitPoints:

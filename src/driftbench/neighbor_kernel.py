@@ -1,17 +1,20 @@
 """Neighbor- and kernel-based drift statistics: LDD, kNN-KL and biased MMD.
 
 Each fit builds the window's pairwise distances once (O(n^2) time), one
-n x n float64 matrix at its peak (1.5 under MMD's median bandwidth, which
-copies its upper triangle and partitions it once at the middle), and keeps
-only what its statistic reads.  LDD keeps each point's k nearest as an n x k
-index set, picked by one partition per row (the tie fill runs only on rows
-with more than k candidates), read off the flat indices of a row block's
-picks and kept with no distances.  kNN-KL keeps the
-distance matrix itself, in sample order, as the one ``NeighborGraph``, and
-sorts nothing.  MMD turns the distances into the kernel matrix in place and
-keeps O(n) block sums.  ``_pairwise_distances`` rejects a window of fewer
-than two or more than ``MAX_PAIRWISE_N`` samples, or with features too large
-for the distance expansion, before anything n x n is allocated.
+n x n float64 matrix at its peak, and keeps only what its statistic reads.
+MMD's median bandwidth copies none of it: a fixed sample of pairs brackets
+the middle ranks, one pass over the upper triangle gathers only what lies
+in the bracket, and one partition at the middle finishes (where the
+distances mostly tie, the bracket holds up to the whole triangle, half a
+matrix more).  LDD keeps each point's k nearest as an n x k index set,
+picked by one partition per row (the tie fill runs only on rows with more
+than k candidates), read off the flat indices of a row block's picks and
+kept with no distances.  kNN-KL keeps the distance matrix itself, in
+sample order, as the one ``NeighborGraph``, and sorts nothing.  MMD turns
+the distances into the kernel matrix in place and keeps O(n) block sums.
+``_pairwise_distances`` rejects a window of fewer than two or more than
+``MAX_PAIRWISE_N`` samples, or with features too large for the distance
+expansion, before anything n x n is allocated.
 
 The statistics take splits as ranks: a rank r puts the first r samples in
 arrival order on the before side.  Each statistic rejects a rank outside
@@ -25,8 +28,9 @@ then costs O(n) per split; each running minimum covers only the columns a
 split reads.  Running sums and minima are exact, so trimming or regrouping
 them leaves every bit.  Every sweep and row pass works in blocks that
 ``_row_blocks`` sizes against one fixed element budget; the only scratch
-arrays that grow with n are LDD's n k neighbor pairs and kNN-KL's per-split
-terms (splits x before-side rows, under half the matrix's size).
+arrays that grow with n are LDD's n k neighbor pairs, kNN-KL's per-split
+terms (splits x before-side rows, under half the matrix's size) and the
+median's bracket (about 7% of the triangle unless the distances tie).
 """
 
 from __future__ import annotations
@@ -43,10 +47,13 @@ DISTANCE_FLOOR = 1e-12
 LDD_CAP = 10.0
 #: Elements in each temporary block of a split sweep or row pass (512 KB of float64).
 _BLOCK_ELEMENTS = 1 << 16
+#: Pairs drawn to bracket the median bandwidth of a triangle above the block budget.
+_MEDIAN_SAMPLE = 1 << 14
 #: Largest window the O(n^2) neighbor and kernel fits accept.  Their n x n
-#: distance matrix takes 8 n^2 bytes (800 MB here); the median bandwidth's
-#: 1.5 times that (1.2 GB) is the most any of them holds.  A larger window
-#: raises ``ParameterError`` instead of meeting the out-of-memory killer.
+#: distance matrix takes 8 n^2 bytes (800 MB here), the most any of them
+#: holds besides blocks of temporaries; only the median bandwidth of a window
+#: whose distances mostly tie adds up to half that.  A larger window raises
+#: ``ParameterError`` instead of meeting the out-of-memory killer.
 MAX_PAIRWISE_N = 10_000
 #: Largest squared norm the distance expansion accepts: below it |a|^2 + |b|^2,
 #: 2 a.b, the squared distances (at most 4x) and 2 sigma^2 (at most 8x) all
@@ -252,15 +259,85 @@ class KernelGram:
     total: float
 
 
+def _median_sample(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of about ``_MEDIAN_SAMPLE`` strict-upper pairs
+    of an n x n matrix, drawn with replacement by a private fixed-seed
+    generator: the same pairs for every window of n samples."""
+    a, b = np.random.default_rng(0).integers(n, size=(2, _MEDIAN_SAMPLE))
+    off_diagonal = a != b
+    a, b = a[off_diagonal], b[off_diagonal]
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+def _count_and_gather(d: np.ndarray, lo: float, hi: float, room: int) -> tuple[int, int, np.ndarray | None]:
+    """How many entries of the strict upper triangle of ``d`` lie below
+    ``lo`` and how many in [lo, hi], and the latter gathered into one array
+    of ``room`` slots (None if more than ``room`` lie there), in one pass
+    over row blocks.  A block's entries right of its last row all lie above
+    the diagonal, so only the small square left of them needs a mask."""
+    n = len(d)
+    out, below, inside = np.empty(room), 0, 0
+    for rows in _row_blocks(n - 1, n):
+        square = d[rows, rows.start + 1 : rows.stop]
+        # entry (r, c) of the square is d[start + r, start + 1 + c], above the
+        # diagonal where c >= r: outside np.tri's c <= r - 1
+        diagonal_up = square[~np.tri(*square.shape, -1, dtype=bool)]
+        for part in (diagonal_up, d[rows, rows.stop :]):
+            low = part < lo
+            below += np.count_nonzero(low)
+            mask = part <= hi
+            mask ^= low
+            end = inside + np.count_nonzero(mask)
+            if end <= room:
+                out[inside:end] = part[mask]
+            inside = end
+    return below, inside, out[:inside] if inside <= room else None
+
+
 def _median_distance(d: np.ndarray) -> float:
     """Median of the strict upper triangle of a distance matrix of at least
-    two samples (1.0 when the median is 0): one partition of its copy at h,
-    the middle index, and for an even count the ``np.mean`` of the maximum
-    below h and the value at h, the two values ``np.median`` averages."""
-    upper = np.concatenate([d[i, i + 1 :] for i in range(len(d) - 1)])
-    h = len(upper) // 2
-    upper.partition(h)
-    med = float(np.mean([upper[:h].max(), upper[h]]) if len(upper) % 2 == 0 else upper[h])
+    two samples (1.0 when the median is 0), selected without copying the
+    triangle (Floyd and Rivest's bracket).  The median reads the ranks h,
+    the middle index, and for an even count h - 1: ``np.median`` averages
+    those two values with ``np.mean``, and so does this.
+
+    Above the block budget a fixed sample of pairs (``_median_sample``)
+    brackets those ranks by its own order statistics, 3 sqrt(m) ranks to
+    either side of where they fall in a sample of m, and sizes the gather
+    by the sample's share in the bracket, ties included, plus that slack
+    again; below it the bracket is unbounded.  One pass counts the entries
+    below the bracket and gathers those in it, and one partition of what it
+    gathered selects the ranks.  If the bracket missed a rank, the side that
+    missed widens to infinity; if it held more than its room, it stays.
+    Either way the first pass's counts size a second pass exactly, so a
+    window whose distances mostly tie gathers up to the whole triangle,
+    never more.  The values are the triangle's exact order statistics, so
+    the median is the same bits as ``np.median``'s.
+    """
+    n = len(d)
+    count = n * (n - 1) // 2
+    h = count // 2
+    first = h - (count % 2 == 0)  # the lowest rank the median reads
+    lo, hi, room = -np.inf, np.inf, count
+    if count > _BLOCK_ELEMENTS:
+        sample = d[_median_sample(n)]
+        m, slack = len(sample), int(3 * np.sqrt(len(sample)))
+        at = (max(first * m // count - slack, 0), min(h * m // count + slack + 1, m - 1))
+        sample.partition(at)
+        lo, hi = sample[at[0]], sample[at[1]]
+        room = min(count, (np.count_nonzero((sample >= lo) & (sample <= hi)) + slack) * count // m)
+    below, inside, kept = _count_and_gather(d, lo, hi, room)
+    lo_missed, hi_missed = below > first, below + inside <= h
+    if lo_missed or hi_missed or kept is None:
+        if lo_missed:
+            lo, below, inside = -np.inf, 0, below + inside
+        if hi_missed:
+            hi, inside = np.inf, count - below
+        del kept  # free the first gather before the second
+        below, inside, kept = _count_and_gather(d, lo, hi, inside)
+    i = h - below
+    kept.partition(i)
+    med = float(np.mean([kept[:i].max(), kept[i]]) if count % 2 == 0 else kept[i])
     return med if med > 0 else 1.0
 
 

@@ -151,16 +151,37 @@ MUTANTS = (
     ),
     Mutant(
         "median_lower_index", "neighbor_kernel.py",
-        "h = len(upper) // 2",
-        "h = (len(upper) - 1) // 2",
+        "h = count // 2",
+        "h = (count - 1) // 2",
         "an even pair count's median averages the values at ranks h - 1 and h, not h - 2 and h - 1",
         ("test_neighbor_kernel.py", "test_golden.py"),
     ),
     Mutant(
         "median_min_below", "neighbor_kernel.py",
-        "upper[:h].max()",
-        "upper[:h].min()",
-        "the lower middle value is the largest entry below the partition index",
+        "kept[:i].max()",
+        "kept[:i].min()",
+        "the lower middle value is the largest gathered entry below the partition index",
+        ("test_neighbor_kernel.py", "test_golden.py"),
+    ),
+    Mutant(
+        "median_bracket_even_rank", "neighbor_kernel.py",
+        "first = h - (count % 2 == 0)",
+        "first = h",
+        "for an even pair count the bracket must hold rank h - 1 as well as h",
+        ("test_neighbor_kernel.py", "test_golden.py"),
+    ),
+    Mutant(
+        "median_no_widening", "neighbor_kernel.py",
+        "if lo_missed or hi_missed or kept is None:",
+        "if kept is None:",
+        "a bracket that misses a rank the median reads widens and gathers again",
+        ("test_neighbor_kernel.py", "test_golden.py"),
+    ),
+    Mutant(
+        "median_overflow_kept", "neighbor_kernel.py",
+        "out[:inside] if inside <= room else None",
+        "out[: min(inside, room)]",
+        "a bracket holding more values than its room gathers them all in a second pass",
         ("test_neighbor_kernel.py", "test_golden.py"),
     ),
     Mutant(

@@ -499,22 +499,68 @@ class TestDistanceBuffer:
             assert build_kernel_gram(Window(x, np.linspace(0, 1, len(x)))).sigma == expected
 
     def test_median_distance_equals_np_median(self):
-        # odd and even pair counts (n = 2..7 give 1, 3, 6, 10, 15, 21), rounded
-        # ties, all-equal distances, and an even count split between two
-        # values exactly at the middle, so the two middle values differ
+        # odd and even pair counts (n = 2..7 give 1, 3, 6, 10, 15, 21), also
+        # either side of the block budget where the sample starts to bracket
+        # (362 and 363 give 65 341 and 65 703 pairs, 700 and 1500 even
+        # counts); rounded ties, all-equal distances, asymmetric matrices,
+        # half the rows duplicated (zero distances), and an even count split
+        # between two values exactly at the middle, so the two middle values differ
+        def check(m):
+            expected = float(np.median(m[np.triu_indices(len(m), k=1)]))
+            assert neighbor_kernel._median_distance(m) == (expected if expected > 0 else 1.0)
+
         rng = np.random.default_rng(17)
-        cases = []
-        for n in (2, 3, 4, 5, 6, 7, 40, 41):
+        assert 362 * 361 // 2 < neighbor_kernel._BLOCK_ELEMENTS < 363 * 362 // 2
+        for n in (2, 3, 4, 5, 6, 7, 40, 41, 362, 363, 700, 1500):
             m = rng.uniform(0.5, 2.0, size=(n, n))
-            cases += [m, np.round(m, 1), np.full((n, n), 0.75)]
-        for n in (4, 5, 8, 41):
+            x = rng.normal(size=(n, 2))
+            x[n // 2 :] = x[: n - n // 2]
+            for case in (m, np.round(m, 1), np.full((n, n), 0.75), neighbor_kernel._pairwise_distances(x)):
+                check(case)
+        for n in (4, 5, 8, 41, 364):
             m, upper = np.zeros((n, n)), np.triu_indices(n, k=1)
             m[upper] = rng.permutation(np.repeat([0.5, 2.0], len(upper[0]) // 2))
-            cases.append(m)
-        for m in cases:
-            expected = float(np.median(m[np.triu_indices(len(m), k=1)]))
-            assert neighbor_kernel._median_distance(m) == expected
+            check(m)
         assert neighbor_kernel._median_distance(np.zeros((4, 4))) == 1.0
+
+    @pytest.mark.parametrize("n", [363, 364])
+    def test_median_distance_takes_a_second_pass_when_the_bracket_fails(self, n, monkeypatch):
+        # values planted on the sampled pairs make the bracket miss the middle
+        # ranks from above or below, or hold more than its room; for an even
+        # count, exactly h values below the bracket leave out the lower
+        # middle rank h - 1.  Each case takes a second pass, which widens the
+        # side that missed to infinity and gathers exactly what lies inside
+        passes = []
+        count_and_gather = neighbor_kernel._count_and_gather
+        monkeypatch.setattr(
+            neighbor_kernel, "_count_and_gather", lambda d, *bracket: passes.append(bracket) or count_and_gather(d, *bracket)
+        )
+        rng = np.random.default_rng(n)
+        count = n * (n - 1) // 2
+        sampled = np.zeros((n, n), dtype=bool)
+        sampled[neighbor_kernel._median_sample(n)] = True
+        cases = []  # (matrix, lower end widened, upper end widened)
+        for planted, widened in ((0.25, (False, True)), (3.0, (True, False))):
+            m = rng.uniform(0.5, 2.0, size=(n, n))
+            m[sampled] = planted
+            cases.append((m, *widened))
+        m = rng.uniform(0.5, 2.0, size=(n, n))
+        m[~sampled] = 1.25  # near the sample's median, so inside its bracket
+        cases.append((m, False, False))
+        if count % 2 == 0:
+            rows, cols = np.nonzero(np.triu(~sampled, k=1))
+            m = np.full((n, n), 2.0)
+            m[rows[: count // 2], cols[: count // 2]] = 0.5
+            m[sampled] = 1.0
+            cases.append((m, True, False))
+        for m, lo_widened, hi_widened in cases:
+            passes.clear()
+            upper = m[np.triu_indices(n, k=1)]
+            assert neighbor_kernel._median_distance(m) == float(np.median(upper))
+            assert len(passes) == 2
+            (lo, hi, _), (lo2, hi2, room) = passes
+            assert (lo2, hi2) == (-np.inf if lo_widened else lo, np.inf if hi_widened else hi)
+            assert room == np.count_nonzero((upper >= lo2) & (upper <= hi2))
 
     def test_kernel_matrix_equals_formula(self):
         # the block sums reduce the formula's matrix, bit for bit
@@ -549,12 +595,14 @@ class TestSizeGuard:
     @pytest.mark.parametrize(
         "fit, matrices",
         [
-            (lambda w: build_kernel_gram(w), 1.5),  # the median copies the strict upper triangle
+            (lambda w: build_kernel_gram(w), 1.0),  # the median gathers only its bracket
+            # all distances tie, so the median's bracket gathers the whole upper triangle
+            (lambda w: build_kernel_gram(Window(np.zeros_like(w.x), w.t)), 1.5),
             (lambda w: build_kernel_gram(w, bandwidth=1.0), 1.0),
             (lambda w: build_neighbor_graph(w, 2), 1.0),
             (lambda w: build_neighbor_lists(w, 10), 1.0),
         ],
-        ids=["gram-median", "gram-fixed", "neighbor-graph", "neighbor-lists"],
+        ids=["gram-median", "gram-median-tied", "gram-fixed", "neighbor-graph", "neighbor-lists"],
     )
     def test_fit_peak_memory_is_the_documented_multiple_of_one_matrix(self, fit, matrices):
         # the module docstring, MAX_PAIRWISE_N and README give these peaks;

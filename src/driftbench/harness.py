@@ -400,7 +400,7 @@ def run_grid(cfg: ExperimentConfig, threads: int = 1, sweep: bool = False, progr
     datasets = [d for d in cfg.datasets for _ in cfg.estimators]
     estimators = [e for _ in cfg.datasets for e in cfg.estimators]
     run = functools.partial(run_cell, cfg, sweep=sweep)
-    started = time.time()
+    started = time.perf_counter()
     cells = []
     with contextlib.ExitStack() as stack:
         if threads > 1:
@@ -416,7 +416,7 @@ def run_grid(cfg: ExperimentConfig, threads: int = 1, sweep: bool = False, progr
         "config": asdict(cfg),
         "config_hash": cfg.config_hash(),
         "version": __version__,
-        "elapsed_seconds": round(time.time() - started, 3),
+        "elapsed_seconds": round(time.perf_counter() - started, 3),
         "sweep": sweep,
         "drift_position": DRIFT_POSITION,
         # the estimator parameters each cell ran with (a sweep picks them per cell)

@@ -8,25 +8,28 @@ timestamps at build time.  This module only fits trees; the detector
 evaluates a forest like any other set of partitions, with cumulative leaf
 histograms of the evaluation window averaged over trees.
 
-One grower fits every forest.  ``_grow_forest`` grows a window's trees as
-a generator that yields rounds of split requests, and ``_grow_in_lockstep``
-answers the rounds of many windows together, in blocks of padded
-``_best_splits`` passes, so the forests of a batch of windows
-(``fit_moment_forests``) grow together while each draws from its own
-generator exactly what it draws alone (``fit_moment_forest`` is the batch of
-one, and ``fit_moment_tree`` its one-tree 'dt' forest).  Where nodes draw
-their features ('rf' with fewer features per node than d), a round is one
-node, in depth-first preorder, so the draws keep their order; where they
-draw nothing ('dt', and 'rf' with d <= 2), a round is every open node of
-every tree, so a forest grows level by level in a few passes.  Each tree
-argsorts its features once; a node's rows stay in every feature's sorted
-order as the tree splits them (presorted attribute lists, as in SLIQ:
-Mehta, Agrawal & Rissanen 1996), so no node sorts.  A tree's splits are
-recorded at their nodes and listed in depth-first preorder, and a forest's
-lists are laid out together by ``partitions.trees_from_splits``, so a tree
-has the same node numbers whichever way it grew; a fitted tree keeps only
-its partition.  Features beyond half the largest float are refused with
-``DataError``, since a midpoint threshold of them can overflow.
+One grower fits every forest.  ``fit_moment_forests`` lays out its windows
+once, side by side: features as one (d_max, N + 1) array and time powers as
+one (D, N + 1) array, the last column a sentinel (+inf values, zero time
+powers); a node's rows are columns of them.  ``_grow_forest`` grows a
+window's trees as a generator that yields rounds of split requests, and
+``_grow_in_lockstep`` answers many windows' rounds together, a block per
+``_best_splits`` gather padded with the sentinel, so a batch's forests grow
+together while each draws from its own generator what it draws alone
+(``fit_moment_forest`` is the batch of one, and ``fit_moment_tree`` its
+one-tree 'dt' forest).  Where nodes draw their features ('rf' with fewer
+features per node than d), a round is one node, in depth-first preorder, so
+the draws keep their order; where they draw nothing ('dt', and 'rf' with
+d <= 2), a round is every open node of every tree, so a forest grows level by
+level in a few passes.  Each tree argsorts its features once; a node's rows
+stay in every feature's sorted order as the tree splits them (presorted
+attribute lists, as in SLIQ: Mehta, Agrawal & Rissanen 1996), so no node
+sorts.  A tree's splits are recorded at their nodes and listed in
+depth-first preorder, and a forest's lists are laid out together by
+``partitions.trees_from_splits``, so a tree has the same node numbers
+whichever way it grew; a fitted tree keeps only its partition.  Features
+beyond half the largest float are refused with ``DataError``, since a
+midpoint threshold of them can overflow.
 """
 
 from __future__ import annotations
@@ -108,92 +111,92 @@ def _thin_candidates(ok: np.ndarray, m: np.ndarray) -> None:
     ok[thin[row[keep]], col[keep]] = True
 
 
-def _best_splits(requests, min_leaf: int) -> list:
-    """Answer the split requests of many nodes in one padded pass.
+def _best_splits(xt, t_pows, requests, min_leaf: int) -> list:
+    """Answer the split requests of many nodes in one gather.
 
-    A request (xt, t_pows, features, rows) is a node of a tree over the
-    features ``xt`` (d, n) and time powers ``t_pows`` (D, n) of its window:
-    ``rows`` (k, m) holds the node's rows in the stable sort order of each
-    of its k drawn ``features``.  The values and time powers are gathered
-    here, each row padded to the longest node with +inf values and zero
-    time powers; the prefix sums run sequentially along the rows and the
-    squared moment contrasts are summed over a contiguous last axis of
-    length D, so every real cut sees the same arithmetic as a node scored
-    alone.  A cut must leave ``min_leaf`` samples on each side and separate
-    two distinct values; above CANDIDATE_NODE_SIZE samples, at most
-    MAX_CANDIDATES of them, evenly spaced, are scored.  The answer for a
-    node is (j, threshold) for its best cut, on its j-th feature, or None:
-    the first feature in drawn order whose first best cut scores highest,
-    if that score exceeds MIN_SPLIT_SCORE.
+    ``xt`` (d, N + 1) and ``t_pows`` (D, N + 1) are a lockstep's stacked
+    features and time powers, the last column a sentinel of +inf values and
+    zero time powers.  A request (features, rows) is a node: ``rows`` (k, m)
+    holds its columns in the stable sort order of each of its k drawn
+    ``features``.  One index matrix, padded to the longest node with the
+    sentinel (a lone request is its own index), reads a block's values and
+    time powers in one fancy index each.  Prefix sums run along the rows and
+    squared contrasts are summed over a contiguous last axis of length D, so
+    every real cut sees the arithmetic of a node scored alone.  A cut leaves
+    ``min_leaf`` samples on each side and separates two distinct values;
+    above CANDIDATE_NODE_SIZE samples, at most MAX_CANDIDATES, evenly
+    spaced, are scored.  A request's candidates are one run of the row-major
+    list; its answer is (j, threshold) for the run's first best cut, on its
+    j-th drawn feature, if that scores above MIN_SPLIT_SCORE, else None.
     """
-    ks = [len(features) for _, _, features, _ in requests]
-    sizes = [rows.shape[1] for _, _, _, rows in requests]
-    n_rows, width, degree = sum(ks), max(sizes), requests[0][1].shape[0]
-    values = np.full((n_rows, width), np.inf)
-    t_pows = np.zeros((degree, n_rows, width))
-    start = 0
-    for (xt, p, features, rows), k, size in zip(requests, ks, sizes):
-        values[start : start + k, :size] = xt[features[:, None], rows]
-        t_pows[:, start : start + k, :size] = p[:, rows]
-        start += k
-    prefix = np.cumsum(t_pows, axis=2)
+    ks = [len(features) for features, _ in requests]
+    sizes = [rows.shape[1] for _, rows in requests]
+    width = max(sizes)
+    if len(requests) == 1:
+        features, index = requests[0]
+    else:
+        features = np.concatenate([features for features, _ in requests])
+        index = np.full((len(features), width), xt.shape[1] - 1)
+        index[np.arange(width) < np.repeat(sizes, ks)[:, None]] = np.concatenate([rows.ravel() for _, rows in requests])
+    values = xt[features[:, None], index]
+    prefix = np.add.accumulate(t_pows[:, index], axis=2)
 
     # the cut after the first c rows, for c in [min_leaf, width - min_leaf];
     # padding adds zeros to the last prefix sum, so it is each row's total
     lo, hi = min_leaf - 1, width - min_leaf
-    m = np.repeat(np.array(sizes, dtype=float), ks)
     cuts = np.arange(float(min_leaf), hi + 1)
-    ok = (cuts <= m[:, None] - min_leaf) & (values[:, lo:hi] < values[:, lo + 1 : hi + 1])
+    ok = values[:, lo:hi] < values[:, lo + 1 : hi + 1]
+    m = np.repeat(np.array(sizes, dtype=float), ks) if min(sizes) < width else float(width)
+    if np.ndim(m):
+        ok &= cuts <= m[:, None] - min_leaf
     if width > CANDIDATE_NODE_SIZE:
         _thin_candidates(ok, m)
     row, col = np.nonzero(ok)
-    c, mr = cuts[col], m[row]
+    c, mr = cuts[col], m[row] if np.ndim(m) else m
     before = prefix[:, row, col + lo]
     contrast = (before / c - (prefix[:, row, -1] - before) / (mr - c)) ** 2
     # summed over a contiguous last axis, as numpy sums each cut's (D,) row
-    scores = np.full(ok.shape, -np.inf)
-    scores[row, col] = c * (mr - c) / mr**2 * np.ascontiguousarray(contrast.T).sum(axis=1)
+    scores = c * (mr - c) / mr**2 * np.ascontiguousarray(contrast.T).sum(axis=1)
 
-    best, best_score = scores.argmax(axis=1), scores.max(axis=1)
-    answers, start = [], 0
-    for k in ks:
-        j = start + int(best_score[start : start + k].argmax())
-        if best_score[j] > MIN_SPLIT_SCORE:
-            p = lo + best[j]
+    ends = np.searchsorted(row, np.cumsum(ks)).tolist() if len(ks) > 1 else [len(row)]
+    answers, start, first = [], 0, 0
+    for k, end in zip(ks, ends):
+        best = first + int(scores[first:end].argmax()) if end > first else None
+        if best is not None and scores[best] > MIN_SPLIT_SCORE:
+            j, p = int(row[best]), lo + int(col[best])
             answers.append((j - start, 0.5 * (values[j, p] + values[j, p + 1])))
         else:
             answers.append(None)
-        start += k
+        start, first = start + k, end
     return answers
 
 
-def _grow_forest(w: Window, n_trees: int, config: MomentTreeConfig, rng, variant: str):
-    """Grow one window's forest; a generator that yields rounds of split
-    requests to ``_best_splits``, receives each round's answers, and returns
-    the MomentForest.
+def _grow_forest(xt, offset: int, n: int, d: int, n_trees: int, config: MomentTreeConfig, rng, variant: str):
+    """Grow the forest of the window at ``xt[:d, offset : offset + n]``; a
+    generator that yields rounds of split requests to ``_best_splits``,
+    receives each round's answers, and returns the MomentForest.
 
     'rf' draws each tree's bootstrap and then, at each node that passes the
-    depth and size test, ``rng.permutation(d)[:n_sub]``; 'dt' draws
-    nothing.  When nodes draw ('rf' with n_sub < d), trees grow one after
-    another, each depth-first in preorder, and a round is the node on top of
-    the stack.  When they do not, every bootstrap is drawn first (the same
-    draws in the same order) and a round is every open node of every tree,
-    so the forest grows level by level.  A node holds the (d, m) matrix of
-    its rows, as window indices, row f in feature f's stable sort order; its
-    children filter that matrix by ``x[:, f] <= threshold``.  Each split is
-    recorded at its node, and each tree's splits are laid out at the end in
-    depth-first preorder, left child first, so node numbers, leaves and
-    cells are those of a depth-first growth whichever way the tree grew.
+    depth and size test, ``rng.permutation(d)[:n_sub]``; 'dt' draws nothing.
+    When nodes draw ('rf' with n_sub < d), trees grow one after another,
+    each depth-first in preorder, and a round is the node on top of the
+    stack.  When they do not, every bootstrap is drawn first (the same draws
+    in the same order) and a round is every open node of every tree, so the
+    forest grows level by level.  A node holds the (d, m) matrix of its rows
+    as columns of ``xt`` (the offset is added at the bootstrap or presort),
+    row f in feature f's stable sort order; its children filter that matrix
+    by ``xt[f, rows] <= threshold``.  Each split is recorded at its node,
+    and each tree's splits are laid out at the end in depth-first preorder,
+    left child first, so node numbers, leaves and cells are those of a
+    depth-first growth whichever way the tree grew.
     """
-    n, d = w.x.shape
     n_sub = max(1, int(np.ceil(np.sqrt(d)))) if variant == VARIANT_RF else d
     draws = n_sub < d
     every_feature = np.arange(d)
     splittable = 2 * config.min_leaf
     grows = config.max_depth > 0 and n >= splittable
-    xt = np.ascontiguousarray(w.x.T)
-    t_pows = np.stack([w.t**k for k in range(1, config.degree + 1)])
-    presorted = np.argsort(xt, axis=1, kind="stable") if grows and variant == VARIANT_DT else None
+    window = xt[:d, offset : offset + n]
+    presorted = np.argsort(window, axis=1, kind="stable") + offset if grows and variant == VARIANT_DT else None
     # each tree is a one-slot list holding its root split; a split is
     # [feature, threshold, left, right], each child its split or None.  An
     # open node is (slots, slot, rows, depth): its split goes to slots[slot].
@@ -207,18 +210,18 @@ def _grow_forest(w: Window, n_trees: int, config: MomentTreeConfig, rng, variant
                 rows = presorted
                 if variant == VARIANT_RF:
                     boot = rng.integers(0, n, size=n)
-                    rows = boot[np.argsort(xt[:, boot], axis=1, kind="stable")] if grows else None
+                    rows = boot[np.argsort(window[:, boot], axis=1, kind="stable")] + offset if grows else None
                 if grows:
                     open_nodes.append((roots[-1], 0, rows, 0))
             continue
         if draws:
             nodes = [open_nodes.pop()]
             features = rng.permutation(d)[:n_sub]
-            answers = yield [(xt, t_pows, features, nodes[0][2][features])]
+            answers = yield [(features, nodes[0][2][features])]
         else:
             nodes, open_nodes = open_nodes, []
             features = every_feature
-            answers = yield [(xt, t_pows, features, rows) for _, _, rows, _ in nodes]
+            answers = yield [(features, rows) for _, _, rows, _ in nodes]
         for (slots, slot, rows, depth), split in zip(nodes, answers):
             if split is None:
                 continue
@@ -226,7 +229,7 @@ def _grow_forest(w: Window, n_trees: int, config: MomentTreeConfig, rng, variant
             f = int(features[j])
             slots[slot] = split = [f, threshold, None, None]
             if depth + 1 < config.max_depth:
-                left = (xt[f] <= threshold)[rows]
+                left = xt[f, rows] <= threshold
                 n_left = int(np.count_nonzero(left[0]))
                 if rows.shape[1] - n_left >= splittable:
                     open_nodes.append((split, 3, rows[~left].reshape(d, -1), depth + 1))
@@ -257,8 +260,8 @@ def _blocks(requests):
     _BLOCK_ELEMENTS values, else the widest requests first, in blocks of at
     most that many values (or one request, if larger), so that little of a
     block is padding."""
-    ks = [len(features) for _, _, features, _ in requests]
-    widths = [rows.shape[1] for _, _, _, rows in requests]
+    ks = [len(features) for features, _ in requests]
+    widths = [rows.shape[1] for _, rows in requests]
     if sum(ks) * max(widths) <= _BLOCK_ELEMENTS:
         return [range(len(requests))]
     blocks, n_rows = [], 0
@@ -271,10 +274,10 @@ def _blocks(requests):
     return blocks
 
 
-def _grow_in_lockstep(growers, min_leaf: int) -> list[MomentForest]:
-    """Run forest growers together, one round of every grower at a time;
-    each block of a round is one ``_best_splits`` call, which gathers only
-    its own requests."""
+def _grow_in_lockstep(xt, t_pows, growers, min_leaf: int) -> list[MomentForest]:
+    """Run forest growers over the stacked ``xt`` and ``t_pows`` together,
+    one round of every grower at a time; each block of a round is one
+    ``_best_splits`` call, which gathers only its own requests."""
     forests = [None] * len(growers)
     pending: dict = {}
 
@@ -292,7 +295,7 @@ def _grow_in_lockstep(growers, min_leaf: int) -> list[MomentForest]:
         requests = [request for i in waiting for request in pending[i]]
         answers = [None] * len(requests)
         for block in _blocks(requests):
-            for r, answer in zip(block, _best_splits([requests[r] for r in block], min_leaf)):
+            for r, answer in zip(block, _best_splits(xt, t_pows, [requests[r] for r in block], min_leaf)):
                 answers[r] = answer
         start = 0
         for i in waiting:
@@ -327,8 +330,15 @@ def fit_moment_forests(
     if len(rngs) != len(windows) or len({id(r) for r in rngs}) != len(rngs):
         raise ParameterError("each window needs a generator of its own")
     config = config or MomentTreeConfig()
-    growers = [_grow_forest(w, n_trees, config, rng, variant) for w, rng in zip(windows, rngs)]
-    return _grow_in_lockstep(growers, config.min_leaf)
+    # every window's columns side by side, then the sentinel column
+    offsets = np.cumsum([0] + [len(w) for w in windows]).tolist()
+    xt = np.full((max((w.x.shape[1] for w in windows), default=0), offsets[-1] + 1), np.inf)
+    t_pows = np.zeros((config.degree, offsets[-1] + 1))
+    for w, offset in zip(windows, offsets):
+        xt[: w.x.shape[1], offset : offset + len(w)] = w.x.T
+        t_pows[:, offset : offset + len(w)] = np.stack([w.t**k for k in range(1, config.degree + 1)])
+    growers = [_grow_forest(xt, o, *w.x.shape, n_trees, config, rng, variant) for w, o, rng in zip(windows, offsets, rngs)]
+    return _grow_in_lockstep(xt, t_pows, growers, config.min_leaf)
 
 
 def fit_moment_forest(

@@ -233,6 +233,83 @@ MUTANTS = (
         "a flat index into a row block of the distance matrix steps n per row",
         ("test_neighbor_kernel.py", "test_golden.py"),
     ),
+    Mutant(
+        "short_node_unbounded", "moment_tree.py",
+        "ok &= cuts <= m[:, None] - min_leaf",
+        "ok &= True",
+        "a node shorter than its block takes no cut that leaves fewer than min_leaf samples on its right",
+        ("test_moment_tree.py", "test_golden.py"),
+    ),
+    Mutant(
+        "padding_column_zero", "moment_tree.py",
+        "np.full((len(features), width), xt.shape[1] - 1)",
+        "np.full((len(features), width), 0)",
+        "a block pads its shorter nodes with the sentinel column, whose time powers are zero",
+        ("test_moment_tree.py", "test_golden.py"),
+    ),
+    Mutant(
+        "last_best_cut", "moment_tree.py",
+        "best = first + int(scores[first:end].argmax())",
+        "best = end - 1 - int(scores[first:end][::-1].argmax())",
+        "a node's answer is the first highest cut in drawn-feature order, not the last",
+        ("test_moment_tree.py", "test_golden.py"),
+    ),
+    Mutant(
+        "t0_fraction_zero", "windows.py",
+        "if not 0.0 < t0_fraction < 1.0:",
+        "if not 0.0 <= t0_fraction < 1.0:",
+        "make_paired refuses a drift time of 0",
+        ("test_windows.py",),
+    ),
+    Mutant(
+        "t0_fraction_one", "windows.py",
+        "if not 0.0 < t0_fraction < 1.0:",
+        "if not 0.0 < t0_fraction <= 1.0:",
+        "make_paired refuses a drift time of 1",
+        ("test_windows.py",),
+    ),
+    Mutant(
+        "offset_at_t0", "windows.py",
+        "if not 0.0 <= offset_fraction < t0_fraction:",
+        "if not 0.0 <= offset_fraction <= t0_fraction:",
+        "make_paired refuses an offset equal to the drift time",
+        ("test_windows.py",),
+    ),
+    Mutant(
+        "paired_one_sample", "windows.py",
+        'if n < 2:\n        raise ParameterError("n must be at least 2")',
+        'if n < 1:\n        raise ParameterError("n must be at least 2")',
+        "make_paired refuses a window of one sample",
+        ("test_windows.py",),
+    ),
+    Mutant(
+        "paired_two_samples", "windows.py",
+        'if n < 2:\n        raise ParameterError("n must be at least 2")',
+        'if n <= 2:\n        raise ParameterError("n must be at least 2")',
+        "make_paired accepts a window of two samples",
+        ("test_windows.py",),
+    ),
+    Mutant(
+        "ingest_one_timestamped_row", "windows.py",
+        "elif n > 1:",
+        "elif n >= 1:",
+        "one row with an explicit timestamp is ingested at t = 0, not refused as constant",
+        ("test_windows.py",),
+    ),
+    Mutant(
+        "oracle_twenty_cells", "detector.py",
+        "if L > 20:",
+        "if L >= 20:",
+        "the classifier oracle brute-forces a partition of 20 cells",
+        ("test_detector.py",),
+    ),
+    Mutant(
+        "median_bracket_one_short", "neighbor_kernel.py",
+        "below + inside <= h",
+        "below + inside < h",
+        "a bracket holding exactly the h lowest ranks misses rank h and widens",
+        ("test_neighbor_kernel.py", "test_golden.py"),
+    ),
 )
 
 

@@ -421,6 +421,21 @@ class TestClassifierTvOracle:
             tv = total_variation(to_distribution(hb), to_distribution(ha))
             assert classifier_tv_oracle(tree, w, t) == pytest.approx(0.5 * tv, abs=1e-12)
 
+    def test_brute_forces_twenty_cells_and_refuses_twenty_one(self, rng):
+        from driftbench.histograms import to_distribution, total_variation
+        from driftbench.partitions import Binning1D
+
+        w = Window(rng.uniform(0, 1, (200, 1)), np.sort(rng.uniform(0, 1, 200)))
+        at_limit = Binning1D(np.ones(1), np.linspace(0, 1, 21)[1:-1])
+        assert at_limit.n_cells == 20
+        cells, after = at_limit.cell_of(w.x), w.t > 0.5
+        hb = np.bincount(cells[~after], minlength=20)
+        ha = np.bincount(cells[after], minlength=20)
+        tv = total_variation(to_distribution(hb), to_distribution(ha))
+        assert classifier_tv_oracle(at_limit, w, 0.5) == pytest.approx(0.5 * tv, abs=1e-12)
+        with pytest.raises(ParameterError, match="2\\^20"):
+            classifier_tv_oracle(Binning1D(np.ones(1), np.linspace(0, 1, 22)[1:-1]), w, 0.5)
+
     def test_refuses_large_partitions(self, rng):
         w = Window(rng.normal(size=(3000, 3)), np.sort(rng.uniform(0, 1, 3000)))
         tree = build_random_tree(w, n_leaves=25, seed=0, min_leaf=2)

@@ -156,6 +156,14 @@ class TestRunGrid:
         t2 = run_grid(SMALL)
         assert t1.cells == t2.cells
 
+    def test_elapsed_seconds_ignores_a_wall_clock_step(self, monkeypatch):
+        # the wall clock steps back an hour during the run; the elapsed time
+        # comes from a monotonic clock, so it stays a small positive number
+        wall = iter([2e9, 2e9 - 3600.0])
+        monkeypatch.setattr(harness.time, "time", lambda: next(wall, 2e9 - 3600.0))
+        elapsed = run_grid(dataclasses.replace(SMALL, repetitions=1)).metadata["elapsed_seconds"]
+        assert 0 <= elapsed < 600
+
     def test_parallel_equals_serial(self):
         cfg = ExperimentConfig(
             datasets=("stagger", "sea"),

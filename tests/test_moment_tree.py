@@ -408,15 +408,16 @@ def depth_first_forest(w, n_trees, config, rng, variant):
         if variant == VARIANT_RF:
             boot = rng.integers(0, n, size=n)
             x, t = x[boot], t[boot]
-        xt = np.ascontiguousarray(x.T)
-        t_pows = np.stack([t**k for k in range(1, config.degree + 1)])
+        # one window's columns, then the sentinel column
+        xt = np.hstack([x.T, np.full((d, 1), np.inf)])
+        t_pows = np.hstack([np.stack([t**k for k in range(1, config.degree + 1)]), np.zeros((config.degree, 1))])
         splits, stack = [], []
         if config.max_depth > 0 and n >= splittable:
             stack.append((0, np.argsort(x.T, axis=1, kind="stable"), 0))
         while stack:
             node, rows, depth = stack.pop()
             features = rng.permutation(d)[:n_sub] if n_sub < d else np.arange(d)
-            (split,) = _best_splits([(xt, t_pows, features, rows[features])], config.min_leaf)
+            (split,) = _best_splits(xt, t_pows, [(features, rows[features])], config.min_leaf)
             if split is None:
                 continue
             j, threshold = split
@@ -474,6 +475,53 @@ class TestLevelWiseGrowerMatchesDepthFirst:
         inner = sum(int(np.count_nonzero(tree.partition.feature >= 0)) for tree in forest.trees)
         # one call per level and block, not one per inner node
         assert inner > 100 and len(calls) <= 16
+
+
+def stacked(windows, degree):
+    """The layout ``fit_moment_forests`` gives its windows: features and time
+    powers side by side, then a sentinel column; and each window's offset."""
+    offsets = np.cumsum([0] + [len(w) for w in windows])
+    xt = np.full((max(w.x.shape[1] for w in windows), offsets[-1] + 1), np.inf)
+    t_pows = np.zeros((degree, offsets[-1] + 1))
+    for w, offset in zip(windows, offsets):
+        xt[: w.x.shape[1], offset : offset + len(w)] = w.x.T
+        t_pows[:, offset : offset + len(w)] = np.stack([w.t**k for k in range(1, degree + 1)])
+    return xt, t_pows, offsets[:-1]
+
+
+class TestBlockScoring:
+    def test_each_node_of_a_mixed_block_scores_as_alone(self):
+        config = MomentTreeConfig(degree=2, min_leaf=4)
+        rng = np.random.default_rng(51)
+        x = rng.normal(size=(120, 4))
+        x[:, 2] = x[:, 0]  # two equal features: their best cuts tie, and the first drawn wins
+        windows = [
+            # first, so its late samples sit in the columns a wrong padding would read
+            Window(np.ones((60, 3)), np.linspace(0.5, 1.0, 60)),
+            random_window(50, CANDIDATE_NODE_SIZE + 64, 2),
+            Window(x, np.sort(rng.uniform(0, 1, 120))),
+        ]
+        xt, t_pows, offsets = stacked(windows, config.degree)
+        # (window, its rows in ascending order, drawn features)
+        nodes = [
+            (1, np.arange(CANDIDATE_NODE_SIZE + 64), [0, 1]),  # as wide as the block, above CANDIDATE_NODE_SIZE
+            (2, np.arange(0, 120, 2), [3]),  # shorter than the block
+            (1, np.arange(CANDIDATE_NODE_SIZE + 64), [1, 0]),
+            (0, np.arange(60), [2, 0, 1]),  # all tied: no cut separates two values
+            (2, np.arange(120), [2, 0]),
+            (2, np.arange(100), [1, 3, 0]),
+        ]
+        requests = [
+            (np.array(features), offsets[i] + np.stack([idx[np.argsort(windows[i].x[idx, f], kind="stable")] for f in features]))
+            for i, idx, features in nodes
+        ]
+        block = _best_splits(xt, t_pows, requests, config.min_leaf)
+        assert block == [_best_splits(xt, t_pows, [request], config.min_leaf)[0] for request in requests]
+        for answer, (i, idx, features) in zip(block, nodes):
+            w = windows[i]
+            expected = _reference_best_split(w.x, np.column_stack([w.t, w.t**2]), idx, features, config)
+            assert (answer and (features[answer[0]], answer[1])) == expected
+        assert block[3] is None and block[4][0] == 0 and all(block[:3] + block[4:])
 
 
 def thin_candidates_loop(ok, m):

@@ -562,6 +562,19 @@ class TestDistanceBuffer:
             assert (lo2, hi2) == (-np.inf if lo_widened else lo, np.inf if hi_widened else hi)
             assert room == np.count_nonzero((upper >= lo2) & (upper <= hi2))
 
+    @pytest.mark.parametrize("n", [363, 364])
+    def test_median_distance_widens_a_bracket_one_rank_short_of_h(self, n, monkeypatch):
+        # a sample of two pairs, the smallest value and the one at rank h - 1,
+        # brackets exactly the h lowest ranks: below + inside == h, so rank h
+        # lies above the bracket and its upper end must widen
+        upper = np.triu_indices(n, k=1)
+        count = len(upper[0])
+        m = np.zeros((n, n))
+        m[upper] = np.random.default_rng(n).permutation(count) + 1.0
+        picked = np.argsort(m[upper])[[0, count // 2 - 1]]
+        monkeypatch.setattr(neighbor_kernel, "_median_sample", lambda _: (upper[0][picked], upper[1][picked]))
+        assert neighbor_kernel._median_distance(m) == float(np.median(m[upper]))
+
     def test_kernel_matrix_equals_formula(self):
         # the block sums reduce the formula's matrix, bit for bit
         for x in buffer_cases():

@@ -159,11 +159,22 @@ class TestMakePaired:
             np.sort(pw.permuted.x, axis=0), np.sort(pw.drifting.x, axis=0)
         )
 
-    def test_invalid_fractions(self):
-        with pytest.raises(ParameterError):
-            make_paired(uniform_sampler(0, 1), uniform_sampler(0, 1), 50, t0_fraction=1.2)
-        with pytest.raises(ParameterError):
-            make_paired(uniform_sampler(0, 1), uniform_sampler(0, 1), 50, offset_fraction=0.6)
+    @pytest.mark.parametrize("t0_fraction", [0.0, 1.0, 1.2])
+    def test_drift_time_outside_the_open_unit_interval_refused(self, t0_fraction):
+        with pytest.raises(ParameterError, match="t0_fraction must lie"):
+            make_paired(uniform_sampler(0, 1), uniform_sampler(0, 1), 50, t0_fraction=t0_fraction)
+
+    @pytest.mark.parametrize("offset_fraction", [0.5, 0.6])
+    def test_offset_at_or_past_the_drift_time_refused(self, offset_fraction):
+        with pytest.raises(ParameterError, match="offset_fraction must lie"):
+            make_paired(uniform_sampler(0, 1), uniform_sampler(0, 1), 50, offset_fraction=offset_fraction)
+
+    def test_two_samples_are_the_smallest_window(self):
+        pw = make_paired(uniform_sampler(0, 1), uniform_sampler(2, 3), 2, seed=0)
+        assert len(pw.drifting) == len(pw.permuted) == 2
+        assert sorted(pw.drifting.x[:, 0] >= 2) == [False, True]
+        with pytest.raises(ParameterError, match="n must be at least 2"):
+            make_paired(uniform_sampler(0, 1), uniform_sampler(2, 3), 1, seed=0)
 
     def test_equal_concepts_give_symmetric_p_perm(self):
         # no drift by construction: the drift statistic beats its permuted
@@ -233,6 +244,10 @@ class TestIngestion:
         w = ingest_window(x, [0.5, 0.5, 1.0, 0.5, 0.0])
         assert np.array_equal(w.t, [0.0, 0.5, 0.5, 0.5, 1.0])
         assert np.array_equal(w.x[:, 0], [5.0, 1.0, 2.0, 4.0, 3.0])
+
+    def test_one_row_with_a_timestamp_sits_at_zero(self):
+        w = ingest_window(np.array([[1.0, 2.0]]), [5.0])
+        assert np.array_equal(w.t, [0.0]) and np.array_equal(w.x, [[1.0, 2.0]])
 
     def test_constant_timestamps_rejected(self):
         with pytest.raises(DataError):

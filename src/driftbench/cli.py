@@ -4,10 +4,8 @@ Subcommands:
   bench run     -- run an experiment grid from a config file
   bench detect  -- one-shot drift detection on a CSV stream
   bench tables  -- regenerate the benchmark tables for the synthetic datasets
-  bench oracle  -- brute-force verification suites
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 internal invariant
-violation.
+Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -16,10 +14,8 @@ import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .errors import DataError, ParameterError
-from .detector import KnnKlEstimator, LddEstimator, classifier_tv_oracle, detect_drift, scan_splits
+from .detector import detect_drift
 from .harness import (
     DESK_REPETITIONS,
     ESTIMATOR_BUILDERS,
@@ -28,19 +24,9 @@ from .harness import (
     make_estimator,
     run_grid,
 )
-from .histograms import CumulativeHistogram, recount_histograms
-from .neighbor_kernel import (
-    build_kernel_gram,
-    knn_kl_reference,
-    ldd_reference,
-    mmd_biased_reference,
-    mmds_from_gram,
-)
-from .partitions import build_random_tree
-from .seeding import as_generator
-from .windows import Window, window_from_csv
+from .windows import window_from_csv
 
-USAGE_ERROR, DATA_ERROR, INVARIANT_ERROR = 1, 2, 3
+USAGE_ERROR, DATA_ERROR = 1, 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text: str) -> int:
-    """A count of worker processes or trials: an integer of at least 1."""
+    """A count of worker processes: an integer of at least 1."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return int(text)
@@ -81,10 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     tables.add_argument("--reps", type=int, default=DESK_REPETITIONS)
     tables.add_argument("--threads", type=_count, default=1)
     tables.add_argument("--seed", type=int, default=0)
-
-    oracle = sub.add_parser("oracle", help="run the brute-force verification suites")
-    oracle.add_argument("--trials", type=_count, default=100)
-    oracle.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -127,98 +109,10 @@ def cmd_tables(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
-    rng = as_generator(args.seed)
-    failures = 0
-
-    def report(name, ok, detail=""):
-        nonlocal failures
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}{': ' + detail if detail else ''}")
-        failures += 0 if ok else 1
-
-    worst = 0.0
-    for _ in range(args.trials):
-        n = int(rng.integers(30, 200))
-        w = Window(rng.normal(size=(n, 2)), np.sort(rng.uniform(0, 1, n)))
-        tree = build_random_tree(w, n_leaves=int(rng.integers(2, 9)), seed=rng, min_leaf=2)
-        t = float(np.quantile(w.t, rng.uniform(0.2, 0.8)))
-        cells = tree.cell_of(w.x)
-        after = w.t > t
-        if after.sum() == 0 or (~after).sum() == 0:
-            continue
-        hb = np.bincount(cells[~after], minlength=tree.n_cells) / (~after).sum()
-        ha = np.bincount(cells[after], minlength=tree.n_cells) / after.sum()
-        tv = 0.5 * np.abs(hb - ha).sum()
-        adv = classifier_tv_oracle(tree, w, t)
-        worst = max(worst, abs(adv - 0.5 * tv))
-    report("classifier advantage equals TV/2", worst <= 1e-12, f"max |diff| = {worst:.2e}")
-
-    worst = 0.0
-    for _ in range(max(args.trials // 5, 10)):
-        nb, na = int(rng.integers(5, 40)), int(rng.integers(5, 40))
-        x = rng.normal(size=(nb + na, int(rng.integers(1, 4))))
-        t = np.sort(rng.uniform(0, 1, nb + na))
-        gram = build_kernel_gram(Window(x, t))
-        fast = mmds_from_gram(gram, [nb])[0]
-        slow = mmd_biased_reference(x[:nb], x[nb:], gram.sigma)
-        worst = max(worst, abs(fast - slow))
-    report("MMD block sums equal double loop", worst <= 1e-10, f"max |diff| = {worst:.2e}")
-
-    worst = 0.0
-    for _ in range(max(args.trials // 5, 10)):
-        n = int(rng.integers(60, 160))
-        d = int(rng.integers(1, 4))
-        x = rng.normal(size=(n, d))
-        x[n // 2 :] += rng.uniform(0.5, 2.0)
-        w = Window(x, np.sort(rng.uniform(0, 1, n)))
-        k = int(rng.integers(1, 6))
-        verdict = scan_splits(KnnKlEstimator(k), w)
-        for t, fast in zip(verdict.split_times, verdict.statistics):
-            i = w.rank_of(t)
-            slow = knn_kl_reference(w.x[:i], w.x[i:], k)
-            worst = max(worst, abs(fast - slow) / max(abs(slow), 1.0))
-    # the graph's Gram-expansion distances lose digits on close pairs,
-    # about 3e-9 on 1-D windows of this size
-    report("kNN-KL sweep equals per-side distances", worst <= 1e-7, f"max diff / max(1, |ref|) = {worst:.2e}")
-
-    worst = 0.0
-    for _ in range(max(args.trials // 5, 10)):
-        n = int(rng.integers(60, 160))
-        x = rng.normal(size=(n, int(rng.integers(1, 4))))
-        x[n // 2 :] += rng.uniform(0.5, 2.0)
-        w = Window(x, np.sort(rng.uniform(0, 1, n)))
-        k = int(rng.integers(1, 11))
-        verdict = scan_splits(LddEstimator(k), w)
-        for j in rng.choice(len(verdict.split_times), 5):
-            i = w.rank_of(verdict.split_times[j])
-            worst = max(worst, abs(verdict.statistics[j] - ldd_reference(w.x[:i], w.x[i:], k)))
-    report("LDD top-k lists equal direct recount", worst <= 1e-12, f"max |diff| = {worst:.2e}")
-
-    exact = True
-    for _ in range(max(args.trials // 5, 10)):
-        n = int(rng.integers(10, 120))
-        n_cells = int(rng.integers(2, 17))
-        cells = rng.integers(0, n_cells, n)
-        times = np.sort(rng.uniform(0, 1, n))
-        ch = CumulativeHistogram(cells, times, n_cells)
-        for t in np.unique(times)[:-1]:
-            before, after = ch.counts_at(t)
-            rb, ra = recount_histograms(cells, times, n_cells, float(t))
-            if not (np.array_equal(before, rb) and np.array_equal(after, ra)):
-                exact = False
-    report("prefix counts equal recount", exact)
-
-    if failures:
-        print(f"{failures} oracle check(s) failed")
-        return INVARIANT_ERROR
-    print("all oracle checks passed")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {"run": cmd_run, "detect": cmd_detect, "tables": cmd_tables, "oracle": cmd_oracle}
+    handlers = {"run": cmd_run, "detect": cmd_detect, "tables": cmd_tables}
     try:
         return handlers[args.command](args)
     except ParameterError as exc:

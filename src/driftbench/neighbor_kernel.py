@@ -395,37 +395,3 @@ def mmd_biased_reference(x_before: np.ndarray, x_after: np.ndarray, sigma: float
     mmd2 = s_bb / nb**2 + s_aa / na**2 - 2.0 * s_ba / (nb * na)
     return float(np.sqrt(max(mmd2, 0.0)))
 
-
-def knn_kl_reference(x_before: np.ndarray, x_after: np.ndarray, k: int) -> float:
-    """kNN-KL from direct per-side distance matrices (test oracle)."""
-    x_before = np.asarray(x_before, dtype=float)
-    x_after = np.asarray(x_after, dtype=float)
-    nb, na = len(x_before), len(x_after)
-    _checked_ranks(nb, nb + na, k + 1)
-    within = np.sqrt(((x_before[:, None, :] - x_before[None, :, :]) ** 2).sum(axis=2))
-    np.fill_diagonal(within, np.inf)
-    across = np.sqrt(((x_before[:, None, :] - x_after[None, :, :]) ** 2).sum(axis=2))
-    rho = np.maximum(np.partition(within, k - 1, axis=1)[:, k - 1], DISTANCE_FLOOR)
-    nu = np.maximum(np.partition(across, k - 1, axis=1)[:, k - 1], DISTANCE_FLOOR)
-    est = (x_before.shape[1] / nb) * np.log(nu / rho).sum() + np.log(na / (nb - 1))
-    return float(max(est, 0.0))
-
-
-def ldd_reference(x_before: np.ndarray, x_after: np.ndarray, k: int) -> float:
-    """Mean LDD recounted from each point's k nearest under direct per-row
-    distances, sorted by (distance, index) over the concatenated sides
-    (test oracle)."""
-    x = np.concatenate([np.asarray(x_before, dtype=float), np.asarray(x_after, dtype=float)])
-    n, nb = len(x), len(x_before)
-    _checked_ranks(nb, n)
-    k = min(k, n - 1)
-    index = np.arange(n)
-    degrees = np.empty(n)
-    for i in range(n):
-        dist = np.sqrt(((x - x[i]) ** 2).sum(axis=1))
-        dist[i] = np.inf
-        nearest = np.lexsort((index, dist))[:k]
-        k_before = int(np.count_nonzero(nearest < nb))
-        delta = (nb / (n - nb)) * ((k - k_before) / max(k_before, 1)) - 1.0
-        degrees[i] = min(abs(delta), LDD_CAP)
-    return float(degrees.mean())

@@ -1,6 +1,6 @@
 """Golden partitions: the ``to_dict`` documents of the random, kdq and moment
 trees and the edges of the marginal, PCA, random-projection and grid
-binnings, plus the standard output of ``bench oracle --trials 40``.
+binnings.
 
     PYTHONPATH=src python tests/golden/partitions.py   # rewrites partitions.json
 
@@ -20,16 +20,13 @@ written with.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import importlib.util
-import io
 import json
 from pathlib import Path
 
 import numpy as np
 
-from driftbench import cli
 from driftbench.errors import DriftBenchError
 from driftbench.generators import rbf_pair
 from driftbench.harness import make_estimator
@@ -120,18 +117,10 @@ def partitions() -> dict[str, dict]:
     return out
 
 
-def oracle_stdout() -> list[str]:
-    """Lines ``bench oracle --trials 40`` prints, with its exit code."""
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
-        code = cli.main(["oracle", "--trials", "40"])
-    return [*buffer.getvalue().splitlines(), f"exit {code}"]
-
-
 def main() -> None:
-    doc = {"numpy": np.__version__, "partitions": partitions(), "oracle": oracle_stdout()}
+    doc = {"numpy": np.__version__, "partitions": partitions()}
     PATH.write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"wrote {len(doc['partitions'])} partition entries and the oracle output to {PATH}")
+    print(f"wrote {len(doc['partitions'])} partition entries to {PATH}")
 
 
 if __name__ == "__main__":

@@ -290,6 +290,20 @@ MUTANTS = (
         ("test_windows.py",),
     ),
     Mutant(
+        "offset_one_survivor", "windows.py",
+        "if keep.sum() < 2:",
+        "if keep.sum() < 1:",
+        "make_paired refuses an offset that leaves one sample",
+        ("test_windows.py",),
+    ),
+    Mutant(
+        "offset_two_survivors", "windows.py",
+        "if keep.sum() < 2:",
+        "if keep.sum() <= 2:",
+        "make_paired keeps the two samples an offset leaves",
+        ("test_windows.py",),
+    ),
+    Mutant(
         "ingest_one_timestamped_row", "windows.py",
         "elif n > 1:",
         "elif n >= 1:",

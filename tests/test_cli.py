@@ -308,28 +308,6 @@ class TestTables:
         assert err.value.code == 1
 
 
-class TestOracle:
-    def test_oracle_passes(self, capsys):
-        code = main(["oracle", "--trials", "20", "--seed", "0"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out.count("[PASS]") == 5
-        assert "[FAIL]" not in out
-
-    def test_negative_seed_is_usage_error(self, capsys):
-        assert main(["oracle", "--trials", "20", "--seed", "-1"]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: bad seed -1") and captured.out == ""
-
-    @pytest.mark.parametrize("trials", ["0", "-1"])
-    def test_trials_below_one_is_usage_error(self, capsys, trials):
-        with pytest.raises(SystemExit) as err:
-            main(["oracle", "--trials", trials])
-        assert err.value.code == 1
-        captured = capsys.readouterr()
-        assert "--trials: expected an integer >= 1" in captured.err and "[PASS]" not in captured.out
-
-
 PROPERTY = settings(derandomize=True, max_examples=100, database=None, deadline=None)
 
 #: Config lines a one-cell grid accepts (the sweep sets, less rf's 64-tree
@@ -353,7 +331,7 @@ BAD_LINES = [
 OTHER_INVOCATIONS = [
     (["tables", "--out", "{dir}/t", "--seed", "-4"], 1),
     (["tables", "--out", "{dir}/t", "--threads", "0"], 1),
-    (["oracle", "--trials", "0"], 1),
+    (["oracle"], 1),
     (["detect", "--csv", "{dir}/absent.csv", "--estimator", "marg"], 2),
     (["detect", "--csv", "{dir}/absent.csv", "--estimator", "psychic"], 1),
     (["run", "--config", "{dir}/absent.cfg", "--out", "{dir}/o"], 2),

@@ -4,7 +4,7 @@ same name: ``neighbor.py`` for the kNN statistics, ``estimators.py`` for the
 scans of the binning, tree and kernel estimators, ``detections.py`` for
 their ``detect_drift`` p-values and generator states, ``results.py`` for
 the ``results.csv`` of a small grid and a sweep and ``partitions.py`` for the
-documents of the partition builders and the ``bench oracle`` output."""
+documents of the partition builders."""
 
 import importlib.util
 import json
@@ -73,7 +73,6 @@ def test_partitions_equal_the_golden_documents():
     recorded = _recorded(golden_partitions)
     differ = _differ(golden_partitions.partitions(), recorded["partitions"])
     assert not differ, f"{len(differ)} golden entries differ: {differ}"
-    assert golden_partitions.oracle_stdout() == recorded["oracle"]
 
 
 def test_golden_windows_reach_the_whole_row_scan():

@@ -1,10 +1,13 @@
-"""README's library quickstart against the package's top level."""
+"""README's library quickstart against the package's top level, and its CLI
+section against the parser and exit codes of ``driftbench.cli``."""
 
+import argparse
 import pathlib
 import re
 import types
 
 import driftbench
+from driftbench import cli
 
 README = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
 QUICKSTART = README.partition("## Library quickstart")[2].partition("\n## ")[0]
@@ -21,3 +24,19 @@ def test_top_level_names_are_the_ones_listed():
     listed = QUICKSTART.partition("The package's top level is")[2].partition("Everything else")[0]
     public = {n for n, v in vars(driftbench).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)}
     assert set(re.findall(r"`(\w+)`", listed)) == public
+
+
+CLI = README.partition("## CLI")[2].partition("\n## ")[0]
+
+
+def test_cli_block_lists_the_parser_subcommands():
+    block = re.search(r"```\n(.*?)```", CLI, re.DOTALL).group(1)
+    listed = [line.split()[1] for line in block.splitlines() if line.startswith("bench ")]
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(listed) == sorted(subparsers.choices)
+
+
+def test_exit_codes_are_the_ones_cli_defines():
+    sentence = re.search(r"Exit codes: (.*?)\.", CLI, re.DOTALL).group(1)
+    defined = {v for n, v in vars(cli).items() if n.endswith("_ERROR") and isinstance(v, int)}
+    assert sorted(int(code) for code in re.findall(r"\b(\d+) \w", sentence)) == sorted({0} | defined)

@@ -176,6 +176,15 @@ class TestMakePaired:
         with pytest.raises(ParameterError, match="n must be at least 2"):
             make_paired(uniform_sampler(0, 1), uniform_sampler(2, 3), 1, seed=0)
 
+    def test_offset_leaving_one_sample_refused_and_two_kept(self):
+        # n = 3 draws two samples before t0 = 0.5 and one after it; an offset
+        # of 0.49 keeps the later one and, at seed 6, one of the earlier two
+        with pytest.raises(ParameterError, match="offset removes almost the whole window"):
+            make_paired(uniform_sampler(0, 1), uniform_sampler(2, 3), 3, offset_fraction=0.49, seed=0)
+        pw = make_paired(uniform_sampler(0, 1), uniform_sampler(2, 3), 3, offset_fraction=0.49, seed=6)
+        assert len(pw.drifting) == len(pw.permuted) == 2
+        assert sorted(pw.drifting.x[:, 0] >= 2) == [False, True]
+
     def test_equal_concepts_give_symmetric_p_perm(self):
         # no drift by construction: the drift statistic beats its permuted
         # counterpart about half the time (binomial 3-sigma band at 500 reps)

@@ -13,9 +13,10 @@ once, side by side: features as one (d_max, N + 1) array and time powers as
 one (D, N + 1) array, the last column a sentinel (+inf values, zero time
 powers); a node's rows are columns of them.  ``_grow_forest`` grows a
 window's trees as a generator that yields rounds of split requests, and
-``_grow_in_lockstep`` answers many windows' rounds together, a block per
-``_best_splits`` gather padded with the sentinel, so a batch's forests grow
-together while each draws from its own generator what it draws alone
+``_grow_in_lockstep`` answers many windows' rounds together: a round that
+fits a block of _BLOCK_ELEMENTS values is one ``_best_splits`` gather padded
+with the sentinel, a wider round one gather per block, so a batch's forests
+grow together while each draws from its own generator what it draws alone
 (``fit_moment_forest`` is the batch of one, and ``fit_moment_tree`` its
 one-tree 'dt' forest).  Where nodes draw their features ('rf' with fewer
 features per node than d), a round is one node, in depth-first preorder, so
@@ -120,7 +121,7 @@ def _best_splits(xt, t_pows, requests, min_leaf: int) -> list:
     holds its columns in the stable sort order of each of its k drawn
     ``features``.  One index matrix, padded to the longest node with the
     sentinel (a lone request is its own index), reads a block's values and
-    time powers in one fancy index each.  Prefix sums run along the rows and
+    time powers in one gather each.  Prefix sums run along the rows and
     squared contrasts are summed over a contiguous last axis of length D, so
     every real cut sees the arithmetic of a node scored alone.  A cut leaves
     ``min_leaf`` samples on each side and separates two distinct values;
@@ -132,6 +133,7 @@ def _best_splits(xt, t_pows, requests, min_leaf: int) -> list:
     ks = [len(features) for features, _ in requests]
     sizes = [rows.shape[1] for _, rows in requests]
     width = max(sizes)
+    ragged = min(sizes) < width
     if len(requests) == 1:
         features, index = requests[0]
     else:
@@ -139,24 +141,26 @@ def _best_splits(xt, t_pows, requests, min_leaf: int) -> list:
         index = np.full((len(features), width), xt.shape[1] - 1)
         index[np.arange(width) < np.repeat(sizes, ks)[:, None]] = np.concatenate([rows.ravel() for _, rows in requests])
     values = xt[features[:, None], index]
-    prefix = np.add.accumulate(t_pows[:, index], axis=2)
+    prefix = np.add.accumulate(t_pows.take(index, axis=1), axis=2)
 
     # the cut after the first c rows, for c in [min_leaf, width - min_leaf];
     # padding adds zeros to the last prefix sum, so it is each row's total
     lo, hi = min_leaf - 1, width - min_leaf
-    cuts = np.arange(float(min_leaf), hi + 1)
     ok = values[:, lo:hi] < values[:, lo + 1 : hi + 1]
-    m = np.repeat(np.array(sizes, dtype=float), ks) if min(sizes) < width else float(width)
-    if np.ndim(m):
-        ok &= cuts <= m[:, None] - min_leaf
+    m = np.repeat(np.array(sizes, dtype=float), ks) if ragged else float(width)
+    if ragged:
+        ok &= np.arange(float(min_leaf), hi + 1) <= m[:, None] - min_leaf
     if width > CANDIDATE_NODE_SIZE:
         _thin_candidates(ok, m)
-    row, col = np.nonzero(ok)
-    c, mr = cuts[col], m[row] if np.ndim(m) else m
-    before = prefix[:, row, col + lo]
-    contrast = (before / c - (prefix[:, row, -1] - before) / (mr - c)) ** 2
+    row, col = ok.nonzero()
+    # the cut size c = col + min_leaf, exact as a double
+    c, mr = col + float(min_leaf), m[row] if ragged else m
+    rest = mr - c
+    # the row-major candidates, as nonzero lists them, and each one's row total
+    before = prefix[:, :, lo:hi][:, ok]
+    contrast = (before / c - (prefix[:, :, -1].take(row, axis=1) - before) / rest) ** 2
     # summed over a contiguous last axis, as numpy sums each cut's (D,) row
-    scores = c * (mr - c) / mr**2 * np.ascontiguousarray(contrast.T).sum(axis=1)
+    scores = c * rest / mr**2 * np.ascontiguousarray(contrast.T).sum(axis=1)
 
     ends = np.searchsorted(row, np.cumsum(ks)).tolist() if len(ks) > 1 else [len(row)]
     answers, start, first = [], 0, 0
@@ -185,7 +189,7 @@ def _grow_forest(xt, offset: int, n: int, d: int, n_trees: int, config: MomentTr
     forest grows level by level.  A node holds the (d, m) matrix of its rows
     as columns of ``xt`` (the offset is added at the bootstrap or presort),
     row f in feature f's stable sort order; its children filter that matrix
-    by ``xt[f, rows] <= threshold``.  Each split is recorded at its node,
+    by ``xt[f][rows] <= threshold``.  Each split is recorded at its node,
     and each tree's splits are laid out at the end in depth-first preorder,
     left child first, so node numbers, leaves and cells are those of a
     depth-first growth whichever way the tree grew.
@@ -229,7 +233,7 @@ def _grow_forest(xt, offset: int, n: int, d: int, n_trees: int, config: MomentTr
             f = int(features[j])
             slots[slot] = split = [f, threshold, None, None]
             if depth + 1 < config.max_depth:
-                left = xt[f, rows] <= threshold
+                left = xt[f][rows] <= threshold
                 n_left = int(np.count_nonzero(left[0]))
                 if rows.shape[1] - n_left >= splittable:
                     open_nodes.append((split, 3, rows[~left].reshape(d, -1), depth + 1))
@@ -256,14 +260,14 @@ def _preorder(root) -> list:
 
 def _blocks(requests):
     """Split a round's requests into ``_best_splits`` calls, as lists of
-    indices: the whole round if its padded block holds at most
-    _BLOCK_ELEMENTS values, else the widest requests first, in blocks of at
-    most that many values (or one request, if larger), so that little of a
-    block is padding."""
+    indices: None if the whole round's padded block holds at most
+    _BLOCK_ELEMENTS values, so the round is one call, else the widest
+    requests first, in blocks of at most that many values (or one request,
+    if larger), so that little of a block is padding."""
     ks = [len(features) for features, _ in requests]
     widths = [rows.shape[1] for _, rows in requests]
     if sum(ks) * max(widths) <= _BLOCK_ELEMENTS:
-        return [range(len(requests))]
+        return None
     blocks, n_rows = [], 0
     for r in sorted(range(len(requests)), key=widths.__getitem__, reverse=True):
         if not blocks or (n_rows + ks[r]) * widths[blocks[-1][0]] > _BLOCK_ELEMENTS:
@@ -276,32 +280,34 @@ def _blocks(requests):
 
 def _grow_in_lockstep(xt, t_pows, growers, min_leaf: int) -> list[MomentForest]:
     """Run forest growers over the stacked ``xt`` and ``t_pows`` together,
-    one round of every grower at a time; each block of a round is one
-    ``_best_splits`` call, which gathers only its own requests."""
+    one round of every live grower at a time.  A round of one request, or
+    one that fits a block, is one ``_best_splits`` call whose answers go
+    straight back to the growers; a wider round is one call per block of
+    ``_blocks``, each gathering only its own requests.  Live growers and
+    their pending requests are kept in two lists, in grower order."""
     forests = [None] * len(growers)
-    pending: dict = {}
-
-    def advance(i, answers):
-        try:
-            pending[i] = growers[i].send(answers)
-        except StopIteration as done:
-            forests[i] = done.value
-            pending.pop(i, None)
-
-    for i in range(len(growers)):
-        advance(i, None)
-    while pending:
-        waiting = list(pending)
-        requests = [request for i in waiting for request in pending[i]]
-        answers = [None] * len(requests)
-        for block in _blocks(requests):
-            for r, answer in zip(block, _best_splits(xt, t_pows, [requests[r] for r in block], min_leaf)):
-                answers[r] = answer
-        start = 0
-        for i in waiting:
-            k = len(pending[i])
-            advance(i, answers[start : start + k])
-            start += k
+    # a grower's first send starts it, with no answers
+    live, pending, answers = list(enumerate(growers)), [()] * len(growers), []
+    while live:
+        start, advanced, asking = 0, [], []
+        for (i, grower), own in zip(live, pending):
+            try:
+                asking.append(grower.send(answers[start : start + len(own)] if own else None))
+                advanced.append((i, grower))
+            except StopIteration as done:
+                forests[i] = done.value
+            start += len(own)
+        # rebinding drops the last round's requests, so a round holds one level of node rows
+        live, pending = advanced, asking
+        requests = [request for own in pending for request in own]
+        blocks = _blocks(requests) if len(requests) > 1 else None
+        if blocks is None:
+            answers = _best_splits(xt, t_pows, requests, min_leaf) if requests else []
+        else:
+            answers = [None] * len(requests)
+            for block in blocks:
+                for r, answer in zip(block, _best_splits(xt, t_pows, [requests[r] for r in block], min_leaf)):
+                    answers[r] = answer
     return forests
 
 

@@ -235,7 +235,7 @@ MUTANTS = (
     ),
     Mutant(
         "short_node_unbounded", "moment_tree.py",
-        "ok &= cuts <= m[:, None] - min_leaf",
+        "ok &= np.arange(float(min_leaf), hi + 1) <= m[:, None] - min_leaf",
         "ok &= True",
         "a node shorter than its block takes no cut that leaves fewer than min_leaf samples on its right",
         ("test_moment_tree.py", "test_golden.py"),
@@ -245,6 +245,55 @@ MUTANTS = (
         "np.full((len(features), width), xt.shape[1] - 1)",
         "np.full((len(features), width), 0)",
         "a block pads its shorter nodes with the sentinel column, whose time powers are zero",
+        ("test_moment_tree.py", "test_golden.py"),
+    ),
+    Mutant(
+        "cut_size_off_by_one", "moment_tree.py",
+        "col + float(min_leaf)",
+        "col + float(min_leaf - 1)",
+        "the cut after column col of the candidate band leaves col + min_leaf samples on its left",
+        ("test_moment_tree.py", "test_golden.py"),
+    ),
+    Mutant(
+        "left_sum_one_row_late", "moment_tree.py",
+        "prefix[:, :, lo:hi][:, ok]",
+        "prefix[:, :, lo + 1 : hi + 1][:, ok]",
+        "a cut's left-side sum is the prefix through its own last row, read in nonzero's row-major order",
+        ("test_moment_tree.py", "test_golden.py"),
+    ),
+    Mutant(
+        "ragged_block_as_full", "moment_tree.py",
+        "ragged = min(sizes) < width",
+        "ragged = False",
+        "a block holding a node shorter than its width scores that node with its own size",
+        ("test_moment_tree.py", "test_golden.py"),
+    ),
+    Mutant(
+        "neighbour_answers", "moment_tree.py",
+        "answers[start : start + len(own)]",
+        "answers[start + 1 : start + 1 + len(own)]",
+        "each grower receives the answers to its own requests, not its neighbour's",
+        ("test_moment_tree.py", "test_golden.py"),
+    ),
+    Mutant(
+        "answer_offset_per_grower", "moment_tree.py",
+        "start += len(own)",
+        "start += 1",
+        "a grower that asked several requests in a round moves the next grower's answers past all of them",
+        ("test_moment_tree.py", "test_golden.py"),
+    ),
+    Mutant(
+        "fitting_round_drops_request", "moment_tree.py",
+        "_best_splits(xt, t_pows, requests, min_leaf) if requests",
+        "_best_splits(xt, t_pows, requests[:-1], min_leaf) if requests",
+        "a round that fits one block scores every one of its requests",
+        ("test_moment_tree.py", "test_golden.py"),
+    ),
+    Mutant(
+        "fitting_round_scattered", "moment_tree.py",
+        "<= _BLOCK_ELEMENTS:\n        return None",
+        "<= _BLOCK_ELEMENTS:\n        return [range(len(requests))]",
+        "_blocks reports a round that fits one block, which the lockstep scores in one call with no scatter",
         ("test_moment_tree.py", "test_golden.py"),
     ),
     Mutant(

@@ -345,6 +345,33 @@ class TestLockstepGrowerMatchesRecursion:
         fit_moment_forests(windows, 6, config, after, variant)
         assert [r.random() for r in after] == [r.random() for r in rngs]
 
+    def test_batch_of_short_lived_and_wide_rounds_equals_lone_fits(self, monkeypatch):
+        from driftbench import moment_tree
+
+        blocks = []
+        split = moment_tree._blocks
+        monkeypatch.setattr(moment_tree, "_blocks", lambda requests: blocks.append(split(requests)) or blocks[-1])
+        config = MomentTreeConfig(degree=2, min_leaf=5, max_depth=8)
+        windows = [
+            random_window(60, 9, 2),  # too small to open its root: its grower ends in its first round
+            random_window(61, 80, 1),
+            random_window(62, CANDIDATE_NODE_SIZE + 40, 2),  # draw-free: every open node of every tree per round
+            random_window(63, 9, 3),
+            random_window(64, 130, 3),  # nodes draw: a round is one node
+            random_window(65, 90, 2, ties=True),
+        ]
+        rngs = [np.random.default_rng([66, s]) for s in range(len(windows))]
+        batch = fit_moment_forests(windows, 4, config, rngs, VARIANT_RF)
+        # rounds of several requests: some fit one block and some need several
+        assert None in blocks and any(b is not None and len(b) > 1 for b in blocks)
+        for s, (w, forest, rng) in enumerate(zip(windows, batch, rngs)):
+            alone_rng = np.random.default_rng([66, s])
+            alone = fit_moment_forest(w, 4, config, seed=alone_rng, variant=VARIANT_RF)
+            assert [t.to_dict() for t in forest.trees] == [t.to_dict() for t in alone.trees]
+            assert rng.bit_generator.state == alone_rng.bit_generator.state
+        assert all(tree.n_cells == 1 for tree in batch[0].trees + batch[3].trees)
+        assert all(tree.n_cells > 1 for forest in batch[1:3] + batch[4:] for tree in forest.trees)
+
     def test_shared_generator_rejected(self):
         rng = np.random.default_rng(0)
         w = random_window(0, 40, 2)

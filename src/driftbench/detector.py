@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import neighbor_kernel
-from .errors import InvalidSplitError, ParameterError
+from .errors import DataError, InvalidSplitError, ParameterError
 from .histograms import CumulativeHistogram, histogram_metric
 from .moment_tree import MomentTreeConfig, VARIANT_DT, VARIANT_RF, fit_moment_forest, fit_moment_forests
 from .neighbor_kernel import (
@@ -51,7 +51,7 @@ from .partitions import (
     stacked_cells,
 )
 from .seeding import as_generator
-from .windows import Window, _checked_ranks, candidate_split_times, permute_timestamps
+from .windows import Window, _checked_ranks, candidate_split_times, default_min_side, permute_timestamps
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class Descriptor:
 
     def statistics_at(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return self.statistics(np.searchsorted(self.window.t, ts, side="right"))
+        return self.statistics(self.window.rank_of(ts))
 
     def statistics(self, ranks: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -297,10 +297,13 @@ def scan_splits(estimator: Estimator, w: Window, seed=None, min_side: int | None
     """Fit once, evaluate the statistic at every margin-safe candidate split.
 
     Candidates are the distinct sample timestamps whose sides both meet the
-    margin; arg-max ties resolve to the earliest time.
+    margin; arg-max ties resolve to the earliest time.  No candidate is a
+    ``DataError`` at the default margin, a ``ParameterError`` at a set one.
     """
     ts = candidate_split_times(w, min_side)
     if len(ts) == 0:
+        if min_side is None:
+            raise DataError(f"no split of the {len(w)} samples leaves the default margin of {default_min_side(len(w))} on each side")
         raise ParameterError("no candidate split satisfies the margin constraint")
     descriptor = estimator.fit(w, seed)
     stats = descriptor.statistics_at(ts)

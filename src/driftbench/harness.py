@@ -52,7 +52,6 @@ from .seeding import as_generator, derive_seed
 from .windows import make_paired
 
 GRID_POSITIONS = (0.50, 0.53, 0.56, 0.62, 0.75)
-GRID_OFFSETS = (0.0, 0.125, 0.25)
 DRIFT_POSITION = 0.50
 DESK_REPETITIONS = 200
 #: Repetitions of a cell drawn and fitted together (moment forests grow in
@@ -155,9 +154,9 @@ class ExperimentConfig:
     """One grid run: datasets x estimators at fixed window settings.
 
     Every value is checked here, before any cell runs, except what only a
-    drawn window shows: a ``custom`` split position that maps before the
-    window's first sample fails its cell with ``InvalidSplitError``, and the
-    run goes on (``bench run`` exits 0, the error in the cell's row).
+    drawn window shows: a split position that maps before the window's
+    first sample fails its cell with ``InvalidSplitError``, and the run goes
+    on (``bench run`` exits 0, the error in the cell's row).
     """
 
     datasets: tuple[str, ...] = TABLE_DATASETS
@@ -171,7 +170,6 @@ class ExperimentConfig:
     metric: str = "tv"
     estimator_params: dict = field(default_factory=dict)
     dataset_params: dict = field(default_factory=dict)
-    custom: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "datasets", tuple(self.datasets))
@@ -199,12 +197,6 @@ class ExperimentConfig:
             make_estimator(estimator_id, self.metric, self.estimator_params.get(estimator_id))
         if DRIFT_POSITION not in self.split_positions:
             raise ParameterError(f"split_positions must include the drift position {DRIFT_POSITION}")
-        if not self.custom:
-            if self.offset not in GRID_OFFSETS:
-                raise ParameterError(f"offset {self.offset} outside the grid {GRID_OFFSETS}; set custom=true to override")
-            bad = [p for p in self.split_positions if p not in GRID_POSITIONS]
-            if bad:
-                raise ParameterError(f"split positions {bad} outside the grid {GRID_POSITIONS}; set custom=true to override")
         # make_paired drops at most the time before the drift; every split must
         # stay strictly inside the window left after the drop
         if not 0.0 <= self.offset < DRIFT_POSITION:
@@ -428,9 +420,6 @@ def run_grid(cfg: ExperimentConfig, threads: int = 1, sweep: bool = False, progr
     return ResultTable(tuple(cells), cfg, metadata)
 
 
-_BOOLS = {"true": True, "yes": True, "on": True, "false": False, "no": False, "off": False}
-
-
 def _parse(text: str, param: inspect.Parameter):
     """Config text as ``param``'s type: its annotation, else its default's.
     A tuple is a comma list of its element type; a union takes the first
@@ -440,8 +429,8 @@ def _parse(text: str, param: inspect.Parameter):
         return tuple(_parse(v.strip(), param.replace(annotation=kind.__args__[0])) for v in text.split(",") if v.strip())
     for member in getattr(kind, "__args__", (kind,)):
         if member is not type(None):
-            with contextlib.suppress(KeyError, ValueError):
-                return _BOOLS[text.lower()] if member is bool else member(text)
+            with contextlib.suppress(ValueError):
+                return member(text)
     raise ValueError(f"{text!r} is not {getattr(kind, '__name__', kind)}")
 
 

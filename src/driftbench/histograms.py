@@ -26,7 +26,7 @@ import itertools
 import numpy as np
 
 from .errors import ParameterError
-from .windows import _checked_ranks, _scan_rows
+from .windows import _checked_ranks, _ranks_at, _scan_rows
 
 # Above this many prefix entries (cells * (n+1)) in any row of cells, the dense matrix is
 # replaced by per-cell sorted arrival ranks; lookups stay equivalent.
@@ -122,7 +122,7 @@ class CumulativeHistogram:
     def counts_at(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Before/after cell counts of the split at time ``t``; a time before
         the first sample or at or after the last raises ``InvalidSplitError``."""
-        rank = _checked_ranks(np.searchsorted(self.times, float(t), side="right"), self.n)
+        rank = _checked_ranks(_ranks_at(self.times, float(t)), self.n)
         before = self.counts_before_ranks(rank)[:, 0]
         return before, self.totals - before
 

@@ -72,9 +72,16 @@ class Window:
     def dim(self) -> int:
         return self.x.shape[1]
 
-    def rank_of(self, t: float) -> int:
-        """Number of samples with timestamp <= t."""
-        return int(np.searchsorted(self.t, t, side="right"))
+    def rank_of(self, t):
+        """Number of samples with timestamp <= t, per time for an array of times."""
+        ranks = _ranks_at(self.t, t)
+        return int(ranks) if np.ndim(ranks) == 0 else ranks
+
+
+def _ranks_at(times: np.ndarray, ts):
+    """How many of the sorted ``times`` lie at or before each time in ``ts``:
+    the one map from split times to ranks."""
+    return np.searchsorted(times, ts, side="right")
 
 
 def _checked_ranks(ranks, n: int, fewest: int = 1) -> np.ndarray:
@@ -139,7 +146,7 @@ def candidate_split_times(w: Window, min_side: int | None = None) -> np.ndarray:
     if min_side is None:
         min_side = default_min_side(len(w))
     ts = np.unique(w.t)
-    before = np.searchsorted(w.t, ts, side="right")
+    before = w.rank_of(ts)
     ok = (before >= min_side) & (len(w) - before >= min_side)
     return ts[ok]
 

@@ -373,6 +373,20 @@ MUTANTS = (
         "a bracket holding exactly the h lowest ranks misses rank h and widens",
         ("test_neighbor_kernel.py", "test_golden.py"),
     ),
+    Mutant(
+        "position_at_window_end", "harness.py",
+        "if not 0.0 < q < 1.0]",
+        "if not 0.0 < q <= 1.0]",
+        "a split position at the window's end passes the config and then fails every cell",
+        ("test_harness.py", "test_cli.py"),
+    ),
+    Mutant(
+        "offset_at_drift_position", "harness.py",
+        "self.offset < DRIFT_POSITION",
+        "self.offset <= DRIFT_POSITION",
+        "an offset of 0.5 drops the whole time before the drift",
+        ("test_harness.py", "test_cli.py"),
+    ),
 )
 
 

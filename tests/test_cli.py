@@ -126,6 +126,16 @@ class TestDetect:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: bad seed -1") and "drift detected" not in captured.out
 
+    @pytest.mark.parametrize("rows", [1, 40])
+    @pytest.mark.parametrize("estimator", ["marg", "knn_kl", "mmd", "rf"])
+    def test_csv_too_short_for_the_default_margin_is_data_error(self, tmp_path, capsys, rows, estimator):
+        # no flag sets the margin, so no split is the data's fault, not the caller's
+        path = drift_csv(tmp_path, n=rows)
+        assert main(["detect", "--csv", str(path), "--estimator", estimator, "--perms", "19"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"data error: no split of the {rows} samples leaves the default margin of 25 on each side\n"
+        assert captured.out == ""
+
     def test_unknown_estimator_is_usage_error(self, tmp_path):
         path = drift_csv(tmp_path)
         with pytest.raises(SystemExit) as err:
@@ -202,10 +212,12 @@ class TestRun:
         assert message in captured.err and captured.out == ""
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("lines", ["offset = 0.5", "split_positions = 0.5, 1.5", "offset = 0.25\nsplit_positions = 0.2, 0.5"])
-    def test_custom_offset_or_position_outside_the_window_is_usage_error(self, tmp_path, capsys, lines):
+    @pytest.mark.parametrize(
+        "lines", ["offset = 0.5", "split_positions = 0.5, 1.5", "split_positions = 0.5, 1.0", "offset = 0.25\nsplit_positions = 0.2, 0.5"]
+    )
+    def test_offset_or_position_outside_the_window_is_usage_error(self, tmp_path, capsys, lines):
         cfg = tmp_path / "bench.cfg"
-        cfg.write_text(f"datasets = stagger\nestimators = marg\nrepetitions = 2\ncustom = true\n{lines}\n")
+        cfg.write_text(f"datasets = stagger\nestimators = marg\nrepetitions = 2\n{lines}\n")
         out_dir = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 1
         captured = capsys.readouterr()
@@ -257,6 +269,7 @@ class TestRun:
             ("dataset.rbf.seed = 3", "'seed'"),
             ("estimator.knn_kl.aggregation = mean", "'aggregation'"),
             ("estimator.dt.n_trees = 4", "'n_trees'"),
+            ("custom = true", "unknown config key 'custom'"),
         ],
     )
     def test_bad_parameter_name_or_type_is_usage_error_before_any_cell(self, tmp_path, capsys, line, message):
@@ -315,14 +328,14 @@ PROPERTY = settings(derandomize=True, max_examples=100, database=None, deadline=
 #: which ``bench run`` must reject before any cell runs.
 GOOD_LINES = [
     "seed = 7", "metric = hellinger", "offset = 0.125", "noise_dims = 1", "split_positions = 0.5, 0.62",
-    "custom = off", "dataset.sea.variant_after = 2", "dataset.stagger.concept_after = 3", "dataset.rbf.d = 3",
-    "dataset.rhp.rotation_angle = 1", "estimator.mmd.bandwidth = 0.5",
+    "offset = 0.4", "split_positions = 0.5, 0.77", "dataset.sea.variant_after = 2", "dataset.stagger.concept_after = 3",
+    "dataset.rbf.d = 3", "dataset.rhp.rotation_angle = 1", "estimator.mmd.bandwidth = 0.5",
     *(f"estimator.{e}.{k} = {v}" for e, sets in SWEEP_GRIDS.items() for p in sets for k, v in p.items() if e != "rf"),
 ]
 BAD_LINES = [
     "reps = 2", "datset = sea", "estimator.rff.n_trees = 4", "dataset.se.variant_after = 2", "estimator.marg.nope = 1",
     "dataset.sea.variant_aftr = 2", "dataset.rbf.seed = 3", "estimator.ldd.metric = tv", "estimator.rf = 3",
-    "n = 8.5", "repetitions = two", "custom = 1", "seed = -1", "estimator.marg.bins = 8.5",
+    "n = 8.5", "repetitions = two", "custom = true", "seed = -1", "estimator.marg.bins = 8.5",
     "dataset.sea.variant_after = 2.0", "estimator.rf.n_trees = many", "split_positions = 0.5, x", "datasets sea",
     "datasets =", "estimators = ,", "estimator.dt.n_trees = 4", "estimator.dt.skip_fraction = 0.5",
     *VALUES_THAT_NEED_NO_DATA,

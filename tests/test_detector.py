@@ -63,6 +63,19 @@ class TestScanSplits:
         with pytest.raises(ParameterError):
             scan_splits(marginal_estimator(), w, min_side=9)
 
+    @pytest.mark.parametrize("n", [1, 40, 49])
+    def test_no_candidate_at_the_default_margin_is_data_error(self, rng, n):
+        w = Window(rng.normal(size=(n, 1)), np.sort(rng.uniform(0, 1, n)))
+        fits = []
+        est = marginal_estimator()
+        est.fit = lambda *args, **kwargs: fits.append(args)
+        message = f"no split of the {n} samples leaves the default margin of 25 on each side"
+        with pytest.raises(DataError, match=message):
+            scan_splits(est, w)
+        with pytest.raises(DataError, match=message):
+            detect_drift(est, w, n_perms=19, seed=0)
+        assert fits == []
+
     @pytest.mark.parametrize("min_side", [0, -3, 0.5, float("nan")])
     def test_margin_below_one_is_rejected_before_any_fit(self, rng, min_side):
         # min_side = 0 proposed the split after the last sample and failed

@@ -329,12 +329,9 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             ExperimentConfig(split_positions=(0.53, 0.62))
 
-    def test_off_grid_values_need_custom_flag(self):
-        with pytest.raises(ParameterError):
-            ExperimentConfig(offset=0.4)
-        with pytest.raises(ParameterError):
-            ExperimentConfig(split_positions=(0.50, 0.77))
-        assert ExperimentConfig(offset=0.4, custom=True).offset == 0.4
+    def test_offset_and_positions_off_the_grid_are_accepted(self):
+        assert ExperimentConfig(offset=0.4).offset == 0.4
+        assert ExperimentConfig(split_positions=(0.50, 0.77)).split_positions == (0.5, 0.77)
 
     @pytest.mark.parametrize(
         "offset, positions, message",
@@ -342,19 +339,20 @@ class TestConfigValidation:
             (0.5, GRID_POSITIONS, "offset 0.5 outside"),
             (-0.1, GRID_POSITIONS, "offset -0.1 outside"),
             (0.0, (0.5, 1.5), re.escape("split positions [1.5]")),
+            (0.0, (0.5, 1.0), re.escape("split positions [1.0]")),
             (0.25, (0.2, 0.25, 0.5), re.escape("split positions [0.2, 0.25]")),
         ],
     )
-    def test_custom_offset_and_positions_stay_inside_the_window(self, offset, positions, message):
+    def test_offset_and_positions_stay_inside_the_window(self, offset, positions, message):
         with pytest.raises(ParameterError, match=message):
-            ExperimentConfig(offset=offset, split_positions=positions, custom=True)
-        assert ExperimentConfig(offset=0.25, split_positions=(0.3, 0.5), custom=True).offset == 0.25
+            ExperimentConfig(offset=offset, split_positions=positions)
+        assert ExperimentConfig(offset=0.25, split_positions=(0.3, 0.5)).offset == 0.25
 
-    def test_custom_split_before_the_first_sample_fails_its_cell(self):
+    def test_split_before_the_first_sample_fails_its_cell(self):
         # the config cannot see where the drawn window starts: the cell
         # fails with the split contract's error and the grid goes on
         cfg = ExperimentConfig(
-            datasets=("sea",), estimators=("marg",), n=150, repetitions=3, split_positions=(0.001, 0.5), custom=True
+            datasets=("sea",), estimators=("marg",), n=150, repetitions=3, split_positions=(0.001, 0.5)
         )
         (cell,) = run_grid(cfg).cells
         assert cell.status == "failed"
@@ -513,13 +511,13 @@ dataset.sea.variant_after = 2
     def test_values_take_their_parameters_types(self, tmp_path):
         path = tmp_path / "bench.cfg"
         path.write_text(
-            "split_positions = 0.5, 0.75\noffset = 0\ncustom = yes\n"
+            "split_positions = 0.5, 0.75\noffset = 0\n"
             "estimator.rf.n_trees = 4\nestimator.kdq.min_side = 1\nestimator.mmd.bandwidth = 2\n"
             "estimator.ldd.aggregation = max\ndataset.rhp.rotation_angle = 1\n"
             "dataset.csv.path = 1\n"
         )
         cfg = load_config(path)
-        assert cfg.split_positions == (0.5, 0.75) and type(cfg.offset) is float and cfg.custom is True
+        assert cfg.split_positions == (0.5, 0.75) and type(cfg.offset) is float
         assert cfg.estimator_params == {
             "rf": {"n_trees": 4}, "kdq": {"min_side": 1.0}, "mmd": {"bandwidth": 2.0}, "ldd": {"aggregation": "max"},
         }
@@ -533,7 +531,7 @@ dataset.sea.variant_after = 2
             ("estimator.marg.bins = 8.5", "bad value for 'estimator.marg.bins': '8.5' is not int"),
             ("dataset.sea.variant_after = 2.0", "bad value for 'dataset.sea.variant_after': '2.0' is not int"),
             ("estimator.rnd_pj.n_axes = none", "bad value for 'estimator.rnd_pj.n_axes': 'none' is not int | None"),
-            ("custom = 1", "bad value for 'custom': '1' is not bool"),
+            ("custom = true", "unknown config key 'custom'"),
             ("estimator.rff.n_trees = 4", "unknown estimator 'rff'"),
             ("dataset.sea.variant_aftr = 2", "bad parameters for dataset 'sea': .*'variant_aftr'"),
             ("dataset.rbf.seed = 3", "bad parameters for dataset 'rbf': .*'seed'"),
@@ -595,17 +593,4 @@ dataset.sea.variant_after = 2
         path = tmp_path / "bad.cfg"
         path.write_bytes(b"datasets = stagger\nmetric = \xff\n")
         with pytest.raises(ParameterError, match=f"{re.escape(str(path))}: not UTF-8 text"):
-            load_config(path)
-
-    @pytest.mark.parametrize("value, expected", [("true", True), ("Yes", True), ("on", True), ("false", False), ("no", False)])
-    def test_custom_takes_a_boolean(self, tmp_path, value, expected):
-        path = tmp_path / "bench.cfg"
-        path.write_text(f"custom = {value}\n")
-        assert load_config(path).custom is expected
-
-    @pytest.mark.parametrize("value", ["1", "0", "maybe", ""])
-    def test_custom_rejects_a_non_boolean(self, tmp_path, value):
-        path = tmp_path / "bench.cfg"
-        path.write_text(f"offset = 0.4\ncustom = {value}\n")
-        with pytest.raises(ParameterError, match=re.escape(f"{path}:2: bad value for 'custom'")):
             load_config(path)

@@ -1,5 +1,6 @@
 """README's library quickstart against the package's top level, and its CLI
-section against the parser and exit codes of ``driftbench.cli``."""
+section against the parser, the config loader and the exit codes of
+``driftbench.cli``."""
 
 import argparse
 import pathlib
@@ -8,6 +9,7 @@ import types
 
 import driftbench
 from driftbench import cli
+from driftbench.harness import ExperimentConfig, load_config
 
 README = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
 QUICKSTART = README.partition("## Library quickstart")[2].partition("\n## ")[0]
@@ -34,6 +36,14 @@ def test_cli_block_lists_the_parser_subcommands():
     listed = [line.split()[1] for line in block.splitlines() if line.startswith("bench ")]
     subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert sorted(listed) == sorted(subparsers.choices)
+
+
+def test_run_config_block_loads_as_written(tmp_path):
+    # every key of the example must still be one the loader knows
+    block = re.findall(r"```\n(.*?)```", CLI, re.DOTALL)[1]
+    path = tmp_path / "bench.cfg"
+    path.write_text(block, encoding="utf-8")
+    assert isinstance(load_config(path), ExperimentConfig)
 
 
 def test_exit_codes_are_the_ones_cli_defines():

@@ -3,7 +3,7 @@
 The names here are the library API: windows, the concept-pair generators,
 estimators by id, ``scan_splits`` and ``detect_drift``, the grid harness
 and the error classes.  Everything else is imported from its module, e.g.
-``driftbench.detector.MomentForestEstimator`` or
+``driftbench.detector.rf_estimator`` or
 ``driftbench.partitions.build_random_tree``.
 """
 

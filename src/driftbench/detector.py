@@ -15,8 +15,10 @@ blocks; per block it gathers the counts of all cells once, divides each
 side by its sample count, makes one metric pass that gives a row per
 partition, and folds the rows in partition order (max over binnings, sum
 then mean over trees).
-``Estimator.fit_each`` fits a sequence of windows lazily; the moment forest
-overrides it to grow the forests of all windows in lockstep.
+Every estimator id has a factory that checks its parameters and returns
+one ``Estimator``, an id and a fit; ``Estimator.fit_each`` fits a sequence
+of windows lazily or, for the moment forests, grows all their forests in
+lockstep.
 Scanning all candidate splits yields a statistic trace, the arg-max split
 estimate and, after permutation normalization, a p-value.
 """
@@ -88,18 +90,28 @@ class Descriptor:
 
 
 class Estimator:
-    """Descriptor builder + similarity pair: ``fit`` returns a ``Descriptor``
-    holding only what its statistic reads, and ``name`` is the estimator id.
+    """An estimator id and a fit: ``fit(w, seed)`` returns a ``Descriptor``
+    holding only what its statistic reads.
+
+    ``fit(w, rng)`` and, when given, the batch fit ``fit_each(windows, rngs)``,
+    which returns the descriptors in window order, are stored as passed;
+    ``params`` become attributes.
     """
 
-    name: str = "estimator"
+    def __init__(self, name: str, fit, fit_each=None, **params):
+        self.name = name
+        self._fit, self._fit_each = fit, fit_each
+        vars(self).update(params)
 
     def fit(self, w: Window, seed=None) -> Descriptor:
-        raise NotImplementedError
+        return self._fit(w, as_generator(seed))
 
     def fit_each(self, windows, rngs):
         """The descriptor of each window in turn, window i fitted from
-        ``rngs[i]``; lazy, so only the descriptor in use is alive."""
+        ``rngs[i]``: by the batch fit when there is one, else lazily, so
+        only the descriptor in use is alive."""
+        if self._fit_each is not None:
+            return self._fit_each(windows, rngs)
         return (self.fit(w, rng) for w, rng in zip(windows, rngs))
 
 
@@ -145,17 +157,11 @@ class _ForestDescriptor(_PartitionDescriptor):
         return super().statistics(ranks) / len(self.partitions)
 
 
-class PartitionEstimator(Estimator):
-    """Generic binning/tree estimator: build partitions once, scan cheaply;
+def partition_estimator(name: str, builder, metric: str = "tv") -> Estimator:
+    """Binning/tree estimator: build partitions once, scan cheaply;
     ``builder(w, rng)`` returns the list of partitions."""
-
-    def __init__(self, name, builder, metric="tv"):
-        self.name = name
-        self._builder = builder
-        self.metric = histogram_metric(metric)
-
-    def fit(self, w: Window, seed=None) -> Descriptor:
-        return _PartitionDescriptor(self._builder(w, as_generator(seed)), w, self.metric)
+    metric = histogram_metric(metric)
+    return Estimator(name, lambda w, rng: _PartitionDescriptor(builder(w, rng), w, metric))
 
 
 def _at_least(low, **values) -> None:
@@ -174,123 +180,96 @@ def _check_binning(bins: int, edge_mode: str, n_axes: int | None = None) -> None
         raise ParameterError(f"unknown edge_mode {edge_mode!r}; known: ['equidistant', 'equilikely']")
 
 
-def marginal_estimator(bins: int = 4, edge_mode: str = "equidistant", metric: str = "tv") -> PartitionEstimator:
+def marginal_estimator(bins: int = 4, edge_mode: str = "equidistant", metric: str = "tv") -> Estimator:
     _check_binning(bins, edge_mode)
-    return PartitionEstimator("marg", lambda w, rng: build_marginal(w, bins, edge_mode), metric)
+    return partition_estimator("marg", lambda w, rng: build_marginal(w, bins, edge_mode), metric)
 
 
 def random_projection_estimator(
     n_axes: int | None = None, bins: int = 8, edge_mode: str = "equilikely", metric: str = "tv"
-) -> PartitionEstimator:
+) -> Estimator:
     _check_binning(bins, edge_mode, n_axes)
-    return PartitionEstimator(
+    return partition_estimator(
         "rnd_pj", lambda w, rng: build_random_projection(w, n_axes, bins, edge_mode, rng), metric
     )
 
 
-def pca_projection_estimator(n_axes: int | None = None, bins: int = 8, edge_mode: str = "equilikely", metric: str = "tv") -> PartitionEstimator:
+def pca_projection_estimator(n_axes: int | None = None, bins: int = 8, edge_mode: str = "equilikely", metric: str = "tv") -> Estimator:
     _check_binning(bins, edge_mode, n_axes)
-    return PartitionEstimator("pca", lambda w, rng: build_pca_projection(w, n_axes, bins, edge_mode), metric)
+    return partition_estimator("pca", lambda w, rng: build_pca_projection(w, n_axes, bins, edge_mode), metric)
 
 
-def grid_estimator(bins: int = 4, edge_mode: str = "equidistant", metric: str = "tv") -> PartitionEstimator:
+def grid_estimator(bins: int = 4, edge_mode: str = "equidistant", metric: str = "tv") -> Estimator:
     _check_binning(bins, edge_mode)
-    return PartitionEstimator("grid", lambda w, rng: [build_grid(w, bins, edge_mode)], metric)
+    return partition_estimator("grid", lambda w, rng: [build_grid(w, bins, edge_mode)], metric)
 
 
 def random_tree_estimator(
     n_leaves: int = 16, min_leaf: int = 5, n_trees: int = 8, metric: str = "tv"
-) -> PartitionEstimator:
+) -> Estimator:
     """Ensemble of independently grown random trees, aggregated by max."""
     _at_least(2, n_leaves=n_leaves)
     _at_least(1, min_leaf=min_leaf, n_trees=n_trees)
-    return PartitionEstimator(
+    return partition_estimator(
         "rnd_tree",
         lambda w, rng: build_random_trees(w, n_trees, n_leaves, rng, min_leaf),
         metric,
     )
 
 
-def kdq_tree_estimator(min_side: float = 0.05, min_count: int = 10, metric: str = "tv") -> PartitionEstimator:
+def kdq_tree_estimator(min_side: float = 0.05, min_count: int = 10, metric: str = "tv") -> Estimator:
     if not min_side > 0:
         raise ParameterError(f"min_side must be positive, got {min_side!r}")
-    return PartitionEstimator("kdq", lambda w, rng: [build_kdq_tree(w, min_side, min_count)], metric)
+    return partition_estimator("kdq", lambda w, rng: [build_kdq_tree(w, min_side, min_count)], metric)
 
 
-class MomentForestEstimator(Estimator):
-    """Moment-tree ensemble estimator (time-aware descriptor)."""
+def _moment_forest_estimator(variant: str, n_trees: int, degree: int, min_leaf: int, max_depth: int, metric: str) -> Estimator:
+    """Moment-tree ensemble estimator (time-aware descriptor); a batch of
+    windows grows its forests in lockstep, each equal to its lone fit, and
+    the descriptors, which hold the leaf histograms, are built as asked for."""
+    config = MomentTreeConfig(degree=degree, min_leaf=min_leaf, max_depth=max_depth)
+    _at_least(1, n_trees=n_trees)
+    metric = histogram_metric(metric)
 
-    def __init__(
-        self,
-        n_trees: int = 16,
-        variant: str = VARIANT_RF,
-        config: MomentTreeConfig | None = None,
-        metric: str = "tv",
-    ):
-        _at_least(1, n_trees=n_trees)
-        if variant not in (VARIANT_DT, VARIANT_RF):
-            raise ParameterError(f"unknown variant {variant!r}; known: {[VARIANT_DT, VARIANT_RF]}")
-        self.name = variant
-        self.n_trees = n_trees
-        self.config = config or MomentTreeConfig()
-        self.metric = histogram_metric(metric)
+    def fit_each(windows, rngs):
+        forests = fit_moment_forests(windows, n_trees, config, rngs, variant)
+        return (_ForestDescriptor(forest, w, metric) for forest, w in zip(forests, windows))
 
-    def fit(self, w: Window, seed=None) -> Descriptor:
-        forest = fit_moment_forest(w, self.n_trees, self.config, seed, self.name)
-        return _ForestDescriptor(forest, w, self.metric)
-
-    def fit_each(self, windows, rngs):
-        """As ``Estimator.fit_each``, but the forests grow in lockstep
-        (``fit_moment_forests``) and equal what ``fit`` gives each window alone; the descriptors, which hold the leaf
-        histograms, are built one at a time as they are asked for."""
-        forests = fit_moment_forests(windows, self.n_trees, self.config, rngs, self.name)
-        return (_ForestDescriptor(forest, w, self.metric) for forest, w in zip(forests, windows))
+    return Estimator(variant, lambda w, rng: _ForestDescriptor(fit_moment_forest(w, n_trees, config, rng, variant), w, metric), fit_each)
 
 
-class LddEstimator(Estimator):
+def rf_estimator(n_trees: int = 16, degree: int = 2, min_leaf: int = 10, max_depth: int = 8, metric: str = "tv") -> Estimator:
+    return _moment_forest_estimator(VARIANT_RF, n_trees, degree, min_leaf, max_depth, metric)
+
+
+def dt_estimator(degree: int = 2, min_leaf: int = 10, max_depth: int = 8, metric: str = "tv") -> Estimator:
+    """One tree: 'dt' draws nothing, so a second tree would be a copy."""
+    return _moment_forest_estimator(VARIANT_DT, 1, degree, min_leaf, max_depth, metric)
+
+
+def ldd_estimator(k: int = 10, aggregation: str = "mean") -> Estimator:
     """Local drift degree estimator, the per-point values aggregated by
     'mean' or 'max': a fit keeps each sample's k nearest as an (n, k) index
     set (no distances, no sort)."""
-
-    name = "ldd"
-
-    def __init__(self, k: int = 10, aggregation: str = "mean"):
-        if aggregation not in ("mean", "max"):
-            raise ParameterError(f"unknown aggregation {aggregation!r}; known: ['mean', 'max']")
-        _at_least(1, k=k)
-        self.k = k
-        self.aggregation = aggregation
-
-    def fit(self, w: Window, seed=None) -> Descriptor:
-        lists = build_neighbor_lists(w, self.k)
-        return Descriptor(w, functools.partial(ldd_statistics, lists, aggregation=self.aggregation))
+    if aggregation not in ("mean", "max"):
+        raise ParameterError(f"unknown aggregation {aggregation!r}; known: ['mean', 'max']")
+    _at_least(1, k=k)
+    return Estimator(
+        "ldd", lambda w, rng: Descriptor(w, functools.partial(ldd_statistics, build_neighbor_lists(w, k), aggregation=aggregation)), k=k
+    )
 
 
-class KnnKlEstimator(Estimator):
+def knn_kl_estimator(k: int = 2) -> Estimator:
     """kNN estimate of KL(before || after): a fit keeps the ``NeighborGraph``
     of distance rows."""
-
-    name = "knn_kl"
-
-    def __init__(self, k: int = 2):
-        _at_least(1, k=k)
-        self.k = k
-
-    def fit(self, w: Window, seed=None) -> Descriptor:
-        return Descriptor(w, functools.partial(knn_kls, build_neighbor_graph(w, self.k)))
+    _at_least(1, k=k)
+    return Estimator("knn_kl", lambda w, rng: Descriptor(w, functools.partial(knn_kls, build_neighbor_graph(w, k))), k=k)
 
 
-class MmdEstimator(Estimator):
+def mmd_estimator(bandwidth: float | str = "median") -> Estimator:
     """Biased Gaussian-kernel MMD estimator."""
-
-    name = "mmd"
-
-    def __init__(self, bandwidth: float | str = "median"):
-        neighbor_kernel._check_bandwidth(bandwidth)
-        self.bandwidth = bandwidth
-
-    def fit(self, w: Window, seed=None) -> Descriptor:
-        return Descriptor(w, functools.partial(mmds_from_gram, build_kernel_gram(w, self.bandwidth)))
+    neighbor_kernel._check_bandwidth(bandwidth)
+    return Estimator("mmd", lambda w, rng: Descriptor(w, functools.partial(mmds_from_gram, build_kernel_gram(w, bandwidth))))
 
 
 def scan_splits(estimator: Estimator, w: Window, seed=None, min_side: int | None = None) -> DriftVerdict:

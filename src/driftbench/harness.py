@@ -33,21 +33,21 @@ import numpy as np
 from . import __version__
 from .detector import (
     Estimator,
-    KnnKlEstimator,
-    LddEstimator,
-    MmdEstimator,
-    MomentForestEstimator,
+    dt_estimator,
     grid_estimator,
     kdq_tree_estimator,
+    knn_kl_estimator,
+    ldd_estimator,
     marginal_estimator,
+    mmd_estimator,
     pca_projection_estimator,
     random_projection_estimator,
     random_tree_estimator,
+    rf_estimator,
 )
 from .errors import DriftBenchError, ParameterError
 from .generators import csv_concept_pair, rbf_pair, rhp_pair, sea_pair, stagger_pair, with_noise
 from .histograms import METRICS
-from .moment_tree import MomentTreeConfig, VARIANT_DT, VARIANT_RF
 from .seeding import as_generator, derive_seed
 from .windows import make_paired
 
@@ -59,17 +59,6 @@ DESK_REPETITIONS = 200
 REPETITION_BLOCK = 16
 
 
-def _rf_estimator(metric="tv", n_trees=16, degree=2, min_leaf=10, max_depth=8):
-    cfg = MomentTreeConfig(degree=degree, min_leaf=min_leaf, max_depth=max_depth)
-    return MomentForestEstimator(n_trees, VARIANT_RF, cfg, metric)
-
-
-def _dt_estimator(metric="tv", degree=2, min_leaf=10, max_depth=8):
-    """One tree: 'dt' draws nothing, so a second tree would be a copy."""
-    cfg = MomentTreeConfig(degree=degree, min_leaf=min_leaf, max_depth=max_depth)
-    return MomentForestEstimator(1, VARIANT_DT, cfg, metric)
-
-
 ESTIMATOR_BUILDERS = {
     "marg": marginal_estimator,
     "rnd_pj": random_projection_estimator,
@@ -77,11 +66,11 @@ ESTIMATOR_BUILDERS = {
     "grid": grid_estimator,
     "rnd_tree": random_tree_estimator,
     "kdq": kdq_tree_estimator,
-    "rf": _rf_estimator,
-    "dt": _dt_estimator,
-    "mmd": MmdEstimator,
-    "ldd": LddEstimator,
-    "knn_kl": KnnKlEstimator,
+    "rf": rf_estimator,
+    "dt": dt_estimator,
+    "mmd": mmd_estimator,
+    "ldd": ldd_estimator,
+    "knn_kl": knn_kl_estimator,
 }
 
 #: Estimators shown in the benchmark tables.

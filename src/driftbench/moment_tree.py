@@ -65,7 +65,7 @@ class MomentTreeConfig:
     max_depth: int = 8
 
     def __post_init__(self):
-        if self.degree < 1 or self.min_leaf < 1 or self.max_depth < 0:
+        if not (self.degree >= 1 and self.min_leaf >= 1 and self.max_depth >= 0):
             raise ParameterError("invalid moment tree config")
 
 
@@ -326,7 +326,7 @@ def fit_moment_forests(
     with all features.  Each forest equals the one ``fit_moment_forest``
     fits on its window alone from the same generator.
     """
-    if n_trees < 1:
+    if not n_trees >= 1:
         raise ParameterError("n_trees must be >= 1")
     if variant not in (VARIANT_DT, VARIANT_RF):
         raise ParameterError(f"unknown variant {variant!r}")

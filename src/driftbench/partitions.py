@@ -320,7 +320,7 @@ def build_random_trees(w: Window, n_trees: int, n_leaves: int = 16, seed=None, m
     Mehta, Agrawal & Rissanen 1996).
     """
     _require_halvable(w)
-    if n_leaves < 2 or min_leaf < 1 or n_trees < 1:
+    if not (n_leaves >= 2 and min_leaf >= 1 and n_trees >= 1):
         raise ParameterError("n_leaves must be >= 2, min_leaf >= 1 and n_trees >= 1")
     rng = as_generator(seed)
     xt = np.ascontiguousarray(w.x.T)
@@ -372,7 +372,7 @@ def build_kdq_tree(w: Window, min_side: float = 0.05, min_count: int = 10) -> Tr
     the current dimension would create sides shorter than ``min_side``.
     """
     _require_halvable(w)
-    if min_side <= 0:
+    if not min_side > 0:
         raise ParameterError("min_side must be positive")
     x = w.x
     d = w.dim

@@ -381,6 +381,20 @@ MUTANTS = (
         ("test_harness.py", "test_cli.py"),
     ),
     Mutant(
+        "estimator_drops_params", "detector.py",
+        "        vars(self).update(params)\n",
+        "",
+        "an estimator keeps its params as attributes; the benchmark reads k off ldd and knn_kl",
+        ("test_harness.py",),
+    ),
+    Mutant(
+        "forest_nan_trees", "moment_tree.py",
+        "if not n_trees >= 1:",
+        "if n_trees < 1:",
+        "a forest refuses a NaN tree count, which would grow no tree",
+        ("test_moment_tree.py",),
+    ),
+    Mutant(
         "offset_at_drift_position", "harness.py",
         "self.offset < DRIFT_POSITION",
         "self.offset <= DRIFT_POSITION",

@@ -6,11 +6,11 @@ import pytest
 
 from driftbench.detector import (
     DriftVerdict,
-    PartitionEstimator,
     classifier_tv_oracle,
     detect_drift,
     kdq_tree_estimator,
     marginal_estimator,
+    partition_estimator,
     permutation_normalize,
     random_projection_estimator,
     random_tree_estimator,
@@ -178,7 +178,7 @@ class TestDescriptorProtocol:
 
     def test_partition_estimator_with_no_partitions_is_rejected(self, window):
         with pytest.raises(ParameterError, match="at least one partition"):
-            PartitionEstimator("none", lambda w, rng: []).fit(window)
+            partition_estimator("none", lambda w, rng: []).fit(window)
 
     @pytest.mark.parametrize("estimator_id", sorted(ESTIMATOR_BUILDERS))
     def test_statistics_at(self, window, estimator_id):

@@ -246,14 +246,16 @@ class TestRunGrid:
         assert list(inspect.signature(estimator.fit).parameters) == ["w", "seed"]
         assert list(inspect.signature(estimator.fit_each).parameters) == ["windows", "rngs"]
 
+    def test_neighbor_estimators_keep_k(self):
+        # the benchmark's scan check reads k off the estimator
+        assert make_estimator("ldd", params={"k": 7}).k == 7
+        assert make_estimator("knn_kl").k == 2
+
     def test_unexpected_error_propagates(self, monkeypatch):
-        class Broken(Estimator):
-            name = "broken"
+        def fit(w, rng):
+            raise TypeError("bug in estimator code")
 
-            def fit(self, w, seed=None):
-                raise TypeError("bug in estimator code")
-
-        monkeypatch.setitem(ESTIMATOR_BUILDERS, "broken", lambda metric="tv", **p: Broken())
+        monkeypatch.setitem(ESTIMATOR_BUILDERS, "broken", lambda metric="tv", **p: Estimator("broken", fit))
         cfg = dataclasses.replace(SMALL, estimators=("marg", "broken"), repetitions=2)
         with pytest.raises(TypeError, match="bug in estimator code"):
             run_grid(cfg)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from driftbench import harness
-from driftbench.detector import MomentForestEstimator
+from driftbench.detector import dt_estimator, rf_estimator
 from driftbench.errors import DataError, InvalidSplitError, ParameterError
 from driftbench.histograms import histogram_metric
 from driftbench.moment_tree import (
@@ -21,7 +21,7 @@ from driftbench.moment_tree import (
     fit_moment_forests,
     fit_moment_tree,
 )
-from driftbench.partitions import trees_from_splits
+from driftbench.partitions import build_kdq_tree, build_random_trees, trees_from_splits
 from driftbench.windows import Window
 
 
@@ -93,7 +93,7 @@ class TestForest:
 
     def test_forest_statistic_is_mean_of_tree_statistics(self):
         w = two_cluster_window(n_per=25, seed=2)
-        desc = MomentForestEstimator(n_trees=5, variant=VARIANT_RF).fit(w, seed=1)
+        desc = rf_estimator(n_trees=5).fit(w, seed=1)
         forest = desc.forest
         metric = histogram_metric("tv")
         t = 0.4
@@ -108,7 +108,7 @@ class TestForest:
 
     def test_statistics_match_recount_on_all_splits(self):
         w = two_cluster_window(n_per=20, seed=3)
-        descriptor = MomentForestEstimator(n_trees=3).fit(w, seed=2)
+        descriptor = rf_estimator(n_trees=3).fit(w, seed=2)
         forest = descriptor.forest
         metric = histogram_metric("tv")
         for t in np.unique(w.t)[:-1]:
@@ -124,14 +124,14 @@ class TestForest:
     def test_single_leaf_tree_statistic_zero_for_every_metric(self, rng):
         w = Window(np.full((50, 1), 1.0), np.sort(rng.uniform(0, 1, 50)))
         for metric in ("tv", "hellinger", "js", "kl"):
-            desc = MomentForestEstimator(n_trees=2, metric=metric).fit(w, seed=0)
+            desc = rf_estimator(n_trees=2, metric=metric).fit(w, seed=0)
             assert desc.forest.trees[0].n_cells == 1
             for t in (0.2, 0.5, 0.8):
                 assert desc.statistics_at([t])[0] == 0.0
 
     def test_empty_side_errors(self):
         w = two_cluster_window()
-        desc = MomentForestEstimator(n_trees=1).fit(w, seed=0)
+        desc = rf_estimator(n_trees=1).fit(w, seed=0)
         with pytest.raises(InvalidSplitError):
             desc.statistics_at([float(w.t[-1])])[0]
 
@@ -142,10 +142,22 @@ class TestForest:
         with pytest.raises(ParameterError):
             fit_moment_forest(w, variant="boosted")
 
-    def test_estimator_rejects_unknown_variant_at_construction(self):
-        with pytest.raises(ParameterError, match="unknown variant 'boosted'"):
-            MomentForestEstimator(variant="boosted")
-        assert [MomentForestEstimator(variant=v).name for v in (VARIANT_RF, VARIANT_DT)] == ["rf", "dt"]
+    @pytest.mark.parametrize("fit", [
+        lambda w: fit_moment_forest(w, n_trees=np.nan),
+        lambda w: build_random_trees(w, 2, n_leaves=np.nan),
+        lambda w: build_random_trees(w, 2, min_leaf=np.nan),
+        lambda w: build_kdq_tree(w, min_side=np.nan),
+        lambda w: MomentTreeConfig(degree=np.nan),
+        lambda w: MomentTreeConfig(min_leaf=np.nan),
+        lambda w: MomentTreeConfig(max_depth=np.nan),
+    ], ids=["n_trees", "n_leaves", "min_leaf", "min_side", "degree", "config_min_leaf", "max_depth"])
+    def test_nan_count_is_refused(self, fit):
+        # a NaN passes a check written as x < low; it would grow 0 or one-leaf trees
+        with pytest.raises(ParameterError):
+            fit(random_window(0, 80, 2))
+
+    def test_estimator_names_are_the_variants(self):
+        assert [rf_estimator().name, dt_estimator().name] == [VARIANT_RF, VARIANT_DT] == ["rf", "dt"]
 
 
 def arrival_time_witness_windows():
@@ -378,7 +390,7 @@ class TestLockstepGrowerMatchesRecursion:
         with pytest.raises(ParameterError):
             fit_moment_forests([w, w], 2, None, [rng, rng])
 
-    @pytest.mark.parametrize("estimator_id", ["rf", "dt", "marg"])
+    @pytest.mark.parametrize("estimator_id", sorted(harness.ESTIMATOR_BUILDERS))
     def test_records_across_blocks_equal_one_repetition_at_a_time(self, monkeypatch, estimator_id):
         monkeypatch.setattr(harness, "REPETITION_BLOCK", 4)
         cfg = harness.ExperimentConfig(
@@ -402,7 +414,7 @@ class TestLockstepGrowerMatchesRecursion:
 
         config = MomentTreeConfig()
         w = random_window(5, 150, 3)
-        desc = MomentForestEstimator(16, VARIANT_RF, config).fit(w, seed=5)
+        desc = rf_estimator(16).fit(w, seed=5)
         ts = np.unique(w.t)[1:-2]
         reference_trees = [
             MomentTree(TreePartition(

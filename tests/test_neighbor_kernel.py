@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from driftbench.detector import KnnKlEstimator, LddEstimator, MmdEstimator, detect_drift, scan_splits
+from driftbench.detector import detect_drift, knn_kl_estimator, ldd_estimator, mmd_estimator, scan_splits
 from driftbench.errors import DataError, InvalidSplitError, ParameterError
 from driftbench import neighbor_kernel
 from driftbench.neighbor_kernel import (
@@ -133,11 +133,11 @@ class TestNeighborGraph:
 
         # a kNN descriptor's statistics are bound to its fitted neighbors:
         # for LDD one (n, k) integer array and no float array
-        ldd = LddEstimator(k=4).fit(w).statistics
+        ldd = ldd_estimator(k=4).fit(w).statistics
         assert [(a.shape, a.dtype.kind) for a in ldd.args] == [((50, 4), "i")]
         assert not [v for v in ldd.keywords.values() if isinstance(v, np.ndarray)]
         # kNN-KL holds the one distance matrix and no n x n integer array
-        kl = KnnKlEstimator(k=4).fit(w).statistics.args[0]
+        kl = knn_kl_estimator(k=4).fit(w).statistics.args[0]
         assert [(a.shape, a.dtype) for a in held(kl)] == [((50, 50), np.float64)]
 
 
@@ -193,7 +193,7 @@ class TestLdd:
 
     def test_empty_side_errors(self, rng):
         w = Window(rng.normal(size=(20, 1)), np.sort(rng.uniform(0.2, 0.8, 20)))
-        desc = LddEstimator(k=2).fit(w)
+        desc = ldd_estimator(k=2).fit(w)
         with pytest.raises(InvalidSplitError):
             desc.statistics_at([0.95])[0]
 
@@ -427,7 +427,7 @@ class TestMmd:
     def test_descriptor_holds_no_n_by_n_array(self, rng):
         n = 120
         w = Window(rng.normal(size=(n, 2)), np.sort(rng.uniform(0, 1, n)))
-        desc = MmdEstimator().fit(w)
+        desc = mmd_estimator().fit(w)
         gram = desc.statistics.args[0]
         held = [v for v in (*vars(desc).values(), *vars(gram).values()) if isinstance(v, np.ndarray)]
         assert held and max(a.size for a in held) <= n + 1
@@ -454,7 +454,7 @@ class TestMmd:
         # a NaN bandwidth used to give max_stat = nan and a p-value of 0.05
         w = Window(rng.normal(size=(80, 2)), np.sort(rng.uniform(0, 1, 80)))
         with pytest.raises(ParameterError, match="bandwidth"):
-            detect_drift(MmdEstimator(bandwidth=float("nan")), w, n_perms=19, seed=0)
+            detect_drift(mmd_estimator(bandwidth=float("nan")), w, n_perms=19, seed=0)
 
     def test_rank_outside_one_to_n_minus_one_errors(self, rng):
         # ranks 0 and n gave nan or inf, and rank -1 wrapped round to a finite value
@@ -673,7 +673,7 @@ class TestSizeGuard:
         x = rng.normal(size=(60, 2))
         x *= 0.99 * limit / np.linalg.norm(x, axis=1).max()
         t = np.sort(rng.uniform(0, 1, 60))
-        estimators = (LddEstimator(k=3), KnnKlEstimator(k=2), MmdEstimator())
+        estimators = (ldd_estimator(k=3), knn_kl_estimator(k=2), mmd_estimator())
         for est in estimators:
             assert np.isfinite(scan_splits(est, Window(x, t)).statistics).all(), est.name
         for est in estimators:

@@ -3,7 +3,9 @@ section against the parser, the config loader and the exit codes of
 ``driftbench.cli``."""
 
 import argparse
+import importlib
 import pathlib
+import pkgutil
 import re
 import types
 
@@ -26,6 +28,17 @@ def test_top_level_names_are_the_ones_listed():
     listed = QUICKSTART.partition("The package's top level is")[2].partition("Everything else")[0]
     public = {n for n, v in vars(driftbench).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)}
     assert set(re.findall(r"`(\w+)`", listed)) == public
+
+
+def test_module_references_resolve():
+    # every `from driftbench.<module> import <name>` and backticked `<module>.<name>`
+    modules = {m.name for m in pkgutil.iter_modules(driftbench.__path__)}
+    imports = re.findall(r"`from driftbench\.(\w+) import (\w+)`", README)
+    spans = re.findall(r"`([^`\n]+)`", README)
+    refs = [ref for span in spans for ref in re.findall(r"\b(?:driftbench\.)?(\w+)\.(\w+)", span) if ref[0] in modules]
+    assert imports and refs
+    stale = [f"{m}.{name}" for m, name in imports + refs if not hasattr(importlib.import_module(f"driftbench.{m}"), name)]
+    assert not stale
 
 
 CLI = README.partition("## CLI")[2].partition("\n## ")[0]

@@ -15,10 +15,10 @@ blocks; per block it gathers the counts of all cells once, divides each
 side by its sample count, makes one metric pass that gives a row per
 partition, and folds the rows in partition order (max over binnings, sum
 then mean over trees).
-Every estimator id has a factory that checks its parameters and returns
-one ``Estimator``, an id and a fit; ``Estimator.fit_each`` fits a sequence
-of windows lazily or, for the moment forests, grows all their forests in
-lockstep.
+Every estimator id has a factory that checks each parameter with the check
+its builder runs, and returns one ``Estimator``, an id and a fit;
+``Estimator.fit_each`` fits a sequence of windows lazily or, for the moment
+forests, grows all their forests in lockstep.
 Scanning all candidate splits yields a statistic trace, the arg-max split
 estimate and, after permutation normalization, a p-value.
 """
@@ -26,13 +26,12 @@ estimate and, after permutation normalization, a p-value.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import neighbor_kernel
-from .errors import DataError, InvalidSplitError, ParameterError
+from . import moment_tree, neighbor_kernel, partitions
+from .errors import DataError, InvalidSplitError, ParameterError, as_int
 from .histograms import CumulativeHistogram, histogram_metric
 from .moment_tree import MomentTreeConfig, VARIANT_DT, VARIANT_RF, fit_moment_forest, fit_moment_forests
 from .neighbor_kernel import (
@@ -43,15 +42,7 @@ from .neighbor_kernel import (
     ldd_statistics,
     mmds_from_gram,
 )
-from .partitions import (
-    build_grid,
-    build_kdq_tree,
-    build_marginal,
-    build_pca_projection,
-    build_random_projection,
-    build_random_trees,
-    stacked_cells,
-)
+from .partitions import stacked_cells
 from .seeding import as_generator
 from .windows import Window, _checked_ranks, candidate_split_times, default_min_side, permute_timestamps
 
@@ -164,63 +155,37 @@ def partition_estimator(name: str, builder, metric: str = "tv") -> Estimator:
     return Estimator(name, lambda w, rng: _PartitionDescriptor(builder(w, rng), w, metric))
 
 
-def _at_least(low, **values) -> None:
-    """Reject a parameter below ``low`` when the estimator is built: the
-    check needs no data, so it fails before any window is drawn."""
-    for name, value in values.items():
-        if not value >= low:
-            raise ParameterError(f"{name} must be >= {low}, got {value!r}")
-
-
-def _check_binning(bins: int, edge_mode: str, n_axes: int | None = None) -> None:
-    _at_least(2, bins=bins)
-    if n_axes is not None:
-        _at_least(1, n_axes=n_axes)
-    if edge_mode not in ("equidistant", "equilikely"):
-        raise ParameterError(f"unknown edge_mode {edge_mode!r}; known: ['equidistant', 'equilikely']")
-
-
 def marginal_estimator(bins: int = 4, edge_mode: str = "equidistant", metric: str = "tv") -> Estimator:
-    _check_binning(bins, edge_mode)
-    return partition_estimator("marg", lambda w, rng: build_marginal(w, bins, edge_mode), metric)
+    bins = partitions._check_binning(bins, edge_mode)
+    return partition_estimator("marg", lambda w, rng: partitions.build_marginal(w, bins, edge_mode), metric)
 
 
-def random_projection_estimator(
-    n_axes: int | None = None, bins: int = 8, edge_mode: str = "equilikely", metric: str = "tv"
-) -> Estimator:
-    _check_binning(bins, edge_mode, n_axes)
-    return partition_estimator(
-        "rnd_pj", lambda w, rng: build_random_projection(w, n_axes, bins, edge_mode, rng), metric
-    )
+def random_projection_estimator(n_axes: int | None = None, bins: int = 8, edge_mode: str = "equilikely", metric: str = "tv") -> Estimator:
+    bins, n_axes = partitions._check_binning(bins, edge_mode), partitions._check_axes(n_axes)
+    return partition_estimator("rnd_pj", lambda w, rng: partitions.build_random_projection(w, n_axes, bins, edge_mode, rng), metric)
 
 
 def pca_projection_estimator(n_axes: int | None = None, bins: int = 8, edge_mode: str = "equilikely", metric: str = "tv") -> Estimator:
-    _check_binning(bins, edge_mode, n_axes)
-    return partition_estimator("pca", lambda w, rng: build_pca_projection(w, n_axes, bins, edge_mode), metric)
+    bins, n_axes = partitions._check_binning(bins, edge_mode), partitions._check_axes(n_axes)
+    return partition_estimator("pca", lambda w, rng: partitions.build_pca_projection(w, n_axes, bins, edge_mode), metric)
 
 
 def grid_estimator(bins: int = 4, edge_mode: str = "equidistant", metric: str = "tv") -> Estimator:
-    _check_binning(bins, edge_mode)
-    return partition_estimator("grid", lambda w, rng: [build_grid(w, bins, edge_mode)], metric)
+    bins = partitions._check_binning(bins, edge_mode)
+    return partition_estimator("grid", lambda w, rng: [partitions.build_grid(w, bins, edge_mode)], metric)
 
 
-def random_tree_estimator(
-    n_leaves: int = 16, min_leaf: int = 5, n_trees: int = 8, metric: str = "tv"
-) -> Estimator:
+def random_tree_estimator(n_leaves: int = 16, min_leaf: int = 5, n_trees: int = 8, metric: str = "tv") -> Estimator:
     """Ensemble of independently grown random trees, aggregated by max."""
-    _at_least(2, n_leaves=n_leaves)
-    _at_least(1, min_leaf=min_leaf, n_trees=n_trees)
-    return partition_estimator(
-        "rnd_tree",
-        lambda w, rng: build_random_trees(w, n_trees, n_leaves, rng, min_leaf),
-        metric,
-    )
+    n_trees, n_leaves, min_leaf = partitions._check_random_trees(n_trees, n_leaves, min_leaf)
+    return partition_estimator("rnd_tree", lambda w, rng: partitions.build_random_trees(w, n_trees, n_leaves, rng, min_leaf), metric)
 
 
 def kdq_tree_estimator(min_side: float = 0.05, min_count: int = 10, metric: str = "tv") -> Estimator:
-    if not min_side > 0:
-        raise ParameterError(f"min_side must be positive, got {min_side!r}")
-    return partition_estimator("kdq", lambda w, rng: [build_kdq_tree(w, min_side, min_count)], metric)
+    """kdq-tree estimator; ``min_side`` may be any finite positive number (a
+    feature is not split where half its range is below it)."""
+    min_side, min_count = partitions._check_kdq(min_side, min_count)
+    return partition_estimator("kdq", lambda w, rng: [partitions.build_kdq_tree(w, min_side, min_count)], metric)
 
 
 def _moment_forest_estimator(variant: str, n_trees: int, degree: int, min_leaf: int, max_depth: int, metric: str) -> Estimator:
@@ -228,7 +193,7 @@ def _moment_forest_estimator(variant: str, n_trees: int, degree: int, min_leaf: 
     windows grows its forests in lockstep, each equal to its lone fit, and
     the descriptors, which hold the leaf histograms, are built as asked for."""
     config = MomentTreeConfig(degree=degree, min_leaf=min_leaf, max_depth=max_depth)
-    _at_least(1, n_trees=n_trees)
+    n_trees = moment_tree._check_forest(n_trees, variant)
     metric = histogram_metric(metric)
 
     def fit_each(windows, rngs):
@@ -239,11 +204,13 @@ def _moment_forest_estimator(variant: str, n_trees: int, degree: int, min_leaf: 
 
 
 def rf_estimator(n_trees: int = 16, degree: int = 2, min_leaf: int = 10, max_depth: int = 8, metric: str = "tv") -> Estimator:
+    """Moment forest of bootstrapped trees; ``max_depth=0`` makes each tree one leaf."""
     return _moment_forest_estimator(VARIANT_RF, n_trees, degree, min_leaf, max_depth, metric)
 
 
 def dt_estimator(degree: int = 2, min_leaf: int = 10, max_depth: int = 8, metric: str = "tv") -> Estimator:
-    """One tree: 'dt' draws nothing, so a second tree would be a copy."""
+    """One tree: 'dt' draws nothing, so a second tree would be a copy;
+    ``max_depth=0`` makes it one leaf."""
     return _moment_forest_estimator(VARIANT_DT, 1, degree, min_leaf, max_depth, metric)
 
 
@@ -251,9 +218,7 @@ def ldd_estimator(k: int = 10, aggregation: str = "mean") -> Estimator:
     """Local drift degree estimator, the per-point values aggregated by
     'mean' or 'max': a fit keeps each sample's k nearest as an (n, k) index
     set (no distances, no sort)."""
-    if aggregation not in ("mean", "max"):
-        raise ParameterError(f"unknown aggregation {aggregation!r}; known: ['mean', 'max']")
-    _at_least(1, k=k)
+    k = neighbor_kernel._check_neighbors(k, aggregation)
     return Estimator(
         "ldd", lambda w, rng: Descriptor(w, functools.partial(ldd_statistics, build_neighbor_lists(w, k), aggregation=aggregation)), k=k
     )
@@ -262,12 +227,13 @@ def ldd_estimator(k: int = 10, aggregation: str = "mean") -> Estimator:
 def knn_kl_estimator(k: int = 2) -> Estimator:
     """kNN estimate of KL(before || after): a fit keeps the ``NeighborGraph``
     of distance rows."""
-    _at_least(1, k=k)
+    k = neighbor_kernel._check_neighbors(k)
     return Estimator("knn_kl", lambda w, rng: Descriptor(w, functools.partial(knn_kls, build_neighbor_graph(w, k))), k=k)
 
 
 def mmd_estimator(bandwidth: float | str = "median") -> Estimator:
-    """Biased Gaussian-kernel MMD estimator."""
+    """Biased Gaussian-kernel MMD estimator; ``bandwidth`` is 'median' or any
+    finite positive number."""
     neighbor_kernel._check_bandwidth(bandwidth)
     return Estimator("mmd", lambda w, rng: Descriptor(w, functools.partial(mmds_from_gram, build_kernel_gram(w, bandwidth))))
 
@@ -303,12 +269,7 @@ def detect_drift(
     Each replicate refits the descriptor from scratch on the permuted window
     and takes its scan maximum.
     """
-    try:
-        n_perms = operator.index(n_perms)
-    except TypeError:
-        raise ParameterError(f"n_perms must be an integer, got {n_perms!r}") from None
-    if n_perms < 19:
-        raise ParameterError("n_perms must be at least 19")
+    n_perms = as_int("n_perms", n_perms, 19)
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
     rng = as_generator(seed)

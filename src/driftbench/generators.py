@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, as_int
 from .seeding import as_generator
 from .windows import window_from_csv
 
@@ -96,8 +96,7 @@ class RbfConcept:
 
 def rbf_pair(d: int = 2, n_centroids: int = 5, seed=0) -> tuple[RbfConcept, RbfConcept]:
     """Random-RBF pair: the after-concept redraws the centroid locations."""
-    if d < 1 or n_centroids < 1:
-        raise ParameterError("d and n_centroids must be >= 1")
+    d, n_centroids = as_int("d", d, 1), as_int("n_centroids", n_centroids, 1)
     rng = as_generator(seed)
     weights = rng.uniform(0.1, 1.0, size=n_centroids)
     weights /= weights.sum()
@@ -127,8 +126,7 @@ class HyperplaneConcept:
 
 def rhp_pair(d: int = 2, rotation_angle: float = np.pi / 2, seed=0) -> tuple[HyperplaneConcept, HyperplaneConcept]:
     """Rotating-hyperplane pair: the label boundary rotates, marginals stay put."""
-    if d < 2:
-        raise ParameterError("rotating hyperplane needs d >= 2")
+    d = as_int("d", d, 2)
     rng = as_generator(seed)
     w = rng.standard_normal(d)
     w /= np.linalg.norm(w)
@@ -196,8 +194,7 @@ class NoiseAugmented:
 
 def with_noise(sampler, extra_dims: int) -> object:
     """Append ``extra_dims`` standard-normal coordinates to a sampler."""
-    if extra_dims < 0:
-        raise ParameterError("extra_dims must be >= 0")
+    extra_dims = as_int("extra_dims", extra_dims, 0)
     if extra_dims == 0:
         return sampler
     return NoiseAugmented(sampler, extra_dims)

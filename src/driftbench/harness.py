@@ -24,7 +24,6 @@ import functools
 import hashlib
 import inspect
 import json
-import operator
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -45,9 +44,9 @@ from .detector import (
     random_tree_estimator,
     rf_estimator,
 )
-from .errors import DriftBenchError, ParameterError
+from .errors import DriftBenchError, ParameterError, as_int
 from .generators import csv_concept_pair, rbf_pair, rhp_pair, sea_pair, stagger_pair, with_noise
-from .histograms import METRICS
+from .histograms import _check_metric
 from .seeding import as_generator, derive_seed
 from .windows import make_paired
 
@@ -125,8 +124,7 @@ def _check(kind: str, builder_id: str, params: dict, partial: bool = False):
 def make_estimator(estimator_id: str, metric: str = "tv", params: dict | None = None) -> Estimator:
     _, build = _check("estimator", estimator_id, params or {})
     # the neighbor and kernel estimators ignore the metric; a misspelt one is still an error
-    if metric.lower() not in METRICS:
-        raise ParameterError(f"unknown metric {metric!r}; known: {list(METRICS)}")
+    _check_metric(metric)
     return build(metric)
 
 
@@ -164,17 +162,10 @@ class ExperimentConfig:
         object.__setattr__(self, "datasets", tuple(self.datasets))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "split_positions", tuple(float(p) for p in self.split_positions))
-        for name in ("n", "repetitions", "noise_dims", "seed"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ParameterError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+        for name, low in (("n", 4), ("repetitions", 1), ("noise_dims", 0), ("seed", None)):
+            object.__setattr__(self, name, as_int(name, getattr(self, name), low))
         if not self.datasets or not self.estimators:
             raise ParameterError("datasets and estimators must each list at least one id")
-        if self.repetitions < 1 or self.n < 4:
-            raise ParameterError("repetitions and n must be positive (n >= 4)")
-        if self.noise_dims < 0:
-            raise ParameterError(f"noise_dims must be >= 0, got {self.noise_dims}")
         # derive_seed keeps 32 bits, so any other seed would alias one of these
         if not 0 <= self.seed < 2**32:
             raise ParameterError(f"bad seed {self.seed!r}: must lie in [0, 2**32)")

@@ -234,6 +234,13 @@ KL_SMOOTHING = 0.5
 METRICS = ("tv", "hellinger", "js", "kl")
 
 
+def _check_metric(name: str) -> str:
+    """``name`` in lower case, once it is one of ``METRICS`` in any case."""
+    if not (isinstance(name, str) and name.lower() in METRICS):
+        raise ParameterError(f"unknown metric {name!r}; known: {list(METRICS)}")
+    return name.lower()
+
+
 def histogram_metric(name: str):
     """Build a metric on one partition's count pair: (before_counts, after_counts) -> values.
 
@@ -245,9 +252,7 @@ def histogram_metric(name: str):
 
     ``CumulativeHistogram.metric_rows`` scores every partition of a stack at once.
     """
-    name = name.lower()
-    if name not in METRICS:
-        raise ParameterError(f"unknown metric {name!r}")
+    name = _check_metric(name)
     rows = {"tv": _tv_rows, "hellinger": _hellinger_rows, "js": _js_rows, "kl": _kl_rows}[name]
     smoothing = KL_SMOOTHING if name == "kl" else 0.0
 

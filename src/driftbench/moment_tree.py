@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, as_int
 from .partitions import TreePartition, _require_halvable, trees_from_splits
 from .seeding import as_generator
 from .windows import Window
@@ -60,13 +60,21 @@ _BLOCK_ELEMENTS = 8192
 
 @dataclass(frozen=True)
 class MomentTreeConfig:
+    """Integer growth limits: ``degree`` and ``min_leaf`` at least 1, ``max_depth`` at least 0 (0: one leaf)."""
+
     degree: int = 2
     min_leaf: int = 10
     max_depth: int = 8
 
     def __post_init__(self):
-        if not (self.degree >= 1 and self.min_leaf >= 1 and self.max_depth >= 0):
-            raise ParameterError("invalid moment tree config")
+        for name, low in (("degree", 1), ("min_leaf", 1), ("max_depth", 0)):
+            object.__setattr__(self, name, as_int(name, getattr(self, name), low))
+
+
+def _check_forest(n_trees: int, variant: str) -> int:
+    if variant not in (VARIANT_DT, VARIANT_RF):
+        raise ParameterError(f"unknown variant {variant!r}")
+    return as_int("n_trees", n_trees, 1)
 
 
 @dataclass(frozen=True)
@@ -326,10 +334,7 @@ def fit_moment_forests(
     with all features.  Each forest equals the one ``fit_moment_forest``
     fits on its window alone from the same generator.
     """
-    if not n_trees >= 1:
-        raise ParameterError("n_trees must be >= 1")
-    if variant not in (VARIANT_DT, VARIANT_RF):
-        raise ParameterError(f"unknown variant {variant!r}")
+    n_trees = _check_forest(n_trees, variant)
     for w in windows:
         _require_halvable(w)
     rngs = [as_generator(r) for r in rngs]

@@ -36,11 +36,10 @@ median's bracket (about 7% of the triangle unless the distances tie).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, as_int, finite_positive
 from .windows import Window, _checked_ranks, _scan_rows
 
 DISTANCE_FLOOR = 1e-12
@@ -111,10 +110,15 @@ class NeighborGraph:
         return self.dist.shape[0]
 
 
+def _check_neighbors(k: int, aggregation: str = "mean") -> int:
+    if aggregation not in ("mean", "max"):
+        raise ParameterError(f"unknown aggregation {aggregation!r}; known: ['mean', 'max']")
+    return as_int("k", k, 1)
+
+
 def _distance_rows(w: Window, k: int) -> tuple[np.ndarray, int]:
     """The window's distance matrix, +inf on the diagonal, and k capped at n - 1."""
-    if k < 1:
-        raise ParameterError("k must be >= 1")
+    k = _check_neighbors(k)
     d = _pairwise_distances(w.x)
     np.fill_diagonal(d, np.inf)
     return d, min(k, len(w) - 1)
@@ -163,9 +167,8 @@ def ldd_statistics(lists: np.ndarray, ranks, *, aggregation: str = "mean") -> np
     over a block's sorted splits is a running integer sum of event counts,
     taken by ``_scan_rows`` (whole-row steps from ``_WIDE_ROW`` samples on).
     """
-    if aggregation not in ("mean", "max"):
-        raise ParameterError(f"unknown aggregation {aggregation!r}")
     n, k = lists.shape
+    _check_neighbors(k, aggregation)
     ranks = _checked_ranks(ranks, n)
     neighbors, rows, c = lists.ravel(), np.repeat(np.arange(n), k), np.arange(k + 1)
     reduce = np.mean if aggregation == "mean" else np.max
@@ -342,8 +345,8 @@ def _median_distance(d: np.ndarray) -> float:
 
 
 def _check_bandwidth(bandwidth) -> None:
-    if bandwidth != "median" and not (isinstance(bandwidth, Real) and 0 < bandwidth < np.inf):
-        raise ParameterError(f"bandwidth must be 'median' or a finite positive number, got {bandwidth!r}")
+    if bandwidth != "median":
+        finite_positive("bandwidth", bandwidth, "'median' or a finite positive number")
 
 
 def build_kernel_gram(w: Window, bandwidth="median") -> KernelGram:

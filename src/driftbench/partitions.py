@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, as_int, finite_positive
 from .seeding import as_generator
 from .windows import Window
 
@@ -34,6 +34,8 @@ from .windows import Window
 MAX_GRID_CELLS = 65536
 #: Deepest level ``build_kdq_tree`` splits.
 KDQ_MAX_DEPTH = 32
+#: Edge placements ``column_edges`` knows.
+EDGE_MODES = ("equidistant", "equilikely")
 
 
 class Partition:
@@ -54,6 +56,25 @@ def _as_matrix(X) -> np.ndarray:
     return X[None, :] if X.ndim == 1 else X
 
 
+def _check_binning(bins: int, edge_mode: str) -> int:
+    bins = as_int("bins", bins, 2)
+    if edge_mode not in EDGE_MODES:
+        raise ParameterError(f"unknown edge_mode {edge_mode!r}; known: {list(EDGE_MODES)}")
+    return bins
+
+
+def _check_axes(n_axes: int | None) -> int | None:
+    return None if n_axes is None else as_int("n_axes", n_axes, 1)
+
+
+def _check_random_trees(n_trees: int, n_leaves: int, min_leaf: int) -> tuple[int, int, int]:
+    return as_int("n_trees", n_trees, 1), as_int("n_leaves", n_leaves, 2), as_int("min_leaf", min_leaf, 1)
+
+
+def _check_kdq(min_side: float, min_count: int) -> tuple[float, int]:
+    return finite_positive("min_side", min_side), as_int("min_count", min_count, 1)
+
+
 def column_edges(P: np.ndarray, bins: int, edge_mode: str) -> list[np.ndarray]:
     """Interior bin edges over the observed values of each column of ``P``.
 
@@ -65,8 +86,7 @@ def column_edges(P: np.ndarray, bins: int, edge_mode: str) -> list[np.ndarray]:
     a per-column call gives.  A column whose range ``hi - lo`` overflows
     raises ``DataError``: its edges would not be finite.
     """
-    if bins < 2:
-        raise ParameterError("bins must be >= 2")
+    bins = _check_binning(bins, edge_mode)
     P = np.asarray(P, dtype=float)
     lo, hi = P.min(axis=0), P.max(axis=0)
     with np.errstate(over="ignore"):
@@ -78,10 +98,8 @@ def column_edges(P: np.ndarray, bins: int, edge_mode: str) -> list[np.ndarray]:
         step = delta / bins
         # np.linspace divides first where the step underflows to zero
         edges = np.where(step == 0, i / bins * delta, i * step) + lo
-    elif edge_mode == "equilikely":
-        edges = np.quantile(P, np.arange(1, bins) / bins, axis=0)
     else:
-        raise ParameterError(f"unknown edge_mode {edge_mode!r}")
+        edges = np.quantile(P, np.arange(1, bins) / bins, axis=0)
     # np.unique per column: sorted, the first of each run of equal edges
     edges = np.sort(edges, axis=0)
     keep = (edges > lo) & (edges <= hi)
@@ -259,10 +277,7 @@ def build_random_projection(
     seed=None,
 ) -> list[Binning1D]:
     """Binnings along random Gaussian directions (normalized to unit length)."""
-    if n_axes is None:
-        n_axes = 2 * w.dim
-    if n_axes < 1:
-        raise ParameterError("n_axes must be >= 1")
+    n_axes = _check_axes(n_axes) or 2 * w.dim
     rng = as_generator(seed)
     axes = []
     for _ in range(n_axes):
@@ -284,10 +299,7 @@ def build_pca_projection(
     the large-variance structure untouched, so this builder is kept out of
     the benchmark defaults.
     """
-    if n_axes is None:
-        n_axes = w.dim
-    if n_axes < 1:
-        raise ParameterError("n_axes must be >= 1")
+    n_axes = _check_axes(n_axes) or w.dim
     with np.errstate(over="ignore", invalid="ignore"):
         centered = w.x - w.x.mean(axis=0)
         cov = centered.T @ centered / max(len(w) - 1, 1)
@@ -319,9 +331,8 @@ def build_random_trees(w: Window, n_trees: int, n_leaves: int = 16, seed=None, m
     statistics are index reads (presorted attribute lists, as in SLIQ:
     Mehta, Agrawal & Rissanen 1996).
     """
+    n_trees, n_leaves, min_leaf = _check_random_trees(n_trees, n_leaves, min_leaf)
     _require_halvable(w)
-    if not (n_leaves >= 2 and min_leaf >= 1 and n_trees >= 1):
-        raise ParameterError("n_leaves must be >= 2, min_leaf >= 1 and n_trees >= 1")
     rng = as_generator(seed)
     xt = np.ascontiguousarray(w.x.T)
     d, n = xt.shape
@@ -368,12 +379,12 @@ def build_kdq_tree(w: Window, min_side: float = 0.05, min_count: int = 10) -> Tr
     """Cycle through dimensions, splitting each cell at the midpoint of its box.
 
     The bounding box is computed from the window once and frozen.  A cell is
-    not split when its sample count is below ``min_count`` or when halving
-    the current dimension would create sides shorter than ``min_side``.
+    not split when its sample count is below ``min_count`` (at least 1, so
+    an empty cell never splits) or when halving the current dimension would
+    create sides shorter than ``min_side`` (finite and positive).
     """
+    min_side, min_count = _check_kdq(min_side, min_count)
     _require_halvable(w)
-    if not min_side > 0:
-        raise ParameterError("min_side must be positive")
     x = w.x
     d = w.dim
     box_lo, box_hi = x.min(axis=0), x.max(axis=0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, InvalidSplitError, ParameterError
+from .errors import DataError, InvalidSplitError, ParameterError, as_int
 from .seeding import as_generator
 
 
@@ -141,10 +141,7 @@ def default_min_side(n: int) -> int:
 
 def candidate_split_times(w: Window, min_side: int | None = None) -> np.ndarray:
     """Distinct sample timestamps whose splits satisfy the margin constraint."""
-    if min_side is not None and not min_side >= 1:
-        raise ParameterError(f"min_side must be >= 1, got {min_side!r}")
-    if min_side is None:
-        min_side = default_min_side(len(w))
+    min_side = default_min_side(len(w)) if min_side is None else as_int("min_side", min_side, 1)
     ts = np.unique(w.t)
     before = w.rank_of(ts)
     ok = (before >= min_side) & (len(w) - before >= min_side)

@@ -388,11 +388,11 @@ MUTANTS = (
         ("test_harness.py",),
     ),
     Mutant(
-        "forest_nan_trees", "moment_tree.py",
-        "if not n_trees >= 1:",
-        "if n_trees < 1:",
-        "a forest refuses a NaN tree count, which would grow no tree",
-        ("test_moment_tree.py",),
+        "forest_zero_trees", "moment_tree.py",
+        'return as_int("n_trees", n_trees, 1)',
+        'return as_int("n_trees", n_trees, 0)',
+        "a forest refuses a tree count of 0, which would grow no tree",
+        ("test_moment_tree.py", "test_detector.py"),
     ),
     Mutant(
         "offset_at_drift_position", "harness.py",
@@ -400,6 +400,34 @@ MUTANTS = (
         "self.offset <= DRIFT_POSITION",
         "an offset of 0.5 drops the whole time before the drift",
         ("test_harness.py", "test_cli.py"),
+    ),
+    Mutant(
+        "kdq_min_count_zero", "partitions.py",
+        'as_int("min_count", min_count, 1)',
+        'as_int("min_count", min_count, 0)',
+        "a kdq min_count of 0 splits empty cells down to KDQ_MAX_DEPTH",
+        ("test_detector.py", "test_cli.py"),
+    ),
+    Mutant(
+        "bool_is_a_count", "errors.py",
+        '    if isinstance(value, bool):\n        raise ParameterError(f"{name} must be an integer, not a bool, got {value!r}")\n',
+        "",
+        "True is not a count: operator.index alone would take it as 1",
+        ("test_detector.py", "test_harness.py"),
+    ),
+    Mutant(
+        "infinite_positive", "errors.py",
+        "0 < value < math.inf",
+        "0 < value",
+        "an infinite kdq min_side never splits, and an infinite bandwidth scores 0",
+        ("test_detector.py",),
+    ),
+    Mutant(
+        "count_bound_strict", "errors.py",
+        "if low is not None and not value >= low:",
+        "if low is not None and not value > low:",
+        "a count equal to its bound is valid: bins 2, k 1, max_depth 0",
+        ("test_detector.py",),
     ),
 )
 

@@ -153,7 +153,8 @@ VALUES_THAT_NEED_NO_DATA = [
     "estimator.rnd_tree.n_trees = 0", "estimator.ldd.k = 0", "estimator.knn_kl.k = -3", "estimator.mmd.bandwidth = -1.0",
     "estimator.marg.bins = 0", "estimator.rnd_pj.bins = 0", "estimator.rnd_tree.n_leaves = 0", "estimator.rf.n_trees = 0",
     "estimator.pca.n_axes = 0", "estimator.rnd_tree.min_leaf = 0", "estimator.grid.edge_mode = even",
-    "estimator.kdq.min_side = 0.0",
+    "estimator.kdq.min_side = 0.0", "estimator.kdq.min_count = -3", "estimator.kdq.min_count = 0",
+    "estimator.kdq.min_side = inf", "estimator.rf.max_depth = -1", "estimator.dt.degree = 0",
 ]
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import warnings
 
 import numpy as np
@@ -17,9 +18,20 @@ from driftbench.detector import (
     scan_splits,
 )
 from driftbench.errors import DataError, DriftBenchError, InvalidSplitError, ParameterError
+from driftbench.generators import rbf_pair
 from driftbench.harness import ESTIMATOR_BUILDERS, make_estimator
 from driftbench.histograms import METRICS, CumulativeHistogram, histogram_metric
-from driftbench.partitions import build_random_tree
+from driftbench.moment_tree import MomentTreeConfig, fit_moment_forest, fit_moment_tree
+from driftbench.neighbor_kernel import build_kernel_gram, build_neighbor_graph, build_neighbor_lists
+from driftbench.partitions import (
+    build_grid,
+    build_kdq_tree,
+    build_marginal,
+    build_pca_projection,
+    build_random_projection,
+    build_random_tree,
+    build_random_trees,
+)
 from driftbench.windows import Window, candidate_split_times, make_paired
 
 BLOCK_BEFORE = lambda n, rng: rng.uniform(0, 1, (n, 1))
@@ -76,10 +88,11 @@ class TestScanSplits:
             detect_drift(est, w, n_perms=19, seed=0)
         assert fits == []
 
-    @pytest.mark.parametrize("min_side", [0, -3, 0.5, float("nan")])
+    @pytest.mark.parametrize("min_side", [0, -3, 0.5, float("nan"), 2.5, True])
     def test_margin_below_one_is_rejected_before_any_fit(self, rng, min_side):
         # min_side = 0 proposed the split after the last sample and failed
-        # only in the fit's statistics, with InvalidSplitError
+        # only in the fit's statistics, with InvalidSplitError; a margin is a
+        # sample count, so a fraction or a bool is refused too
         w = Window(rng.normal(size=(20, 1)), np.sort(rng.uniform(0, 1, 20)))
         fits = []
         est = marginal_estimator()
@@ -342,6 +355,8 @@ class TestPermutationNormalize:
         w = make_paired(BLOCK_BEFORE, BLOCK_AFTER, 100, seed=0).drifting
         with pytest.raises(ParameterError, match="n_perms must be an integer"):
             detect_drift(marginal_estimator(), w, n_perms=19.5)
+        with pytest.raises(ParameterError, match="n_perms must be an integer, not a bool"):
+            detect_drift(marginal_estimator(), w, n_perms=True)
 
     def test_stagger_rf_detects_at_5_percent(self):
         from driftbench.generators import stagger_pair
@@ -461,3 +476,61 @@ class TestClassifierTvOracle:
         tree = build_random_tree(w, n_leaves=2, seed=0, min_leaf=5)
         with pytest.raises(InvalidSplitError):
             classifier_tv_oracle(tree, w, 1.0)
+
+
+#: Every numeric parameter of each estimator factory, and the builder a fit
+#: calls with it, taking the parameter by the factory's name.
+NUMERIC_PARAMETERS = {
+    "marg": (("bins",), lambda w, bins: build_marginal(w, bins)),
+    "rnd_pj": (("n_axes", "bins"), lambda w, n_axes=None, bins=8: build_random_projection(w, n_axes, bins, seed=0)),
+    "pca": (("n_axes", "bins"), lambda w, n_axes=None, bins=8: build_pca_projection(w, n_axes, bins)),
+    "grid": (("bins",), lambda w, bins: build_grid(w, bins)),
+    "rnd_tree": (("n_leaves", "min_leaf", "n_trees"), lambda w, n_trees=8, **kw: build_random_trees(w, n_trees, seed=0, **kw)),
+    "kdq": (("min_side", "min_count"), build_kdq_tree),
+    "rf": (("n_trees", "degree", "min_leaf", "max_depth"),
+           lambda w, n_trees=16, **kw: fit_moment_forest(w, n_trees, MomentTreeConfig(**kw), 0)),
+    "dt": (("degree", "min_leaf", "max_depth"), lambda w, **kw: fit_moment_tree(w, MomentTreeConfig(**kw))),
+    "ldd": (("k",), build_neighbor_lists),
+    "knn_kl": (("k",), build_neighbor_graph),
+    "mmd": (("bandwidth",), build_kernel_gram),
+}
+PROBE_VALUES = {"nan": float("nan"), "inf": float("inf"), "-1": -1, "0": 0, "1.5": 1.5, "True": True}
+#: The probe cases that are valid: each factory's docstring names its parameter.
+VALID_PROBES = {"kdq-min_side-1.5", "rf-max_depth-0", "dt-max_depth-0", "mmd-bandwidth-1.5"}
+PROBES = {
+    f"{estimator_id}-{name}-{label}": (estimator_id, name, value)
+    for estimator_id, (names, _) in NUMERIC_PARAMETERS.items()
+    for name in names
+    for label, value in PROBE_VALUES.items()
+}
+PROBE_WINDOW = make_paired(*rbf_pair(2, seed=0), 80, seed=0).drifting
+
+
+class TestParameterChecks:
+    def test_the_table_covers_every_numeric_parameter(self):
+        for estimator_id, builder in ESTIMATOR_BUILDERS.items():
+            named = set(inspect.signature(builder).parameters) - {"metric", "edge_mode", "aggregation"}
+            assert named == set(NUMERIC_PARAMETERS[estimator_id][0])
+        assert VALID_PROBES <= set(PROBES)
+
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    def test_value_is_refused_at_build_or_documented_valid(self, probe):
+        # NaN, inf, a fraction and True each used to pass a check written
+        # x < low, or to raise TypeError, ValueError or IndexError in the fit
+        estimator_id, name, value = PROBES[probe]
+        if probe in VALID_PROBES:
+            assert f"``{name}" in ESTIMATOR_BUILDERS[estimator_id].__doc__
+            desc = make_estimator(estimator_id, params={name: value}).fit(PROBE_WINDOW, 0)
+            assert np.isfinite(desc.statistics(np.array([40]))).all()
+            return
+        with pytest.raises(ParameterError, match=name):
+            make_estimator(estimator_id, params={name: value})
+        # the builder a fit calls runs the same check, before it reads the window
+        with pytest.raises(ParameterError, match=name):
+            NUMERIC_PARAMETERS[estimator_id][1](PROBE_WINDOW, **{name: value})
+
+    @pytest.mark.parametrize("make", [lambda: make_estimator("marg", metric=None), lambda: marginal_estimator(metric=None)])
+    def test_metric_that_is_no_string_is_parameter_error(self, make):
+        # it raised AttributeError from None.lower()
+        with pytest.raises(ParameterError, match="unknown metric None"):
+            make()

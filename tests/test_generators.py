@@ -99,6 +99,11 @@ class TestRbf:
         assert np.array_equal(a1.centroids, a2.centroids)
         assert np.array_equal(b1.centroids, b2.centroids)
 
+    @pytest.mark.parametrize("params", [{"d": 0}, {"n_centroids": 0}, {"d": 2.0}, {"n_centroids": True}])
+    def test_counts_are_checked(self, params):
+        with pytest.raises(ParameterError, match=next(iter(params))):
+            rbf_pair(**params)
+
     def test_weights_sum_to_one(self):
         before, after = rbf_pair(seed=1)
         assert before.weights.sum() == pytest.approx(1.0)
@@ -145,8 +150,10 @@ class TestRhp:
         assert draws[:, 5].mean() == pytest.approx(0.5, abs=0.02)
 
     def test_needs_two_dims(self):
-        with pytest.raises(ParameterError):
-            rhp_pair(d=1)
+        # a dimension is a count: a fraction or a bool is refused too
+        for d in (1, 2.5, True):
+            with pytest.raises(ParameterError, match="d must be"):
+                rhp_pair(d=d)
 
 
 class TestCsvPair:
@@ -211,5 +218,6 @@ class TestNoise:
 
     def test_negative_dims_rejected(self):
         before, _ = sea_pair(0, 1)
-        with pytest.raises(ParameterError):
-            with_noise(before, -1)
+        for extra_dims in (-1, 1.5, True):
+            with pytest.raises(ParameterError, match="extra_dims"):
+                with_noise(before, extra_dims)

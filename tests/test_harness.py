@@ -326,6 +326,9 @@ class TestConfigValidation:
             ExperimentConfig(**{name: 1.5})
         cfg = ExperimentConfig(**{name: np.int64(5)})
         assert getattr(cfg, name) == 5 and type(getattr(cfg, name)) is int
+        # a bool is no count, as for every estimator parameter
+        with pytest.raises(ParameterError, match=f"{name} must be an integer, not a bool"):
+            ExperimentConfig(**{name: True})
 
     def test_positions_must_include_drift_point(self):
         with pytest.raises(ParameterError):
